@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       params.edge_cache_capacity = 1u << 20;
       params.partitioner.capacity = 400;
       params.cache_strategy = CacheStrategy::kMicroflow;
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
 
       // Generate the hot load inside one concrete partition region.

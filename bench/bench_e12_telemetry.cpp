@@ -156,7 +156,6 @@ int main(int argc, char** argv) {
       const ModeRow& mode = kModes[cell / kNumRates];
       const double p = kRates[cell % kNumRates];
       auto params = measured_params(p, duration, rep.seed);
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       TrafficGenerator gen(policy,
                            heavy_tail_params(rep.seed, mode.alpha, rate,
@@ -227,7 +226,6 @@ int main(int argc, char** argv) {
       crash.at = 0.5 * duration;
       crash.restart_at = 0.75 * duration;
       params.faults.crashes.push_back(crash);
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       TrafficGenerator gen(policy,
                            heavy_tail_params(rep.seed, 1.1, rate, duration,
@@ -281,7 +279,6 @@ int main(int argc, char** argv) {
       params.timings.heartbeat_interval = 0.05;
       params.timings.heartbeat_miss = 3;
       params.timings.heartbeat_horizon = duration + 1.0;
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       const auto flows = zipf_traffic(policy, 2000.0, 0.5 * duration, 300,
                                       0.9, rep.seed);
@@ -315,7 +312,6 @@ int main(int argc, char** argv) {
     // same bytes (the JsonCollectorSink sees the identical batch sequence).
     const auto stream_once = [&](obs::CollectorSink* sink) {
       auto params = measured_params(0.5, duration, rep.seed);
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       if (sink != nullptr) scenario.set_collector_sink(sink);
       TrafficGenerator gen(policy,

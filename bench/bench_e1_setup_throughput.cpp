@@ -10,28 +10,17 @@ using namespace difane::bench;
 
 namespace {
 
-struct ModeResult {
-  double rate = 0.0;    // deterministic setup-completion rate
-  double wall_s = 0.0;  // host wall time of the run() call
-};
-
-ModeResult run_mode(const RuleTable& policy, Mode mode, double rate,
-                    double duration, std::uint64_t seed, std::size_t burst) {
+// Rate over the actual completion span (not the arrival window): a saturated
+// system keeps draining its queue after arrivals stop, and that drain must
+// not inflate the measured throughput.
+double run_mode(const RuleTable& policy, Mode mode, double rate,
+                double duration, std::uint64_t seed) {
   const auto flows = setup_storm(policy, rate, duration, seed);
-  ScenarioParams params = mode == Mode::kDifane
-                              ? difane_params(1, CacheStrategy::kMicroflow)
-                              : nox_params();
-  params.burst = burst;
+  const ScenarioParams params = mode == Mode::kDifane
+                                    ? difane_params(1, CacheStrategy::kMicroflow)
+                                    : nox_params();
   Scenario scenario(policy, params);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto& stats = scenario.run(flows);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  // Rate over the actual completion span (not the arrival window): a
-  // saturated system keeps draining its queue after arrivals stop, and that
-  // drain must not inflate the measured throughput.
-  return {stats.setup_completions.rate(), wall_s};
+  return scenario.run(flows).setup_completions.rate();
 }
 
 }  // namespace
@@ -67,14 +56,9 @@ int main(int argc, char** argv) {
       const double duration =
           std::min(args.pick(0.5, 0.2), args.pick(40000.0, 10000.0) / rate);
       if (cell % 2 == 0) {
-        difane_rates[i] =
-            run_mode(policy, Mode::kDifane, rate, duration, rep.seed,
-                     static_cast<std::size_t>(args.burst))
-                .rate;
+        difane_rates[i] = run_mode(policy, Mode::kDifane, rate, duration, rep.seed);
       } else {
-        nox_rates[i] = run_mode(policy, Mode::kNox, rate, duration, rep.seed,
-                                static_cast<std::size_t>(args.burst))
-                           .rate;
+        nox_rates[i] = run_mode(policy, Mode::kNox, rate, duration, rep.seed);
       }
     });
     double difane_peak = 0.0, nox_peak = 0.0;
@@ -94,31 +78,5 @@ int main(int argc, char** argv) {
     rep.set("nox_peak_flows_per_s", nox_peak);
     rep.set("peak_speedup", nox_peak > 0 ? difane_peak / nox_peak : 0.0);
     if (rep.verbose) std::printf("%s\n", table.render().c_str());
-
-    // Burst-mode differential row: the highest offered rate re-run scalar vs
-    // burst=32. The completion rate is deterministic and burst-invariant
-    // (burst32_flows_per_s must equal the scalar value — the equivalence
-    // contract); the wall metrics show the dispatch/locality amortization.
-    {
-      const double rate = rates.back();
-      const double duration =
-          std::min(args.pick(0.5, 0.2), args.pick(40000.0, 10000.0) / rate);
-      const auto scalar =
-          run_mode(policy, Mode::kDifane, rate, duration, rep.seed, 0);
-      const auto burst32 =
-          run_mode(policy, Mode::kDifane, rate, duration, rep.seed, 32);
-      rep.set("burst32_flows_per_s", burst32.rate);
-      rep.set("burst32_matches_scalar",
-              burst32.rate == scalar.rate ? 1.0 : 0.0);
-      rep.set("burst_scalar_wall_s", scalar.wall_s);
-      rep.set("burst32_wall_s", burst32.wall_s);
-      if (rep.verbose) {
-        std::printf("burst differential @ %.0f flows/s: scalar %.0f flows/s "
-                    "(%.3fs wall), burst=32 %.0f flows/s (%.3fs wall)%s\n",
-                    rate, scalar.rate, scalar.wall_s, burst32.rate,
-                    burst32.wall_s,
-                    burst32.rate == scalar.rate ? "" : "  MISMATCH");
-      }
-    }
   });
 }

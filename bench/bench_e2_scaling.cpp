@@ -37,16 +37,13 @@ int main(int argc, char** argv) {
     double nox_rate = 0.0;
     run_cells(args.threads, ks.size() + 1, [&](std::size_t cell) {
       if (cell == 0) {
-        auto params = nox_params();
-        apply_exec_args(params, args);
-        Scenario nox(policy, params);
+        Scenario nox(policy, nox_params());
         nox_rate = nox.run(flows).setup_completions.rate();
         return;
       }
       const std::uint32_t k = ks[cell - 1];
       auto params = difane_params(k, CacheStrategy::kMicroflow);
       params.edge_switches = 8;
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       k_rates[cell - 1] = scenario.run(flows).setup_completions.rate();
     });
@@ -64,39 +61,6 @@ int main(int argc, char** argv) {
                      TextTable::num(nox_rate, 0)});
     }
     if (rep.verbose) std::printf("%s\n", table.render().c_str());
-
-    // Burst-mode differential row: the largest k re-run scalar vs burst=32.
-    // The completion rate must be identical (the burst equivalence
-    // contract); the `_wall_` pair shows the per-packet amortization.
-    {
-      auto params = difane_params(ks.back(), CacheStrategy::kMicroflow);
-      params.edge_switches = 8;
-      params.burst = 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      Scenario scalar(policy, params);
-      const double scalar_rate = scalar.run(flows).setup_completions.rate();
-      const double scalar_wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      params.burst = 32;
-      const auto t1 = std::chrono::steady_clock::now();
-      Scenario burst(policy, params);
-      const double burst_rate = burst.run(flows).setup_completions.rate();
-      const double burst_wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
-              .count();
-      rep.set("burst32_flows_per_s", burst_rate);
-      rep.set("burst32_matches_scalar",
-              burst_rate == scalar_rate ? 1.0 : 0.0);
-      rep.set("burst_scalar_wall_s", scalar_wall);
-      rep.set("burst32_wall_s", burst_wall);
-      if (rep.verbose) {
-        std::printf("burst differential (k=%u): scalar %.0f flows/s (%.3fs), "
-                    "burst=32 %.0f flows/s (%.3fs)%s\n",
-                    ks.back(), scalar_rate, scalar_wall, burst_rate, burst_wall,
-                    burst_rate == scalar_rate ? "" : "  MISMATCH");
-      }
-    }
 
     // Sharded-engine demonstration row: the largest k re-run with the
     // in-scenario parallel engine (ScenarioParams::threads = --threads).

@@ -42,12 +42,8 @@ int main(int argc, char** argv) {
     const double duration = args.pick(1.0, 0.3);
     const auto policy = classbench_like(policy_size, 17);
     rep.report.params["policy_rules"] = obs::Json(policy_size);
-    auto dparams = difane_params(2, CacheStrategy::kDependentSet);
-    apply_exec_args(dparams, args);
-    auto nparams = nox_params();
-    apply_exec_args(nparams, args);
-    Scenario difane(policy, dparams);
-    Scenario nox(policy, nparams);
+    Scenario difane(policy, difane_params(2, CacheStrategy::kDependentSet));
+    Scenario nox(policy, nox_params());
     const auto& ds = run_and_keep(difane, policy, rep.seed, duration);
     const auto& ns = run_and_keep(nox, policy, rep.seed, duration);
 

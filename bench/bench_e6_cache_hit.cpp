@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
       // An authority that knows the ingress budget can afford bigger splice
       // groups on bigger caches.
       params.max_splice_cost = std::max<std::size_t>(8, cache / 4);
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       const auto flows =
           zipf_traffic(policy, /*rate=*/20000.0, duration, pool, /*skew=*/0.9,
@@ -135,7 +134,6 @@ int main(int argc, char** argv) {
       // past the last arrival, by which time every short-idle entry would
       // have expired and the footprint comparison would be meaningless.
       params.occupancy_sample_at = ht_duration;
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       TrafficGenerator gen(policy, heavy_tail_params(rep.seed, hr.alpha, ht_rate,
                                                      ht_duration, ht_pool, hr.mode));

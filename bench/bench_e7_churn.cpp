@@ -157,7 +157,6 @@ int main(int argc, char** argv) {
       params.timings.cache_idle_timeout = 0.035;
       params.elephants = elephant_policy(on);
       params.occupancy_sample_at = ht_duration;
-      apply_exec_args(params, args);
       Scenario scenario(churn_policy, params);
       TrafficGenerator gen(churn_policy,
                            heavy_tail_params(rep.seed, cr.alpha, ht_rate,
@@ -231,7 +230,6 @@ int main(int argc, char** argv) {
       params.migration.enabled = on;
       params.migration.wave_size = 2;
       params.migration.drain_timeout = 0.01;
-      apply_exec_args(params, args);
       Scenario scenario(churn_policy, params);
       if (on) {
         // Re-home a spread of partitions to the authority that is neither

@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
           2, cache == 0 ? CacheStrategy::kNone : CacheStrategy::kCoverSet,
           std::max<std::size_t>(cache, 1));
       if (cache == 0) params.edge_cache_capacity = 0;
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       const auto flows = zipf_traffic(policy, 3000.0, duration, 4000, 1.0, rep.seed);
       const auto& stats = scenario.run(flows);
@@ -83,7 +82,6 @@ int main(int argc, char** argv) {
       params.partitioner.capacity = 1000;
       params.cache_strategy =
           cache == 0 ? CacheStrategy::kNone : CacheStrategy::kCoverSet;
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       TrafficParams tp;
       tp.seed = rep.seed;

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
       // the authority switch is exercised through the failure.
       auto params = difane_params(2, CacheStrategy::kMicroflow);
       params.timings.failover_detect = detect;
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       const auto flows = setup_storm(policy, 5000.0, duration, rep.seed);
       const SwitchId victim = scenario.difane()->authority_switches()[0];
@@ -100,7 +99,6 @@ int main(int argc, char** argv) {
         second.at = fail_at + 0.3 * duration;
         params.faults.crashes.push_back(second);
       }
-      apply_exec_args(params, args);
       Scenario scenario(policy, params);
       const auto flows = setup_storm(policy, 5000.0, duration, rep.seed);
       const auto& stats = scenario.run(flows);

@@ -44,10 +44,6 @@ struct Args {
   // serial order, so every deterministic metric is identical at any thread
   // count — check.sh gates on exactly that.
   int threads = 1;
-  // Burst-mode data plane for every Scenario the bench builds (0 = scalar
-  // path). Deterministic metrics are burst-invariant by contract;
-  // check.sh --burst gates bench_all at 0 vs 32 on exactly that.
-  int burst = 0;
 
   // Sweep helper: full-size value normally, reduced value under --quick.
   template <typename T>
@@ -59,16 +55,13 @@ struct Args {
 [[noreturn]] inline void usage(const char* bench_id, int exit_code) {
   std::fprintf(exit_code == 0 ? stdout : stderr,
                "usage: %s [--json <path>] [--reps N] [--seed S] [--quick] "
-               "[--threads N] [--burst N]\n"
+               "[--threads N]\n"
                "  --json <path>  write BENCH_%s-style JSON report to <path>\n"
                "  --reps N       repetitions (metrics averaged; seeds base..base+N-1)\n"
                "  --seed S       override the base seed\n"
                "  --quick        reduced problem sizes (CI smoke mode)\n"
                "  --threads N    run independent sweep cells on N worker threads\n"
-               "                 (deterministic metrics are thread-count invariant)\n"
-               "  --burst N      burst-mode data plane, N packets per burst\n"
-               "                 (0 = scalar; deterministic metrics are\n"
-               "                 burst-invariant)\n",
+               "                 (deterministic metrics are thread-count invariant)\n",
                bench_id, bench_id);
   std::exit(exit_code);
 }
@@ -103,12 +96,6 @@ inline Args parse_args(int argc, char** argv, const char* bench_id,
       args.threads = std::atoi(next());
       if (args.threads < 1) {
         std::fprintf(stderr, "%s: --threads must be >= 1\n", bench_id);
-        std::exit(2);
-      }
-    } else if (arg == "--burst") {
-      args.burst = std::atoi(next());
-      if (args.burst < 0) {
-        std::fprintf(stderr, "%s: --burst must be >= 0\n", bench_id);
         std::exit(2);
       }
     } else if (arg == "--help" || arg == "-h") {
@@ -317,13 +304,6 @@ inline ElephantParams elephant_policy(bool on) {
   e.mice_bypass = on;
   e.mice_min_packets = 2;
   return e;
-}
-
-// Shared execution knobs every Scenario-building bench applies right after
-// assembling its params: currently just the burst-mode data plane. Kept in
-// one helper so a future knob reaches all benches in one place.
-inline void apply_exec_args(ScenarioParams& params, const Args& args) {
-  params.burst = static_cast<std::size_t>(args.burst);
 }
 
 inline ScenarioParams difane_params(std::uint32_t authorities,

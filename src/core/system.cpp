@@ -198,27 +198,11 @@ void validate_execution(const ScenarioParams& p) {
                       "SPSC outbox rings index with a mask; capacity must be "
                       "a power of two (>= 1)");
   }
-  if (p.burst > p.shard_ring_capacity) {
+  // The field survives only because perfbench/workloads.hpp assigns it.
+  if (p.burst != 0) {
     throw ConfigError("burst",
-                      "a burst of " + std::to_string(p.burst) +
-                          " packets can emit more cross-shard messages per "
-                          "window than the " +
-                          std::to_string(p.shard_ring_capacity) +
-                          "-slot outbox ring holds; raise "
-                          "shard_ring_capacity or shrink burst");
-  }
-  if (p.prefetch_depth == 0) {
-    throw ConfigError("prefetch_depth",
-                      "depth counts exact-match chain entries prefetched per "
-                      "key and must be >= 1 (the batch pass itself is "
-                      "enabled by burst > 0, not by this knob)");
-  }
-  if (p.prefetch_depth > FlowTable::kMaxBatch) {
-    throw ConfigError("prefetch_depth",
-                      "a depth of " + std::to_string(p.prefetch_depth) +
-                          " would chase duplicate chains past any plausible "
-                          "cache benefit; the supported range is 1.." +
-                          std::to_string(FlowTable::kMaxBatch));
+                      "the burst data plane was removed; packets are always "
+                      "processed one engine event each, so burst must be 0");
   }
 }
 
@@ -342,13 +326,6 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
       break;
     }
   }
-  // Batch prefetch depth is a per-table hardware hint (it matters only when
-  // the burst data plane's lookup_prefetch pass runs, and never changes
-  // results). Applied to every switch up front, before any rules land.
-  for (SwitchId id = 0; id < net_.switch_count(); ++id) {
-    net_.sw(id).table().set_prefetch_depth(
-        static_cast<std::uint32_t>(params_.prefetch_depth));
-  }
   switch (params_.mode) {
     case Mode::kDifane: {
       std::vector<SwitchId> authorities(topo_.core.begin(),
@@ -381,7 +358,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
   build_shards();
   // Fault machinery first, so the channels and agents below can hook into
   // it. With an inactive plan nothing is built and every construction below
-  // takes its legacy path. Under the sharded executor the injector splits
+  // takes its fault-free path. Under the sharded executor the injector splits
   // one Rng stream per shard (plus a coordinator stream) from the master
   // seed, so each shard's deterministic event order implies a deterministic
   // draw order regardless of worker scheduling.
@@ -641,8 +618,7 @@ void Scenario::finalize_measurement() {
 // the edge — so concurrent authority-serving work lands on distinct workers.
 // NOX: the controller gets a shard of its own (the punt path serializes
 // through it anyway) and the switches share the rest. threads == 1 builds
-// nothing: every downstream branch on exec_ takes the legacy path and the
-// run is byte-identical to previous releases.
+// nothing, and every branch on exec_ takes the serial path.
 void Scenario::build_shards() {
   shard_of_.assign(net_.switch_count(), 0);
   ctrl_shard_ = 0;
@@ -761,11 +737,13 @@ void Scenario::schedule_faults() {
     }
   }
   if (difane_ == nullptr) return;
-  const bool legacy_detect = params_.timings.heartbeat_interval <= 0.0;
+  // Heartbeats off: the controller reacts a fixed failover_detect after the
+  // crash (Chaos.FixedDelayCrashFailsOverWithoutHeartbeats pins this path).
+  const bool fixed_delay_detect = params_.timings.heartbeat_interval <= 0.0;
   for (const auto& crash : params_.faults.crashes) {
     const SwitchId sw = difane_->authority_switch(crash.authority_index);
     net_.engine().at(crash.at, [this, sw]() { crash_authority(sw); });
-    if (legacy_detect) {
+    if (fixed_delay_detect) {
       net_.engine().at(crash.at + params_.timings.failover_detect, [this, sw]() {
         migration_on_crash(sw);
         difane_->handle_authority_failure(sw);
@@ -773,7 +751,7 @@ void Scenario::schedule_faults() {
     }
     if (crash.restart_at >= 0.0) {
       net_.engine().at(crash.restart_at, [this, sw]() { restart_authority(sw); });
-      if (legacy_detect) {
+      if (fixed_delay_detect) {
         net_.engine().at(crash.restart_at + params_.timings.failover_detect,
                          [this, sw]() { difane_->handle_authority_restart(sw); });
       }
@@ -860,7 +838,7 @@ obs::MetricsReport ScenarioStats::snapshot(const std::string& experiment) const 
   }
   report.set("setup_completions", static_cast<double>(setup_completions.total()));
   report.set("setup_rate_per_s", setup_completions.rate());
-  // Fault / robustness counters (all zero on a fault-free legacy-channel
+  // Fault / robustness counters (all zero on a fault-free unreliable-channel
   // run; emitted unconditionally so the report schema is run-independent).
   report.set("ctrl_transmissions", static_cast<double>(ctrl_transmissions));
   report.set("ctrl_retransmits", static_cast<double>(ctrl_retransmits));
@@ -945,11 +923,7 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
       stats_.cache_entries_final = live_cache_entries(net_.engine().now());
     });
   }
-  if (params_.burst > 0) {
-    inject_bursts(flows);
-  } else {
-    for (const auto& flow : flows) inject(flow);
-  }
+  for (const auto& flow : flows) inject(flow);
   if (exec_ != nullptr) {
     // Routes must exist before shard threads read next_hop() concurrently;
     // they are recomputed at the barrier after any window that ran global
@@ -1038,83 +1012,6 @@ void Scenario::inject(const FlowSpec& flow) {
   }
 }
 
-void Scenario::inject_bursts(const std::vector<FlowSpec>& flows) {
-  burst_plan_ = coalesce_bursts(
-      flows, static_cast<std::uint32_t>(topo_.edge.size()), params_.burst);
-  burst_resume_.assign(burst_plan_.groups.size(), BurstResume{});
-  for (const auto& b : burst_plan_.bursts) {
-    const SwitchId ingress = topo_.edge[b.group];
-    const double when = burst_plan_.groups[b.group][b.begin].at;
-    auto handler = [this, b]() { process_burst(b.group, b.begin, b.end); };
-    static_assert(Engine::Handler::fits_inline<decltype(handler)>,
-                  "burst event handler must not allocate");
-    schedule_at_switch(ingress, when, std::move(handler));
-  }
-}
-
-// Drain one burst's arrivals, one packet at a time, at each packet's own
-// clock. Two deferral rules keep event interleaving — and therefore every
-// observable stream — byte-identical to the scalar per-packet path:
-//  * an engine event pending strictly before the next arrival runs first
-//    (the scalar heap would pop it first; at equal times the packet wins
-//    the FIFO tie-break, exactly like the inject-time event it replaces);
-//  * an arrival at or past the engine's horizon belongs to a later window
-//    (run_before would not have popped its per-packet event).
-// Either way the remainder reschedules at the next arrival's own time, and
-// the continuation picks its chunk's memoized batch state back up from
-// burst_resume_ — the hash/prefetch pass is per chunk, not per deferral, so
-// a redirect storm that defers after every packet still pays batch cost
-// once per kMaxBatch packets. The shard's peek_time() sequence — which
-// sizes conservative windows — also matches the scalar run's, and batch
-// memoization is invisible to it (lookup_prefetch never mutates).
-void Scenario::process_burst(std::uint32_t group, std::uint32_t begin,
-                             std::uint32_t end) {
-  const auto& arrivals = burst_plan_.groups[group];
-  const SwitchId at = topo_.edge[group];
-  BurstResume& resume = burst_resume_[group];
-  std::uint32_t i = begin;
-  while (i < end) {
-    // Chunk of up to kMaxBatch arrivals: memoize exact-match heads and
-    // prefetch their slab entries before resolving any of them. A resumed
-    // continuation lands inside the stored chunk and skips straight to the
-    // resolve loop; stale memoized heads (the table mutated since pass 1)
-    // are recomputed per key by lookup_prepared's generation check.
-    if (!(resume.chunk_begin <= i && i < resume.chunk_end)) {
-      resume.chunk_begin = i;
-      resume.chunk_end = std::min<std::uint32_t>(end, i + FlowTable::kMaxBatch);
-      const FlowTable& table = net_.sw(at).table();
-      const BitVec* keys[FlowTable::kMaxBatch];
-      for (std::uint32_t k = i; k < resume.chunk_end; ++k) {
-        keys[k - i] = &arrivals[k].header;
-      }
-      table.lookup_prefetch(keys, resume.chunk_end - i, resume.batch);
-    }
-    const std::uint32_t chunk_begin = resume.chunk_begin;
-    const std::uint32_t chunk_end = resume.chunk_end;
-    for (std::uint32_t k = i; k < chunk_end; ++k) {
-      const auto& a = arrivals[k];
-      Engine& eng = cur_engine();
-      if (eng.peek_time() < a.at || a.at >= eng.horizon()) {
-        auto cont = [this, group, k, end]() { process_burst(group, k, end); };
-        static_assert(Engine::Handler::fits_inline<decltype(cont)>,
-                      "burst continuation must not allocate");
-        schedule_at_switch(at, a.at, std::move(cont));
-        return;
-      }
-      eng.advance_to(a.at);
-      Packet pkt;
-      pkt.flow = a.flow;
-      pkt.header = a.header;
-      pkt.created = a.at;
-      pkt.ingress = at;
-      pkt.is_first_of_flow = a.first;
-      st().tracer.on_injected(pkt);
-      process_injected(at, pkt, resume.batch, k - chunk_begin);
-    }
-    i = chunk_end;
-  }
-}
-
 void Scenario::dispose(const Packet& pkt, bool delivered, DropReason reason) {
   const double now = cur_engine().now();
   ScenarioStats& s = st();
@@ -1157,30 +1054,6 @@ void Scenario::process(SwitchId at, Packet pkt) {
   }
   const double now = cur_engine().now();
   const FlowEntry* entry = sw.table().lookup(pkt.header, now, pkt.bytes);
-  process_lookup_result(at, pkt, entry, now);
-}
-
-// process() for a freshly injected packet whose exact-match chain head was
-// memoized (and prefetched) by FlowTable::lookup_prefetch. Injected packets
-// carry no encap/tunnel state, so the transit branches of process() cannot
-// apply; everything else is the scalar path verbatim.
-void Scenario::process_injected(SwitchId at, const Packet& pkt,
-                                const FlowTable::BatchState& batch,
-                                std::size_t slot) {
-  obs_packets_->inc();
-  Switch& sw = net_.sw(at);
-  if (sw.failed()) {
-    dispose(pkt, false, DropReason::kSwitchFailed);
-    return;
-  }
-  const double now = cur_engine().now();
-  const FlowEntry* entry =
-      sw.table().lookup_prepared(pkt.header, slot, batch, now, pkt.bytes);
-  process_lookup_result(at, pkt, entry, now);
-}
-
-void Scenario::process_lookup_result(SwitchId at, Packet pkt,
-                                     const FlowEntry* entry, double now) {
   if (entry == nullptr) {
     if (params_.mode == Mode::kNox && at == pkt.ingress) {
       punt_to_controller(pkt);
@@ -1242,7 +1115,7 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
       // migration on, a redirect that chased a partition to a switch that
       // retired it re-encaps to the current owner instead of dropping — the
       // "zero lost packets attributable to migration" contract; the TTL
-      // bounds the chase. Migration off keeps the legacy drop byte-for-byte.
+      // bounds the chase. With migration off the packet is dropped.
       if (params_.migration.enabled) {
         const Partition& partition = difane_->plan().find(pkt.header);
         const SwitchId owner = difane_->replica_for(partition, at);
@@ -1823,7 +1696,8 @@ void Scenario::schedule_authority_failure(SimTime when, SwitchId authority) {
     log_info("authority switch ", authority, " failed at t=", net_.engine().now());
   });
   // With heartbeat detection on, the monitor notices the silence itself;
-  // the fixed-delay oracle below is the legacy path.
+  // otherwise the controller reacts failover_detect later (E9's detect_ms
+  // rows in bench/BASELINE.json pin this path).
   if (params_.timings.heartbeat_interval <= 0.0) {
     net_.engine().at(when + params_.timings.failover_detect, [this, authority]() {
       migration_on_crash(authority);

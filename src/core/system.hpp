@@ -59,7 +59,9 @@ struct Timings {
   // first beat heard again. heartbeat_horizon bounds the monitor's tick
   // chain so the engine's queue drains; set it at or past the end of
   // injected traffic.
-  double heartbeat_interval = 0.0;  // 0 => legacy fixed-delay detection
+  // 0 => fixed-delay detection, the path E9's detect_ms rows in
+  // bench/BASELINE.json pin.
+  double heartbeat_interval = 0.0;
   std::uint32_t heartbeat_miss = 3;
   double heartbeat_horizon = 0.0;
 
@@ -124,7 +126,7 @@ struct ScenarioParams {
   // timeout + capped exponential backoff retransmission, duplicate
   // suppression and in-order apply at the switch agent. Required for
   // transparency under message faults; off by default (the clean wire needs
-  // none of it and the baseline is calibrated against the legacy path).
+  // none of it).
   bool reliable_ctrl = false;
 
   // What goes wrong during the run (default: nothing). An active plan also
@@ -160,8 +162,8 @@ struct ScenarioParams {
   double occupancy_sample_at = -1.0;
 
   // Worker threads for the sharded parallel engine. 1 (the default) runs the
-  // classic single-threaded event loop — byte-identical to previous
-  // releases. N > 1 partitions the switches into per-authority-serving-set
+  // classic single-threaded event loop, which every bench/BASELINE.json row
+  // but E11 pins. N > 1 partitions the switches into per-authority-serving-set
   // shards executed under conservative time windows (lookahead = link
   // latency); results are then *seed-stable* — the same (seed, threads)
   // replays identically regardless of OS scheduling — but not numerically
@@ -170,15 +172,7 @@ struct ScenarioParams {
   // "Parallel execution" section.
   std::size_t threads = 1;
 
-  // Burst-mode data plane (NDN-DPDK shape). 0 (the default) schedules one
-  // engine event per injected packet — the classic scalar path. N > 0
-  // coalesces up to N consecutive same-ingress packet arrivals into one
-  // burst event whose handler batch-resolves FlowTable lookups (hash +
-  // software prefetch over the entry slab first, then per-packet resolve at
-  // each packet's own advanced clock). Observable behavior — stats,
-  // telemetry export stream, verifier state, Rng draw order — is
-  // byte-identical to the scalar path; test_prop_burst replays 100 seeds
-  // against exactly that contract. Typical sweet spot: 32–64.
+  // Must be 0 (validate() rejects anything else); see validate_execution.
   std::size_t burst = 0;
 
   // Capacity (power of two) of each shard's SPSC outbox ring in the sharded
@@ -199,19 +193,10 @@ struct ScenarioParams {
   // concurrency; Linux pthread_setaffinity_np, no-op elsewhere). Keeps the
   // worker↔core mapping — and on multi-socket hosts the NUMA locality of
   // first-touched shard state — stable across windows. Byte-identical to
-  // unpinned execution by the executor's determinism contract; on a
+  // unpinned execution by the executor's determinism contract
+  // (ScenarioThreads.PinWorkersKeepsSnapshotIdentical); on a
   // single-node host (like the CI container) it changes nothing at all.
   bool pin_workers = false;
-
-  // Burst data plane only (burst > 0): how many entries of a key's
-  // exact-match duplicate chain the batch prefetch pass pulls toward the
-  // cache before the resolve pass runs. 1 (the default) prefetches each
-  // chain head — the original behavior; deeper values help tables where
-  // hot keys carry refreshed/expired duplicates, at the cost of cache
-  // pollution when chains are short. A pure hardware hint: results are
-  // byte-identical at any depth (test_prop_burst randomizes it). Range
-  // 1..FlowTable::kMaxBatch, validated.
-  std::size_t prefetch_depth = 1;
 
   // Reject mis-wired parameter combinations before any topology or control
   // plane is built. Throws difane::ConfigError naming the offending field.
@@ -241,8 +226,8 @@ struct ScenarioStats {
   RateMeter setup_completions;            // first-packet dispositions per second
 
   // Fault / robustness accounting, aggregated from the channels, the fault
-  // injector, and the heartbeat monitor at the end of a run. All zero when
-  // the run was fault-free with legacy channels.
+  // injector, and the heartbeat monitor at the end of a run. All zero on a
+  // fault-free run without reliable_ctrl.
   std::uint64_t ctrl_transmissions = 0;   // channel transmissions incl. rexmit
   std::uint64_t ctrl_retransmits = 0;
   std::uint64_t ctrl_acks = 0;
@@ -430,21 +415,6 @@ class Scenario {
   void finalize_measurement();
   void inject(const FlowSpec& flow);
   void process(SwitchId at, Packet pkt);
-  // Burst-mode data plane (params_.burst > 0): one engine event per burst of
-  // consecutive same-ingress arrivals instead of one per packet. The handler
-  // advances the clock packet by packet, deferring the remainder whenever an
-  // earlier engine event is pending or the window horizon is reached — so
-  // event interleaving, and with it every observable stream, matches the
-  // scalar path.
-  void inject_bursts(const std::vector<FlowSpec>& flows);
-  void process_burst(std::uint32_t group, std::uint32_t begin,
-                     std::uint32_t end);
-  void process_injected(SwitchId at, const Packet& pkt,
-                        const FlowTable::BatchState& batch, std::size_t slot);
-  // Tail shared by process() and process_injected(): miss handling, ingress
-  // accounting, hit verification, telemetry sampling, action dispatch.
-  void process_lookup_result(SwitchId at, Packet pkt, const FlowEntry* entry,
-                             double now);
   void handle_authority(SwitchId at, Packet pkt);
   void punt_to_controller(Packet pkt);
   void apply_action(SwitchId at, Packet pkt, const Action& action);
@@ -503,12 +473,12 @@ class Scenario {
   std::vector<std::unique_ptr<SwitchAgent>> agents_;
   std::vector<std::unique_ptr<ControlChannel>> install_channels_;
   // Fault machinery, present only when params_.faults.active() or heartbeat
-  // detection is on; nullptr otherwise so the fault-free path stays exactly
-  // the legacy one.
+  // detection is on; nullptr otherwise, so a fault-free run draws no fault
+  // randomness (the fault-free bench/BASELINE.json rows pin that path).
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<HeartbeatMonitor> heartbeat_;
   // Measurement mode (params_.measurement.enabled only; all empty/null
-  // otherwise so the measurement-off path is byte-identical to before).
+  // otherwise, as Telemetry.MeasurementOffLeavesNoTrace pins).
   // Indexed by SwitchId; only exporters (edge + authorities) are non-null.
   // Each exporter gets its own export channel + endpoint pair so batches pay
   // latency/reliability like any control message, while the endpoint buffers
@@ -521,34 +491,15 @@ class Scenario {
   std::vector<std::uint64_t> export_seq_; // per-exporter batch sequence
   obs::FlowCollector collector_;
   obs::CollectorSink* export_sink_ = nullptr;
-  // Sharded parallel execution (threads > 1 only; nullptr keeps every code
-  // path exactly the legacy single-threaded one). Global events — fault
+  // Sharded parallel execution (threads > 1 only; nullptr runs everything on
+  // net_.engine(), see ScenarioParams::threads). Global events — fault
   // schedules, heartbeat ticks, failover handling — stay on net_.engine(),
   // which the executor runs as its coordinator-side global queue.
   std::unique_ptr<shard::Executor> exec_;
   std::vector<std::uint32_t> shard_of_;   // switch -> shard
   std::uint32_t ctrl_shard_ = 0;          // NOX controller's home shard
-  // Burst-mode arrival schedule (params_.burst > 0 only): stable storage the
-  // burst handlers index into, so each event captures just {group, range}.
-  BurstPlan burst_plan_;
-  // Batch resume state, one slot per ingress group: the chunk bounds and
-  // memoized exact-match heads of the chunk a deferred burst was working
-  // through. The continuation finds its chunk still here and resumes the
-  // batch pass mid-chunk instead of re-hashing and re-prefetching the whole
-  // tail (an authority-redirect-heavy burst used to degrade to one full
-  // 64-key prefetch pass per resumed packet). Stale heads are harmless:
-  // lookup_prepared() recomputes per key when the table's generation moved.
-  // A group's handlers all run on its ingress switch's shard, so each slot
-  // is single-threaded within a window and handed across windows by the
-  // executor's barrier.
-  struct BurstResume {
-    std::uint32_t chunk_begin = 0;
-    std::uint32_t chunk_end = 0;  // begin == end: nothing stored
-    FlowTable::BatchState batch;
-  };
-  std::vector<BurstResume> burst_resume_;
   // Live-migration state (params_.migration.enabled only; all empty
-  // otherwise so the migration-off path is byte-identical to before).
+  // otherwise, which E7's *_migration_off rows in bench/BASELINE.json pin).
   // Mutated exclusively from global events. Slots are stable for the run so
   // in-flight ack callbacks can address their migration by index.
   std::vector<LiveMigration> migrations_;

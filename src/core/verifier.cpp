@@ -43,7 +43,6 @@ struct Walker {
     const Rule* want = policy.match(packet);
     SwitchId at = ingress;
     std::size_t hops = 0;
-    bool redirected_once = false;
     while (true) {
       if (++hops > params.hop_budget) {
         *detail = "hop budget exhausted (redirect cycle?)";
@@ -92,8 +91,6 @@ struct Walker {
                       (want ? want->action.to_string() : std::string("<none>"));
             return VerifyOutcome::kWrongAction;
           }
-          (void)redirected_once;
-          redirected_once = true;
           return VerifyOutcome::kOk;
         }
         case ActionType::kForward:

@@ -6,12 +6,11 @@
 // "what happens to this transmission?" when a channel or monitor asks.
 //
 // Stream layout: with `shard_streams == 0` (the default) one Rng serves
-// every draw — the legacy single-stream order, byte-identical to previous
-// releases and what Scenario uses at threads=1. With shard_streams == S the
-// injector keeps S+1 independent streams split from the master seed via
-// SplitMix64: draws made inside shard s (identified by shard::current_shard())
-// use stream s, and draws from the coordinator/global context (heartbeat
-// ticks) use stream S. Each shard executes its own events in a deterministic
+// every draw — the order Scenario uses at threads=1, which E9's plan_* rows
+// in bench/BASELINE.json pin. With shard_streams == S the injector keeps S+1
+// independent streams split from the master seed via SplitMix64: draws made
+// inside shard s (identified by shard::current_shard()) use stream s, and
+// draws from the coordinator/global context (heartbeat ticks) use stream S. Each shard executes its own events in a deterministic
 // order, so each stream's draw sequence — and therefore the whole chaos
 // replay — is independent of worker-thread scheduling.
 #pragma once
@@ -35,7 +34,7 @@ class FaultInjector : public ChannelFaults {
     const std::size_t streams = shard_streams == 0 ? 1 : shard_streams + 1;
     streams_.reserve(streams);
     // Stream 0 of a single-stream injector is seeded with the plan seed
-    // directly (the legacy draw order); split streams each get a SplitMix64
+    // directly (the threads=1 draw order); split streams each get a SplitMix64
     // derivation so no two shards share a sequence.
     for (std::size_t i = 0; i < streams; ++i) {
       streams_.emplace_back(streams == 1 ? plan.seed : splitmix64(state));

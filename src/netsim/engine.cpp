@@ -20,7 +20,6 @@ void Engine::at(SimTime when, Handler fn) {
 }
 
 std::uint64_t Engine::run(SimTime until, std::uint64_t max_events) {
-  horizon_ = until;
   std::uint64_t count = 0;
   while (!heap_.empty() && count < max_events) {
     const HeapItem top = heap_.front();
@@ -41,7 +40,6 @@ std::uint64_t Engine::run(SimTime until, std::uint64_t max_events) {
 }
 
 std::uint64_t Engine::run_before(SimTime end) {
-  horizon_ = end;
   std::uint64_t count = 0;
   while (!heap_.empty() && heap_.front().when < end) {
     const HeapItem top = heap_.front();

@@ -36,23 +36,6 @@ class Engine {
 
   SimTime now() const { return now_; }
 
-  // Advance the clock to `t` without executing anything. Legal only between
-  // now() and the next pending event — the burst data plane coalesces many
-  // packet arrivals into one event and uses this so each packet still
-  // observes its own arrival time via now() (timeout sweeps, telemetry
-  // timestamps, and removal listeners all read the clock).
-  void advance_to(SimTime t) {
-    expects(t >= now_ && t <= peek_time(),
-            "Engine: advance_to must stay between now() and peek_time()");
-    now_ = t;
-  }
-
-  // Upper bound of the window the engine is currently executing: `end` inside
-  // run_before(end), `until` inside run(until), effectively unbounded (1e18)
-  // otherwise. Burst handlers defer packets with arrival >= horizon() so a
-  // coalesced burst never leaks work past a conservative window barrier.
-  SimTime horizon() const { return horizon_; }
-
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
   std::uint64_t executed() const { return executed_; }
@@ -93,7 +76,6 @@ class Engine {
   std::vector<Handler> slots_;  // handler slab, indexed by HeapItem::slot
   std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0.0;
-  SimTime horizon_ = 1e18;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
 };

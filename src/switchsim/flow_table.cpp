@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/contract.hpp"
-#include "util/prefetch.hpp"
 
 namespace difane {
 
@@ -186,7 +185,6 @@ void FlowTable::erase_entry(std::uint32_t slot, Band band) {
 
 bool FlowTable::install(const Rule& rule, Band band, double now, double idle_timeout,
                         double hard_timeout, std::vector<RuleId> guards) {
-  ++gen_;
   BandState& bs = bands_[index(band)];
   // Group safety under heterogeneous idle timeouts (the elephant policy
   // installs the same protector rule from groups with different leashes): a
@@ -292,7 +290,6 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
   expects(band != Band::kCache,
           "install_bulk: cache-band installs need the eviction/guard logic of "
           "install()");
-  ++gen_;
   BandState& bs = bands_[index(band)];
   const std::size_t before = bs.order.size();
   expects(std::is_sorted(bs.order.begin(), bs.order.end(),
@@ -377,7 +374,6 @@ void FlowTable::retire(const FlowEntry& entry) {
 }
 
 void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
-  ++gen_;
   BandState& cache = bands_[index(Band::kCache)];
   std::vector<RuleId> deps;
   while (!removed_ids.empty()) {
@@ -401,7 +397,6 @@ void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
 }
 
 void FlowTable::evict_lru_cache(double now) {
-  ++gen_;
   BandState& cache = bands_[index(Band::kCache)];
   expects(!cache.order.empty(), "evict_lru_cache: cache empty");
   (void)now;
@@ -420,7 +415,6 @@ void FlowTable::evict_lru_cache(double now) {
 }
 
 bool FlowTable::remove(RuleId id, Band band) {
-  ++gen_;
   BandState& bs = bands_[index(band)];
   const auto it = bs.by_id.find(id);
   if (it == bs.by_id.end()) return false;
@@ -433,7 +427,6 @@ bool FlowTable::remove(RuleId id, Band band) {
 }
 
 void FlowTable::clear_band(Band band) {
-  ++gen_;
   BandState& bs = bands_[index(band)];
   for (const std::uint32_t slot : bs.order) {
     retire(slab_[slot]);
@@ -453,7 +446,6 @@ void FlowTable::clear_band(Band band) {
 }
 
 std::size_t FlowTable::expire(double now) {
-  ++gen_;
   std::size_t total = 0;
   std::vector<RuleId> expired_cache;
   for (std::size_t b = 0; b < kNumBands; ++b) {
@@ -493,18 +485,7 @@ std::size_t FlowTable::expire(double now) {
   return total;
 }
 
-std::uint32_t FlowTable::exact_head(const BitVec& packet) const {
-  if (cache_exact_.empty()) return kNilSlot;
-  const auto it = cache_exact_.find(packet);
-  return it == cache_exact_.end() ? kNilSlot : it->second;
-}
-
 const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) const {
-  return resolve_live_match(packet, now, exact_head(packet));
-}
-
-const FlowEntry* FlowTable::resolve_live_match(const BitVec& packet, double now,
-                                               std::uint32_t head) const {
   // Cache band: exact-match fast path plus the wildcard-only ordered scan.
   // The winner is the FIRST live match in band order, so candidates from the
   // exact chain and the wildcard list compare by position, not priority —
@@ -512,12 +493,16 @@ const FlowEntry* FlowTable::resolve_live_match(const BitVec& packet, double now,
   // linear scan still picked the earliest entry.
   const FlowEntry* win = nullptr;
   std::uint32_t win_pos = 0;
-  for (std::uint32_t s = head; s != kNilSlot; s = exact_next_[s]) {
-    const FlowEntry& e = slab_[s];
-    if (!live_match(e, packet, now)) continue;
-    if (win == nullptr || order_pos_[s] < win_pos) {
-      win = &e;
-      win_pos = order_pos_[s];
+  if (!cache_exact_.empty()) {
+    const auto it = cache_exact_.find(packet);
+    const std::uint32_t head = it == cache_exact_.end() ? kNilSlot : it->second;
+    for (std::uint32_t s = head; s != kNilSlot; s = exact_next_[s]) {
+      const FlowEntry& e = slab_[s];
+      if (!live_match(e, packet, now)) continue;
+      if (win == nullptr || order_pos_[s] < win_pos) {
+        win = &e;
+        win_pos = order_pos_[s];
+      }
     }
   }
   for (const std::uint32_t s : cache_wild_order_) {
@@ -542,12 +527,7 @@ const FlowEntry* FlowTable::lookup(const BitVec& packet, double now, std::uint64
   // skipping the sweep while now < watermark removes exactly nothing — the
   // table, stats, and cascades evolve byte-identically to an eager sweep.
   if (now >= expiry_watermark_) expire(now);
-  return finish_lookup(const_cast<FlowEntry*>(find_live_match(packet, now)),
-                       now, bytes);
-}
-
-const FlowEntry* FlowTable::finish_lookup(FlowEntry* entry, double now,
-                                          std::uint64_t bytes) {
+  auto* entry = const_cast<FlowEntry*>(find_live_match(packet, now));
   if (entry == nullptr) {
     ++stats_.misses;
     return nullptr;
@@ -568,60 +548,6 @@ const FlowEntry* FlowTable::finish_lookup(FlowEntry* entry, double now,
     }
   }
   return entry;
-}
-
-void FlowTable::lookup_prefetch(const BitVec* const* keys, std::size_t n,
-                                BatchState& batch, bool prefetch) const {
-  expects(n <= kMaxBatch, "lookup_prefetch: burst larger than kMaxBatch");
-  batch.gen = gen_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t head = exact_head(*keys[i]);
-    batch.heads[i] = head;
-    // Fetch the whole entry (rule pattern + timeouts + counters span ~3
-    // lines); the resolve pass reads all of it within a few hundred ns.
-    // Depth > 1 keeps walking the duplicate chain: the resolve pass visits
-    // exactly these nodes when the head turns out expired or superseded.
-    if (prefetch) {
-      std::uint32_t slot = head;
-      for (std::uint32_t d = 0; d < prefetch_depth_ && slot != kNilSlot; ++d) {
-        util::prefetch_read_range(&slab_[slot], sizeof(FlowEntry));
-        slot = exact_next_[slot];
-      }
-    }
-  }
-}
-
-const FlowEntry* FlowTable::lookup_prepared(const BitVec& packet, std::size_t i,
-                                            const BatchState& batch, double now,
-                                            std::uint64_t bytes) {
-  if (now >= expiry_watermark_) expire(now);
-  // A sweep (ours, just now, or any mutation since pass 1) moves the
-  // generation forward; the memoized head may then dangle, so recompute it.
-  const std::uint32_t head =
-      batch.gen == gen_ ? batch.heads[i] : exact_head(packet);
-  return finish_lookup(
-      const_cast<FlowEntry*>(resolve_live_match(packet, now, head)), now,
-      bytes);
-}
-
-std::size_t FlowTable::lookup_batch(const BitVec* const* keys,
-                                    const double* nows,
-                                    const std::uint64_t* bytes, std::size_t n,
-                                    const FlowEntry** out, bool prefetch) {
-  std::size_t hits = 0;
-  for (std::size_t base = 0; base < n; base += kMaxBatch) {
-    const std::size_t chunk = std::min(kMaxBatch, n - base);
-    BatchState batch;
-    lookup_prefetch(keys + base, chunk, batch, prefetch);
-    for (std::size_t i = 0; i < chunk; ++i) {
-      const FlowEntry* e =
-          lookup_prepared(*keys[base + i], i, batch, nows[base + i],
-                          bytes != nullptr ? bytes[base + i] : 1);
-      out[base + i] = e;
-      if (e != nullptr) ++hits;
-    }
-  }
-  return hits;
 }
 
 bool FlowTable::hit(RuleId id, Band band, double now, std::uint64_t bytes) {

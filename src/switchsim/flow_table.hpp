@@ -123,59 +123,6 @@ class FlowTable {
   // entry can have timed out.
   const FlowEntry* lookup(const BitVec& packet, double now, std::uint64_t bytes = 1);
 
-  // ---- Burst-mode batch lookup --------------------------------------------
-  // Two-phase shape (NDN-DPDK style): pass 1 hashes every key in the burst
-  // and prefetches the slab entries it will touch; pass 2 resolves one key
-  // at a time, interleaved with whatever per-packet work the caller does in
-  // between. Pass 1 performs no observable mutation (no sweep, no counters),
-  // so the sequence {prefetch; prepared(0); prepared(1); ...} is
-  // byte-identical to scalar lookup() calls at the same (key, now) sequence —
-  // including lazy-expiry sweeps triggered mid-burst, which bump a structure
-  // generation and invalidate the memoized heads (recomputed per key).
-
-  // Largest burst one BatchState covers; callers chunk longer bursts.
-  static constexpr std::size_t kMaxBatch = 64;
-
-  // Pass-1 result: the exact-match chain head per key plus the structure
-  // generation it was computed at.
-  struct BatchState {
-    std::uint64_t gen = 0;
-    std::uint32_t heads[kMaxBatch];
-  };
-
-  // Pass 1: memoize exact-match heads for keys[0..n) (n <= kMaxBatch) and,
-  // when `prefetch` is set, issue software prefetches over the entry slab —
-  // for each key, the first prefetch_depth() entries of its duplicate chain.
-  void lookup_prefetch(const BitVec* const* keys, std::size_t n,
-                       BatchState& batch, bool prefetch = true) const;
-
-  // Duplicate-chain entries prefetched per key by pass 1 (util/prefetch.hpp
-  // depth semantics). 1 — the default — fetches only the chain head, which
-  // is the winner unless it expired or was superseded; deeper values keep
-  // the resolve pass from stalling when hot keys carry refreshed duplicates.
-  // A pure hardware hint: lookup results are identical at any depth.
-  void set_prefetch_depth(std::uint32_t depth) {
-    prefetch_depth_ = depth > 0 ? depth : 1;
-  }
-  std::uint32_t prefetch_depth() const { return prefetch_depth_; }
-
-  // Pass 2: the scalar lookup() for keys[i], reusing the memoized head when
-  // the structure generation still matches (recomputing it otherwise).
-  const FlowEntry* lookup_prepared(const BitVec& packet, std::size_t i,
-                                   const BatchState& batch, double now,
-                                   std::uint64_t bytes = 1);
-
-  // One-shot convenience over the two phases: resolve keys[0..n) in order
-  // (chunked internally at kMaxBatch), writing each winner (or nullptr) to
-  // out[i] and returning the hit count. Out-pointers stay valid only until
-  // the next structural mutation — a timeout sweep triggered by a later key
-  // in the same batch can invalidate earlier entries, so callers that hold
-  // the entries across sweeps must consume per chunk (the scenario burst
-  // path uses the two-phase API for exactly this reason).
-  std::size_t lookup_batch(const BitVec* const* keys, const double* nows,
-                           const std::uint64_t* bytes, std::size_t n,
-                           const FlowEntry** out, bool prefetch = true);
-
   // Non-mutating probe (no counter/LRU update, no expiry). Uses the same
   // live-match selection as lookup, so the two can never disagree on the
   // winner at a given instant.
@@ -317,16 +264,6 @@ class FlowTable {
   // Shared winner selection for lookup/peek: first live match in cache
   // (exact fast path + wildcard scan), then authority, then partition.
   const FlowEntry* find_live_match(const BitVec& packet, double now) const;
-  // Head of the exact-match chain for this header, or kNilSlot. The batch
-  // path memoizes this per key; resolve_live_match takes it as input so the
-  // memoized and freshly-computed paths share one winner selection.
-  std::uint32_t exact_head(const BitVec& packet) const;
-  const FlowEntry* resolve_live_match(const BitVec& packet, double now,
-                                      std::uint32_t head) const;
-  // Mutation tail shared by lookup and lookup_prepared: miss/hit counters,
-  // last_hit refresh, and guard warm-keep.
-  const FlowEntry* finish_lookup(FlowEntry* entry, double now,
-                                 std::uint64_t bytes);
 
   void evict_lru_cache(double now);
   void retire(const FlowEntry& entry);
@@ -361,15 +298,6 @@ class FlowTable {
   // Lower bound on the earliest instant any entry can expire; +inf when no
   // entry carries a timeout. lookup() sweeps only once `now` reaches it.
   double expiry_watermark_ = std::numeric_limits<double>::infinity();
-
-  // See set_prefetch_depth(); >= 1 always.
-  std::uint32_t prefetch_depth_ = 1;
-
-  // Structure generation: bumped by every mutator that can move, remove, or
-  // re-link entries (install, remove, clear_band, expire, LRU eviction,
-  // guard cascades). BatchState heads memoized at an older generation are
-  // stale and recomputed per key.
-  std::uint64_t gen_ = 0;
 
   FlowTableStats stats_;
   std::unordered_map<RuleId, RetiredCounters> retired_;

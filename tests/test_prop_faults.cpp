@@ -12,14 +12,21 @@
 //  * Replay: the same (seed, plan) reproduces a byte-identical metrics
 //    report, so any chaos failure replays from its printed case seed
 //    (DIFANE_PROPTEST_REPLAY=0x<seed> <binary>).
+//
+// A last property drives the sharded executor's SPSC outbox rings with
+// enough traffic to overflow a small ring: runs must be seed-stable and
+// invariant to the ring capacity.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/system.hpp"
 #include "obs/metrics.hpp"
 #include "proptest/gen.hpp"
 #include "proptest/property.hpp"
+#include "workload/rulegen.hpp"
+#include "workload/trafficgen.hpp"
 
 namespace difane {
 namespace {
@@ -444,6 +451,128 @@ DIFANE_PROPERTY(ChaosTelemetryConservation, 40) {
   // The crash happened; its lost counter state (if any) is visible as drops,
   // and the piggyback counters only ever see batches from live epochs.
   EXPECT_EQ(stats.authority_crashes, 1u);
+}
+
+// Heartbeats off: a crash is noticed by the fixed failover_detect delay
+// instead. The controller must still re-point every partition away from the
+// dead authority and converge, over the same lossy reliable wire.
+TEST(Chaos, FixedDelayCrashFailsOverWithoutHeartbeats) {
+  Rng rng(0xf17eddu);
+  ChaosCase c = gen_chaos_case(rng, 0xf17eddu);
+  c.params.timings.heartbeat_interval = 0.0;
+  c.params.timings.failover_detect = 0.02;
+  c.params.faults.crashes[0].restart_at = -1.0;
+  Scenario scenario(c.policy, c.params);
+  const auto& stats = scenario.run(c.flows);
+
+  EXPECT_EQ(stats.authority_crashes, 1u);
+  EXPECT_EQ(stats.failovers_detected, 0u);  // no monitor was built
+  EXPECT_EQ(stats.tracer.in_flight(), 0);
+  EXPECT_EQ(stats.tracer.injected(),
+            stats.tracer.delivered() + stats.tracer.dropped());
+  for (const auto& partition : scenario.plan()->partitions()) {
+    EXPECT_NE(partition.primary, 0u) << "partition still homed on the crashed authority";
+  }
+  const VerifyReport report = scenario.verify_installed(120, 1);
+  EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+// ---- Sharded executor: SPSC outbox rings -----------------------------------
+// Denser traffic than the chaos cases (hundreds to thousands of packets), so
+// a 32-slot ring overflows within a window and the spill path runs. Random
+// policies, cache strategies, measurement on/off and message faults.
+struct RingCase {
+  RuleTable policy;
+  std::vector<FlowSpec> flows;
+  ScenarioParams params;
+};
+
+RingCase gen_ring_case(proptest::PropertyContext& ctx) {
+  RuleGenParams rg;
+  rg.num_rules = static_cast<std::size_t>(ctx.rng.uniform(60, 250));
+  rg.seed = ctx.rng.next_u64();
+  RingCase c{generate_policy(rg), {}, {}};
+
+  TrafficParams tp;
+  tp.seed = ctx.rng.next_u64();
+  tp.flow_pool = static_cast<std::size_t>(ctx.rng.uniform(80, 400));
+  tp.zipf_s = ctx.rng.uniform01() * 1.2;
+  tp.arrival_rate = 1000.0 + ctx.rng.uniform01() * 5000.0;
+  tp.duration = 0.1 + ctx.rng.uniform01() * 0.15;
+  tp.mean_packets = 1.0 + ctx.rng.uniform01() * 3.0;
+  tp.packet_gap = 0.001 + ctx.rng.uniform01() * 0.03;
+  tp.ingress_count = static_cast<std::uint32_t>(ctx.rng.uniform(1, 6));
+  TrafficGenerator gen(c.policy, tp);
+  c.flows = gen.generate();
+
+  ScenarioParams& p = c.params;
+  p.mode = Mode::kDifane;
+  p.edge_switches = static_cast<std::size_t>(ctx.rng.uniform(2, 5));
+  p.core_switches = 2;
+  p.authority_count = static_cast<std::size_t>(ctx.rng.uniform(1, 2));
+  p.edge_cache_capacity = static_cast<std::size_t>(ctx.rng.uniform(32, 400));
+  p.partitioner.capacity = 200;
+  static constexpr CacheStrategy kStrategies[] = {CacheStrategy::kMicroflow,
+                                                  CacheStrategy::kDependentSet,
+                                                  CacheStrategy::kCoverSet};
+  p.cache_strategy = kStrategies[ctx.rng.uniform(0, 2)];
+  p.timings.cache_idle_timeout = ctx.rng.bernoulli(0.5) ? 0.02 : 10.0;
+  if (ctx.rng.bernoulli(0.4)) {
+    p.measurement.enabled = true;
+    p.measurement.sample_prob = 0.25 + ctx.rng.uniform01() * 0.5;
+    p.measurement.export_interval = 0.05;
+    p.measurement.export_horizon = 1.0;
+  }
+  if (ctx.rng.bernoulli(0.3)) {
+    p.faults.msg_loss = ctx.rng.uniform01() * 0.2;
+    p.faults.msg_dup = ctx.rng.uniform01() * 0.2;
+    p.faults.msg_jitter_prob = ctx.rng.uniform01() * 0.4;
+    p.faults.msg_jitter_max = ctx.rng.uniform01() * 2e-3;
+  }
+  p.threads = 2;
+  return c;
+}
+
+// Everything the determinism contract covers, folded into one string:
+// normalized snapshot JSON, the telemetry export stream, and the verifier's
+// sampled verdict over the actually-installed tables.
+std::string ring_fingerprint(const RingCase& c, std::size_t ring_capacity) {
+  ScenarioParams params = c.params;
+  params.shard_ring_capacity = ring_capacity;
+  Scenario scenario(c.policy, params);
+  scenario.run(c.flows);
+
+  auto report = scenario.stats().snapshot("prop_ring");
+  report.git_rev = "fixed";
+  report.wall_seconds = 0.0;
+  std::string fp = report.to_json_string();
+  fp += '\n';
+  fp += scenario.collector().stream_dump();
+  const VerifyReport verify = scenario.verify_installed(/*samples=*/60,
+                                                        /*seed=*/1);
+  fp += "\nverify samples=" + std::to_string(verify.samples) +
+        " ok=" + std::to_string(verify.ok) +
+        " violations=" + std::to_string(verify.violations.size());
+  return fp;
+}
+
+// Same seed twice must be byte-identical (seed stability), and shrinking the
+// ring until the overflow spill engages must change nothing — the spill
+// keeps per-shard FIFO order, so the (when, src shard, seq) merge is
+// capacity-invariant.
+DIFANE_PROPERTY(ShardedSeedStableAndRingCapacityInvariant, 25) {
+  const RingCase c = gen_ring_case(ctx);
+
+  const std::string small_ring = ring_fingerprint(c, /*ring_capacity=*/32);
+  const std::string small_ring_again = ring_fingerprint(c, /*ring_capacity=*/32);
+  EXPECT_EQ(small_ring, small_ring_again)
+      << "threads=2 not seed-stable; replay seed 0x" << std::hex
+      << ctx.case_seed;
+
+  const std::string big_ring = ring_fingerprint(c, /*ring_capacity=*/1024);
+  EXPECT_EQ(small_ring, big_ring)
+      << "ring capacity changed the run (overflow spill broke merge order); "
+         "replay seed 0x" << std::hex << ctx.case_seed;
 }
 
 }  // namespace

@@ -451,9 +451,8 @@ TEST(Validate, RejectsMigrationMisWiresNamingTheField) {
   EXPECT_NO_THROW(params.validate());
 }
 
-// Burst-mode data plane knobs: the SPSC outbox rings index with a mask, so
-// the capacity must be a power of two, and a burst may never emit more
-// cross-shard messages per window than one ring can hold.
+// Execution knobs: the SPSC outbox rings index with a mask, so the capacity
+// must be a power of two; burst survives only as a field that must stay 0.
 TEST(Validate, RejectsBurstAndRingMisWiresNamingTheField) {
   const auto field_of = [](ScenarioParams params) -> std::string {
     try {
@@ -473,63 +472,12 @@ TEST(Validate, RejectsBurstAndRingMisWiresNamingTheField) {
   EXPECT_EQ(field_of(params), "shard_ring_capacity");
 
   params = good_params();
-  params.burst = 2048;  // exceeds the default 1024-slot ring
-  EXPECT_EQ(field_of(params), "burst");
-
-  // Prefetch depth: counts exact-match chain entries prefetched per key, so
-  // zero is meaningless and anything past one batch's worth is a mis-wire.
-  params = good_params();
-  params.prefetch_depth = 0;
-  EXPECT_EQ(field_of(params), "prefetch_depth");
-
-  params = good_params();
-  params.prefetch_depth = FlowTable::kMaxBatch + 1;
-  EXPECT_EQ(field_of(params), "prefetch_depth");
-
-  params = good_params();
-  params.prefetch_depth = 8;
-  EXPECT_NO_THROW(params.validate());
-
-  // Well-formed combinations: scalar default, power-of-two rings, bursts up
-  // to exactly the ring capacity, and non-power-of-two burst sizes (only
-  // the ring is constrained).
-  params = good_params();
-  params.burst = 32;
-  EXPECT_NO_THROW(params.validate());
-
-  params = good_params();
-  params.burst = 48;
-  EXPECT_NO_THROW(params.validate());
-
-  params = good_params();
-  params.shard_ring_capacity = 64;
-  params.burst = 64;
-  EXPECT_NO_THROW(params.validate());
-
-  params = good_params();
   params.shard_ring_capacity = 1;
-  params.burst = 1;
   EXPECT_NO_THROW(params.validate());
-}
 
-// The burst path is an execution-order optimization only: the same seed must
-// produce the same report whether packets arrive one event each or coalesced.
-TEST(Snapshot, BurstModeReportMatchesScalar) {
-  const auto policy = small_policy();
-  const auto flows = small_traffic(policy, 17);
-
-  const auto run_once = [&](std::size_t burst) {
-    ScenarioParams params = good_params();
-    params.burst = burst;
-    Scenario scenario(policy, params);
-    auto report = scenario.run(flows).snapshot("BURST");
-    report.git_rev = "fixed";
-    report.wall_seconds = 0.0;
-    return report.to_json_string();
-  };
-  const std::string scalar = run_once(0);
-  EXPECT_EQ(scalar, run_once(32));
-  EXPECT_EQ(scalar, run_once(7));
+  params = good_params();
+  params.burst = 1;
+  EXPECT_EQ(field_of(params), "burst");
 }
 
 TEST(Validate, ConfigErrorIsAContractViolation) {

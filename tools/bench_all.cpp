@@ -53,7 +53,6 @@ struct Options {
   int jobs = 2;
   int reps = 1;
   int threads = 1;  // forwarded to each bench binary as --threads
-  int burst = 0;    // forwarded as --burst (burst-mode data plane; 0=scalar)
   std::uint64_t seed = 0;  // 0 => keep each bench's own default seed
   bool quick = false;
   std::vector<std::string> only;  // empty => all
@@ -64,7 +63,7 @@ struct Options {
       exit_code == 0 ? stdout : stderr,
       "usage: bench_all [--out <trajectory.json>] [--dir <report-dir>]\n"
       "                 [--bin <bench-binary-dir>] [--jobs N] [--reps N]\n"
-      "                 [--threads N] [--burst N] [--seed S] [--quick]\n"
+      "                 [--threads N] [--seed S] [--quick]\n"
       "                 [--only E1,E5,...]\n"
       "Runs every bench binary with --json, merges the reports into one\n"
       "trajectory file for bench_compare.\n");
@@ -97,9 +96,6 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--threads") {
       opt.threads = std::atoi(next());
       if (opt.threads < 1) opt.threads = 1;
-    } else if (arg == "--burst") {
-      opt.burst = std::atoi(next());
-      if (opt.burst < 0) opt.burst = 0;
     } else if (arg == "--seed") {
       opt.seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--quick") {
@@ -186,7 +182,6 @@ int main(int argc, char** argv) {
     std::string cmd = binary.string() + " --json " + json_path.string() +
                       " --reps " + std::to_string(opt.reps);
     if (opt.threads > 1) cmd += " --threads " + std::to_string(opt.threads);
-    if (opt.burst > 0) cmd += " --burst " + std::to_string(opt.burst);
     if (opt.seed != 0) cmd += " --seed " + std::to_string(opt.seed);
     if (opt.quick) cmd += " --quick";
     cmd += " > " + log_path.string() + " 2>&1";

@@ -4,14 +4,14 @@
 # plus a TSan pass (DIFANE_SANITIZE=thread) over the unit and chaos labels —
 # the sharded parallel engine makes race coverage part of tier-1 hygiene.
 #
-#   tools/check.sh [--quick-bench] [--perf] [--threads] [--burst] [--scale] [FUZZ_SECONDS]
+#   tools/check.sh [--quick-bench] [--perf] [--threads] [--scale] [FUZZ_SECONDS]
 #
 # FUZZ_SECONDS (default 30) bounds the sanitized fuzz_difane run. All build
 # trees are kept (build/, build-san/, build-tsan/) so incremental re-runs
 # are cheap.
 #
 # --quick-bench additionally runs the whole bench pipeline in --quick mode
-# (bench_all over E1-E10/A1-A3), verifies every report merged into the
+# (bench_all over E1-E12/A1-A3), verifies every report merged into the
 # trajectory file, and re-runs it to confirm the deterministic metrics
 # reproduce byte-for-byte (bench_compare at threshold 0).
 #
@@ -19,12 +19,6 @@
 # the host's hardware concurrency, then asserts with bench_compare that
 # every deterministic (non-wall) metric is identical — the thread-count
 # invariance contract for cell-parallel benches and the sharded engine.
-#
-# --burst runs the bench pipeline in --quick mode scalar (--burst 0) and
-# coalesced (--burst 32), then asserts with bench_compare that every
-# deterministic metric is identical — the burst-mode equivalence contract
-# (the burst data plane is an execution-order optimization only; wall
-# metrics are exempt as always).
 #
 # --scale runs the E11 scale-out stress tier in --quick mode twice and
 # asserts with bench_compare that its deterministic metrics (rule counts,
@@ -48,7 +42,6 @@ cd "$(dirname "$0")/.."
 quick_bench=0
 perf=0
 threads_gate=0
-burst_gate=0
 scale_gate=0
 fuzz_seconds=30
 for arg in "$@"; do
@@ -56,7 +49,6 @@ for arg in "$@"; do
     --quick-bench) quick_bench=1 ;;
     --perf) perf=1 ;;
     --threads) threads_gate=1 ;;
-    --burst) burst_gate=1 ;;
     --scale) scale_gate=1 ;;
     *) fuzz_seconds="$arg" ;;
   esac
@@ -110,18 +102,6 @@ if [[ "$threads_gate" == 1 ]]; then
     build/BENCH_trajectory_tN.json
 fi
 
-if [[ "$burst_gate" == 1 ]]; then
-  echo "== burst: bench_all --quick at --burst 0 vs --burst 32 =="
-  ./build/tools/bench_all --quick --jobs "$jobs" \
-    --dir build/bench-reports-b0 --out build/BENCH_trajectory_b0.json
-  ./build/tools/bench_all --quick --jobs "$jobs" --burst 32 \
-    --dir build/bench-reports-b32 --out build/BENCH_trajectory_b32.json
-  # Every deterministic metric must be byte-identical between the scalar and
-  # burst data planes; only wall metrics may move.
-  ./build/tools/bench_compare build/BENCH_trajectory_b0.json \
-    build/BENCH_trajectory_b32.json
-fi
-
 if [[ "$scale_gate" == 1 ]]; then
   echo "== scale: bench_e11_scale --quick determinism gate =="
   ./build/tools/bench_all --quick --jobs 1 --only E11 \
@@ -137,7 +117,9 @@ fi
 
 if [[ "$perf" == 1 ]]; then
   echo "== perf: bench_all --quick vs committed baseline =="
-  ./build/tools/bench_all --quick --jobs "$jobs" \
+  # --jobs 1, as the baseline was recorded: E11 runs four shard threads, and
+  # benches running beside it more than double its run wall.
+  ./build/tools/bench_all --quick --jobs 1 \
     --dir build/bench-perf-reports --out build/BENCH_trajectory_perf.json
   ./build/tools/bench_compare bench/BASELINE.json \
     build/BENCH_trajectory_perf.json \

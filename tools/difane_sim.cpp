@@ -7,7 +7,6 @@
 //              --duration 2 --strategy cover --cache 2000 --verify
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/symbolic_verifier.hpp"
@@ -36,7 +35,6 @@ struct Options {
   std::size_t pool = 20000;
   double zipf = 1.0;
   double mean_packets = 5.0;
-  std::size_t burst = 0;  // 0 = scalar; >0 coalesced burst events
   double fail_at = -1.0;  // <0: no failure
   bool verify = false;
   bool verify_symbolic = false;
@@ -63,8 +61,6 @@ struct Options {
       "  --rate F --duration F     traffic (default 5000 flows/s, 2 s)\n"
       "  --pool N --zipf F         flow pool / popularity skew\n"
       "  --packets F               mean packets per flow (default 5)\n"
-      "  --burst N                 burst-mode data plane, N packets per burst\n"
-      "                            (default 0 = scalar; byte-identical results)\n"
       "  --fail-at T               fail authority 0 at time T\n"
       "  --verify                  sample-verify installed state after the run\n"
       "  --verify-symbolic         exhaustive region-level verification\n"
@@ -89,13 +85,26 @@ Options parse(int argc, char** argv) {
     auto next = [&]() { return num_arg(argc, argv, i, argv[0]); };
     if (arg == "--mode") {
       if (++i >= argc) usage(argv[0]);
-      opt.mode = std::strcmp(argv[i], "nox") == 0 ? Mode::kNox : Mode::kDifane;
+      const std::string m = argv[i];
+      if (m == "difane") {
+        opt.mode = Mode::kDifane;
+      } else if (m == "nox") {
+        opt.mode = Mode::kNox;
+      } else {
+        usage(argv[0]);
+      }
     } else if (arg == "--strategy") {
       if (++i >= argc) usage(argv[0]);
       const std::string s = argv[i];
-      opt.strategy = s == "micro"  ? CacheStrategy::kMicroflow
-                     : s == "dep"  ? CacheStrategy::kDependentSet
-                                   : CacheStrategy::kCoverSet;
+      if (s == "micro") {
+        opt.strategy = CacheStrategy::kMicroflow;
+      } else if (s == "dep") {
+        opt.strategy = CacheStrategy::kDependentSet;
+      } else if (s == "cover") {
+        opt.strategy = CacheStrategy::kCoverSet;
+      } else {
+        usage(argv[0]);
+      }
     } else if (arg == "--rules") {
       opt.rules = static_cast<std::size_t>(next());
     } else if (arg == "--seed") {
@@ -120,8 +129,6 @@ Options parse(int argc, char** argv) {
       opt.zipf = next();
     } else if (arg == "--packets") {
       opt.mean_packets = next();
-    } else if (arg == "--burst") {
-      opt.burst = static_cast<std::size_t>(next());
     } else if (arg == "--fail-at") {
       opt.fail_at = next();
     } else if (arg == "--verify") {
@@ -173,7 +180,6 @@ int main(int argc, char** argv) {
   params.edge_cache_capacity = opt.cache;
   params.partitioner.capacity = opt.capacity;
   params.cache_strategy = opt.strategy;
-  params.burst = opt.burst;
   Scenario scenario(policy, params);
 
   std::printf("difane_sim: mode=%s policy=%zu rules (%s) topology=%zu edges/%zu "
@@ -259,12 +265,9 @@ int main(int argc, char** argv) {
 
   int exit_code = 0;
   if (opt.verify && opt.mode == Mode::kDifane) {
-    std::vector<SwitchId> ingresses;
-    for (std::uint32_t i = 0; i < opt.edges; ++i) {
-      ingresses.push_back(scenario.ingress_switch(i));
-    }
-    const auto report = verify_installed_state(scenario.net(), *scenario.difane(),
-                                               policy, ingresses);
+    // At the engine's end-of-run clock, so entries that idled out during the
+    // run no longer match (and cannot mask a violation behind them).
+    const auto report = scenario.verify_installed(500);
     std::printf("\ninstalled-state verification (sampled): %s\n",
                 report.summary().c_str());
     if (!report.clean()) exit_code = 1;
