@@ -1,8 +1,8 @@
 // E11 — scale-out stress tier. Not a paper figure: this tier exists to prove
 // the engine holds production-scale state — ≥10M installed rules and ≥1M
-// concurrent flows in flight — on the sharded executor with work stealing
-// and worker pinning both enabled, and to track what that costs (RSS
-// high-water, wall time) across the trajectory.
+// concurrent flows in flight — on the 4-thread sharded executor (fault-free
+// DIFANE data plane, work stealing always on), and to track what that costs
+// (RSS high-water, wall time) across the trajectory.
 //
 // Metric conventions:
 //   * Deterministic (gated byte-identical by bench_compare): rule counts,
@@ -95,12 +95,10 @@ int main(int argc, char** argv) {
     params.edge_cache_capacity = 1u << 21;
     params.partitioner.capacity = args.pick<std::size_t>(32768, 2048);
     params.cache_strategy = CacheStrategy::kMicroflow;
-    // The scale-out execution stack under test, all knobs on. threads is
-    // pinned (not --threads) so the tier's deterministic metrics are
-    // self-consistent across hosts and across the harness's thread sweeps.
+    // The scale-out execution stack under test. threads is fixed (not
+    // --threads) so the tier's deterministic metrics are self-consistent
+    // across hosts and across the harness's thread sweeps.
     params.threads = 4;
-    params.steal = true;
-    params.pin_workers = true;
     rep.report.params["rules_target"] = obs::Json(rules_target);
     rep.report.params["concurrent_target"] = obs::Json(concurrent_target);
     rep.report.params["threads"] = obs::Json(params.threads);

@@ -20,10 +20,12 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/system.hpp"
 #include "obs/report.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/rulegen.hpp"
 #include "workload/trafficgen.hpp"
@@ -80,24 +82,27 @@ inline Args parse_args(int argc, char** argv, const char* bench_id,
       }
       return argv[++i];
     };
+    // Strict numeric values: a malformed or signed number is a usage error,
+    // and so is a zero repetition or thread count.
+    const auto count = [&](auto& out, bool positive) {
+      const auto v =
+          util::parse_count<std::remove_reference_t<decltype(out)>>(next());
+      if (!v || (positive && *v == 0)) {
+        std::fprintf(stderr, "%s: bad value for %s\n", bench_id, arg.c_str());
+        usage(bench_id, 2);
+      }
+      out = *v;
+    };
     if (arg == "--json") {
       args.json_path = next();
     } else if (arg == "--reps") {
-      args.reps = std::atoi(next());
-      if (args.reps < 1) {
-        std::fprintf(stderr, "%s: --reps must be >= 1\n", bench_id);
-        std::exit(2);
-      }
+      count(args.reps, /*positive=*/true);
     } else if (arg == "--seed") {
-      args.seed = std::strtoull(next(), nullptr, 10);
+      count(args.seed, /*positive=*/false);
     } else if (arg == "--quick") {
       args.quick = true;
     } else if (arg == "--threads") {
-      args.threads = std::atoi(next());
-      if (args.threads < 1) {
-        std::fprintf(stderr, "%s: --threads must be >= 1\n", bench_id);
-        std::exit(2);
-      }
+      count(args.threads, /*positive=*/true);
     } else if (arg == "--help" || arg == "-h") {
       usage(bench_id, 0);
     } else {

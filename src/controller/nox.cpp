@@ -4,20 +4,6 @@
 
 namespace difane {
 
-namespace {
-Ternary exact_pattern(const BitVec& packet) {
-  Ternary t;
-  std::size_t at = 0;
-  const std::size_t used = header_bits_used();
-  while (at < used) {
-    const std::size_t chunk = std::min<std::size_t>(64, used - at);
-    t.set_exact(at, chunk, packet.get_bits(at, chunk));
-    at += chunk;
-  }
-  return t;
-}
-}  // namespace
-
 std::optional<NoxControlPlane::Decision> NoxControlPlane::handle_punt(
     SimTime arrival, const BitVec& packet) {
   ++punts_;

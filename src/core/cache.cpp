@@ -60,23 +60,6 @@ const DependencyGraph& CacheRuleGenerator::graph() {
   return *graph_;
 }
 
-namespace {
-
-// Exact-match pattern over all used header bits.
-Ternary microflow_pattern(const BitVec& packet) {
-  Ternary t;
-  std::size_t at = 0;
-  const std::size_t used = header_bits_used();
-  while (at < used) {
-    const std::size_t chunk = std::min<std::size_t>(64, used - at);
-    t.set_exact(at, chunk, packet.get_bits(at, chunk));
-    at += chunk;
-  }
-  return t;
-}
-
-}  // namespace
-
 CacheInstall CacheRuleGenerator::generate(const BitVec& packet,
                                           std::size_t matched_idx) {
   expects(matched_idx < partition_.rules.size(), "generate: bad rule index");
@@ -154,7 +137,7 @@ CacheInstall CacheRuleGenerator::microflow_install(const BitVec& packet,
   Rule r;
   r.id = next_synth_id_++;
   r.priority = std::numeric_limits<Priority>::max();
-  r.match = microflow_pattern(packet);
+  r.match = exact_pattern(packet);
   r.action = matched.action;
   r.origin = matched.origin_or_self();
   install.rules.push_back(std::move(r));

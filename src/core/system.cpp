@@ -5,7 +5,6 @@
 #include "partition/migration.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace difane {
 
@@ -188,15 +187,26 @@ void validate_execution(const ScenarioParams& p) {
   if (p.threads == 0) {
     throw ConfigError("threads", "need at least one worker thread");
   }
-  if (p.threads > 1 && p.link.latency <= 0.0) {
-    throw ConfigError("threads",
-                      "the sharded engine's conservative lookahead is the link "
-                      "latency; threads > 1 needs link.latency > 0");
-  }
-  if (!util::is_power_of_two(p.shard_ring_capacity)) {
-    throw ConfigError("shard_ring_capacity",
-                      "SPSC outbox rings index with a mask; capacity must be "
-                      "a power of two (>= 1)");
+  if (p.threads > 1) {
+    if (p.link.latency <= 0.0) {
+      throw ConfigError("threads",
+                        "the sharded engine's conservative lookahead is the "
+                        "link latency; threads > 1 needs link.latency > 0");
+    }
+    // The sharded executor runs the fault-free DIFANE data plane only (E11
+    // and E2's demo row); every control-plane feature runs at threads == 1.
+    const auto serial_only = [](const char* feature) {
+      return ConfigError("threads", std::string(feature) +
+                                        " runs on the serial engine only; "
+                                        "set threads = 1");
+    };
+    if (p.mode != Mode::kDifane) throw serial_only("NOX mode");
+    if (p.faults.active()) throw serial_only("an active fault plan");
+    if (p.timings.heartbeat_interval > 0.0) {
+      throw serial_only("heartbeat detection");
+    }
+    if (p.measurement.enabled) throw serial_only("flow measurement");
+    if (p.migration.enabled) throw serial_only("live migration");
   }
   // The field survives only because perfbench/workloads.hpp assigns it.
   if (p.burst != 0) {
@@ -358,13 +368,9 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
   build_shards();
   // Fault machinery first, so the channels and agents below can hook into
   // it. With an inactive plan nothing is built and every construction below
-  // takes its fault-free path. Under the sharded executor the injector splits
-  // one Rng stream per shard (plus a coordinator stream) from the master
-  // seed, so each shard's deterministic event order implies a deterministic
-  // draw order regardless of worker scheduling.
+  // takes its fault-free path.
   if (params_.faults.active()) {
-    injector_ = std::make_unique<FaultInjector>(
-        params_.faults, exec_ != nullptr ? shard_stats_.size() : 0);
+    injector_ = std::make_unique<FaultInjector>(params_.faults);
   }
   // Control agents + install channels for every switch. Cache installs (from
   // authority switches or the NOX controller) go through these so they pay
@@ -465,19 +471,11 @@ void Scenario::setup_measurement() {
     telemetry_[sw] =
         std::make_unique<FlowTelemetry>(params_.measurement, splitmix64(state));
     // Heartbeat piggyback: a batch arriving from a watched (authority)
-    // switch is liveness evidence. The monitor is global state, so under the
-    // sharded executor the note hops to the coordinator's global queue.
+    // switch is liveness evidence.
     CollectorEndpoint::BatchHook hook;
     if (heartbeat_ != nullptr && watched[sw]) {
       hook = [this, sw](const obs::FlowExportBatch& batch) {
-        const std::uint64_t beat = batch.beat_seq;
-        if (exec_ != nullptr) {
-          exec_->schedule_global(cur_engine().now(), [this, sw, beat]() {
-            heartbeat_->note_liveness(sw, beat);
-          });
-        } else {
-          heartbeat_->note_liveness(sw, beat);
-        }
+        heartbeat_->note_liveness(sw, batch.beat_seq);
       };
     }
     export_endpoints_[sw] = std::make_unique<CollectorEndpoint>(std::move(hook));
@@ -613,44 +611,28 @@ void Scenario::finalize_measurement() {
   }
 }
 
-// Partition the switches into shards. DIFANE: authority switches spread
-// round-robin across the shards first — each shard then accretes a slice of
-// the edge — so concurrent authority-serving work lands on distinct workers.
-// NOX: the controller gets a shard of its own (the punt path serializes
-// through it anyway) and the switches share the rest. threads == 1 builds
-// nothing, and every branch on exec_ takes the serial path.
+// Partition the switches into shards: authority switches spread round-robin
+// across the shards first — each shard then accretes a slice of the edge — so
+// concurrent authority-serving work lands on distinct workers. threads == 1
+// builds nothing, and every branch on exec_ takes the serial path.
 void Scenario::build_shards() {
   shard_of_.assign(net_.switch_count(), 0);
-  ctrl_shard_ = 0;
   if (params_.threads <= 1 || net_.switch_count() == 0) return;
-  std::size_t n_shards = 0;
-  if (params_.mode == Mode::kDifane) {
-    n_shards = std::min<std::size_t>(params_.threads, net_.switch_count());
-    std::vector<char> placed(net_.switch_count(), 0);
-    std::size_t next = 0;
-    for (std::size_t i = 0; i < params_.authority_count; ++i) {
-      const SwitchId sw = topo_.core[i];
-      shard_of_[sw] = static_cast<std::uint32_t>(next++ % n_shards);
-      placed[sw] = 1;
-    }
-    for (SwitchId id = 0; id < net_.switch_count(); ++id) {
-      if (placed[id]) continue;
-      shard_of_[id] = static_cast<std::uint32_t>(next++ % n_shards);
-    }
-  } else {
-    n_shards = std::min<std::size_t>(params_.threads, net_.switch_count() + 1);
-    const std::size_t sw_shards = n_shards - 1;  // threads > 1 => n_shards >= 2
-    ctrl_shard_ = static_cast<std::uint32_t>(sw_shards);
-    for (SwitchId id = 0; id < net_.switch_count(); ++id) {
-      shard_of_[id] = static_cast<std::uint32_t>(id % sw_shards);
-    }
+  const std::size_t n_shards =
+      std::min<std::size_t>(params_.threads, net_.switch_count());
+  std::vector<char> placed(net_.switch_count(), 0);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < params_.authority_count; ++i) {
+    const SwitchId sw = topo_.core[i];
+    shard_of_[sw] = static_cast<std::uint32_t>(next++ % n_shards);
+    placed[sw] = 1;
   }
-  shard::Executor::Options opts;
-  opts.ring_capacity = params_.shard_ring_capacity;
-  opts.steal = params_.steal;
-  opts.pin_workers = params_.pin_workers;
+  for (SwitchId id = 0; id < net_.switch_count(); ++id) {
+    if (placed[id]) continue;
+    shard_of_[id] = static_cast<std::uint32_t>(next++ % n_shards);
+  }
   exec_ = std::make_unique<shard::Executor>(
-      n_shards, params_.threads, params_.link.latency, &net_.engine(), opts);
+      n_shards, params_.threads, params_.link.latency, &net_.engine());
   shard_stats_.resize(n_shards);
 }
 
@@ -661,6 +643,9 @@ void Scenario::merge_shard_stats() {
   }
 }
 
+// Shard handlers write only the data-plane counters: every other feature
+// runs at threads == 1 (validate_execution), and the fault, telemetry and
+// migration totals are collected into stats_ directly after the run.
 void ScenarioStats::merge_from(const ScenarioStats& other) {
   tracer.merge_from(other.tracer);
   ingress_cache_hits += other.ingress_cache_hits;
@@ -674,50 +659,8 @@ void ScenarioStats::merge_from(const ScenarioStats& other) {
   elephant_installs += other.elephant_installs;
   elephant_proactive += other.elephant_proactive;
   mice_bypassed += other.mice_bypassed;
-  cache_entries_final += other.cache_entries_final;
   stretch.merge_from(other.stretch);
   setup_completions.merge_from(other.setup_completions);
-  ctrl_transmissions += other.ctrl_transmissions;
-  ctrl_retransmits += other.ctrl_retransmits;
-  ctrl_acks += other.ctrl_acks;
-  ctrl_dup_requests += other.ctrl_dup_requests;
-  ctrl_reordered += other.ctrl_reordered;
-  msgs_lost += other.msgs_lost;
-  msgs_duplicated += other.msgs_duplicated;
-  msgs_jittered += other.msgs_jittered;
-  install_faults += other.install_faults;
-  guard_rejects += other.guard_rejects;
-  heartbeats_heard += other.heartbeats_heard;
-  heartbeats_missed += other.heartbeats_missed;
-  failovers_detected += other.failovers_detected;
-  recoveries_detected += other.recoveries_detected;
-  spurious_failovers += other.spurious_failovers;
-  link_flaps += other.link_flaps;
-  authority_crashes += other.authority_crashes;
-  authority_restarts += other.authority_restarts;
-  telemetry_sampled_packets += other.telemetry_sampled_packets;
-  telemetry_sampled_bytes += other.telemetry_sampled_bytes;
-  telemetry_records += other.telemetry_records;
-  telemetry_dropped_records += other.telemetry_dropped_records;
-  telemetry_dropped_packets += other.telemetry_dropped_packets;
-  telemetry_overflow_drops += other.telemetry_overflow_drops;
-  export_batches += other.export_batches;
-  export_records += other.export_records;
-  export_keepalives += other.export_keepalives;
-  export_evict_records += other.export_evict_records;
-  export_final_records += other.export_final_records;
-  export_transmissions += other.export_transmissions;
-  export_retransmits += other.export_retransmits;
-  export_piggyback_fresh += other.export_piggyback_fresh;
-  export_piggyback_stale += other.export_piggyback_stale;
-  migrations_started += other.migrations_started;
-  migrations_completed += other.migrations_completed;
-  migrations_aborted += other.migrations_aborted;
-  migration_rules_moved += other.migration_rules_moved;
-  // Peaks are maxima: shard-local double-occupancy never exceeds the global
-  // peak, and the migration machinery only runs in global events anyway.
-  migration_double_peak = std::max(migration_double_peak, other.migration_double_peak);
-  migration_inflight_redirects += other.migration_inflight_redirects;
 }
 
 void Scenario::schedule_faults() {
@@ -917,7 +860,7 @@ std::uint64_t Scenario::live_cache_entries(double now) const {
 const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
   // Occupancy sample, if requested: a global event (under the sharded
   // executor globals run at window barriers with the workers paused, so the
-  // cross-shard table read is race-free — the crash_authority pattern).
+  // cross-shard table read is race-free).
   if (params_.occupancy_sample_at >= 0.0) {
     net_.engine().at(params_.occupancy_sample_at, [this]() {
       stats_.cache_entries_final = live_cache_entries(net_.engine().now());
@@ -937,7 +880,7 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
   ensures(stats_.tracer.in_flight() == 0,
           "Scenario: packets unaccounted for after the run");
   if (params_.occupancy_sample_at < 0.0) {
-    stats_.cache_entries_final = live_cache_entries(net_.engine().now());
+    stats_.cache_entries_final = live_cache_entries(end_clock());
   }
   finalize_measurement();
   collect_fault_stats();
@@ -992,7 +935,7 @@ VerifyReport Scenario::verify_installed(std::size_t samples_per_ingress,
   VerifierParams vp;
   vp.samples_per_ingress = samples_per_ingress;
   vp.seed = seed;
-  vp.now = net_.engine().now();
+  vp.now = end_clock();
   return verify_installed_state(net_, *difane_, policy_, topo_.edge, vp);
 }
 
@@ -1241,16 +1184,10 @@ void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
   // run of lost beats from a switch that is visibly serving traffic does not
   // escalate into a spurious failover.
   if (heartbeat_ != nullptr) {
-    const double arrive =
-        cur_engine().now() + params_.timings.cache_install_latency;
-    auto note = [this, from_authority]() {
-      heartbeat_->note_message_from(from_authority);
-    };
-    if (exec_ != nullptr) {
-      exec_->schedule_global(arrive, std::move(note));
-    } else {
-      net_.engine().at(arrive, std::move(note));
-    }
+    net_.engine().at(cur_engine().now() + params_.timings.cache_install_latency,
+                     [this, from_authority]() {
+                       heartbeat_->note_message_from(from_authority);
+                     });
   }
   // Protectors first: until the lowest-priority member lands, a partially
   // installed group only over-redirects, never mis-forwards.
@@ -1295,16 +1232,7 @@ void Scenario::punt_to_controller(Packet pkt) {
         mod.band = Band::kCache;
         mod.rule = *decision->cache_rule;
         mod.idle_timeout = params_.timings.cache_idle_timeout;
-        if (exec_ == nullptr) {
-          install_channels_[pkt.ingress]->send(mod);
-        } else {
-          // The channel lives on the ingress's shard; hop the send there.
-          const SwitchId ingress = pkt.ingress;
-          exec_->schedule(shard_of_[ingress], cur_engine().now(),
-                          [this, ingress, mod]() mutable {
-                            install_channels_[ingress]->send(std::move(mod));
-                          });
-        }
+        install_channels_[pkt.ingress]->send(mod);
       }
       // ...while the packet-out resumes the packet at the ingress switch.
       const double out = cur_engine().now() + params_.nox.one_way_latency;
@@ -1323,11 +1251,7 @@ void Scenario::punt_to_controller(Packet pkt) {
                   "event capture in core/system.cpp");
     cur_engine().at(decision->ready_time, std::move(resume));
   };
-  if (exec_ != nullptr) {
-    exec_->schedule(ctrl_shard_, arrival, std::move(punt));
-  } else {
-    net_.engine().at(arrival, std::move(punt));
-  }
+  net_.engine().at(arrival, std::move(punt));
 }
 
 void Scenario::deliver(SwitchId at, Packet pkt) {
@@ -1404,13 +1328,10 @@ void Scenario::forward_hop(SwitchId at, SwitchId toward, Packet pkt) {
 }
 
 // ---- live partition migration --------------------------------------------
-// Make-before-break over the reliable control channel. Every method below
-// runs as a global event (workers parked), so mutating the plan, the
-// authority bindings, and remote switch tables is race-free — the same
-// discipline crash_authority established. The control messages themselves
-// still ride the per-switch channels: sends hop to the owning shard, acks
-// hop back to the global queue, so installs and flips pay latency, loss,
-// and retransmission like any other control traffic.
+// Make-before-break over the reliable control channel, on the serial engine
+// (validate_execution rejects migration at threads > 1). The control
+// messages ride the per-switch channels, so installs and flips pay latency,
+// loss, and retransmission like any other control traffic.
 
 void Scenario::request_rehome(std::size_t partition_index, AuthorityIndex dest,
                               SimTime when) {
@@ -1426,7 +1347,6 @@ void Scenario::request_rehome(std::size_t partition_index, AuthorityIndex dest,
 }
 
 void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
-  expects(shard::in_global_context(), "start_migration: global events only");
   const Partition& partition = difane_->plan().partitions().at(index);
   if (partition.primary == dest) return;  // already home
   // One move per partition at a time, at most wave_size concurrent moves;
@@ -1661,32 +1581,17 @@ void Scenario::pump_migration_queue() {
 
 void Scenario::send_migration(SwitchId sw, Request request,
                               std::function<void(bool)> on_ack) {
-  // The reply lands on the switch's shard engine; the ack mutates migration
-  // state, so it hops to the global queue first (the heartbeat piggyback
-  // hook set the pattern). The reliable channel fires on_reply exactly once,
-  // so pending-ack counting is exact even under loss and duplication.
+  // The reliable channel fires on_reply exactly once, so pending-ack counting
+  // is exact even under loss and duplication.
   ControlEndpoint::ReplyHandler on_reply;
   if (on_ack) {
-    on_reply = [this, on_ack = std::move(on_ack)](const Reply& reply) {
+    on_reply = [on_ack = std::move(on_ack)](const Reply& reply) {
       bool ok = true;
       if (const auto* r = std::get_if<FlowModReply>(&reply)) ok = r->ok;
-      if (exec_ != nullptr) {
-        exec_->schedule_global(cur_engine().now(),
-                               [on_ack, ok]() { on_ack(ok); });
-      } else {
-        on_ack(ok);
-      }
+      on_ack(ok);
     };
   }
-  auto do_send = [this, sw, request = std::move(request),
-                  on_reply = std::move(on_reply)]() mutable {
-    install_channels_[sw]->send(std::move(request), std::move(on_reply));
-  };
-  if (exec_ != nullptr) {
-    exec_->schedule(shard_of_[sw], cur_engine().now(), std::move(do_send));
-  } else {
-    do_send();
-  }
+  install_channels_[sw]->send(std::move(request), std::move(on_reply));
 }
 
 void Scenario::schedule_authority_failure(SimTime when, SwitchId authority) {

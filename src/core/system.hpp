@@ -168,35 +168,14 @@ struct ScenarioParams {
   // latency); results are then *seed-stable* — the same (seed, threads)
   // replays identically regardless of OS scheduling — but not numerically
   // equal to threads=1, because latency-free cross-shard control dispatches
-  // are exchanged at window boundaries. See shard::Executor and the README
-  // "Parallel execution" section.
+  // are exchanged at window boundaries. N > 1 supports the fault-free DIFANE
+  // data plane only: validate() rejects it with NOX mode, an active fault
+  // plan, heartbeat detection, measurement or migration. See shard::Executor
+  // and the README "Parallel execution" section.
   std::size_t threads = 1;
 
   // Must be 0 (validate() rejects anything else); see validate_execution.
   std::size_t burst = 0;
-
-  // Capacity (power of two) of each shard's SPSC outbox ring in the sharded
-  // executor; only meaningful at threads > 1. Windows that emit more
-  // cross-shard messages spill to a fallback vector — correct, just slower.
-  std::size_t shard_ring_capacity = 1024;
-
-  // Work stealing in the sharded executor (threads > 1 only): a worker that
-  // drains its home shards claims runnable shards homed on busier workers,
-  // in a deterministic scan order, one claimant per shard per window.
-  // Results are *identical* with stealing on or off — a shard's event
-  // stream does not depend on which thread runs it — so this is purely a
-  // wall-clock knob for skewed shard loads (hot authority serving sets
-  // under Zipf traffic). Default on; turn off to measure the imbalance.
-  bool steal = true;
-
-  // Pin each executor worker thread to one CPU (worker index mod hardware
-  // concurrency; Linux pthread_setaffinity_np, no-op elsewhere). Keeps the
-  // worker↔core mapping — and on multi-socket hosts the NUMA locality of
-  // first-touched shard state — stable across windows. Byte-identical to
-  // unpinned execution by the executor's determinism contract
-  // (ScenarioThreads.PinWorkersKeepsSnapshotIdentical); on a
-  // single-node host (like the CI container) it changes nothing at all.
-  bool pin_workers = false;
 
   // Reject mis-wired parameter combinations before any topology or control
   // plane is built. Throws difane::ConfigError naming the offending field.
@@ -286,9 +265,9 @@ struct ScenarioStats {
                  : 0.0;
   }
 
-  // Fold another shard's counters into this one (commutative sums plus
-  // sample-set/rate-meter merges). The Scenario merges shards in fixed shard
-  // order after a parallel run, so the aggregate is deterministic.
+  // Fold another shard's data-plane counters into this one (commutative sums
+  // plus sample-set/rate-meter merges). The Scenario merges shards in fixed
+  // shard order after a parallel run, so the aggregate is deterministic.
   void merge_from(const ScenarioStats& other);
 
   // Flatten every measurement into one structured report — the single
@@ -331,11 +310,11 @@ class Scenario {
   const RuleTable& policy() const { return policy_; }
   const ScenarioStats& stats() const { return stats_; }
 
-  // Shards executed by a worker other than their home worker (threads > 1
-  // with params.steal; 0 otherwise). Host-timing dependent — which steals
-  // succeed depends on OS scheduling even though results never do — so this
-  // is deliberately *not* part of ScenarioStats or any snapshot: it may
-  // only feed tests and wall-style (ungated) telemetry.
+  // Shards executed by a worker other than their home worker (threads > 1;
+  // 0 otherwise). Host-timing dependent — which steals succeed depends on OS
+  // scheduling even though results never do — so this is deliberately *not*
+  // part of ScenarioStats or any snapshot: it may only feed tests and
+  // wall-style (ungated) telemetry.
   std::uint64_t shards_stolen() const {
     return exec_ != nullptr ? exec_->shards_stolen() : 0;
   }
@@ -371,13 +350,9 @@ class Scenario {
   }
 
  private:
-  // ---- live partition migration (all methods run as global events: the
-  // executor parks workers for the global queue, so mutating plan/bindings
-  // and poking remote switch state here is race-free — same discipline as
-  // crash_authority). Control messages still ride the per-switch channels,
-  // hopping to the owning shard to send and back to the global queue for the
-  // ack, so installs/flips pay latency, loss, and retransmission like any
-  // other control traffic.
+  // ---- live partition migration (serial engine only). Control messages ride
+  // the per-switch channels, so installs/flips pay latency, loss, and
+  // retransmission like any other control traffic.
   struct LiveMigration {
     std::size_t index = 0;          // partition index in the plan
     AuthorityIndex from = 0;        // old primary
@@ -435,6 +410,12 @@ class Scenario {
   Engine& cur_engine() {
     return exec_ ? exec_->context_engine() : net_.engine();
   }
+  // Sim time of the latest executed event; after run(), the end-of-run
+  // clock. Under the executor the global engine only advances on global
+  // events, so the shard engines' clocks count too.
+  SimTime end_clock() {
+    return exec_ ? exec_->now() : net_.engine().now();
+  }
   // Per-shard stats under the executor (merged in shard order after the
   // run), the scenario-wide stats otherwise.
   ScenarioStats& st() {
@@ -481,9 +462,9 @@ class Scenario {
   // otherwise, as Telemetry.MeasurementOffLeavesNoTrace pins).
   // Indexed by SwitchId; only exporters (edge + authorities) are non-null.
   // Each exporter gets its own export channel + endpoint pair so batches pay
-  // latency/reliability like any control message, while the endpoint buffers
-  // stay shard-local; finalize_measurement() feeds them to the collector in
-  // exporter order, which makes the merged stream deterministic.
+  // latency/reliability like any control message; finalize_measurement()
+  // feeds the endpoint buffers to the collector in exporter order, which
+  // makes the merged stream deterministic.
   std::vector<std::unique_ptr<FlowTelemetry>> telemetry_;
   std::vector<std::unique_ptr<CollectorEndpoint>> export_endpoints_;
   std::vector<std::unique_ptr<ControlChannel>> export_channels_;
@@ -492,24 +473,21 @@ class Scenario {
   obs::FlowCollector collector_;
   obs::CollectorSink* export_sink_ = nullptr;
   // Sharded parallel execution (threads > 1 only; nullptr runs everything on
-  // net_.engine(), see ScenarioParams::threads). Global events — fault
-  // schedules, heartbeat ticks, failover handling — stay on net_.engine(),
+  // net_.engine(), see ScenarioParams::threads). Global events (the
+  // occupancy sample, scheduled authority failures) stay on net_.engine(),
   // which the executor runs as its coordinator-side global queue.
   std::unique_ptr<shard::Executor> exec_;
   std::vector<std::uint32_t> shard_of_;   // switch -> shard
-  std::uint32_t ctrl_shard_ = 0;          // NOX controller's home shard
   // Live-migration state (params_.migration.enabled only; all empty
   // otherwise, which E7's *_migration_off rows in bench/BASELINE.json pin).
-  // Mutated exclusively from global events. Slots are stable for the run so
-  // in-flight ack callbacks can address their migration by index.
+  // Slots are stable for the run so in-flight ack callbacks can address
+  // their migration by index.
   std::vector<LiveMigration> migrations_;
   std::vector<std::size_t> active_migrations_;           // slots in flight
   std::vector<std::pair<std::size_t, AuthorityIndex>> migration_queue_;
   // PartitionId -> old home switch while a migration is in flight; read on
   // the authority-resolution path (cheap empty() check first) to count
-  // in-flight redirects that landed at the old home. Mutated only from
-  // global events; read from shard handlers — the same discipline as the
-  // plan itself under failover.
+  // in-flight redirects that landed at the old home.
   std::unordered_map<PartitionId, SwitchId> migrating_old_home_;
   std::int64_t migration_double_now_ = 0;   // live extra authority-rule copies
   std::vector<ScenarioStats> shard_stats_;

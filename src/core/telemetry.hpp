@@ -122,10 +122,10 @@ class FlowTelemetry {
 };
 
 // Controller-side endpoint of an export channel: the ControlEndpoint that
-// receives FlowExport requests, buffers the batches (shard-local; the
-// Scenario feeds them to the CollectorSink in deterministic exporter-major
-// order at end of run), fires an optional hook per batch (the heartbeat
-// piggyback), and acks so the reliable channel stops retransmitting.
+// receives FlowExport requests, buffers the batches (the Scenario feeds them
+// to the CollectorSink in deterministic exporter-major order at end of run),
+// fires an optional hook per batch (the heartbeat piggyback), and acks so
+// the reliable channel stops retransmitting.
 class CollectorEndpoint : public ControlEndpoint {
  public:
   using BatchHook = std::function<void(const obs::FlowExportBatch&)>;

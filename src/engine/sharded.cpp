@@ -2,12 +2,6 @@
 
 #include <algorithm>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
-#include "obs/metrics.hpp"
 #include "util/contract.hpp"
 
 namespace difane::shard {
@@ -26,27 +20,16 @@ thread_local Ctx t_ctx;
 std::uint32_t current_shard() { return t_ctx.shard; }
 
 Executor::Executor(std::size_t shards, std::size_t threads, SimTime lookahead,
-                   Engine* global, std::size_t ring_capacity)
-    : Executor(shards, threads, lookahead, global,
-               Options{ring_capacity, /*steal=*/true, /*pin_workers=*/false}) {}
-
-Executor::Executor(std::size_t shards, std::size_t threads, SimTime lookahead,
-                   Engine* global, Options options)
-    : global_(global), lookahead_(lookahead), options_(options) {
+                   Engine* global)
+    : global_(global), lookahead_(lookahead), outboxes_(shards) {
   expects(shards >= 1, "Executor: need at least one shard");
   expects(lookahead > 0.0,
           "Executor: conservative windows need a positive lookahead "
           "(minimum link latency)");
   expects(global != nullptr, "Executor: need a global engine");
-  expects(util::is_power_of_two(options_.ring_capacity),
-          "Executor: ring capacity must be a power of two");
   engines_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     engines_.push_back(std::make_unique<Engine>());
-  }
-  outboxes_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    outboxes_.push_back(std::make_unique<Outbox>(options_.ring_capacity));
   }
   const std::size_t workers = std::min(threads, shards);
   if (workers >= 2) {
@@ -87,21 +70,13 @@ void Executor::schedule(std::uint32_t target, SimTime when, Engine::Handler fn) 
       engines_[target]->at(when, std::move(fn));
       return;
     }
-    outbox_push(t_ctx.shard, Msg{when, target, std::move(fn)});
+    outboxes_[t_ctx.shard].msgs.push_back(Msg{when, target, std::move(fn)});
     return;
   }
   // Coordinator / setup context: workers are parked, direct insert is safe
   // and keeps the deterministic order of the caller.
   Engine& e = *engines_[target];
   e.at(std::max(when, e.now()), std::move(fn));
-}
-
-void Executor::schedule_global(SimTime when, Engine::Handler fn) {
-  if (t_ctx.shard != kNoShard) {
-    outbox_push(t_ctx.shard, Msg{when, kGlobalTarget, std::move(fn)});
-    return;
-  }
-  global_->at(std::max(when, global_->now()), std::move(fn));
 }
 
 void Executor::run_shard_inline(std::size_t s, SimTime wend) {
@@ -111,19 +86,6 @@ void Executor::run_shard_inline(std::size_t s, SimTime wend) {
 }
 
 void Executor::worker_main(std::size_t worker) {
-#if defined(__linux__)
-  if (options_.pin_workers) {
-    // Best-effort affinity: worker w sticks to CPU (w mod ncpu). Failure
-    // (cpuset restrictions, exotic hosts) is ignored — pinning is a
-    // locality hint, never a correctness requirement.
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(worker % ncpu), &set);
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-  }
-#endif
-  auto* stolen_metric = obs::MetricsRegistry::global().counter("engine_shards_stolen");
   std::uint64_t seen_epoch = 0;
   for (;;) {
     SimTime wend;
@@ -147,16 +109,13 @@ void Executor::worker_main(std::size_t worker) {
     // count) — deterministic — while which claims succeed depends on how
     // far the other workers got; either way each shard executes exactly
     // once per window, so results are identical and only wall-time moves.
-    if (options_.steal) {
-      const std::size_t n = engines_.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t s = (worker + 1 + i) % n;
-        if (home_worker_[s] == worker) continue;
-        if (claim_shard(s, seen_epoch) && engines_[s]->peek_time() < wend) {
-          shards_stolen_.fetch_add(1, std::memory_order_relaxed);
-          stolen_metric->inc();
-          run_shard_inline(s, wend);
-        }
+    const std::size_t n = engines_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t s = (worker + 1 + i) % n;
+      if (home_worker_[s] == worker) continue;
+      if (claim_shard(s, seen_epoch) && engines_[s]->peek_time() < wend) {
+        shards_stolen_.fetch_add(1, std::memory_order_relaxed);
+        run_shard_inline(s, wend);
       }
     }
     {
@@ -178,13 +137,8 @@ void Executor::deliver(std::vector<Msg>& msgs, SimTime wend) {
     // Clamp to the window boundary: nothing may land inside the window that
     // just executed. Packet hops pay >= lookahead and are never clamped;
     // latency-free control dispatches pay the boundary here.
-    const SimTime when = std::max(m.when, wend);
-    if (m.target == kGlobalTarget) {
-      global_->at(std::max(when, global_->now()), std::move(m.fn));
-    } else {
-      Engine& e = *engines_[m.target];
-      e.at(std::max(when, e.now()), std::move(m.fn));
-    }
+    Engine& e = *engines_[m.target];
+    e.at(std::max({m.when, wend, e.now()}), std::move(m.fn));
   }
   msgs.clear();
 }
@@ -197,12 +151,11 @@ void Executor::run(const std::function<void()>& post_global) {
     const SimTime global_min = global_->peek_time();
     const SimTime tmin = std::min(shard_min, global_min);
     if (tmin >= Engine::kNoEvent) break;
-    // Global events mutate cross-shard state (failures, route flaps), so the
-    // window never crosses the next one; they run at the barrier below, and
+    // Global events mutate cross-shard state (scheduled authority failures),
+    // so the window never crosses the next one; they run at the barrier below, and
     // shard events at the same timestamp run in the *next* window — i.e.
     // global state changes at time T are visible to every shard event at T.
     const SimTime wend = std::min(shard_min + lookahead_, global_min);
-    ++windows_;
 
     std::size_t runnable = 0;
     for (const auto& e : engines_) runnable += e->peek_time() < wend ? 1 : 0;
@@ -224,15 +177,12 @@ void Executor::run(const std::function<void()>& post_global) {
       }
     }
 
-    // Drain in shard order, ring before overflow, preserving each shard's
-    // FIFO send order — the stable sort in deliver() then realizes the
-    // deterministic (when, src shard, seq) key exactly as before.
-    for (auto& obp : outboxes_) {
-      Outbox& ob = *obp;
-      Msg m;
-      while (ob.ring.try_pop(m)) msgs.push_back(std::move(m));
-      for (auto& v : ob.overflow) msgs.push_back(std::move(v));
-      ob.overflow.clear();
+    // Drain in shard order, preserving each shard's FIFO send order — the
+    // stable sort in deliver() then realizes the deterministic (when, src
+    // shard, seq) key.
+    for (auto& ob : outboxes_) {
+      for (auto& m : ob.msgs) msgs.push_back(std::move(m));
+      ob.msgs.clear();
     }
     deliver(msgs, wend);
 
@@ -242,10 +192,10 @@ void Executor::run(const std::function<void()>& post_global) {
   }
 }
 
-std::uint64_t Executor::executed() const {
-  std::uint64_t total = 0;
-  for (const auto& e : engines_) total += e->executed();
-  return total;
+SimTime Executor::now() const {
+  SimTime t = global_->now();
+  for (const auto& e : engines_) t = std::max(t, e->now());
+  return t;
 }
 
 }  // namespace difane::shard

@@ -9,7 +9,7 @@
 //   each shard runs its events with when < wend on a worker thread
 //   barrier: cross-shard messages are sorted by (when, source shard, send
 //   order) and delivered with when clamped to >= wend; then global events
-//   (fault injection, heartbeat ticks, failover handling) with when <= wend
+//   (route-invalidating state changes, occupancy samples) with when <= wend
 //   run on the coordinator while every worker is parked
 //
 // The lookahead is the minimum link latency: a packet leaving shard A at
@@ -30,9 +30,9 @@
 //  * global events run single-threaded on the coordinator between windows;
 //  * which worker executes a shard never affects results: an epoch-tagged
 //    claim gives each shard to exactly one worker per window (its home
-//    worker or, with Options::steal, an idle thief), and a shard's event
-//    stream depends only on engine state, not on the executing thread — so
-//    work stealing redistributes wall-clock, never outcomes.
+//    worker or an idle thief), and a shard's event stream depends only on
+//    engine state, not on the executing thread — so work stealing
+//    redistributes wall-clock, never outcomes.
 #pragma once
 
 #include <atomic>
@@ -45,72 +45,33 @@
 #include <vector>
 
 #include "netsim/engine.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace difane::shard {
 
 // Shard index of the code currently executing on this thread, or kNoShard
 // when outside shard execution (coordinator, global events, setup code).
-// The FaultInjector keys its per-shard Rng streams off this.
+// Scenario keys its per-shard stats off this.
 inline constexpr std::uint32_t kNoShard = 0xffffffffu;
 std::uint32_t current_shard();
 
-// True when the calling code runs outside shard execution — on the
-// coordinator, in a global event (workers parked), or in setup code. State
-// that spans shards (the partition plan, live-migration bookkeeping) may
-// only be mutated when this holds; the migration state machine asserts it.
-inline bool in_global_context() { return current_shard() == kNoShard; }
-
 class Executor {
  public:
-  static constexpr std::size_t kDefaultRingCapacity = 1024;
-
-  struct Options {
-    // Capacity of each shard's SPSC outbox ring (power of two); a window
-    // that emits more cross-shard messages than that spills to a plain
-    // vector, trading the lock-free hand-off for correctness, never
-    // blocking.
-    std::size_t ring_capacity = kDefaultRingCapacity;
-    // Work stealing: within a window, a worker that exhausts its home
-    // shards claims runnable shards homed on other workers, scanning all
-    // shards in a fixed rotation from its own index. Each shard is claimed
-    // by exactly one worker per window (epoch-tagged CAS), so the shard's
-    // event execution — and therefore every result — is identical no
-    // matter which worker ran it; stealing only changes wall-clock, never
-    // outcomes. Which claims succeed does depend on OS scheduling, so the
-    // shards_stolen() counter is a host measurement, not a deterministic
-    // simulation quantity.
-    bool steal = true;
-    // Pin worker w to CPU (w mod hardware_concurrency) via
-    // pthread_setaffinity_np (Linux only; silently a no-op elsewhere).
-    // This keeps the worker↔core mapping stable so per-core caches and —
-    // on multi-socket hosts — the NUMA pages a worker's shards touch stay
-    // local across windows. We deliberately do not link libnuma: shard
-    // state is placed by first touch, and pinning is purely a scheduling
-    // hint, so results are byte-identical with it on or off (on the
-    // single-node CI container it changes nothing at all).
-    bool pin_workers = false;
-  };
-
   // `global` is the engine for events that may touch cross-shard state
-  // (Scenario hands in the Network's own engine, so fault schedules and the
-  // heartbeat monitor keep using net.engine() verbatim). `threads` worker
-  // threads execute `shards` shard engines; shards are homed on workers
-  // round-robin — that home assignment is also the deterministic base of
-  // the steal order — so threads > shards wastes nothing and shards >
-  // threads just runs several shards per worker.
+  // (Scenario hands in the Network's own engine). `threads` worker threads
+  // execute `shards` shard engines; shards are homed on workers round-robin
+  // — that home assignment is also the deterministic base of the steal
+  // order — so threads > shards wastes nothing and shards > threads just
+  // runs several shards per worker. Within a window, a worker that exhausts
+  // its home shards claims runnable shards homed on other workers, scanning
+  // all shards in a fixed rotation from its own index.
   Executor(std::size_t shards, std::size_t threads, SimTime lookahead,
-           Engine* global, Options options);
-  // Legacy convenience: default Options with an explicit ring capacity.
-  Executor(std::size_t shards, std::size_t threads, SimTime lookahead,
-           Engine* global, std::size_t ring_capacity = kDefaultRingCapacity);
+           Engine* global);
 
   ~Executor();
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  std::size_t shards() const { return engines_.size(); }
   Engine& shard_engine(std::size_t s) { return *engines_[s]; }
 
   // Engine driving the code currently executing on this thread: the shard
@@ -122,31 +83,27 @@ class Executor {
   // and delivered at the next window boundary, clamped to the window end.
   void schedule(std::uint32_t target, SimTime when, Engine::Handler fn);
 
-  // Schedule on the global (coordinator) queue. From shard execution the
-  // event is buffered like any cross-shard message; from the coordinator or
-  // setup code it lands directly.
-  void schedule_global(SimTime when, Engine::Handler fn);
-
   // Run every engine to quiescence. `post_global` runs on the coordinator
   // after each window whose global phase executed at least one event (the
   // Scenario recomputes routes there, so workers never race the lazy
   // rebuild).
   void run(const std::function<void()>& post_global = {});
 
-  std::uint64_t windows() const { return windows_; }
+  // Latest clock across the shard engines and the global engine — after
+  // run() returns, the instant of the run's last event.
+  SimTime now() const;
+
   std::uint64_t cross_messages() const { return cross_messages_; }
-  std::uint64_t executed() const;
 
   // Runnable shards executed by a worker other than their home worker.
-  // Host-timing dependent (see Options::steal) — exposed for tests and
-  // wall-style telemetry, never for gated deterministic metrics.
+  // Which claims succeed depends on OS scheduling, so this is a host
+  // measurement — exposed for tests and wall-style telemetry, never for
+  // gated deterministic metrics.
   std::uint64_t shards_stolen() const {
     return shards_stolen_.load(std::memory_order_relaxed);
   }
 
  private:
-  static constexpr std::uint32_t kGlobalTarget = 0xfffffffeu;
-
   struct Msg {
     SimTime when;
     std::uint32_t target;
@@ -171,28 +128,16 @@ class Executor {
   std::vector<std::unique_ptr<Engine>> engines_;
   Engine* global_;
   SimTime lookahead_;
-  Options options_;
 
   // One outbox per shard (not per worker): a shard runs on exactly one
-  // thread per window — the single producer — and the coordinator drains at
-  // the barrier — the single consumer. The ring's acquire/release pairs
-  // publish messages without taking the barrier mutex per message; the
-  // overflow vector (rare: ring full) rides the barrier's mutex hand-off
-  // instead. Once a window overflows, later messages go to the vector too,
-  // so per-shard FIFO order survives (ring drains before overflow).
-  struct Outbox {
-    explicit Outbox(std::size_t capacity) : ring(capacity) {}
-    util::SpscRing<Msg> ring;
-    std::vector<Msg> overflow;
+  // thread per window, and the coordinator drains the outboxes only after
+  // every worker has checked in at the barrier, so the barrier's mutex
+  // hand-off publishes them — no per-message synchronization. Cache-line
+  // aligned so concurrent pushes from different shards never false-share.
+  struct alignas(64) Outbox {
+    std::vector<Msg> msgs;
   };
-  std::vector<std::unique_ptr<Outbox>> outboxes_;
-
-  void outbox_push(std::uint32_t src_shard, Msg m) {
-    Outbox& ob = *outboxes_[src_shard];
-    if (!ob.overflow.empty() || !ob.ring.try_push(std::move(m))) {
-      ob.overflow.push_back(std::move(m));
-    }
-  }
+  std::vector<Outbox> outboxes_;
 
   // Worker pool, parked between windows. `epoch` ticking under the mutex
   // releases the workers; `done` counting back up releases the coordinator.
@@ -213,7 +158,6 @@ class Executor {
   SimTime wend_ = 0.0;
   bool stop_ = false;
 
-  std::uint64_t windows_ = 0;
   std::uint64_t cross_messages_ = 0;
 };
 

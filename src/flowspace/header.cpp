@@ -1,5 +1,6 @@
 #include "flowspace/header.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace difane {
@@ -55,6 +56,18 @@ std::uint64_t get_field(const BitVec& packet, Field f) {
 void match_exact(Ternary& t, Field f, std::uint64_t value) {
   const auto& spec = field_spec(f);
   t.set_exact(spec.offset, spec.width, value);
+}
+
+Ternary exact_pattern(const BitVec& packet) {
+  Ternary t;
+  std::size_t at = 0;
+  const std::size_t used = header_bits_used();
+  while (at < used) {
+    const std::size_t chunk = std::min<std::size_t>(64, used - at);
+    t.set_exact(at, chunk, packet.get_bits(at, chunk));
+    at += chunk;
+  }
+  return t;
 }
 
 void match_prefix(Ternary& t, Field f, std::uint64_t value, std::size_t plen) {

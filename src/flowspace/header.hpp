@@ -67,6 +67,10 @@ std::uint64_t get_field(const BitVec& packet, Field f);
 // Constrain a field of `t` to an exact value.
 void match_exact(Ternary& t, Field f, std::uint64_t value);
 
+// Exact match on every used header bit of `packet`: the microflow pattern
+// NOX and microflow caching install, and how counterexamples print packets.
+Ternary exact_pattern(const BitVec& packet);
+
 // Constrain a field of `t` to a CIDR-style prefix of length `plen`.
 void match_prefix(Ternary& t, Field f, std::uint64_t value, std::size_t plen);
 

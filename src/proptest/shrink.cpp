@@ -7,24 +7,6 @@
 
 namespace difane::proptest {
 
-namespace {
-
-// Exact pattern over the used header bits, so packets print with the same
-// "field=bits" tokens rules do.
-Ternary exact_pattern(const BitVec& packet) {
-  Ternary t;
-  std::size_t at = 0;
-  const std::size_t used = header_bits_used();
-  while (at < used) {
-    const std::size_t chunk = std::min<std::size_t>(64, used - at);
-    t.set_exact(at, chunk, packet.get_bits(at, chunk));
-    at += chunk;
-  }
-  return t;
-}
-
-}  // namespace
-
 std::string Counterexample::to_string() const {
   std::ostringstream os;
   os << rules.size() << " rules, " << packets.size() << " packets\n";

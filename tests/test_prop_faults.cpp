@@ -13,9 +13,8 @@
 //    report, so any chaos failure replays from its printed case seed
 //    (DIFANE_PROPTEST_REPLAY=0x<seed> <binary>).
 //
-// A last property drives the sharded executor's SPSC outbox rings with
-// enough traffic to overflow a small ring: runs must be seed-stable and
-// invariant to the ring capacity.
+// Every case runs on the serial engine: the sharded executor rejects fault
+// plans and heartbeat detection (ScenarioThreads.ValidateRejectsMisWires).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -25,8 +24,6 @@
 #include "obs/metrics.hpp"
 #include "proptest/gen.hpp"
 #include "proptest/property.hpp"
-#include "workload/rulegen.hpp"
-#include "workload/trafficgen.hpp"
 
 namespace difane {
 namespace {
@@ -127,20 +124,30 @@ DIFANE_PROPERTY(ChaosConservation, 50) {
             c.params.faults.crashes[0].restart_at >= 0.0 ? 1u : 0u);
 }
 
-DIFANE_PROPERTY(ChaosVerifierCleanAfterQuiescence, 35) {
+DIFANE_PROPERTY(ChaosVerifierCleanAfterQuiescence, 135) {
   ChaosCase c = gen_chaos_case(ctx.rng, ctx.case_seed);
   Scenario scenario(c.policy, c.params);
-  scenario.run(c.flows);
+  const auto& stats = scenario.run(c.flows);
+  std::ostringstream os;
+  os << "seed 0x" << std::hex << ctx.case_seed << std::dec << " "
+     << c.params.faults.to_string();
+  const std::string tag = os.str();
 
-  // Quiesced (run() drains the engine). The installed state the packets
-  // actually see must be fully consistent again: with a second authority to
-  // fail over to — and a restart path when the plan revives the first — no
-  // violation is acceptable.
+  // Quiesced (run() drains the engine): every packet is accounted for and
+  // the scripted crash/restart happened exactly as planned.
+  EXPECT_EQ(stats.tracer.in_flight(), 0) << tag;
+  EXPECT_EQ(stats.tracer.injected(),
+            stats.tracer.delivered() + stats.tracer.dropped())
+      << tag;
+  EXPECT_EQ(stats.authority_crashes, 1u) << tag;
+  EXPECT_EQ(stats.authority_restarts,
+            c.params.faults.crashes[0].restart_at >= 0.0 ? 1u : 0u)
+      << tag;
+  // The installed state the packets actually see must be fully consistent
+  // again: with a second authority to fail over to — and a restart path when
+  // the plan revives the first — no violation is acceptable.
   const VerifyReport report = scenario.verify_installed(120, ctx.case_seed);
-  EXPECT_TRUE(report.clean())
-      << "seed 0x" << std::hex << ctx.case_seed << std::dec << " "
-      << c.params.faults.to_string() << "\n"
-      << report.summary();
+  EXPECT_TRUE(report.clean()) << tag << "\n" << report.summary();
 }
 
 DIFANE_PROPERTY(ChaosReplayByteIdentical, 20) {
@@ -149,73 +156,6 @@ DIFANE_PROPERTY(ChaosReplayByteIdentical, 20) {
     Scenario scenario(c.policy, c.params);
     auto report = scenario.run(c.flows).snapshot("CHAOS");
     report.git_rev = "fixed";  // the two host-dependent fields
-    report.wall_seconds = 0.0;
-    return report.to_json_string();
-  };
-  const std::string first = run_once();
-  const std::string second = run_once();
-  EXPECT_EQ(first, second) << "seed 0x" << std::hex << ctx.case_seed << std::dec
-                           << " " << c.params.faults.to_string();
-}
-
-// Parallel differential: the same (seed, FaultPlan) executed on the classic
-// single-threaded engine and on the 4-thread sharded engine must agree on
-// every conservation total and both reach a verifier-clean final state. The
-// two runs are *not* expected to be numerically identical (cross-shard
-// control dispatches pay the window-boundary clamp, shifting timings), so
-// this property checks the invariants that must survive any legal
-// scheduling: packet conservation, crash/restart accounting, and converged
-// installed state. Replay a failure with DIFANE_PROPTEST_REPLAY=0x<seed>.
-DIFANE_PROPERTY(ChaosParallelDifferential, 100) {
-  ChaosCase c = gen_chaos_case(ctx.rng, ctx.case_seed);
-
-  const auto run_with = [&](std::size_t threads) {
-    auto params = c.params;
-    params.threads = threads;
-    Scenario scenario(c.policy, params);
-    const auto stats = scenario.run(c.flows);  // copy: stats_ dies with scenario
-    const VerifyReport report = scenario.verify_installed(80, ctx.case_seed);
-    return std::make_pair(stats, report);
-  };
-  const auto [serial, serial_verify] = run_with(1);
-  const auto [parallel, parallel_verify] = run_with(4);
-
-  const auto tag = [&]() {
-    std::ostringstream os;
-    os << "seed 0x" << std::hex << ctx.case_seed << std::dec << " "
-       << c.params.faults.to_string();
-    return os.str();
-  };
-  // Identical workload in, identical conservation totals out.
-  EXPECT_EQ(serial.tracer.injected(), parallel.tracer.injected()) << tag();
-  EXPECT_EQ(serial.tracer.injected(),
-            serial.tracer.delivered() + serial.tracer.dropped())
-      << tag();
-  EXPECT_EQ(parallel.tracer.injected(),
-            parallel.tracer.delivered() + parallel.tracer.dropped())
-      << tag();
-  EXPECT_EQ(serial.tracer.in_flight(), 0) << tag();
-  EXPECT_EQ(parallel.tracer.in_flight(), 0) << tag();
-  // The scheduled fault script is engine-independent.
-  EXPECT_EQ(serial.authority_crashes, parallel.authority_crashes) << tag();
-  EXPECT_EQ(serial.authority_restarts, parallel.authority_restarts) << tag();
-  // Both executions converge to a fully consistent installed state.
-  EXPECT_TRUE(serial_verify.clean()) << tag() << "\n" << serial_verify.summary();
-  EXPECT_TRUE(parallel_verify.clean())
-      << tag() << "\n" << parallel_verify.summary();
-}
-
-// Seed stability of the parallel engine itself: the same (seed, plan,
-// threads) replays byte-identically — worker-thread scheduling must never
-// leak into the results (per-shard Rng streams + deterministic cross-shard
-// ordering).
-DIFANE_PROPERTY(ChaosParallelReplayByteIdentical, 25) {
-  ChaosCase c = gen_chaos_case(ctx.rng, ctx.case_seed);
-  c.params.threads = 4;
-  const auto run_once = [&] {
-    Scenario scenario(c.policy, c.params);
-    auto report = scenario.run(c.flows).snapshot("CHAOS-MT");
-    report.git_rev = "fixed";
     report.wall_seconds = 0.0;
     return report.to_json_string();
   };
@@ -475,104 +415,6 @@ TEST(Chaos, FixedDelayCrashFailsOverWithoutHeartbeats) {
   }
   const VerifyReport report = scenario.verify_installed(120, 1);
   EXPECT_TRUE(report.clean()) << report.summary();
-}
-
-// ---- Sharded executor: SPSC outbox rings -----------------------------------
-// Denser traffic than the chaos cases (hundreds to thousands of packets), so
-// a 32-slot ring overflows within a window and the spill path runs. Random
-// policies, cache strategies, measurement on/off and message faults.
-struct RingCase {
-  RuleTable policy;
-  std::vector<FlowSpec> flows;
-  ScenarioParams params;
-};
-
-RingCase gen_ring_case(proptest::PropertyContext& ctx) {
-  RuleGenParams rg;
-  rg.num_rules = static_cast<std::size_t>(ctx.rng.uniform(60, 250));
-  rg.seed = ctx.rng.next_u64();
-  RingCase c{generate_policy(rg), {}, {}};
-
-  TrafficParams tp;
-  tp.seed = ctx.rng.next_u64();
-  tp.flow_pool = static_cast<std::size_t>(ctx.rng.uniform(80, 400));
-  tp.zipf_s = ctx.rng.uniform01() * 1.2;
-  tp.arrival_rate = 1000.0 + ctx.rng.uniform01() * 5000.0;
-  tp.duration = 0.1 + ctx.rng.uniform01() * 0.15;
-  tp.mean_packets = 1.0 + ctx.rng.uniform01() * 3.0;
-  tp.packet_gap = 0.001 + ctx.rng.uniform01() * 0.03;
-  tp.ingress_count = static_cast<std::uint32_t>(ctx.rng.uniform(1, 6));
-  TrafficGenerator gen(c.policy, tp);
-  c.flows = gen.generate();
-
-  ScenarioParams& p = c.params;
-  p.mode = Mode::kDifane;
-  p.edge_switches = static_cast<std::size_t>(ctx.rng.uniform(2, 5));
-  p.core_switches = 2;
-  p.authority_count = static_cast<std::size_t>(ctx.rng.uniform(1, 2));
-  p.edge_cache_capacity = static_cast<std::size_t>(ctx.rng.uniform(32, 400));
-  p.partitioner.capacity = 200;
-  static constexpr CacheStrategy kStrategies[] = {CacheStrategy::kMicroflow,
-                                                  CacheStrategy::kDependentSet,
-                                                  CacheStrategy::kCoverSet};
-  p.cache_strategy = kStrategies[ctx.rng.uniform(0, 2)];
-  p.timings.cache_idle_timeout = ctx.rng.bernoulli(0.5) ? 0.02 : 10.0;
-  if (ctx.rng.bernoulli(0.4)) {
-    p.measurement.enabled = true;
-    p.measurement.sample_prob = 0.25 + ctx.rng.uniform01() * 0.5;
-    p.measurement.export_interval = 0.05;
-    p.measurement.export_horizon = 1.0;
-  }
-  if (ctx.rng.bernoulli(0.3)) {
-    p.faults.msg_loss = ctx.rng.uniform01() * 0.2;
-    p.faults.msg_dup = ctx.rng.uniform01() * 0.2;
-    p.faults.msg_jitter_prob = ctx.rng.uniform01() * 0.4;
-    p.faults.msg_jitter_max = ctx.rng.uniform01() * 2e-3;
-  }
-  p.threads = 2;
-  return c;
-}
-
-// Everything the determinism contract covers, folded into one string:
-// normalized snapshot JSON, the telemetry export stream, and the verifier's
-// sampled verdict over the actually-installed tables.
-std::string ring_fingerprint(const RingCase& c, std::size_t ring_capacity) {
-  ScenarioParams params = c.params;
-  params.shard_ring_capacity = ring_capacity;
-  Scenario scenario(c.policy, params);
-  scenario.run(c.flows);
-
-  auto report = scenario.stats().snapshot("prop_ring");
-  report.git_rev = "fixed";
-  report.wall_seconds = 0.0;
-  std::string fp = report.to_json_string();
-  fp += '\n';
-  fp += scenario.collector().stream_dump();
-  const VerifyReport verify = scenario.verify_installed(/*samples=*/60,
-                                                        /*seed=*/1);
-  fp += "\nverify samples=" + std::to_string(verify.samples) +
-        " ok=" + std::to_string(verify.ok) +
-        " violations=" + std::to_string(verify.violations.size());
-  return fp;
-}
-
-// Same seed twice must be byte-identical (seed stability), and shrinking the
-// ring until the overflow spill engages must change nothing — the spill
-// keeps per-shard FIFO order, so the (when, src shard, seq) merge is
-// capacity-invariant.
-DIFANE_PROPERTY(ShardedSeedStableAndRingCapacityInvariant, 25) {
-  const RingCase c = gen_ring_case(ctx);
-
-  const std::string small_ring = ring_fingerprint(c, /*ring_capacity=*/32);
-  const std::string small_ring_again = ring_fingerprint(c, /*ring_capacity=*/32);
-  EXPECT_EQ(small_ring, small_ring_again)
-      << "threads=2 not seed-stable; replay seed 0x" << std::hex
-      << ctx.case_seed;
-
-  const std::string big_ring = ring_fingerprint(c, /*ring_capacity=*/1024);
-  EXPECT_EQ(small_ring, big_ring)
-      << "ring capacity changed the run (overflow spill broke merge order); "
-         "replay seed 0x" << std::hex << ctx.case_seed;
 }
 
 }  // namespace

@@ -451,8 +451,8 @@ TEST(Validate, RejectsMigrationMisWiresNamingTheField) {
   EXPECT_NO_THROW(params.validate());
 }
 
-// Execution knobs: the SPSC outbox rings index with a mask, so the capacity
-// must be a power of two; burst survives only as a field that must stay 0.
+// Execution knobs: burst survives only as a field that must stay 0 (the
+// threads rejections live in ScenarioThreads.ValidateRejectsMisWires).
 TEST(Validate, RejectsBurstAndRingMisWiresNamingTheField) {
   const auto field_of = [](ScenarioParams params) -> std::string {
     try {
@@ -464,18 +464,6 @@ TEST(Validate, RejectsBurstAndRingMisWiresNamingTheField) {
   };
 
   ScenarioParams params = good_params();
-  params.shard_ring_capacity = 1000;  // not a power of two
-  EXPECT_EQ(field_of(params), "shard_ring_capacity");
-
-  params = good_params();
-  params.shard_ring_capacity = 0;
-  EXPECT_EQ(field_of(params), "shard_ring_capacity");
-
-  params = good_params();
-  params.shard_ring_capacity = 1;
-  EXPECT_NO_THROW(params.validate());
-
-  params = good_params();
   params.burst = 1;
   EXPECT_EQ(field_of(params), "burst");
 }

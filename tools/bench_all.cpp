@@ -14,9 +14,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/report.hpp"
+#include "util/parse.hpp"
 
 namespace fs = std::filesystem;
 
@@ -81,6 +83,17 @@ Options parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Strict numeric values: a malformed or signed number is a usage error,
+    // and so is a zero job, repetition or thread count.
+    const auto count = [&](auto& out, bool positive) {
+      const auto v = difane::util::parse_count<
+          std::remove_reference_t<decltype(out)>>(next());
+      if (!v || (positive && *v == 0)) {
+        std::fprintf(stderr, "bench_all: bad value for %s\n", arg.c_str());
+        usage(2);
+      }
+      out = *v;
+    };
     if (arg == "--out") {
       opt.out = next();
     } else if (arg == "--dir") {
@@ -88,16 +101,13 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--bin") {
       opt.bin_dir = next();
     } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(next());
-      if (opt.jobs < 1) opt.jobs = 1;
+      count(opt.jobs, /*positive=*/true);
     } else if (arg == "--reps") {
-      opt.reps = std::atoi(next());
-      if (opt.reps < 1) opt.reps = 1;
+      count(opt.reps, /*positive=*/true);
     } else if (arg == "--threads") {
-      opt.threads = std::atoi(next());
-      if (opt.threads < 1) opt.threads = 1;
+      count(opt.threads, /*positive=*/true);
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 10);
+      count(opt.seed, /*positive=*/false);
     } else if (arg == "--quick") {
       opt.quick = true;
     } else if (arg == "--only") {

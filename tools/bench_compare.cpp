@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/report.hpp"
+#include "util/parse.hpp"
 
 using difane::obs::Trajectory;
 
@@ -52,10 +53,19 @@ Options parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Strict: a malformed threshold is a usage error, not a silent 0%.
+    const auto percent = [&](double& out) {
+      const auto v = difane::util::parse_double(next());
+      if (!v) {
+        std::fprintf(stderr, "bench_compare: bad value for %s\n", arg.c_str());
+        usage(2);
+      }
+      out = *v;
+    };
     if (arg == "--threshold") {
-      opt.threshold_pct = std::atof(next());
+      percent(opt.threshold_pct);
     } else if (arg == "--wall-threshold") {
-      opt.wall_threshold_pct = std::atof(next());
+      percent(opt.wall_threshold_pct);
     } else if (arg == "--verbose") {
       opt.verbose = true;
     } else if (arg == "--help" || arg == "-h") {

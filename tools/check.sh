@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full verification sweep: the tier-1 build+test pass, then the same suite
 # plus a short differential fuzz soak under ASan+UBSan (DIFANE_SANITIZE=ON),
-# plus a TSan pass (DIFANE_SANITIZE=thread) over the unit and chaos labels —
-# the sharded parallel engine makes race coverage part of tier-1 hygiene.
+# plus a TSan pass (DIFANE_SANITIZE=thread) over the unit label and the
+# sharded-executor suites — the only tests that start worker threads inside
+# a scenario, so race coverage stays part of tier-1 hygiene.
 #
 #   tools/check.sh [--quick-bench] [--perf] [--threads] [--scale] [FUZZ_SECONDS]
 #
@@ -18,7 +19,9 @@
 # --threads runs the bench pipeline in --quick mode at --threads 1 and at
 # the host's hardware concurrency, then asserts with bench_compare that
 # every deterministic (non-wall) metric is identical — the thread-count
-# invariance contract for cell-parallel benches and the sharded engine.
+# invariance contract for cell-parallel benches (bench::run_cells). The
+# sharded engine is outside it: E11 fixes its own thread count, and E2's
+# --threads > 1 demo row exports only exempt wall metrics.
 #
 # --scale runs the E11 scale-out stress tier in --quick mode twice and
 # asserts with bench_compare that its deterministic metrics (rule counts,
@@ -140,32 +143,23 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-san/tools/fuzz_difane --seconds "$fuzz_seconds"
 
-echo "== tsan: DIFANE_SANITIZE=thread build + unit/chaos labels =="
+echo "== tsan: DIFANE_SANITIZE=thread build + unit label =="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDIFANE_SANITIZE=thread
 cmake --build build-tsan -j "$jobs"
-# halt_on_error makes any reported race fail its test; the chaos label covers
-# the multi-threaded sharded-engine differential properties, and the
-# test_sharded_engine suite exercises the executor's worker pool directly.
+# halt_on_error makes any reported race fail its test.
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -L unit -j "$jobs"
-echo "== chaos (tsan): ctest -L chaos =="
-TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-tsan --output-on-failure -L chaos -j "$jobs"
+# The sharded executor is the only code that runs a scenario on several
+# threads: test_sharded_engine drives its worker pool directly and through
+# threads=4 scenarios, including the threads=1-vs-4 data-plane differential.
 # gtest discovery registers Suite.Test names, not binary names, so the name
-# filters below match the suites (--no-tests=error guards against a filter
+# filter matches the suites (--no-tests=error guards against a filter
 # silently matching nothing).
-echo "== sharded engine (tsan): ShardedExecutor/WorkStealing suites =="
+echo "== sharded engine (tsan): executor suites + parallel differential =="
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-  -R '^(ShardedExecutor|WorkStealing|ScenarioThreads)\.' -j "$jobs"
-# Live migration runs its state machine in global events while workers park
-# at shard barriers; the 4-thread differential and parallel-replay properties
-# are the racing surface, so call the suite out by name under TSan (it also
-# ran above inside -L chaos).
-echo "== live migration (tsan): MigrationChaos suites =="
-TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-  -R 'MigrationChaos' -j "$jobs"
+  -R '^(ShardedExecutor|WorkStealing|ScenarioThreads)\.|^Property\.ParallelDataPlaneDifferential$' \
+  -j "$jobs"
 
 echo "== all checks passed =="

@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 
 #include "core/symbolic_verifier.hpp"
 #include "core/system.hpp"
 #include "core/verifier.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/rulegen.hpp"
 #include "workload/serialize.hpp"
@@ -73,19 +75,28 @@ struct Options {
   std::exit(2);
 }
 
-double num_arg(int argc, char** argv, int& i, const char* argv0) {
-  if (++i >= argc) usage(argv0);
-  return std::atof(argv[i]);
-}
-
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() { return num_arg(argc, argv, i, argv[0]); };
-    if (arg == "--mode") {
+    const auto value = [&]() -> const char* {
       if (++i >= argc) usage(argv[0]);
-      const std::string m = argv[i];
+      return argv[i];
+    };
+    // Numeric flags parse strictly: a malformed value is a usage error.
+    const auto count = [&](auto& out) {
+      const auto v =
+          util::parse_count<std::remove_reference_t<decltype(out)>>(value());
+      if (!v) usage(argv[0]);
+      out = *v;
+    };
+    const auto real = [&](double& out) {
+      const auto v = util::parse_double(value());
+      if (!v) usage(argv[0]);
+      out = *v;
+    };
+    if (arg == "--mode") {
+      const std::string m = value();
       if (m == "difane") {
         opt.mode = Mode::kDifane;
       } else if (m == "nox") {
@@ -94,8 +105,7 @@ Options parse(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--strategy") {
-      if (++i >= argc) usage(argv[0]);
-      const std::string s = argv[i];
+      const std::string s = value();
       if (s == "micro") {
         opt.strategy = CacheStrategy::kMicroflow;
       } else if (s == "dep") {
@@ -106,47 +116,43 @@ Options parse(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--rules") {
-      opt.rules = static_cast<std::size_t>(next());
+      count(opt.rules);
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(next());
+      count(opt.seed);
     } else if (arg == "--edges") {
-      opt.edges = static_cast<std::size_t>(next());
+      count(opt.edges);
     } else if (arg == "--cores") {
-      opt.cores = static_cast<std::size_t>(next());
+      count(opt.cores);
     } else if (arg == "--authorities") {
-      opt.authorities = static_cast<std::uint32_t>(next());
+      count(opt.authorities);
     } else if (arg == "--cache") {
-      opt.cache = static_cast<std::size_t>(next());
+      count(opt.cache);
     } else if (arg == "--capacity") {
-      opt.capacity = static_cast<std::size_t>(next());
+      count(opt.capacity);
     } else if (arg == "--rate") {
-      opt.rate = next();
+      real(opt.rate);
     } else if (arg == "--duration") {
-      opt.duration = next();
+      real(opt.duration);
     } else if (arg == "--pool") {
-      opt.pool = static_cast<std::size_t>(next());
+      count(opt.pool);
     } else if (arg == "--zipf") {
-      opt.zipf = next();
+      real(opt.zipf);
     } else if (arg == "--packets") {
-      opt.mean_packets = next();
+      real(opt.mean_packets);
     } else if (arg == "--fail-at") {
-      opt.fail_at = next();
+      real(opt.fail_at);
     } else if (arg == "--verify") {
       opt.verify = true;
     } else if (arg == "--verify-symbolic") {
       opt.verify_symbolic = true;
     } else if (arg == "--policy-in") {
-      if (++i >= argc) usage(argv[0]);
-      opt.policy_in = argv[i];
+      opt.policy_in = value();
     } else if (arg == "--policy-out") {
-      if (++i >= argc) usage(argv[0]);
-      opt.policy_out = argv[i];
+      opt.policy_out = value();
     } else if (arg == "--trace-in") {
-      if (++i >= argc) usage(argv[0]);
-      opt.trace_in = argv[i];
+      opt.trace_in = value();
     } else if (arg == "--trace-out") {
-      if (++i >= argc) usage(argv[0]);
-      opt.trace_out = argv[i];
+      opt.trace_out = value();
     } else if (arg == "--campus") {
       opt.campus = true;
     } else if (arg == "--flow-stats") {

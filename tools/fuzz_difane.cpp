@@ -11,11 +11,10 @@
 // with it deterministically.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "proptest/oracle.hpp"
+#include "util/parse.hpp"
 
 namespace difane::proptest {
 namespace {
@@ -32,8 +31,11 @@ std::optional<std::string> fail_report(
     const std::function<Violation(const Counterexample&)>& oracle,
     const Counterexample& cex) {
   if (!oracle(cex).has_value()) return std::nullopt;
-  return std::string(name) + " failed (case seed 0x" +
-         std::to_string(case_seed) + "):\n" + shrink_report(oracle, cex, 6000);
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%llx",
+                static_cast<unsigned long long>(case_seed));
+  return std::string(name) + " failed (case seed " + hex + "):\n" +
+         shrink_report(oracle, cex, 6000);
 }
 
 std::optional<std::string> run_classifier(Rng& rng, std::uint64_t case_seed) {
@@ -156,14 +158,23 @@ int fuzz_main(int argc, char** argv) {
   double seconds = 10.0;
   std::uint64_t seed = 1;
   std::optional<std::uint64_t> replay;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
-      replay = std::strtoull(argv[++i], nullptr, 0);
-    } else {
+  for (int i = 1; i < argc; i += 2) {
+    // Every flag takes a value, parsed strictly: a mistyped replay cookie is
+    // a usage error, never a silent replay of seed 0.
+    const std::string flag = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : "";
+    bool ok = false;
+    if (flag == "--seconds") {
+      const auto v = util::parse_double(value);
+      if ((ok = v.has_value())) seconds = *v;
+    } else if (flag == "--seed") {
+      const auto v = util::parse_count<std::uint64_t>(value);
+      if ((ok = v.has_value())) seed = *v;
+    } else if (flag == "--replay") {
+      replay = util::parse_count<std::uint64_t>(value);
+      ok = replay.has_value();
+    }
+    if (!ok) {
       std::fprintf(stderr, "usage: %s [--seconds N] [--seed S] [--replay CASE_SEED]\n",
                    argv[0]);
       return 2;
