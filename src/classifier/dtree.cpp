@@ -12,17 +12,6 @@ namespace difane {
 namespace {
 // Only bits inside the 12-tuple can ever separate rules.
 std::size_t usable_bits() { return header_bits_used(); }
-
-// Build-time/classification instrumentation, aggregated process-wide.
-obs::Timer* build_timer() {
-  static obs::Timer* t = obs::MetricsRegistry::global().timer("dtree_build");
-  return t;
-}
-obs::Counter* classify_counter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::global().counter("dtree_classify_calls");
-  return c;
-}
 }  // namespace
 
 int choose_cut_bit(const std::vector<const Rule*>& rules, double dup_penalty,
@@ -60,7 +49,10 @@ int choose_cut_bit(const std::vector<const Rule*>& rules, double dup_penalty,
 
 DTreeClassifier::DTreeClassifier(const RuleTable& table, DTreeParams params)
     : params_(params), rules_(table.rules()) {
-  obs::ScopedTimer timed(build_timer());
+  // Build wall time, aggregated process-wide.
+  static obs::Timer* const build_timer =
+      obs::MetricsRegistry::global().timer("dtree_build");
+  obs::ScopedTimer timed(build_timer);
   // table.rules() is already priority-sorted; indices preserve that order.
   std::vector<std::uint32_t> all(rules_.size());
   for (std::uint32_t i = 0; i < rules_.size(); ++i) all[i] = i;
@@ -120,7 +112,6 @@ std::uint32_t DTreeClassifier::build(std::vector<std::uint32_t>& rules,
 }
 
 const Rule* DTreeClassifier::classify(const BitVec& packet) const {
-  classify_counter()->inc();
   if (nodes_.empty()) return nullptr;
   std::uint32_t at = root_;
   while (nodes_[at].cut_bit >= 0) {

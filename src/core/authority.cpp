@@ -4,11 +4,12 @@
 
 namespace difane {
 
-void AuthorityNode::bind(const Partition& partition, RuleId synth_id_base) {
+void AuthorityNode::bind(const Partition& partition, RuleId synth_id_base,
+                         RuleId synth_id_end) {
   bindings_.push_back(Binding{
       &partition,
       CacheRuleGenerator(partition, switch_id_, strategy_, synth_id_base,
-                         max_splice_cost_)});
+                         synth_id_end, max_splice_cost_)});
 }
 
 void AuthorityNode::unbind(PartitionId partition) {
@@ -28,22 +29,35 @@ void AuthorityNode::unbind(PartitionId partition) {
   bindings_.swap(kept);
 }
 
-std::optional<AuthorityNode::RedirectResult> AuthorityNode::handle(
-    const BitVec& packet) {
-  for (auto& binding : bindings_) {
-    if (!binding.partition->region.matches(packet)) continue;
-    RedirectResult result;
-    result.partition = binding.partition->id;
-    const auto idx = binding.partition->rules.match_index(packet);
-    if (!idx.has_value()) {
-      result.winner = nullptr;  // partition covers the packet, no rule does
-      return result;
-    }
-    result.winner = &binding.partition->rules.at(*idx);
-    result.install = binding.generator.generate(packet, *idx);
-    return result;
+std::optional<AuthorityNode::Located> AuthorityNode::locate(
+    const BitVec& packet) const {
+  for (std::size_t i = 0; i < bindings_.size(); ++i) {
+    const Partition& partition = *bindings_[i].partition;
+    if (!partition.region.matches(packet)) continue;
+    Located at{i, partition.rules.match_index(packet), {}};
+    at.result.partition = partition.id;
+    // nullptr winner: the partition covers the packet, no rule does.
+    if (at.rule) at.result.winner = &partition.rules.at(*at.rule);
+    return at;
   }
   return std::nullopt;
+}
+
+std::optional<AuthorityNode::RedirectResult> AuthorityNode::resolve(
+    const BitVec& packet) const {
+  auto at = locate(packet);
+  if (!at) return std::nullopt;
+  return std::move(at->result);
+}
+
+std::optional<AuthorityNode::RedirectResult> AuthorityNode::handle(
+    const BitVec& packet) {
+  auto at = locate(packet);
+  if (!at) return std::nullopt;
+  if (at->rule) {
+    at->result.install = bindings_[at->binding].generator.generate(packet, *at->rule);
+  }
+  return std::move(at->result);
 }
 
 std::vector<std::size_t> AuthorityNode::splice_costs(PartitionId partition) {

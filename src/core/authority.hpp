@@ -24,9 +24,10 @@ class AuthorityNode {
   SwitchId switch_id() const { return switch_id_; }
 
   // Bind a partition this switch serves (as primary or backup). `partition`
-  // must outlive the node. `synth_id_base` spaces the generator's synthetic
-  // rule ids; callers hand each binding a disjoint range.
-  void bind(const Partition& partition, RuleId synth_id_base);
+  // must outlive the node. The binding's generator draws its synthetic rule
+  // ids from [synth_id_base, synth_id_end); callers hand each binding a
+  // disjoint range.
+  void bind(const Partition& partition, RuleId synth_id_base, RuleId synth_id_end);
 
   // Drop the binding for `partition` (live migration retired this switch
   // from the serving set). Unbinding a partition that is not bound is a
@@ -48,10 +49,15 @@ class AuthorityNode {
     CacheInstall install;           // cache rules for the ingress switch
   };
 
-  // Handle a redirected packet: locate the owning partition among this
-  // switch's bindings, match it, and produce the cache install.
-  // Returns nullopt if no bound partition covers the packet (a misdirected
-  // packet — e.g. stale partition rules right after failover).
+  // Resolve a redirected packet without side effects: locate the owning
+  // partition among this switch's bindings and match it. The install stays
+  // empty. Returns nullopt if no bound partition covers the packet (a
+  // misdirected packet — e.g. stale partition rules right after failover).
+  std::optional<RedirectResult> resolve(const BitVec& packet) const;
+
+  // resolve(), then produce the cache install for the winner. Generating
+  // builds the partition's dependency graph on first use and advances the
+  // binding's microflow ids, so only the data plane calls this.
   std::optional<RedirectResult> handle(const BitVec& packet);
 
   // Number of cache-band TCAM entries the strategy charges for caching each
@@ -63,6 +69,14 @@ class AuthorityNode {
     const Partition* partition;
     CacheRuleGenerator generator;
   };
+  // Where a packet lands: the first binding whose partition covers it and
+  // the index of the partition rule it matches there, if any.
+  struct Located {
+    std::size_t binding;              // position in bindings_
+    std::optional<std::size_t> rule;  // nullopt => no rule in the partition
+    RedirectResult result;            // install left empty
+  };
+  std::optional<Located> locate(const BitVec& packet) const;
 
   SwitchId switch_id_;
   CacheStrategy strategy_;

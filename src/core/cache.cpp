@@ -34,24 +34,31 @@ InstallClass classify_install(const ElephantParams& params,
   return InstallClass::kNormal;
 }
 
+std::uint64_t shadow_id_space(const Partition& partition, CacheStrategy strategy) {
+  const std::uint64_t n = partition.rules.size();
+  return strategy == CacheStrategy::kCoverSet ? n * n : 0;
+}
+
 CacheRuleGenerator::CacheRuleGenerator(const Partition& partition,
                                        SwitchId authority_switch,
                                        CacheStrategy strategy, RuleId synth_id_base,
+                                       RuleId synth_id_end,
                                        std::size_t max_splice_cost)
     : partition_(partition),
       authority_switch_(authority_switch),
       strategy_(strategy),
-      // Cover-set shadows use deterministic ids synth_id_base + (parent,
-      // matched) pair index, a space of size^2; sequential ids (microflow
-      // entries, incl. the splice-cost fallback) must start above it or a
-      // microflow install would silently *replace* a live shadow entry.
-      next_synth_id_(synth_id_base +
-                     (strategy == CacheStrategy::kCoverSet
-                          ? static_cast<RuleId>(partition.rules.size() *
-                                                partition.rules.size())
-                          : 0)),
       shadow_id_base_(synth_id_base),
-      max_splice_cost_(max_splice_cost) {}
+      synth_id_end_(synth_id_end),
+      max_splice_cost_(max_splice_cost) {
+  // Cover-set shadows use deterministic ids synth_id_base + (parent,
+  // matched) pair index, a space of size^2; sequential ids (microflow
+  // entries, incl. the splice-cost fallback) start above it or a microflow
+  // install would silently *replace* a live shadow entry.
+  const std::uint64_t shadows = shadow_id_space(partition, strategy);
+  expects(synth_id_base <= synth_id_end && shadows <= synth_id_end - synth_id_base,
+          "CacheRuleGenerator: synthetic id range cannot hold the shadow ids");
+  next_synth_id_ = synth_id_base + static_cast<RuleId>(shadows);
+}
 
 const DependencyGraph& CacheRuleGenerator::graph() {
   if (!graph_) {
@@ -134,6 +141,8 @@ CacheInstall CacheRuleGenerator::generate(const BitVec& packet,
 CacheInstall CacheRuleGenerator::microflow_install(const BitVec& packet,
                                                    const Rule& matched) {
   CacheInstall install;
+  expects(next_synth_id_ < synth_id_end_,
+          "microflow install: binding's synthetic id range exhausted");
   Rule r;
   r.id = next_synth_id_++;
   r.priority = std::numeric_limits<Priority>::max();

@@ -97,21 +97,29 @@ const char* install_class_name(InstallClass cls);
 InstallClass classify_install(const ElephantParams& params,
                               std::uint64_t guaranteed_packets);
 
+// Synthetic ids a generator reserves for cover-set shadows: one per
+// (parent, matched) pair, n^2 for an n-rule partition, and none under the
+// other strategies. Sequential microflow ids follow them.
+std::uint64_t shadow_id_space(const Partition& partition, CacheStrategy strategy);
+
 // Generates cache rules for one partition. Owns the partition's dependency
 // graph (built lazily on first use) and an id allocator for synthesized
 // shadow/microflow rules.
 class CacheRuleGenerator {
  public:
   // `partition` must outlive the generator. `authority_switch` is the switch
-  // shadow rules redirect to. `synth_id_base` must not collide with policy
-  // rule ids (synthesized ids count up from it). `max_splice_cost` bounds
-  // the entries a single wildcard-cache decision may install: rules whose
-  // dependent closure / shadow set is larger degrade to a microflow entry
-  // (one exact-match rule), keeping a hot-but-deeply-entangled rule from
-  // flooding the ingress cache with protectors.
+  // shadow rules redirect to. Synthesized ids come from [synth_id_base,
+  // synth_id_end), which must not overlap policy rule ids or another
+  // generator's range, and must hold the shadow_id_space; a microflow id
+  // past the end fails a contract check rather than alias another rule.
+  // `max_splice_cost` bounds the entries a single wildcard-cache decision
+  // may install: rules whose dependent closure / shadow set is larger
+  // degrade to a microflow entry (one exact-match rule), keeping a
+  // hot-but-deeply-entangled rule from flooding the ingress cache with
+  // protectors.
   CacheRuleGenerator(const Partition& partition, SwitchId authority_switch,
                      CacheStrategy strategy, RuleId synth_id_base,
-                     std::size_t max_splice_cost = 32);
+                     RuleId synth_id_end, std::size_t max_splice_cost = 32);
 
   // Cache rules for a packet that matched `matched_idx` (index into the
   // partition's clipped table, priority order).
@@ -132,6 +140,7 @@ class CacheRuleGenerator {
   CacheStrategy strategy_;
   RuleId next_synth_id_;     // sequential (microflow) ids
   RuleId shadow_id_base_;    // deterministic shadow-id space (cover-set)
+  RuleId synth_id_end_;      // one past the last id this generator may use
   std::size_t max_splice_cost_;
   std::unique_ptr<DependencyGraph> graph_;  // lazy
 };

@@ -24,25 +24,16 @@ DifaneController::DifaneController(Network& net, const RuleTable& policy,
   params_.replicas = std::max<std::uint32_t>(
       1, std::min<std::uint32_t>(params_.replicas,
                                  static_cast<std::uint32_t>(authority_switches_.size())));
-  // Bind each partition to its replica set (primary + ring successors) and
-  // its backup. Each binding gets a disjoint synthetic-id range.
-  RuleId synth_base = params_.synth_id_base;
-  for (const auto& partition : plan_.partitions()) {
-    std::vector<AuthorityIndex> serving;
-    for (std::uint32_t r = 0; r < params_.replicas; ++r) {
-      serving.push_back((partition.primary + r) %
-                        static_cast<AuthorityIndex>(authority_switches_.size()));
-    }
-    if (std::find(serving.begin(), serving.end(), partition.backup) ==
-        serving.end()) {
-      serving.push_back(partition.backup);
-    }
-    for (const auto index : serving) {
-      nodes_.at(authority_switch(index))->bind(partition, synth_base);
-      synth_base += params_.synth_id_stride;
+  expects(params_.synth_id_stride > 0, "DifaneController: zero synth_id_stride");
+  // Bind each partition to its serving set. Each binding gets a disjoint
+  // synthetic-id range.
+  synth_id_stride_ = fit_synth_id_stride();
+  next_synth_base_ = params_.synth_id_base;
+  for (std::size_t index = 0; index < plan_.partitions().size(); ++index) {
+    for (const auto authority : serving_set(plan_.partitions()[index])) {
+      bind_partition(index, authority);
     }
   }
-  next_synth_base_ = synth_base;
 }
 
 AuthorityIndex DifaneController::index_of(SwitchId sw) const {
@@ -70,12 +61,42 @@ std::vector<AuthorityIndex> DifaneController::serving_set(
   return serving;
 }
 
+RuleId DifaneController::fit_synth_id_stride() const {
+  // Ids run from synth_id_base up to, not including, kInvalidRuleId.
+  const std::uint64_t space = kInvalidRuleId - params_.synth_id_base;
+  const std::uint64_t stride = params_.synth_id_stride;
+  std::uint64_t bindings = 0;
+  std::uint64_t shadows = 0;
+  std::uint64_t spans = 0;  // bind_partition's ranges at the configured stride
+  for (const auto& partition : plan_.partitions()) {
+    const std::uint64_t serving = serving_set(partition).size();
+    const std::uint64_t shadow = shadow_id_space(partition, params_.cache_strategy);
+    bindings += serving;
+    shadows += serving * shadow;
+    spans += serving * (shadow / stride + 1) * stride;
+  }
+  if (spans <= space) return params_.synth_id_stride;
+  // A range spans at most its shadows plus one stride.
+  const std::uint64_t fitted = shadows < space ? (space - shadows) / (2 * bindings) : 0;
+  expects(fitted > 0, "DifaneController: synthetic rule ids exhausted");
+  return static_cast<RuleId>(fitted);
+}
+
 void DifaneController::bind_partition(std::size_t index, AuthorityIndex authority) {
   const auto& partition = plan_.partitions().at(index);
   AuthorityNode* node = nodes_.at(authority_switch(authority)).get();
   if (node->serves(partition.id)) return;  // idempotent under replays
-  node->bind(partition, next_synth_base_);
-  next_synth_base_ += params_.synth_id_stride;
+  // Whole strides past the binding's shadow-id space: a binding whose
+  // shadows fit one stride keeps the stride-spaced ids, and every binding
+  // keeps some room for its sequential microflow ids.
+  const std::uint64_t stride = synth_id_stride_;
+  const std::uint64_t span =
+      (shadow_id_space(partition, params_.cache_strategy) / stride + 1) * stride;
+  expects(span <= kInvalidRuleId - next_synth_base_,
+          "bind_partition: synthetic rule ids exhausted");
+  const auto end = static_cast<RuleId>(next_synth_base_ + span);
+  node->bind(partition, next_synth_base_, end);
+  next_synth_base_ = end;
 }
 
 void DifaneController::unbind_partition(std::size_t index, AuthorityIndex authority) {
@@ -87,9 +108,8 @@ void DifaneController::commit_re_home(std::size_t index, AuthorityIndex dest) {
   plan_.re_home(index, dest);
 }
 
-std::size_t DifaneController::purge_partition_redirects(std::size_t index,
-                                                        SwitchId old_switch) {
-  const auto& partition = plan_.partitions().at(index);
+std::size_t DifaneController::purge_redirects_to(SwitchId target,
+                                                 const Ternary& within) {
   std::size_t purged = 0;
   for (SwitchId id = 0; id < net_.switch_count(); ++id) {
     Switch& sw = net_.sw(id);
@@ -97,8 +117,8 @@ std::size_t DifaneController::purge_partition_redirects(std::size_t index,
     std::vector<RuleId> stale;
     for (const auto& entry : sw.table().entries(Band::kCache)) {
       if (entry.rule.action.type == ActionType::kEncap &&
-          entry.rule.action.arg == old_switch &&
-          intersects(entry.rule.match, partition.region)) {
+          entry.rule.action.arg == target &&
+          intersects(entry.rule.match, within)) {
         stale.push_back(entry.rule.id);
       }
     }
@@ -138,8 +158,12 @@ AuthorityNode* DifaneController::node_at(SwitchId sw) {
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
+const AuthorityNode* DifaneController::node_at(SwitchId sw) const {
+  const auto it = nodes_.find(sw);
+  return it == nodes_.end() ? nullptr : it->second.get();
+}
+
 void DifaneController::install_authority_rules() {
-  const auto k = static_cast<AuthorityIndex>(authority_switches_.size());
   // Gather each authority switch's full serving load first and hand it to
   // the table as one bulk install: the per-rule install() path pays a
   // vector memmove plus a position refresh per rule, which is quadratic in
@@ -149,15 +173,7 @@ void DifaneController::install_authority_rules() {
   // order equals sequential-insert order bit for bit.
   std::vector<std::vector<const Rule*>> per_switch(authority_switches_.size());
   for (const auto& partition : plan_.partitions()) {
-    std::vector<AuthorityIndex> serving;
-    for (std::uint32_t r = 0; r < params_.replicas; ++r) {
-      serving.push_back((partition.primary + r) % k);
-    }
-    if (std::find(serving.begin(), serving.end(), partition.backup) ==
-        serving.end()) {
-      serving.push_back(partition.backup);
-    }
-    for (const auto role : serving) {
+    for (const auto role : serving_set(partition)) {
       auto& dest = per_switch[role];
       for (const auto& rule : partition.rules.rules()) dest.push_back(&rule);
     }
@@ -205,19 +221,14 @@ std::size_t DifaneController::handle_authority_restart(SwitchId restarted) {
   expects(!net_.sw(restarted).failed(),
           "handle_authority_restart: switch still marked failed");
 
-  // Reinstall the authority-band rules for every binding this switch serves
-  // (same serving-set computation as install_authority_rules, restricted to
-  // this switch). install() refreshes in place, so a partially surviving
-  // table is also handled.
-  const auto k = static_cast<AuthorityIndex>(authority_switches_.size());
+  // Reinstall the authority-band rules for every partition whose serving
+  // set holds this switch. install() refreshes in place, so a partially
+  // surviving table is also handled.
   Switch& sw = net_.sw(restarted);
   std::size_t reinstalled = 0;
   for (const auto& partition : plan_.partitions()) {
-    bool serves = partition.backup == index;
-    for (std::uint32_t r = 0; !serves && r < params_.replicas; ++r) {
-      serves = (partition.primary + r) % k == index;
-    }
-    if (!serves) continue;
+    const auto serving = serving_set(partition);
+    if (std::find(serving.begin(), serving.end(), index) == serving.end()) continue;
     for (const auto& rule : partition.rules.rules()) {
       sw.table().install(rule, Band::kAuthority, net_.engine().now());
       ++reinstalled;
@@ -247,21 +258,7 @@ std::size_t DifaneController::handle_authority_failure(SwitchId failed) {
   // expire every packet they cover black-holes at the dead authority. Purge
   // them; cascade removal takes their dependents along, so those packets
   // fall back to the (re-pointed) partition band and redirect safely.
-  std::size_t purged = 0;
-  for (SwitchId id = 0; id < net_.switch_count(); ++id) {
-    Switch& sw = net_.sw(id);
-    if (sw.failed()) continue;
-    std::vector<RuleId> stale;
-    for (const auto& entry : sw.table().entries(Band::kCache)) {
-      if (entry.rule.action.type == ActionType::kEncap &&
-          entry.rule.action.arg == failed) {
-        stale.push_back(entry.rule.id);
-      }
-    }
-    for (const auto rule_id : stale) {
-      if (sw.table().remove(rule_id, Band::kCache)) ++purged;
-    }
-  }
+  const std::size_t purged = purge_redirects_to(failed);
   log_info("failover: re-pointed ", repointed, " partitions away from switch ",
            failed, ", purged ", purged, " stale cached redirects");
   return repointed;

@@ -30,7 +30,11 @@ struct DifaneControllerParams {
   Priority partition_rule_priority = 0;
   RuleId partition_rule_id_base = 0x20000000u;
   RuleId synth_id_base = 0x40000000u;
-  RuleId synth_id_stride = 1u << 22;  // id space per partition binding
+  // Synthetic-id space per partition binding, in strides: one stride, or
+  // enough whole strides to hold a cover-set binding's n^2 shadow ids. When
+  // the initial bindings do not fit below the largest RuleId at this
+  // stride, the controller shrinks it (see fit_synth_id_stride).
+  RuleId synth_id_stride = 1u << 22;
 };
 
 class DifaneController {
@@ -53,6 +57,7 @@ class DifaneController {
 
   // The control logic living at an authority switch, or nullptr.
   AuthorityNode* node_at(SwitchId sw);
+  const AuthorityNode* node_at(SwitchId sw) const;
 
   // React to an authority switch failure: flip affected partitions to their
   // backups and reinstall partition rules at every live switch (pointing
@@ -91,10 +96,11 @@ class DifaneController {
                                           AuthorityIndex backup) const;
 
   // Bind/unbind partition `index` at one authority's control node. Binds
-  // allocate a fresh disjoint synthetic-id range (continuing the ctor's
-  // counter); unbinding a switch that does not serve the partition is a
-  // no-op. Neither touches any TCAM — the caller moves the actual rules over
-  // the control channel.
+  // allocate a fresh disjoint synthetic-id range of whole strides past the
+  // binding's shadow ids; a bind that finds no room left fails a contract
+  // check. Unbinding a switch that does
+  // not serve the partition is a no-op. Neither touches any TCAM — the
+  // caller moves the actual rules over the control channel.
   void bind_partition(std::size_t index, AuthorityIndex authority);
   void unbind_partition(std::size_t index, AuthorityIndex authority);
 
@@ -103,10 +109,12 @@ class DifaneController {
   // replica_for answers with the new home for every flip rule.
   void commit_re_home(std::size_t index, AuthorityIndex dest);
 
-  // Purge cache-band shadow redirects that still encap to `old_switch` and
-  // intersect partition `index`'s region (the migration-scoped variant of
-  // the failover purge). Returns entries removed (dependents cascade).
-  std::size_t purge_partition_redirects(std::size_t index, SwitchId old_switch);
+  // Purge, at every live switch, the cache-band shadow redirects that still
+  // encap to `target` and intersect `within`: all of them after a failover,
+  // a partition's region after a migration. Returns entries removed
+  // (dependents cascade).
+  std::size_t purge_redirects_to(SwitchId target,
+                                 const Ternary& within = Ternary::wildcard());
 
   // The partition-band redirect rule for partition `index` as `for_switch`
   // should hold it now (stable id, encap to replica_for under the current
@@ -116,6 +124,11 @@ class DifaneController {
  private:
   void install_partition_rules();
   void install_authority_rules();
+  // The stride bind_partition() spaces ranges by: the configured one when
+  // every initial binding fits below the largest RuleId at it, else one
+  // small enough that the initial bindings take at most half the space past
+  // their shadow ids, leaving the rest for live-migration rebinds.
+  RuleId fit_synth_id_stride() const;
 
   Network& net_;
   const RuleTable& policy_;
@@ -123,7 +136,8 @@ class DifaneController {
   DifaneControllerParams params_;
   PartitionPlan plan_;
   std::unordered_map<SwitchId, std::unique_ptr<AuthorityNode>> nodes_;
-  RuleId next_synth_base_ = 0;  // continues the ctor's synthetic-id counter
+  RuleId synth_id_stride_ = 0;  // fit_synth_id_stride()
+  RuleId next_synth_base_ = 0;  // start of the next binding's synthetic ids
 };
 
 }  // namespace difane

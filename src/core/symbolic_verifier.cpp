@@ -135,18 +135,26 @@ std::optional<SymbolicViolation> check_partition(const Ternary& region,
 
 }  // namespace
 
-SymbolicReport verify_ingress_symbolically(Network& net, DifaneController& controller,
+SymbolicReport verify_ingress_symbolically(Network& net,
+                                           const DifaneController& controller,
                                            const RuleTable& policy, SwitchId ingress,
-                                           SymbolicParams params) {
+                                           double now, SymbolicParams params) {
   SymbolicReport report;
   Budget budget{params.max_regions};
   const FlowTable& table = net.sw(ingress).table();
 
-  // Effective match order at the switch: cache, authority, partition bands.
+  // Effective match order at the switch: live entries of the cache,
+  // authority and partition bands. An entry expired at `now` that lazy
+  // expiry has not yet swept matches nothing.
   std::vector<const FlowEntry*> order;
   for (const auto band : {Band::kCache, Band::kAuthority, Band::kPartition}) {
-    for (const auto& entry : table.entries(band)) order.push_back(&entry);
+    for (const auto& entry : table.entries(band)) {
+      if (!entry.expired(now)) order.push_back(&entry);
+    }
   }
+  const auto failed_target = [&](const Action& action) {
+    return action.type == ActionType::kEncap && net.sw(action.arg).failed();
+  };
 
   // Exact-match (microflow) entries cover a single packet each. Subtracting
   // points shatters regions (one subtraction per cared bit), so they are
@@ -189,8 +197,15 @@ SymbolicReport verify_ingress_symbolically(Network& net, DifaneController& contr
         exact_points.insert(point);
         continue;
       }
-      // Redirecting / punting exact entries are always safe to skip: the
+      // Other redirecting / punting exact entries are safe to skip: the
       // authority or controller resolves them against the policy.
+      if (failed_target(entry->rule.action)) {
+        report.violation = SymbolicViolation{
+            entry->rule.match,
+            "exact entry redirects to failed switch " +
+                std::to_string(entry->rule.action.arg)};
+        return report;
+      }
       exact_points.insert(point);
       continue;
     }
@@ -214,7 +229,12 @@ SymbolicReport verify_ingress_symbolically(Network& net, DifaneController& contr
                                      report.exhausted, report.regions_checked);
           break;
         case ActionType::kEncap: {
-          AuthorityNode* node = controller.node_at(action.arg);
+          if (failed_target(action)) {
+            violation = SymbolicViolation{
+                *overlap, "redirect to failed switch " + std::to_string(action.arg)};
+            break;
+          }
+          const AuthorityNode* node = controller.node_at(action.arg);
           if (node == nullptr) {
             violation = SymbolicViolation{*overlap,
                                           "redirect to non-authority switch " +

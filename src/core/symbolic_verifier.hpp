@@ -38,9 +38,14 @@ struct SymbolicParams {
   std::size_t max_regions = 20000000;
 };
 
-// Verify one ingress switch's view of the network exhaustively.
-SymbolicReport verify_ingress_symbolically(Network& net, DifaneController& controller,
+// Verify one ingress switch's view of the network exhaustively, as the data
+// plane sees it at the instant `now`: entries expired by then do not match.
+// Pass Scenario::end_clock() after a run; 0.0 only for a scenario that has
+// not run. A redirect to a failed switch or to a switch that does not serve
+// the region is a violation, like a black hole or a wrong action.
+SymbolicReport verify_ingress_symbolically(Network& net,
+                                           const DifaneController& controller,
                                            const RuleTable& policy, SwitchId ingress,
-                                           SymbolicParams params = {});
+                                           double now, SymbolicParams params = {});
 
 }  // namespace difane

@@ -405,13 +405,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
     hp.horizon = params_.timings.heartbeat_horizon;
     heartbeat_ = std::make_unique<HeartbeatMonitor>(
         net_, difane_->authority_switches(), hp, injector_.get());
-    heartbeat_->on_failure([this](SwitchId sw, double) {
-      // A migration whose destination just died must abort before the
-      // failover re-points partitions (the rollback leans on the old copy
-      // the migration had not yet retired).
-      migration_on_crash(sw);
-      difane_->handle_authority_failure(sw);
-    });
+    heartbeat_->on_failure([this](SwitchId sw, double) { fail_over(sw); });
     heartbeat_->on_recovery([this](SwitchId sw, double) {
       difane_->handle_authority_restart(sw);
     });
@@ -687,10 +681,8 @@ void Scenario::schedule_faults() {
     const SwitchId sw = difane_->authority_switch(crash.authority_index);
     net_.engine().at(crash.at, [this, sw]() { crash_authority(sw); });
     if (fixed_delay_detect) {
-      net_.engine().at(crash.at + params_.timings.failover_detect, [this, sw]() {
-        migration_on_crash(sw);
-        difane_->handle_authority_failure(sw);
-      });
+      net_.engine().at(crash.at + params_.timings.failover_detect,
+                       [this, sw]() { fail_over(sw); });
     }
     if (crash.restart_at >= 0.0) {
       net_.engine().at(crash.restart_at, [this, sw]() { restart_authority(sw); });
@@ -700,6 +692,14 @@ void Scenario::schedule_faults() {
       }
     }
   }
+}
+
+void Scenario::fail_over(SwitchId sw) {
+  // A migration whose destination just died must abort before the failover
+  // re-points partitions (the rollback leans on the old copy the migration
+  // had not yet retired).
+  migration_on_crash(sw);
+  difane_->handle_authority_failure(sw);
 }
 
 void Scenario::crash_authority(SwitchId sw) {
@@ -919,14 +919,6 @@ void Scenario::collect_fault_stats() {
     stats_.recoveries_detected = heartbeat_->recoveries_declared();
     stats_.spurious_failovers = heartbeat_->spurious_failovers();
   }
-  // The per-channel totals are cumulative across runs of this scenario, so
-  // only the delta since the previous collection reaches the global registry.
-  obs_retransmits_->inc(stats_.ctrl_retransmits - obs_reported_.retransmits);
-  obs_msgs_lost_->inc(stats_.msgs_lost - obs_reported_.msgs_lost);
-  obs_failovers_->inc(stats_.failovers_detected - obs_reported_.failovers);
-  obs_spurious_->inc(stats_.spurious_failovers - obs_reported_.spurious);
-  obs_reported_ = {stats_.ctrl_retransmits, stats_.msgs_lost,
-                   stats_.failovers_detected, stats_.spurious_failovers};
 }
 
 VerifyReport Scenario::verify_installed(std::size_t samples_per_ingress,
@@ -972,7 +964,6 @@ void Scenario::dispose(const Packet& pkt, bool delivered, DropReason reason) {
 }
 
 void Scenario::process(SwitchId at, Packet pkt) {
-  obs_packets_->inc();
   Switch& sw = net_.sw(at);
   if (sw.failed()) {
     dispose(pkt, false, DropReason::kSwitchFailed);
@@ -1037,7 +1028,6 @@ void Scenario::process(SwitchId at, Packet pkt) {
 }
 
 void Scenario::handle_authority(SwitchId at, Packet pkt) {
-  obs_authority_->inc();
   const double now = cur_engine().now();
   auto queue_it = authority_queues_.find(at);
   expects(queue_it != authority_queues_.end(),
@@ -1175,7 +1165,6 @@ void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
   // redirect path, which is always correct).
   if (install.rules.empty()) return;  // kNone: nothing to install
   if (install.rules.size() > params_.edge_cache_capacity) return;
-  obs_installs_->inc();
   ScenarioStats& s = st();
   ++s.cache_installs;
   s.cache_rules_installed += install.rules.size();
@@ -1490,8 +1479,8 @@ void Scenario::migration_finish(std::size_t slot) {
   // Cached shadow redirects that still chase the old home defeat the move
   // (and, once traffic shifts, the old home's copy is demoted to backup):
   // purge them so those flows re-resolve via the flipped partition band.
-  const std::size_t purged = difane_->purge_partition_redirects(
-      m.index, migrating_old_home_.at(partition.id));
+  const std::size_t purged = difane_->purge_redirects_to(
+      migrating_old_home_.at(partition.id), partition.region);
   migration_double_now_ -=
       static_cast<std::int64_t>(m.rules * m.installs.size());
   migrating_old_home_.erase(partition.id);
@@ -1604,10 +1593,8 @@ void Scenario::schedule_authority_failure(SimTime when, SwitchId authority) {
   // otherwise the controller reacts failover_detect later (E9's detect_ms
   // rows in bench/BASELINE.json pin this path).
   if (params_.timings.heartbeat_interval <= 0.0) {
-    net_.engine().at(when + params_.timings.failover_detect, [this, authority]() {
-      migration_on_crash(authority);
-      difane_->handle_authority_failure(authority);
-    });
+    net_.engine().at(when + params_.timings.failover_detect,
+                     [this, authority]() { fail_over(authority); });
   }
 }
 

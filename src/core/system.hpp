@@ -23,7 +23,6 @@
 #include "faults/plan.hpp"
 #include "netsim/tracer.hpp"
 #include "obs/heavy_hitter.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "workload/trafficgen.hpp"
 
@@ -299,12 +298,20 @@ class Scenario {
   void request_rehome(std::size_t partition_index, AuthorityIndex dest,
                       SimTime when);
 
-  // Post-recovery sweep over the *actual* switch tables at the engine's
-  // current clock: black holes, loops, dangling redirects, wrong actions.
+  // Post-recovery sweep over the *actual* switch tables at end_clock():
+  // black holes, dangling redirects, unreachable authorities, wrong actions.
   // Call after run() — a chaos run only counts as converged when this is
-  // clean. DIFANE mode only.
+  // clean. Read-only: it leaves every switch and authority node as it found
+  // them. DIFANE mode only.
   VerifyReport verify_installed(std::size_t samples_per_ingress = 200,
                                 std::uint64_t seed = 1);
+
+  // Sim time of the latest executed event; after run(), the end-of-run
+  // clock. Under the executor the global engine only advances on global
+  // events, so the shard engines' clocks count too.
+  SimTime end_clock() {
+    return exec_ ? exec_->now() : net_.engine().now();
+  }
 
   Network& net() { return net_; }
   const RuleTable& policy() const { return policy_; }
@@ -380,6 +387,9 @@ class Scenario {
                       std::function<void(bool)> on_ack);
 
   void schedule_faults();
+  // The controller's reaction to a detected authority failure: abort a
+  // migration into `sw`, then fail its partitions over.
+  void fail_over(SwitchId sw);
   void crash_authority(SwitchId sw);
   void restart_authority(SwitchId sw);
   void collect_fault_stats();
@@ -409,12 +419,6 @@ class Scenario {
   // this (never net_.engine() directly) for now()/after().
   Engine& cur_engine() {
     return exec_ ? exec_->context_engine() : net_.engine();
-  }
-  // Sim time of the latest executed event; after run(), the end-of-run
-  // clock. Under the executor the global engine only advances on global
-  // events, so the shard engines' clocks count too.
-  SimTime end_clock() {
-    return exec_ ? exec_->now() : net_.engine().now();
   }
   // Per-shard stats under the executor (merged in shard order after the
   // run), the scenario-wide stats otherwise.
@@ -492,32 +496,6 @@ class Scenario {
   std::int64_t migration_double_now_ = 0;   // live extra authority-rule copies
   std::vector<ScenarioStats> shard_stats_;
   ScenarioStats stats_;
-  // Process-wide observability hooks, resolved once here so the per-packet
-  // cost is a single relaxed atomic increment (nothing at all when built
-  // with DIFANE_OBS=OFF).
-  obs::Counter* obs_packets_ =
-      obs::MetricsRegistry::global().counter("scenario_packets_processed");
-  obs::Counter* obs_authority_ =
-      obs::MetricsRegistry::global().counter("scenario_authority_handled");
-  obs::Counter* obs_installs_ =
-      obs::MetricsRegistry::global().counter("scenario_cache_installs");
-  // Fault-path counters, bumped once per run from the per-channel totals so
-  // process-wide dashboards see retransmission and failover activity without
-  // touching the hot path.
-  obs::Counter* obs_retransmits_ =
-      obs::MetricsRegistry::global().counter("scenario_ctrl_retransmits");
-  obs::Counter* obs_msgs_lost_ =
-      obs::MetricsRegistry::global().counter("scenario_ctrl_msgs_lost");
-  obs::Counter* obs_failovers_ =
-      obs::MetricsRegistry::global().counter("scenario_failovers_detected");
-  obs::Counter* obs_spurious_ =
-      obs::MetricsRegistry::global().counter("scenario_spurious_failovers");
-  struct {
-    std::uint64_t retransmits = 0;
-    std::uint64_t msgs_lost = 0;
-    std::uint64_t failovers = 0;
-    std::uint64_t spurious = 0;
-  } obs_reported_;
 };
 
 }  // namespace difane

@@ -10,7 +10,6 @@ const char* verify_outcome_name(VerifyOutcome outcome) {
   switch (outcome) {
     case VerifyOutcome::kOk: return "ok";
     case VerifyOutcome::kBlackHole: return "black_hole";
-    case VerifyOutcome::kLoop: return "loop";
     case VerifyOutcome::kDanglingRedirect: return "dangling_redirect";
     case VerifyOutcome::kWrongAction: return "wrong_action";
     case VerifyOutcome::kUnreachable: return "unreachable";
@@ -33,90 +32,83 @@ namespace {
 
 struct Walker {
   Network& net;
-  DifaneController& controller;
+  const DifaneController& controller;
   const RuleTable& policy;
   const VerifierParams& params;
 
   // Statically walk one packet from `ingress`; return the violation outcome
-  // (kOk when the terminal action equals the policy winner's).
+  // (kOk when the terminal action equals the policy winner's). The ingress's
+  // first live match decides the packet, or redirects it to an authority
+  // that resolves it in one step, so the walk never takes a second hop.
   VerifyOutcome walk(SwitchId ingress, const BitVec& packet, std::string* detail) {
     const Rule* want = policy.match(packet);
-    SwitchId at = ingress;
-    std::size_t hops = 0;
-    while (true) {
-      if (++hops > params.hop_budget) {
-        *detail = "hop budget exhausted (redirect cycle?)";
-        return VerifyOutcome::kLoop;
-      }
-      const FlowEntry* entry = net.sw(at).table().peek(packet, params.now);
-      if (entry == nullptr) {
-        *detail = "no rule matched at switch " + std::to_string(at);
-        return VerifyOutcome::kBlackHole;
-      }
-      const Action& action = entry->rule.action;
-      switch (action.type) {
-        case ActionType::kEncap: {
-          const SwitchId target = action.arg;
-          if (net.sw(target).failed()) {
-            *detail = "redirect to failed switch " + std::to_string(target);
-            return VerifyOutcome::kDanglingRedirect;
-          }
-          if (net.next_hop(at, target) == kInvalidSwitch && at != target) {
-            *detail = "no route from " + std::to_string(at) + " to authority " +
-                      std::to_string(target);
-            return VerifyOutcome::kUnreachable;
-          }
-          // At the authority, resolution happens against its bound
-          // partitions, not its TCAM — mirror AuthorityNode::handle.
-          AuthorityNode* node = controller.node_at(target);
-          if (node == nullptr) {
-            *detail = "redirect to non-authority switch " + std::to_string(target);
-            return VerifyOutcome::kDanglingRedirect;
-          }
-          auto result = node->handle(packet);
-          if (!result.has_value()) {
-            *detail = "authority " + std::to_string(target) +
-                      " owns no partition for the packet";
-            return VerifyOutcome::kDanglingRedirect;
-          }
-          if (result->winner == nullptr) {
-            *detail = "partition has no matching rule";
-            return VerifyOutcome::kBlackHole;
-          }
-          const bool same =
-              (want == nullptr) ? false : result->winner->action == want->action;
-          if (!same) {
-            *detail = "authority resolves to " + result->winner->action.to_string() +
-                      ", policy says " +
-                      (want ? want->action.to_string() : std::string("<none>"));
-            return VerifyOutcome::kWrongAction;
-          }
-          return VerifyOutcome::kOk;
-        }
-        case ActionType::kForward:
-        case ActionType::kDrop: {
-          const bool same = (want != nullptr) && action == want->action;
-          if (!same) {
-            *detail = "terminal " + action.to_string() + " at switch " +
-                      std::to_string(at) + ", policy says " +
-                      (want ? want->action.to_string() : std::string("<none>"));
-            return VerifyOutcome::kWrongAction;
-          }
-          return VerifyOutcome::kOk;
-        }
-        case ActionType::kToController: {
-          // Reactive miss path: by construction the controller resolves with
-          // the policy itself; treat as consistent.
-          return VerifyOutcome::kOk;
-        }
-      }
+    const auto policy_says = [want] {
+      return ", policy says " +
+             (want ? want->action.to_string() : std::string("<none>"));
+    };
+    const FlowEntry* entry = net.sw(ingress).table().peek(packet, params.now);
+    if (entry == nullptr) {
+      *detail = "no rule matched at switch " + std::to_string(ingress);
+      return VerifyOutcome::kBlackHole;
     }
+    const Action& action = entry->rule.action;
+    switch (action.type) {
+      case ActionType::kEncap: {
+        const SwitchId target = action.arg;
+        if (net.sw(target).failed()) {
+          *detail = "redirect to failed switch " + std::to_string(target);
+          return VerifyOutcome::kDanglingRedirect;
+        }
+        if (net.next_hop(ingress, target) == kInvalidSwitch && ingress != target) {
+          *detail = "no route from " + std::to_string(ingress) + " to authority " +
+                    std::to_string(target);
+          return VerifyOutcome::kUnreachable;
+        }
+        // At the authority, resolution happens against its bound
+        // partitions, not its TCAM. resolve() is the data plane's lookup
+        // without the cache-install side effects handle() has.
+        const AuthorityNode* node = controller.node_at(target);
+        if (node == nullptr) {
+          *detail = "redirect to non-authority switch " + std::to_string(target);
+          return VerifyOutcome::kDanglingRedirect;
+        }
+        const auto result = node->resolve(packet);
+        if (!result.has_value()) {
+          *detail = "authority " + std::to_string(target) +
+                    " owns no partition for the packet";
+          return VerifyOutcome::kDanglingRedirect;
+        }
+        if (result->winner == nullptr) {
+          *detail = "partition has no matching rule";
+          return VerifyOutcome::kBlackHole;
+        }
+        if (want == nullptr || !(result->winner->action == want->action)) {
+          *detail = "authority resolves to " + result->winner->action.to_string() +
+                    policy_says();
+          return VerifyOutcome::kWrongAction;
+        }
+        return VerifyOutcome::kOk;
+      }
+      case ActionType::kForward:
+      case ActionType::kDrop:
+        if (want == nullptr || !(action == want->action)) {
+          *detail = "terminal " + action.to_string() + " at switch " +
+                    std::to_string(ingress) + policy_says();
+          return VerifyOutcome::kWrongAction;
+        }
+        return VerifyOutcome::kOk;
+      case ActionType::kToController:
+        // Reactive miss path: by construction the controller resolves with
+        // the policy itself; treat as consistent.
+        return VerifyOutcome::kOk;
+    }
+    return VerifyOutcome::kOk;
   }
 };
 
 }  // namespace
 
-VerifyReport verify_installed_state(Network& net, DifaneController& controller,
+VerifyReport verify_installed_state(Network& net, const DifaneController& controller,
                                     const RuleTable& policy,
                                     const std::vector<SwitchId>& ingresses,
                                     VerifierParams params) {

@@ -2,9 +2,10 @@
 // *actual switch tables* (not the controller's intent). For sampled packets
 // at each ingress, it walks the data plane statically: cache / authority /
 // partition band semantics, encapsulation tunnels, terminal forwarding.
-// Detects black holes (no rule anywhere), forwarding loops, dangling
-// redirects (partition rule pointing at a switch that does not own the
-// packet), and disagreement with the reference policy.
+// Detects black holes (no rule anywhere), dangling redirects (to a failed
+// switch, or to one that does not own the packet), unreachable authorities,
+// and disagreement with the reference policy. It only reads: authorities
+// answer through AuthorityNode::resolve, which generates no cache install.
 #pragma once
 
 #include <string>
@@ -19,7 +20,6 @@ namespace difane {
 enum class VerifyOutcome : std::uint8_t {
   kOk = 0,
   kBlackHole,       // no matching rule at the ingress
-  kLoop,            // exceeded hop budget walking redirects
   kDanglingRedirect,// redirect landed at a switch without the partition
   kWrongAction,     // terminal action differs from the policy winner
   kUnreachable,     // no route toward redirect target / egress
@@ -45,7 +45,6 @@ struct VerifyReport {
 struct VerifierParams {
   std::size_t samples_per_ingress = 500;
   std::size_t max_violations = 16;
-  std::size_t hop_budget = 32;
   std::uint64_t seed = 1;
   // The instant the tables are inspected at: entries expired by `now` do not
   // match (exactly as the data plane would treat them). Pass the engine's
@@ -55,7 +54,7 @@ struct VerifierParams {
 
 // Statically verify the installed state of `net` (as set up by `controller`)
 // against `policy`, sampling packets at each of `ingresses`.
-VerifyReport verify_installed_state(Network& net, DifaneController& controller,
+VerifyReport verify_installed_state(Network& net, const DifaneController& controller,
                                     const RuleTable& policy,
                                     const std::vector<SwitchId>& ingresses,
                                     VerifierParams params = {});

@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "netsim/engine.hpp"
-#include "obs/metrics.hpp"
 
 namespace difane {
 
@@ -27,13 +26,11 @@ class ServiceQueue {
     const SimTime backlog = next_free_ > now ? next_free_ - now : 0.0;
     if (backlog > max_backlog_) {
       ++rejected_;
-      obs_rejected_->inc();
       return std::nullopt;
     }
     const SimTime start = next_free_ > now ? next_free_ : now;
     next_free_ = start + service_time_;
     ++admitted_;
-    obs_admitted_->inc();
     return next_free_;
   }
 
@@ -51,12 +48,6 @@ class ServiceQueue {
   SimTime next_free_ = 0.0;
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
-  // Process-wide aggregates across every queue instance (authority switches
-  // and the NOX controller alike); no-ops when observability is off.
-  obs::Counter* obs_admitted_ =
-      obs::MetricsRegistry::global().counter("service_queue_admitted");
-  obs::Counter* obs_rejected_ =
-      obs::MetricsRegistry::global().counter("service_queue_rejected");
 };
 
 }  // namespace difane

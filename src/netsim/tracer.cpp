@@ -2,30 +2,7 @@
 
 #include <sstream>
 
-#include "obs/metrics.hpp"
-
 namespace difane {
-
-namespace {
-
-// Process-wide packet-accounting aggregates across every Tracer instance.
-// Resolved once; each hook is a single relaxed increment (or nothing when
-// built with DIFANE_OBS=OFF).
-struct TracerObs {
-  obs::Counter* injected =
-      obs::MetricsRegistry::global().counter("tracer_injected");
-  obs::Counter* delivered =
-      obs::MetricsRegistry::global().counter("tracer_delivered");
-  obs::Counter* dropped =
-      obs::MetricsRegistry::global().counter("tracer_dropped");
-};
-
-TracerObs& tracer_obs() {
-  static TracerObs hooks;
-  return hooks;
-}
-
-}  // namespace
 
 const char* drop_reason_name(DropReason reason) {
   switch (reason) {
@@ -39,15 +16,8 @@ const char* drop_reason_name(DropReason reason) {
   return "?";
 }
 
-void Tracer::on_injected(const Packet& packet) {
-  (void)packet;
-  ++injected_;
-  tracer_obs().injected->inc();
-}
-
 void Tracer::on_delivered(const Packet& packet, double now) {
   ++delivered_;
-  tracer_obs().delivered->inc();
   if (packet.was_redirected) ++redirected_;
   const double delay = now - packet.created;
   if (packet.is_first_of_flow) {
@@ -56,13 +26,6 @@ void Tracer::on_delivered(const Packet& packet, double now) {
     later_delay_.add(delay);
   }
   hops_.add(static_cast<double>(packet.hops));
-}
-
-void Tracer::on_dropped(const Packet& packet, DropReason reason) {
-  (void)packet;
-  ++dropped_total_;
-  ++dropped_[static_cast<std::size_t>(reason)];
-  tracer_obs().dropped->inc();
 }
 
 void Tracer::merge_from(const Tracer& other) {

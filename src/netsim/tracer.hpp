@@ -25,9 +25,12 @@ const char* drop_reason_name(DropReason reason);
 
 class Tracer {
  public:
-  void on_injected(const Packet& packet);
+  void on_injected(const Packet& /*packet*/) { ++injected_; }
   void on_delivered(const Packet& packet, double now);
-  void on_dropped(const Packet& packet, DropReason reason);
+  void on_dropped(const Packet& /*packet*/, DropReason reason) {
+    ++dropped_total_;
+    ++dropped_[static_cast<std::size_t>(reason)];
+  }
 
   // Fold another tracer's accounting in (per-shard tracers merged in
   // shard-index order at the end of a sharded run). Delay sample sets append;

@@ -1,126 +1,27 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <limits>
-
-#include "util/contract.hpp"
-
 namespace difane::obs {
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  expects(std::is_sorted(bounds_.begin(), bounds_.end()),
-          "Histogram: bucket bounds must be sorted");
-  counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0);
-}
-
-void Histogram::observe(double x) {
-  if constexpr (!kEnabled) { (void)x; return; }
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
-  }
-}
-
-double Histogram::upper_bound(std::size_t i) const {
-  return i < bounds_.size() ? bounds_[i]
-                            : std::numeric_limits<double>::infinity();
-}
-
-double Histogram::percentile(double p) const {
-  const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  const auto rank = static_cast<std::uint64_t>(p * static_cast<double>(total - 1));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    seen += counts_[i].load(std::memory_order_relaxed);
-    if (seen > rank) {
-      // Overflow bucket has no finite bound; report the last finite one.
-      return i < bounds_.size() ? bounds_[i]
-                                : (bounds_.empty() ? 0.0 : bounds_.back());
-    }
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    counts_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-namespace {
-
-// Shared sinks for the disabled build: every mutation is already a no-op,
-// so all callers can safely share one instrument without a registry lock.
-Counter& dummy_counter() { static Counter c; return c; }
-Gauge& dummy_gauge() { static Gauge g; return g; }
-Timer& dummy_timer() { static Timer t; return t; }
-Histogram& dummy_histogram() {
-  static Histogram h({1.0});
-  return h;
-}
-
-}  // namespace
-
-Counter* MetricsRegistry::counter(const std::string& name) {
-  if constexpr (!kEnabled) return &dummy_counter();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = entries_[name];
-  if (!entry.counter) entry.counter = std::make_unique<Counter>();
-  return entry.counter.get();
-}
-
-Gauge* MetricsRegistry::gauge(const std::string& name) {
-  if constexpr (!kEnabled) return &dummy_gauge();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = entries_[name];
-  if (!entry.gauge) entry.gauge = std::make_unique<Gauge>();
-  return entry.gauge.get();
-}
-
-Histogram* MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_bounds) {
-  if constexpr (!kEnabled) return &dummy_histogram();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = entries_[name];
-  if (!entry.histogram) {
-    entry.histogram = std::make_unique<Histogram>(std::move(upper_bounds));
-  }
-  return entry.histogram.get();
-}
-
 Timer* MetricsRegistry::timer(const std::string& name) {
-  if constexpr (!kEnabled) return &dummy_timer();
+  if constexpr (!kEnabled) {
+    // Disabled build: record() is already a no-op, so every caller can share
+    // one sink without a registry lock.
+    static Timer dummy;
+    return &dummy;
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = entries_[name];
-  if (!entry.timer) entry.timer = std::make_unique<Timer>();
-  return entry.timer.get();
+  auto& slot = timers_[name];
+  if (!slot) slot = std::make_unique<Timer>();
+  return slot.get();
 }
 
 std::map<std::string, double> MetricsRegistry::snapshot() const {
   std::map<std::string, double> out;
   if constexpr (!kEnabled) return out;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, entry] : entries_) {
-    if (entry.counter) out[name] = static_cast<double>(entry.counter->value());
-    if (entry.gauge) out[name] = entry.gauge->value();
-    if (entry.timer) {
-      out[name + "_wall_seconds"] = entry.timer->total_seconds();
-      out[name + "_count"] = static_cast<double>(entry.timer->count());
-    }
-    if (entry.histogram) {
-      out[name + "_count"] = static_cast<double>(entry.histogram->count());
-      out[name + "_sum"] = entry.histogram->sum();
-      out[name + "_p50"] = entry.histogram->percentile(0.50);
-      out[name + "_p99"] = entry.histogram->percentile(0.99);
-    }
+  for (const auto& [name, timer] : timers_) {
+    out[name + "_wall_seconds"] = timer->total_seconds();
+    out[name + "_count"] = static_cast<double>(timer->count());
   }
   return out;
 }
@@ -128,12 +29,9 @@ std::map<std::string, double> MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset() {
   if constexpr (!kEnabled) return;
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, entry] : entries_) {
+  for (auto& [name, timer] : timers_) {
     (void)name;
-    if (entry.counter) entry.counter->reset();
-    if (entry.gauge) entry.gauge->reset();
-    if (entry.timer) entry.timer->reset();
-    if (entry.histogram) entry.histogram->reset();
+    timer->reset();
   }
 }
 

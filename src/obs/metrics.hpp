@@ -1,12 +1,14 @@
-// Low-overhead metrics: counters, gauges, fixed-bucket histograms and
-// wall-clock timers registered by name in a MetricsRegistry. Hot paths keep
-// a raw pointer to their instrument (one registry lookup at construction)
-// and bump it with a relaxed atomic op — cheap enough for per-packet use.
+// Wall-clock timers registered by name in a MetricsRegistry: the registry is
+// the host-time surface, one Timer per measured span, whose call count is
+// also the registry's only op count. Deterministic counts live in
+// ScenarioStats and the per-object counters it gathers, never here. A timed
+// call site keeps a raw Timer pointer (one registry lookup) and records into
+// it with relaxed atomic ops.
 //
 // The whole layer compiles out when the build defines DIFANE_OBS_ENABLED=0
-// (cmake -DDIFANE_OBS=OFF): every mutation inlines to nothing and the
-// registry hands back a shared dummy instrument without taking a lock, so
-// instrumented code needs no #ifdefs and pays literally zero cycles.
+// (cmake -DDIFANE_OBS=OFF): every record inlines to nothing and the registry
+// hands back a shared dummy timer without taking a lock, so timed code needs
+// no #ifdefs and pays literally zero cycles.
 #pragma once
 
 #include <atomic>
@@ -16,7 +18,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #ifndef DIFANE_OBS_ENABLED
 #define DIFANE_OBS_ENABLED 1
@@ -25,70 +26,6 @@
 namespace difane::obs {
 
 inline constexpr bool kEnabled = DIFANE_OBS_ENABLED != 0;
-
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) {
-    if constexpr (kEnabled) value_.fetch_add(n, std::memory_order_relaxed);
-    else (void)n;
-  }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void set(double v) {
-    if constexpr (kEnabled) value_.store(v, std::memory_order_relaxed);
-    else (void)v;
-  }
-  void add(double delta) {
-    if constexpr (kEnabled) {
-      double cur = value_.load(std::memory_order_relaxed);
-      while (!value_.compare_exchange_weak(cur, cur + delta,
-                                           std::memory_order_relaxed)) {
-      }
-    } else {
-      (void)delta;
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-// Fixed-bucket histogram: bucket i counts observations <= bounds[i], with an
-// implicit overflow bucket past the last bound. Bounds are fixed at
-// registration, so observe() is a branchless-ish scan + one relaxed inc —
-// no allocation, safe from multiple threads.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double x);
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::size_t bucket_count() const { return bounds_.size() + 1; }
-  std::uint64_t bucket(std::size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  // Upper bound of bucket i; +inf for the overflow bucket.
-  double upper_bound(std::size_t i) const;
-  // Nearest-bound percentile estimate (value of the bucket holding rank p).
-  double percentile(double p) const;
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
 
 // Accumulates wall-clock seconds + a call count. Pair with ScopedTimer.
 class Timer {
@@ -139,41 +76,28 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Name -> instrument registry. Registration takes a mutex; returned pointers
-// are stable for the registry's lifetime (instruments are node-allocated),
-// so hot paths look up once and bump forever. snapshot() flattens every
-// instrument into name -> double entries:
-//   counter  c           -> "c"
-//   gauge    g           -> "g"
-//   timer    t           -> "t_wall_seconds", "t_count"
-//   histo    h           -> "h_count", "h_sum", "h_p50", "h_p99"
-// Timer values carry the `_wall_seconds` suffix on purpose: downstream
-// tooling (bench_compare, the determinism test) treats *_wall_* metrics as
-// host timing, exempt from determinism comparison.
+// Name -> Timer registry. Registration takes a mutex; returned pointers are
+// stable for the registry's lifetime (timers are node-allocated), so a timed
+// call site looks up once and records forever. snapshot() flattens timer t
+// into "t_wall_seconds" and "t_count". Both carry the timer's name, and the
+// `_wall_seconds` suffix is on purpose: downstream tooling (bench_compare,
+// the determinism test) treats *_wall_* metrics as host timing, exempt from
+// determinism comparison.
 class MetricsRegistry {
  public:
-  Counter* counter(const std::string& name);
-  Gauge* gauge(const std::string& name);
-  Histogram* histogram(const std::string& name, std::vector<double> upper_bounds);
   Timer* timer(const std::string& name);
 
   std::map<std::string, double> snapshot() const;
-  // Zero every instrument in place. Pointers handed out earlier stay valid
-  // (hot paths cache them), so this is safe between bench reps.
+  // Zero every timer in place. Pointers handed out earlier stay valid (call
+  // sites cache them), so this is safe between bench reps.
   void reset();
 
-  // Process-wide registry the built-in instrumentation reports into.
+  // Process-wide registry the built-in timers report into.
   static MetricsRegistry& global();
 
  private:
-  struct Entry {
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<Timer> timer;
-  };
   mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, std::unique_ptr<Timer>> timers_;
 };
 
 }  // namespace difane::obs

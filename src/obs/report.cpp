@@ -47,14 +47,6 @@ std::string MetricsReport::to_json_string(int indent) const {
   return to_json().dump(indent) + "\n";
 }
 
-std::string MetricsReport::to_csv() const {
-  std::string out = "experiment,metric,value\n";
-  for (const auto& [name, value] : metrics) {
-    out += experiment + "," + name + "," + format_number(value) + "\n";
-  }
-  return out;
-}
-
 MetricsReport MetricsReport::from_json(const Json& doc) {
   if (!doc.is_object()) throw std::runtime_error("report: not a JSON object");
   const std::string schema = doc.get("schema").as_string();
@@ -92,10 +84,6 @@ void write_text_file(const std::string& path, const std::string& text) {
 
 void MetricsReport::write_json_file(const std::string& path) const {
   write_text_file(path, to_json_string());
-}
-
-void MetricsReport::write_csv_file(const std::string& path) const {
-  write_text_file(path, to_csv());
 }
 
 MetricsReport merge_reps(const std::vector<MetricsReport>& reps) {

@@ -61,14 +61,11 @@ struct MetricsReport {
 
   Json to_json() const;
   std::string to_json_string(int indent = 2) const;
-  // CSV rows: experiment,metric,value — header included.
-  std::string to_csv() const;
 
   // Parse + schema-validate; throws std::runtime_error naming the problem.
   static MetricsReport from_json(const Json& doc);
 
   void write_json_file(const std::string& path) const;
-  void write_csv_file(const std::string& path) const;
 };
 
 // Merge repetition reports of one experiment: metrics are averaged (they are

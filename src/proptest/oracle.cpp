@@ -343,7 +343,7 @@ Violation check_cache_vs_authority(const Counterexample& cex,
   }
   RuleId synth_base = 0x40000000u;
   for (const auto& p : plan.partitions()) {
-    nodes[p.primary]->bind(p, synth_base);
+    nodes[p.primary]->bind(p, synth_base, synth_base + (1u << 22));
     synth_base += 1u << 22;
   }
 

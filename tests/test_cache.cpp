@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "core/authority.hpp"
+#include "core/difane_controller.hpp"
 #include "partition/partitioner.hpp"
+#include "util/contract.hpp"
 #include "workload/rulegen.hpp"
 
 namespace difane {
@@ -48,7 +53,7 @@ struct Harness {
         node(kAuthority, strategy) {
     RuleId base = 1u << 20;
     for (const auto& partition : plan.partitions()) {
-      node.bind(partition, base);
+      node.bind(partition, base, base + (1u << 22));
       base += 1u << 22;
     }
   }
@@ -205,7 +210,7 @@ TEST(Cache, HandleReturnsNulloptOutsideBoundPartitions) {
   const auto plan = Partitioner(params).build(policy, 2);
   ASSERT_GT(plan.partitions().size(), 1u);
   AuthorityNode node(kAuthority, CacheStrategy::kDependentSet);
-  node.bind(plan.partitions()[0], 1u << 20);  // bind only one partition
+  node.bind(plan.partitions()[0], 1u << 20, 1u << 22);  // bind only one partition
   // A packet in a different partition is not ours.
   Rng rng(9);
   bool saw_unbound = false;
@@ -217,6 +222,138 @@ TEST(Cache, HandleReturnsNulloptOutsideBoundPartitions) {
     }
   }
   EXPECT_TRUE(saw_unbound);
+}
+
+// The chain policy's one partition bound twice by a DifaneController — to a
+// primary and to a backup — each binding with its own synthetic-id range.
+struct ControllerHarness {
+  RuleTable policy = chain_policy();
+  Network net;
+  TwoTierTopology topo = build_two_tier(net, 2, 2, 100, 100);
+  DifaneController ctl;
+  AuthorityNode* primary = nullptr;
+  AuthorityNode* backup = nullptr;
+
+  explicit ControllerHarness(DifaneControllerParams params)
+      : ctl(net, policy, topo.core, params) {
+    const auto& partitions = ctl.plan().partitions();
+    EXPECT_EQ(partitions.size(), 1u);  // nested chains cannot split
+    primary = ctl.node_at(ctl.authority_switch(partitions[0].primary));
+    backup = ctl.node_at(ctl.authority_switch(partitions[0].backup));
+    EXPECT_NE(primary, backup);
+  }
+};
+
+TEST(Cache, CoverSetShadowIdsNeverAliasAcrossBindings) {
+  // A cover-set binding's shadow ids span n^2 = 16 ids here, more than the
+  // 5-id stride, the way a >2048-rule partition outgrows the default 2^22.
+  // The next binding's range must start past them: with stride-spaced bases
+  // the primary's shadow (parent 2, matched 3) and the backup's shadow
+  // (parent 1, matched 2) both got id base + 11, and a cache band keyed by
+  // id would overwrite one with the other.
+  DifaneControllerParams params;
+  params.cache_strategy = CacheStrategy::kCoverSet;
+  params.synth_id_stride = 5;
+  ControllerHarness h(params);
+  const BitVec packets[] = {
+      PacketBuilder().ip_dst(make_ipv4(99, 0, 0, 1)).build(),   // default
+      PacketBuilder().ip_dst(make_ipv4(10, 1, 2, 1)).build(),   // the /16
+      PacketBuilder().ip_dst(make_ipv4(10, 1, 1, 7)).build(),   // the /24
+  };
+  std::map<RuleId, Rule> by_id;
+  std::size_t shadows = 0;
+  for (AuthorityNode* node : {h.primary, h.backup}) {
+    for (const BitVec& packet : packets) {
+      const auto result = node->handle(packet);
+      ASSERT_TRUE(result.has_value());
+      for (const Rule& rule : result->install.rules) {
+        if (rule.action.type == ActionType::kEncap) ++shadows;
+        const auto [it, fresh] = by_id.emplace(rule.id, rule);
+        if (fresh) continue;
+        EXPECT_TRUE(it->second.match == rule.match &&
+                    it->second.priority == rule.priority &&
+                    it->second.action == rule.action)
+            << "id " << rule.id << " names two cache rules: "
+            << it->second.to_string() << " and " << rule.to_string();
+      }
+    }
+  }
+  EXPECT_EQ(shadows, 6u);  // one per packet per binding
+}
+
+TEST(Cache, SyntheticIdRangesFailLoudlyInsteadOfAliasing) {
+  // A one-id stride leaves each microflow binding exactly one id: the second
+  // install would take the next binding's first id, so it must fail a
+  // contract check instead.
+  DifaneControllerParams params;
+  params.cache_strategy = CacheStrategy::kMicroflow;
+  params.synth_id_stride = 1;
+  ControllerHarness h(params);
+  const BitVec first = PacketBuilder().ip_dst(make_ipv4(99, 0, 0, 1)).build();
+  const BitVec second = PacketBuilder().ip_dst(make_ipv4(99, 0, 0, 2)).build();
+  const auto result = h.primary->handle(first);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_EQ(result->install.rules.size(), 1u);
+  EXPECT_EQ(result->install.rules[0].id, params.synth_id_base);
+  EXPECT_THROW(h.primary->handle(second), contract_violation);
+
+  // The two initial bindings exactly fill the ids below the largest RuleId,
+  // so a live-migration rebind finds no room and must fail, not wrap.
+  DifaneControllerParams full;
+  full.cache_strategy = CacheStrategy::kMicroflow;
+  full.synth_id_base = kInvalidRuleId - 2 * full.synth_id_stride;
+  ControllerHarness packed(full);
+  const auto home = packed.ctl.plan().partitions()[0].primary;
+  packed.ctl.unbind_partition(0, home);
+  EXPECT_THROW(packed.ctl.bind_partition(0, home), contract_violation);
+
+  // No stride leaves each binding even one id.
+  DifaneControllerParams high;
+  high.synth_id_base = kInvalidRuleId - 1;
+  EXPECT_THROW(ControllerHarness{high}, contract_violation);
+}
+
+TEST(Cache, ManyBindingsShrinkTheStrideInsteadOfRunningOutOfIds) {
+  // 2^22-id ranges from 0x40000000 fit 767 bindings below the largest
+  // RuleId. Microflow partitions of at most two rules, each bound to a
+  // primary and a backup, need more: the controller shrinks the stride so
+  // every binding still gets its own range.
+  const auto policy = campus_like(900, 211);
+  Network net;
+  const auto topo = build_two_tier(net, 2, 2, 100, 100);
+  DifaneControllerParams params;
+  params.cache_strategy = CacheStrategy::kMicroflow;
+  params.partitioner.capacity = 2;
+  DifaneController ctl(net, policy, topo.core, params);
+  const auto& partitions = ctl.plan().partitions();
+  ASSERT_GT(2 * partitions.size(), 767u);
+
+  // A microflow install takes its binding's first id. Bindings are laid out
+  // back to back, so distinct first ids a constant distance apart, the last
+  // range ending below kInvalidRuleId, mean the ranges are disjoint.
+  std::vector<RuleId> firsts;
+  Rng rng(212);
+  for (const auto& partition : partitions) {
+    const BitVec packet = partition.region.sample_point(rng);
+    for (const auto authority : ctl.serving_set(partition)) {
+      AuthorityNode* node = ctl.node_at(ctl.authority_switch(authority));
+      const auto result = node->handle(packet);
+      ASSERT_TRUE(result.has_value());
+      ASSERT_EQ(result->partition, partition.id);
+      ASSERT_EQ(result->install.rules.size(), 1u);
+      firsts.push_back(result->install.rules[0].id);
+    }
+  }
+  std::sort(firsts.begin(), firsts.end());
+  ASSERT_EQ(firsts.size(), 2 * partitions.size());
+  EXPECT_EQ(firsts.front(), params.synth_id_base);
+  const RuleId stride = firsts[1] - firsts[0];
+  EXPECT_GT(stride, 0u);
+  EXPECT_LT(stride, params.synth_id_stride);
+  for (std::size_t i = 1; i < firsts.size(); ++i) {
+    ASSERT_EQ(firsts[i] - firsts[i - 1], stride) << "binding " << i;
+  }
+  EXPECT_LE(std::uint64_t{firsts.back()} + stride, kInvalidRuleId);
 }
 
 TEST(Cache, StrategyNames) {

@@ -1,5 +1,5 @@
 // Observability layer: JSON value round-trips, the versioned report schema,
-// rep merging, and MetricsRegistry behavior under concurrency. The exporter
+// rep merging, and the timer registry under concurrency. The exporter
 // guarantees under test: sorted keys + shortest-round-trip numbers make the
 // serialized form byte-deterministic, and the schema validator rejects any
 // structurally wrong document with a message naming the problem.
@@ -185,13 +185,6 @@ TEST(Report, TrajectoryRoundTrip) {
                std::runtime_error);
 }
 
-TEST(Report, CsvExportListsEveryMetric) {
-  const std::string csv = sample_report().to_csv();
-  EXPECT_NE(csv.find("experiment,metric,value"), std::string::npos);
-  EXPECT_NE(csv.find("E1,difane_peak_flows_per_s,"), std::string::npos);
-  EXPECT_NE(csv.find("E1,nox_peak_flows_per_s,"), std::string::npos);
-}
-
 TEST(Report, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "obs_report_roundtrip.json";
   const MetricsReport report = sample_report();
@@ -203,80 +196,58 @@ TEST(Report, FileRoundTrip) {
 }
 
 // --------------------------------------------------------------------------
-// Metrics instruments
+// Metrics registry: wall-clock timers only
 
 TEST(Metrics, CounterGaugeTimerBasics) {
   if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
-  auto* counter = registry.counter("ops");
-  counter->inc();
-  counter->inc(4);
-  EXPECT_EQ(counter->value(), 5u);
-
-  auto* gauge = registry.gauge("depth");
-  gauge->set(3.0);
-  gauge->add(1.5);
-  EXPECT_DOUBLE_EQ(gauge->value(), 4.5);
-
   auto* timer = registry.timer("build");
   timer->record(0.25);
   timer->record(0.75);
   EXPECT_EQ(timer->count(), 2u);
   EXPECT_DOUBLE_EQ(timer->total_seconds(), 1.0);
 
-  // Same name => same instrument (the registry is the identity map).
-  EXPECT_EQ(registry.counter("ops"), counter);
-}
+  // Same name => same timer (the registry is the identity map).
+  EXPECT_EQ(registry.timer("build"), timer);
+  EXPECT_NE(registry.timer("other"), timer);
 
-TEST(Metrics, HistogramBucketsAndPercentiles) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
-  MetricsRegistry registry;
-  auto* histogram = registry.histogram("delay", {1.0, 10.0, 100.0});
-  for (int i = 0; i < 50; ++i) histogram->observe(0.5);    // bucket <=1
-  for (int i = 0; i < 30; ++i) histogram->observe(5.0);    // bucket <=10
-  for (int i = 0; i < 15; ++i) histogram->observe(50.0);   // bucket <=100
-  for (int i = 0; i < 5; ++i) histogram->observe(1000.0);  // overflow
-  EXPECT_EQ(histogram->count(), 100u);
-  EXPECT_DOUBLE_EQ(histogram->sum(), 50 * 0.5 + 30 * 5.0 + 15 * 50.0 + 5 * 1000.0);
-  EXPECT_LE(histogram->percentile(0.5), 1.0);
-  EXPECT_LE(histogram->percentile(0.79), 10.0);
-  // Ranks landing in the overflow bucket report the last finite bound.
-  EXPECT_EQ(histogram->percentile(0.99), 100.0);
+  // ScopedTimer records exactly one call on scope exit.
+  { ScopedTimer scoped(timer); }
+  EXPECT_EQ(timer->count(), 3u);
+  EXPECT_GE(timer->total_seconds(), 1.0);
 }
 
 TEST(Metrics, SnapshotFlattensInstruments) {
   if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
-  registry.counter("hits")->inc(7);
-  registry.gauge("load")->set(0.5);
   registry.timer("build")->record(2.0);
-  registry.histogram("lat", {1.0})->observe(0.5);
+  registry.timer("idle");
   const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.at("hits"), 7.0);
-  EXPECT_EQ(snap.at("load"), 0.5);
+  // A timer's call count is the registry's op count; both keys carry the
+  // timer's name, and only the seconds carry the _wall_ exemption marker.
+  EXPECT_EQ(snap.size(), 4u);
   EXPECT_EQ(snap.at("build_wall_seconds"), 2.0);
   EXPECT_EQ(snap.at("build_count"), 1.0);
-  EXPECT_EQ(snap.at("lat_count"), 1.0);
-  EXPECT_TRUE(snap.count("lat_p50"));
+  EXPECT_EQ(snap.at("idle_wall_seconds"), 0.0);
+  EXPECT_EQ(snap.at("idle_count"), 0.0);
+  EXPECT_TRUE(is_wall_metric("build_wall_seconds"));
 }
 
 TEST(Metrics, ResetZeroesButKeepsPointersValid) {
   if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
-  auto* counter = registry.counter("c");
-  auto* histogram = registry.histogram("h", {1.0});
-  counter->inc(3);
-  histogram->observe(0.5);
+  auto* timer = registry.timer("t");
+  timer->record(3.0);
   registry.reset();
-  EXPECT_EQ(counter->value(), 0u);  // same pointer, zeroed in place
-  EXPECT_EQ(histogram->count(), 0u);
-  counter->inc();
-  EXPECT_EQ(registry.counter("c")->value(), 1u);
+  EXPECT_EQ(timer->count(), 0u);  // same pointer, zeroed in place
+  EXPECT_EQ(timer->total_seconds(), 0.0);
+  timer->record(1.0);
+  EXPECT_EQ(registry.timer("t")->count(), 1u);
 }
 
 // ctest -L unit concurrency check: hammer one registry from several threads;
-// every increment must land (atomics, no torn counts), and instrument lookup
-// must be safe concurrently with updates.
+// every record must land (atomics, no torn totals), and timer lookup must be
+// safe concurrently with records.
 TEST(Metrics, RegistryIsThreadSafe) {
   if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
@@ -290,38 +261,31 @@ TEST(Metrics, RegistryIsThreadSafe) {
       ready.fetch_add(1);
       while (ready.load() < kThreads) {
       }
-      // Mix of shared and per-thread instruments, resolved inside the loop so
-      // name lookup races with updates.
+      // Shared and per-thread timers, resolved inside the loop so name
+      // lookup races with records.
       for (int i = 0; i < kIters; ++i) {
-        registry.counter("shared")->inc();
-        registry.counter("t" + std::to_string(t))->inc();
-        registry.gauge("g_shared")->add(1.0);
-        registry.histogram("h_shared", {10.0, 1000.0})
-            ->observe(static_cast<double>(i % 2000));
-        registry.timer("w_shared")->record(1e-6);
+        registry.timer("shared")->record(1.0);
+        registry.timer("t" + std::to_string(t))->record(0.5);
       }
     });
   }
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(registry.counter("shared")->value(),
-            static_cast<std::uint64_t>(kThreads) * kIters);
+  constexpr auto kTotal = static_cast<std::uint64_t>(kThreads) * kIters;
+  EXPECT_EQ(registry.timer("shared")->count(), kTotal);
+  // Whole seconds sum exactly in a double, so no record may be torn or lost.
+  EXPECT_EQ(registry.timer("shared")->total_seconds(), static_cast<double>(kTotal));
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(registry.counter("t" + std::to_string(t))->value(),
+    EXPECT_EQ(registry.timer("t" + std::to_string(t))->count(),
               static_cast<std::uint64_t>(kIters));
   }
-  EXPECT_DOUBLE_EQ(registry.gauge("g_shared")->value(),
-                   static_cast<double>(kThreads) * kIters);
-  EXPECT_EQ(registry.histogram("h_shared", {10.0, 1000.0})->count(),
-            static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(registry.timer("w_shared")->count(),
-            static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
 TEST(Metrics, GlobalRegistryIsASingleton) {
-  auto* a = MetricsRegistry::global().counter("test_obs_global_probe");
-  auto* b = MetricsRegistry::global().counter("test_obs_global_probe");
+  auto* a = MetricsRegistry::global().timer("test_obs_global_probe");
+  auto* b = MetricsRegistry::global().timer("test_obs_global_probe");
   EXPECT_EQ(a, b);
+  EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 //  * Accounting: every migration that starts ends, as completed or aborted;
 //    double-occupancy returns to zero (peak >= per-move cost while moving).
 //  * Convergence: after quiescence the installed-state verifier finds zero
-//    black holes, loops, dangling redirects, or wrong actions — mid-flight
+//    black holes, dangling redirects, or wrong actions — mid-flight
 //    moves either finished or rolled back to a consistent state.
 //  * Replay: the same (seed, plan) reproduces a byte-identical metrics
 //    report, so any failure replays from its printed seed

@@ -573,29 +573,5 @@ TEST(Snapshot, SameSeedProducesByteIdenticalJsonModuloHostFields) {
   EXPECT_NE(first, other.to_json_string());
 }
 
-// --------------------------------------------------------------------------
-// Built-in instrumentation wired through the hot paths
-
-TEST(GlobalInstrumentation, ScenarioBumpsProcessAndAuthorityCounters) {
-  auto& registry = obs::MetricsRegistry::global();
-  const auto packets_before =
-      registry.counter("scenario_packets_processed")->value();
-  const auto authority_before =
-      registry.counter("scenario_authority_handled")->value();
-
-  const auto policy = small_policy();
-  Scenario scenario(policy, good_params());
-  const auto& stats = scenario.run(small_traffic(policy, 15));
-
-  if constexpr (obs::kEnabled) {
-    EXPECT_GE(registry.counter("scenario_packets_processed")->value(),
-              packets_before + stats.tracer.injected());
-    EXPECT_GT(registry.counter("scenario_authority_handled")->value(),
-              authority_before);
-  } else {
-    EXPECT_EQ(registry.counter("scenario_packets_processed")->value(), 0u);
-  }
-}
-
 }  // namespace
 }  // namespace difane

@@ -2,6 +2,7 @@
 
 #include "core/system.hpp"
 #include "core/verifier.hpp"
+#include "util/rng.hpp"
 #include "workload/rulegen.hpp"
 
 namespace difane {
@@ -107,6 +108,47 @@ TEST(Verifier, CleanAfterFailover) {
   const auto report = verify_installed_state(scenario.net(), *scenario.difane(),
                                              policy, edges(scenario));
   EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+TEST(Verifier, SampledCheckLeavesAuthorityStateUntouched) {
+  // The sampled walk resolves each redirect the way the authority does, but
+  // must not generate the cache install: generating builds dependency graphs
+  // and advances the binding's microflow ids, so a verified run would answer
+  // the next redirect differently from its unverified twin.
+  const auto policy = classbench_like(300, 89);
+  auto params = difane_params();
+  params.cache_strategy = CacheStrategy::kMicroflow;
+  TrafficParams tp;
+  tp.seed = 90;
+  tp.flow_pool = 200;
+  tp.arrival_rate = 1000.0;
+  tp.duration = 0.5;
+  const auto flows = TrafficGenerator(policy, tp).generate();
+  Scenario verified(policy, params);
+  Scenario twin(policy, params);
+  verified.run(flows);
+  twin.run(flows);
+  const auto report = verified.verify_installed(200, 3);
+  EXPECT_TRUE(report.clean()) << report.summary();
+
+  Rng rng(91);
+  std::size_t installs = 0;
+  for (int i = 0; i < 50; ++i) {
+    const BitVec header = Ternary::wildcard().sample_point(rng);
+    for (const SwitchId sw : verified.difane()->authority_switches()) {
+      const auto a = verified.difane()->node_at(sw)->handle(header);
+      const auto b = twin.difane()->node_at(sw)->handle(header);
+      ASSERT_EQ(a.has_value(), b.has_value());
+      if (!a.has_value()) continue;
+      ASSERT_EQ(a->install.rules.size(), b->install.rules.size());
+      for (std::size_t r = 0; r < a->install.rules.size(); ++r) {
+        EXPECT_EQ(a->install.rules[r].id, b->install.rules[r].id)
+            << "authority " << sw << " sample " << i;
+        ++installs;
+      }
+    }
+  }
+  EXPECT_GT(installs, 0u);
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 #!/usr/bin/env bash
-# Full verification sweep: the tier-1 build+test pass, then the same suite
-# plus a short differential fuzz soak under ASan+UBSan (DIFANE_SANITIZE=ON),
-# plus a TSan pass (DIFANE_SANITIZE=thread) over the unit label and the
-# sharded-executor suites — the only tests that start worker threads inside
-# a scenario, so race coverage stays part of tier-1 hygiene.
+# Full verification sweep: the tier-1 build+test pass, the benchmark
+# self-test, then the same suite plus a short differential fuzz soak under
+# ASan+UBSan (DIFANE_SANITIZE=ON), plus a TSan pass (DIFANE_SANITIZE=thread)
+# over the unit label and the sharded-executor suites — the only tests that
+# start worker threads inside a scenario, so race coverage stays part of
+# tier-1 hygiene.
+#
+# The benchmark self-test (python3 perfbench/selftest.py) builds src/ in
+# perfbench's own CMake tree against the public API and makes a reduced pass
+# over every BENCHMARK.json workload, plus the corrupted-counter check. No
+# tier-1 target builds perfbench, so without this stage a src/ change could
+# break the benchmark while every ctest passes.
 #
 #   tools/check.sh [--quick-bench] [--perf] [--threads] [--scale] [FUZZ_SECONDS]
 #
@@ -79,6 +86,9 @@ ctest --test-dir build --output-on-failure -L chaos -j "$jobs"
 # DIFANE_PROPTEST_REPLAY=0x<seed> ./build/tests/test_prop_<suite>
 echo "== property: ctest -L property =="
 ctest --test-dir build --output-on-failure -L property -j "$jobs"
+
+echo "== perfbench: benchmark self-test =="
+python3 perfbench/selftest.py
 
 if [[ "$quick_bench" == 1 ]]; then
   echo "== quick-bench: bench_all --quick + determinism gate =="

@@ -279,9 +279,11 @@ int main(int argc, char** argv) {
     if (!report.clean()) exit_code = 1;
   }
   if (opt.verify_symbolic && opt.mode == Mode::kDifane) {
+    // The same end-of-run clock as the sampled check above.
     for (std::uint32_t i = 0; i < opt.edges; ++i) {
-      const auto report = verify_ingress_symbolically(
-          scenario.net(), *scenario.difane(), policy, scenario.ingress_switch(i));
+      const auto report =
+          verify_ingress_symbolically(scenario.net(), *scenario.difane(), policy,
+                                      scenario.ingress_switch(i), scenario.end_clock());
       std::printf("symbolic verification, ingress %u: %s\n",
                   scenario.ingress_switch(i), report.summary().c_str());
       if (report.violation.has_value()) exit_code = 1;
