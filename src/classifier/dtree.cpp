@@ -1,54 +1,23 @@
 #include "classifier/dtree.hpp"
 
-#include <algorithm>
-#include <limits>
-
-#include "flowspace/header.hpp"
 #include "obs/metrics.hpp"
-#include "util/contract.hpp"
 
 namespace difane {
 
-namespace {
-// Only bits inside the 12-tuple can ever separate rules.
-std::size_t usable_bits() { return header_bits_used(); }
-}  // namespace
-
-int choose_cut_bit(const std::vector<const Rule*>& rules, double dup_penalty,
-                   std::size_t* n0_out, std::size_t* n1_out) {
-  const std::size_t n = rules.size();
-  int best_bit = -1;
-  double best_score = std::numeric_limits<double>::infinity();
-  std::size_t best_n0 = 0, best_n1 = 0;
-  for (std::size_t bit = 0; bit < usable_bits(); ++bit) {
-    std::size_t n0 = 0, n1 = 0;
-    for (const Rule* r : rules) {
-      if (!r->match.care().get(bit)) {
-        ++n0;
-        ++n1;  // wildcard: duplicated into both halves
-      } else if (r->match.value().get(bit)) {
-        ++n1;
-      } else {
-        ++n0;
-      }
-    }
-    if (n0 == n || n1 == n) continue;  // no separation
-    const double score = static_cast<double>(std::max(n0, n1)) +
-                         dup_penalty * static_cast<double>(n0 + n1 - n);
-    if (score < best_score) {
-      best_score = score;
-      best_bit = static_cast<int>(bit);
-      best_n0 = n0;
-      best_n1 = n1;
+void CutTally::add(const Ternary& match) {
+  ++n_;
+  for (std::size_t word = 0; word < kHeaderWords; ++word) {
+    const std::uint64_t ones = match.value().w[word];
+    for (std::uint64_t care = match.care().w[word]; care != 0; care &= care - 1) {
+      const auto bit = static_cast<unsigned>(__builtin_ctzll(care));
+      ++care_[word * 64 + bit];
+      ones_[word * 64 + bit] += static_cast<std::uint32_t>((ones >> bit) & 1ULL);
     }
   }
-  if (n0_out) *n0_out = best_n0;
-  if (n1_out) *n1_out = best_n1;
-  return best_bit;
 }
 
 DTreeClassifier::DTreeClassifier(const RuleTable& table, DTreeParams params)
-    : params_(params), rules_(table.rules()) {
+    : rules_(table.rules()), params_(params) {
   // Build wall time, aggregated process-wide.
   static obs::Timer* const build_timer =
       obs::MetricsRegistry::global().timer("dtree_build");
@@ -75,10 +44,10 @@ std::uint32_t DTreeClassifier::build(std::vector<std::uint32_t>& rules,
   if (rules.size() <= params_.leaf_size || depth >= params_.max_depth) {
     return make_leaf(rules);
   }
-  std::vector<const Rule*> ptrs;
-  ptrs.reserve(rules.size());
-  for (const auto i : rules) ptrs.push_back(&rules_[i]);
-  const int bit = choose_cut_bit(ptrs, params_.dup_penalty);
+  CutTally tally;
+  for (const auto i : rules) tally.add(rules_[i].match);
+  const int bit =
+      choose_cut_bit(tally, params_.dup_penalty, [](std::size_t) { return true; });
   if (bit < 0) return make_leaf(rules);  // indistinguishable rules
 
   std::vector<std::uint32_t> left, right;
@@ -93,11 +62,6 @@ std::uint32_t DTreeClassifier::build(std::vector<std::uint32_t>& rules,
       left.push_back(i);
     }
   }
-  // Guard against degenerate cuts (choose_cut_bit filters these, but keep the
-  // invariant local).
-  if (left.size() == rules.size() && right.size() == rules.size()) {
-    return make_leaf(rules);
-  }
   rules.clear();
   rules.shrink_to_fit();  // release before recursing: trees can be deep
 
@@ -111,19 +75,55 @@ std::uint32_t DTreeClassifier::build(std::vector<std::uint32_t>& rules,
   return self;
 }
 
-const Rule* DTreeClassifier::classify(const BitVec& packet) const {
-  if (nodes_.empty()) return nullptr;
+const DTreeClassifier::Node& DTreeClassifier::leaf_for(const BitVec& packet) const {
   std::uint32_t at = root_;
   while (nodes_[at].cut_bit >= 0) {
     const auto bit = static_cast<std::size_t>(nodes_[at].cut_bit);
     at = packet.get(bit) ? nodes_[at].right : nodes_[at].left;
   }
-  const Node& leaf = nodes_[at];
+  return nodes_[at];
+}
+
+std::optional<std::size_t> DTreeClassifier::classify_index(const BitVec& packet) const {
+  const Node& leaf = leaf_for(packet);
   for (std::uint32_t i = leaf.leaf_begin; i < leaf.leaf_end; ++i) {
-    const Rule& rule = rules_[leaf_refs_[i]];
-    if (rule.match.matches(packet)) return &rule;
+    if (rules_[leaf_refs_[i]].match.matches(packet)) return leaf_refs_[i];
   }
-  return nullptr;
+  return std::nullopt;
+}
+
+const Rule* DTreeClassifier::classify(const BitVec& packet) const {
+  const auto index = classify_index(packet);
+  return index ? &rules_[*index] : nullptr;
+}
+
+std::vector<std::uint32_t> DTreeClassifier::overlapping(const Ternary& pattern) const {
+  std::vector<std::uint32_t> out;
+  // Descend into the side the pattern fixes, or both where it has a
+  // wildcard on the cut bit; leaves hold every rule that can reach them.
+  std::vector<std::uint32_t> stack{root_};
+  while (!stack.empty()) {
+    const Node& node = nodes_[stack.back()];
+    stack.pop_back();
+    if (node.cut_bit < 0) {
+      for (std::uint32_t i = node.leaf_begin; i < node.leaf_end; ++i) {
+        if (intersects(rules_[leaf_refs_[i]].match, pattern)) {
+          out.push_back(leaf_refs_[i]);
+        }
+      }
+      continue;
+    }
+    const auto bit = static_cast<std::size_t>(node.cut_bit);
+    if (!pattern.care().get(bit)) {
+      stack.push_back(node.left);
+      stack.push_back(node.right);
+    } else {
+      stack.push_back(pattern.value().get(bit) ? node.right : node.left);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 std::size_t DTreeClassifier::leaf_count() const {

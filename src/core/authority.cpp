@@ -4,12 +4,11 @@
 
 namespace difane {
 
-void AuthorityNode::bind(const Partition& partition, RuleId synth_id_base,
+void AuthorityNode::bind(const PartitionIndex& index, RuleId synth_id_base,
                          RuleId synth_id_end) {
   bindings_.push_back(Binding{
-      &partition,
-      CacheRuleGenerator(partition, switch_id_, strategy_, synth_id_base,
-                         synth_id_end, max_splice_cost_)});
+      &index, CacheRuleGenerator(index, switch_id_, strategy_, synth_id_base,
+                                 synth_id_end, max_splice_cost_)});
 }
 
 void AuthorityNode::unbind(PartitionId partition) {
@@ -20,7 +19,7 @@ void AuthorityNode::unbind(PartitionId partition) {
   kept.reserve(bindings_.size());
   bool removed = false;
   for (auto& binding : bindings_) {
-    if (!removed && binding.partition->id == partition) {
+    if (!removed && binding.index->partition().id == partition) {
       removed = true;
       continue;
     }
@@ -32,9 +31,10 @@ void AuthorityNode::unbind(PartitionId partition) {
 std::optional<AuthorityNode::Located> AuthorityNode::locate(
     const BitVec& packet) const {
   for (std::size_t i = 0; i < bindings_.size(); ++i) {
-    const Partition& partition = *bindings_[i].partition;
+    const PartitionIndex& index = *bindings_[i].index;
+    const Partition& partition = index.partition();
     if (!partition.region.matches(packet)) continue;
-    Located at{i, partition.rules.match_index(packet), {}};
+    Located at{i, index.tree().classify_index(packet), {}};
     at.result.partition = partition.id;
     // nullptr winner: the partition covers the packet, no rule does.
     if (at.rule) at.result.winner = &partition.rules.at(*at.rule);
@@ -60,12 +60,13 @@ std::optional<AuthorityNode::RedirectResult> AuthorityNode::handle(
   return std::move(at->result);
 }
 
-std::vector<std::size_t> AuthorityNode::splice_costs(PartitionId partition) {
-  for (auto& binding : bindings_) {
-    if (binding.partition->id != partition) continue;
+std::vector<std::size_t> AuthorityNode::splice_costs(PartitionId partition) const {
+  for (const auto& binding : bindings_) {
+    if (binding.index->partition().id != partition) continue;
+    const auto& rules = binding.index->partition().rules;
     std::vector<std::size_t> costs;
-    costs.reserve(binding.partition->rules.size());
-    for (std::size_t i = 0; i < binding.partition->rules.size(); ++i) {
+    costs.reserve(rules.size());
+    for (std::size_t i = 0; i < rules.size(); ++i) {
       costs.push_back(binding.generator.cost_of(i));
     }
     return costs;

@@ -23,11 +23,11 @@ class AuthorityNode {
 
   SwitchId switch_id() const { return switch_id_; }
 
-  // Bind a partition this switch serves (as primary or backup). `partition`
-  // must outlive the node. The binding's generator draws its synthetic rule
-  // ids from [synth_id_base, synth_id_end); callers hand each binding a
-  // disjoint range.
-  void bind(const Partition& partition, RuleId synth_id_base, RuleId synth_id_end);
+  // Bind a partition this switch serves (as primary or backup), borrowing
+  // its index, which must outlive the binding. The binding's generator draws
+  // its synthetic rule ids from [synth_id_base, synth_id_end); callers hand
+  // each binding a disjoint range.
+  void bind(const PartitionIndex& index, RuleId synth_id_base, RuleId synth_id_end);
 
   // Drop the binding for `partition` (live migration retired this switch
   // from the serving set). Unbinding a partition that is not bound is a
@@ -36,12 +36,14 @@ class AuthorityNode {
 
   std::size_t partition_count() const { return bindings_.size(); }
 
-  bool serves(PartitionId partition) const {
+  // The index a binding of `partition` borrows, or nullptr if unbound.
+  const PartitionIndex* bound(PartitionId partition) const {
     for (const auto& binding : bindings_) {
-      if (binding.partition->id == partition) return true;
+      if (binding.index->partition().id == partition) return binding.index;
     }
-    return false;
+    return nullptr;
   }
+  bool serves(PartitionId partition) const { return bound(partition) != nullptr; }
 
   struct RedirectResult {
     const Rule* winner = nullptr;   // nullptr => no rule in the partition
@@ -50,9 +52,10 @@ class AuthorityNode {
   };
 
   // Resolve a redirected packet without side effects: locate the owning
-  // partition among this switch's bindings and match it. The install stays
-  // empty. Returns nullopt if no bound partition covers the packet (a
-  // misdirected packet — e.g. stale partition rules right after failover).
+  // partition among this switch's bindings and match it through the
+  // partition's tree (built on first use). The install stays empty. Returns
+  // nullopt if no bound partition covers the packet (a misdirected packet —
+  // e.g. stale partition rules right after failover).
   std::optional<RedirectResult> resolve(const BitVec& packet) const;
 
   // resolve(), then produce the cache install for the winner. Generating
@@ -62,11 +65,11 @@ class AuthorityNode {
 
   // Number of cache-band TCAM entries the strategy charges for caching each
   // rule of the given partition (paper-style splice cost; used by benches).
-  std::vector<std::size_t> splice_costs(PartitionId partition);
+  std::vector<std::size_t> splice_costs(PartitionId partition) const;
 
  private:
   struct Binding {
-    const Partition* partition;
+    const PartitionIndex* index;
     CacheRuleGenerator generator;
   };
   // Where a packet lands: the first binding whose partition covers it and

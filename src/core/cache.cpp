@@ -39,12 +39,26 @@ std::uint64_t shadow_id_space(const Partition& partition, CacheStrategy strategy
   return strategy == CacheStrategy::kCoverSet ? n * n : 0;
 }
 
-CacheRuleGenerator::CacheRuleGenerator(const Partition& partition,
+const DTreeClassifier& PartitionIndex::tree() const {
+  std::call_once(tree_once_, [this] {
+    tree_.emplace(partition_.rules, DTreeParams{.leaf_size = kIndexLeafSize});
+  });
+  return *tree_;
+}
+
+const DependencyGraph& PartitionIndex::graph() const {
+  std::call_once(graph_once_,
+                 [this] { graph_ = build_dependency_graph(partition_.rules, tree()); });
+  return *graph_;
+}
+
+CacheRuleGenerator::CacheRuleGenerator(const PartitionIndex& index,
                                        SwitchId authority_switch,
                                        CacheStrategy strategy, RuleId synth_id_base,
                                        RuleId synth_id_end,
                                        std::size_t max_splice_cost)
-    : partition_(partition),
+    : index_(index),
+      partition_(index.partition()),
       authority_switch_(authority_switch),
       strategy_(strategy),
       shadow_id_base_(synth_id_base),
@@ -54,17 +68,10 @@ CacheRuleGenerator::CacheRuleGenerator(const Partition& partition,
   // matched) pair index, a space of size^2; sequential ids (microflow
   // entries, incl. the splice-cost fallback) start above it or a microflow
   // install would silently *replace* a live shadow entry.
-  const std::uint64_t shadows = shadow_id_space(partition, strategy);
+  const std::uint64_t shadows = shadow_id_space(partition_, strategy);
   expects(synth_id_base <= synth_id_end && shadows <= synth_id_end - synth_id_base,
           "CacheRuleGenerator: synthetic id range cannot hold the shadow ids");
   next_synth_id_ = synth_id_base + static_cast<RuleId>(shadows);
-}
-
-const DependencyGraph& CacheRuleGenerator::graph() {
-  if (!graph_) {
-    graph_ = std::make_unique<DependencyGraph>(build_dependency_graph(partition_.rules));
-  }
-  return *graph_;
 }
 
 CacheInstall CacheRuleGenerator::generate(const BitVec& packet,
@@ -87,7 +94,7 @@ CacheInstall CacheRuleGenerator::generate(const BitVec& packet,
       // rule ids, so re-caching refreshes instead of duplicating. Deeply
       // entangled rules degrade to a microflow entry (see max_splice_cost).
       const auto closure =
-          ancestor_closure(graph(), static_cast<std::uint32_t>(matched_idx));
+          ancestor_closure(index_.graph(), static_cast<std::uint32_t>(matched_idx));
       if (closure.size() + 1 > max_splice_cost_) {
         install = microflow_install(packet, matched);
         break;
@@ -99,7 +106,7 @@ CacheInstall CacheRuleGenerator::generate(const BitVec& packet,
       break;
     }
     case CacheStrategy::kCoverSet: {
-      if (graph().parents[matched_idx].size() + 1 > max_splice_cost_) {
+      if (index_.graph().parents[matched_idx].size() + 1 > max_splice_cost_) {
         install = microflow_install(packet, matched);
         break;
       }
@@ -108,7 +115,7 @@ CacheInstall CacheRuleGenerator::generate(const BitVec& packet,
       // authority switch. Any packet a parent would have won is bounced to
       // the authority instead of being mis-handled by the cached rule.
       install.rules.push_back(matched);
-      for (const auto parent_idx : graph().parents[matched_idx]) {
+      for (const auto parent_idx : index_.graph().parents[matched_idx]) {
         const Rule& parent = partition_.rules.at(parent_idx);
         const auto overlap = intersect(parent.match, matched.match);
         if (!overlap) continue;  // conservative graphs may list spurious parents
@@ -153,7 +160,7 @@ CacheInstall CacheRuleGenerator::microflow_install(const BitVec& packet,
   return install;
 }
 
-std::size_t CacheRuleGenerator::cost_of(std::size_t idx) {
+std::size_t CacheRuleGenerator::cost_of(std::size_t idx) const {
   expects(idx < partition_.rules.size(), "cost_of: bad rule index");
   switch (strategy_) {
     case CacheStrategy::kNone:
@@ -161,9 +168,9 @@ std::size_t CacheRuleGenerator::cost_of(std::size_t idx) {
     case CacheStrategy::kMicroflow:
       return 1;
     case CacheStrategy::kDependentSet:
-      return 1 + ancestor_closure(graph(), static_cast<std::uint32_t>(idx)).size();
+      return 1 + ancestor_closure(index_.graph(), static_cast<std::uint32_t>(idx)).size();
     case CacheStrategy::kCoverSet:
-      return 1 + graph().parents[idx].size();
+      return 1 + index_.graph().parents[idx].size();
   }
   return 1;
 }

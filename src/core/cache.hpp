@@ -17,9 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
+#include "classifier/dtree.hpp"
 #include "flowspace/dependency.hpp"
 #include "partition/plan.hpp"
 #include "switchsim/sw.hpp"
@@ -102,12 +104,34 @@ InstallClass classify_install(const ElephantParams& params,
 // other strategies. Sequential microflow ids follow them.
 std::uint64_t shadow_id_space(const Partition& partition, CacheStrategy strategy);
 
-// Generates cache rules for one partition. Owns the partition's dependency
-// graph (built lazily on first use) and an id allocator for synthesized
-// shadow/microflow rules.
+// One partition's lookup structures, shared by every binding that serves it
+// (primary, backup, replicas, live-migration rebinds): a decision tree over
+// its clipped rules, which answers the authority match, and the dependency
+// graph built from the tree's overlap queries. Each is built on first use,
+// at most once, even when bindings on different shards reach it at once.
+class PartitionIndex {
+ public:
+  // `partition` must outlive the index and keep its rules unchanged.
+  explicit PartitionIndex(const Partition& partition) : partition_(partition) {}
+  PartitionIndex(Partition&&) = delete;
+
+  const Partition& partition() const { return partition_; }
+  const DTreeClassifier& tree() const;
+  const DependencyGraph& graph() const;
+
+ private:
+  const Partition& partition_;
+  mutable std::once_flag tree_once_, graph_once_;
+  mutable std::optional<DTreeClassifier> tree_;
+  mutable std::optional<DependencyGraph> graph_;
+};
+
+// Generates cache rules for one partition binding. Borrows the partition's
+// index (its dependency graph) and owns the binding's id allocator for
+// synthesized shadow/microflow rules.
 class CacheRuleGenerator {
  public:
-  // `partition` must outlive the generator. `authority_switch` is the switch
+  // `index` must outlive the generator. `authority_switch` is the switch
   // shadow rules redirect to. Synthesized ids come from [synth_id_base,
   // synth_id_end), which must not overlap policy rule ids or another
   // generator's range, and must hold the shadow_id_space; a microflow id
@@ -117,7 +141,7 @@ class CacheRuleGenerator {
   // degrade to a microflow entry (one exact-match rule), keeping a
   // hot-but-deeply-entangled rule from flooding the ingress cache with
   // protectors.
-  CacheRuleGenerator(const Partition& partition, SwitchId authority_switch,
+  CacheRuleGenerator(const PartitionIndex& index, SwitchId authority_switch,
                      CacheStrategy strategy, RuleId synth_id_base,
                      RuleId synth_id_end, std::size_t max_splice_cost = 32);
 
@@ -128,13 +152,12 @@ class CacheRuleGenerator {
   CacheStrategy strategy() const { return strategy_; }
   // TCAM entries the strategy would charge for caching each rule (the
   // paper-style cost of splicing a chain at that rule).
-  std::size_t cost_of(std::size_t idx);
+  std::size_t cost_of(std::size_t idx) const;
 
  private:
-  const DependencyGraph& graph();
-
   CacheInstall microflow_install(const BitVec& packet, const Rule& matched);
 
+  const PartitionIndex& index_;
   const Partition& partition_;
   SwitchId authority_switch_;
   CacheStrategy strategy_;
@@ -142,7 +165,6 @@ class CacheRuleGenerator {
   RuleId shadow_id_base_;    // deterministic shadow-id space (cover-set)
   RuleId synth_id_end_;      // one past the last id this generator may use
   std::size_t max_splice_cost_;
-  std::unique_ptr<DependencyGraph> graph_;  // lazy
 };
 
 }  // namespace difane

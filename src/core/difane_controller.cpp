@@ -29,6 +29,9 @@ DifaneController::DifaneController(Network& net, const RuleTable& policy,
   // synthetic-id range.
   synth_id_stride_ = fit_synth_id_stride();
   next_synth_base_ = params_.synth_id_base;
+  for (const auto& partition : plan_.partitions()) {
+    indexes_.push_back(std::make_unique<PartitionIndex>(partition));
+  }
   for (std::size_t index = 0; index < plan_.partitions().size(); ++index) {
     for (const auto authority : serving_set(plan_.partitions()[index])) {
       bind_partition(index, authority);
@@ -95,7 +98,7 @@ void DifaneController::bind_partition(std::size_t index, AuthorityIndex authorit
   expects(span <= kInvalidRuleId - next_synth_base_,
           "bind_partition: synthetic rule ids exhausted");
   const auto end = static_cast<RuleId>(next_synth_base_ + span);
-  node->bind(partition, next_synth_base_, end);
+  node->bind(*indexes_.at(index), next_synth_base_, end);
   next_synth_base_ = end;
 }
 

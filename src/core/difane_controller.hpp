@@ -95,12 +95,13 @@ class DifaneController {
   std::vector<AuthorityIndex> serving_set(AuthorityIndex primary,
                                           AuthorityIndex backup) const;
 
-  // Bind/unbind partition `index` at one authority's control node. Binds
-  // allocate a fresh disjoint synthetic-id range of whole strides past the
-  // binding's shadow ids; a bind that finds no room left fails a contract
-  // check. Unbinding a switch that does
-  // not serve the partition is a no-op. Neither touches any TCAM — the
-  // caller moves the actual rules over the control channel.
+  // Bind/unbind partition `index` at one authority's control node. Every
+  // binding of a partition borrows the partition's one PartitionIndex, so
+  // its tree and dependency graph are built once. Binds allocate a fresh
+  // disjoint synthetic-id range of whole strides past the binding's shadow
+  // ids; a bind that finds no room left fails a contract check. Unbinding a
+  // switch that does not serve the partition is a no-op. Neither touches
+  // any TCAM — the caller moves the actual rules over the control channel.
   void bind_partition(std::size_t index, AuthorityIndex authority);
   void unbind_partition(std::size_t index, AuthorityIndex authority);
 
@@ -135,6 +136,8 @@ class DifaneController {
   std::vector<SwitchId> authority_switches_;
   DifaneControllerParams params_;
   PartitionPlan plan_;
+  // One per plan partition, in plan order; bindings borrow them.
+  std::vector<std::unique_ptr<PartitionIndex>> indexes_;
   std::unordered_map<SwitchId, std::unique_ptr<AuthorityNode>> nodes_;
   RuleId synth_id_stride_ = 0;  // fit_synth_id_stride()
   RuleId next_synth_base_ = 0;  // start of the next binding's synthetic ids

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "classifier/dtree.hpp"
 #include "util/contract.hpp"
 
 namespace difane {
@@ -33,53 +34,77 @@ std::size_t DependencyGraph::max_chain_depth() const {
   return best;
 }
 
+namespace {
+
+// Subtracts `higher` from every remainder piece it intersects, in place, and
+// returns whether any did. A miss copies nothing. Piece order is not kept;
+// only the set of pieces matters to the walk.
+bool bite(std::vector<Ternary>& remainder, const Ternary& higher) {
+  const std::size_t count = remainder.size();
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    if (!intersects(remainder[k], higher)) {
+      if (kept != k) remainder[kept] = remainder[k];
+      ++kept;
+      continue;
+    }
+    for (auto& piece : subtract(remainder[k], higher)) {
+      remainder.push_back(std::move(piece));
+    }
+  }
+  if (kept == count) return false;
+  remainder.erase(remainder.begin() + static_cast<std::ptrdiff_t>(kept),
+                  remainder.begin() + static_cast<std::ptrdiff_t>(count));
+  return true;
+}
+
+}  // namespace
+
 DependencyGraph build_dependency_graph(const RuleTable& table, std::size_t max_pieces) {
+  const DTreeClassifier tree(table, DTreeParams{.leaf_size = kIndexLeafSize});
+  return build_dependency_graph(table, tree, max_pieces);
+}
+
+DependencyGraph build_dependency_graph(const RuleTable& table,
+                                       const DTreeClassifier& tree,
+                                       std::size_t max_pieces) {
+  expects(max_pieces >= 1, "build_dependency_graph: max_pieces must be at least 1");
   DependencyGraph graph;
   const std::size_t n = table.size();
   graph.parents.assign(n, {});
   graph.children.assign(n, {});
   graph.conservative.assign(n, false);
 
+  std::vector<Ternary> remainder;
   for (std::size_t i = 0; i < n; ++i) {
     const Ternary& pred = table.at(i).match;
-    std::vector<Ternary> remainder{pred};
+    auto& parents = graph.parents[i];
+    remainder.assign(1, pred);
     bool exploded = false;
-    // Walk from the rule immediately above i upward. Only rules that
-    // intersect the *remainder* are true dependencies; rules that intersect
-    // pred but whose overlap is already claimed by a rule in between are not.
-    for (std::size_t up = i; up-- > 0;) {
-      const Ternary& higher = table.at(up).match;
-      if (!exploded) {
-        bool bites = false;
-        std::vector<Ternary> next;
-        for (const auto& piece : remainder) {
-          if (intersects(piece, higher)) {
-            bites = true;
-            auto sub = subtract(piece, higher);
-            next.insert(next.end(), sub.begin(), sub.end());
-          } else {
-            next.push_back(piece);
-          }
-        }
-        if (next.size() > max_pieces) {
-          exploded = true;
-          graph.conservative[i] = true;
-        } else {
-          remainder = std::move(next);
-        }
-        if (bites) {
-          graph.parents[i].push_back(static_cast<std::uint32_t>(up));
-        }
-        if (!exploded && remainder.empty()) break;  // fully shadowed above `up`
-      } else {
+    // Walk the higher rules that intersect pred, from the one nearest i
+    // upward; no other rule can bite a piece of pred. Only rules that
+    // intersect the *remainder* are true dependencies; rules whose overlap
+    // is already claimed by a rule in between are not.
+    const auto candidates = tree.overlapping(pred);
+    for (auto it = std::lower_bound(candidates.begin(), candidates.end(), i);
+         it != candidates.begin();) {
+      const std::uint32_t up = *--it;
+      if (exploded) {
         // Conservative fallback: any intersecting higher rule is a parent.
-        if (intersects(pred, higher)) {
-          graph.parents[i].push_back(static_cast<std::uint32_t>(up));
-        }
+        parents.push_back(up);
+        continue;
+      }
+      if (!bite(remainder, table.at(up).match)) continue;
+      parents.push_back(up);
+      if (remainder.size() > max_pieces) {
+        exploded = true;
+        graph.conservative[i] = true;
+      } else if (remainder.empty()) {
+        break;  // fully shadowed above `up`
       }
     }
-    std::sort(graph.parents[i].begin(), graph.parents[i].end());
-    for (const auto p : graph.parents[i]) {
+    std::sort(parents.begin(), parents.end());
+    for (const auto p : parents) {
       graph.children[p].push_back(static_cast<std::uint32_t>(i));
     }
   }

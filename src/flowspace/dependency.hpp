@@ -30,10 +30,19 @@ struct DependencyGraph {
   std::size_t max_chain_depth() const;
 };
 
+class DTreeClassifier;
+
 // Build the graph with the exact residual algorithm: walk higher-priority
 // rules in priority order, keep the not-yet-claimed remainder of rule i's
 // predicate, and add an edge whenever a higher rule bites into the remainder.
+// A decision tree over the table supplies each rule's intersecting rules, so
+// the walk skips the higher rules that cannot bite. `max_pieces` must be at
+// least 1. Compiled into difane_classifier, which provides the tree.
 DependencyGraph build_dependency_graph(const RuleTable& table,
+                                       std::size_t max_pieces = 4096);
+// The same graph from an already built tree over `table`.
+DependencyGraph build_dependency_graph(const RuleTable& table,
+                                       const DTreeClassifier& tree,
                                        std::size_t max_pieces = 4096);
 
 // All rules reachable upward from `idx` (its dependent set, excluding idx).

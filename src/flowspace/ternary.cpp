@@ -50,20 +50,26 @@ std::string Ternary::bits_to_string(std::size_t offset, std::size_t width) const
 
 std::vector<Ternary> subtract(const Ternary& a, const Ternary& b) {
   if (!intersects(a, b)) return {a};
-  std::vector<Ternary> out;
-  // Peel off, one bit at a time, the region of `a` that disagrees with `b`
-  // on a bit `b` cares about but the running remainder does not. Each peeled
+  // Peel off, one bit at a time in ascending order, the region of `a` that
+  // disagrees with `b` on a bit `b` cares about but `a` does not. Each peeled
   // piece is disjoint from all previous pieces (they agree with b on earlier
   // peel bits) and from b (they disagree on the peel bit).
-  Ternary cur = a;
-  for (std::size_t bit = 0; bit < kHeaderBits; ++bit) {
-    if (!b.care().get(bit) || cur.care().get(bit)) continue;
-    Ternary piece = cur;
-    piece.set_exact(bit, 1, b.value().get(bit) ? 0 : 1);
-    out.push_back(piece);
-    cur.set_exact(bit, 1, b.value().get(bit) ? 1 : 0);
+  const BitVec peel = b.care() & ~a.care();
+  std::vector<Ternary> out;
+  out.reserve(static_cast<std::size_t>(peel.popcount()));
+  BitVec value = a.value();
+  BitVec care = a.care();
+  for (std::size_t word = 0; word < kHeaderWords; ++word) {
+    for (std::uint64_t bits = peel.w[word]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t bit = bits & (~bits + 1);
+      care.w[word] |= bit;
+      BitVec piece = value;
+      piece.w[word] |= ~b.value().w[word] & bit;
+      out.emplace_back(piece, care);
+      value.w[word] |= b.value().w[word] & bit;
+    }
   }
-  // `cur` is now a ∩ b and is intentionally dropped.
+  // (value, care) is now a ∩ b and is intentionally dropped.
   return out;
 }
 

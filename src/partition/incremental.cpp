@@ -1,10 +1,9 @@
 #include "partition/incremental.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
-#include "flowspace/header.hpp"
+#include "classifier/dtree.hpp"
 #include "util/contract.hpp"
 
 namespace difane {
@@ -42,31 +41,10 @@ void IncrementalPartitioner::build_initial() {
 
 int IncrementalPartitioner::pick_bit(const std::vector<Rule>& rules,
                                      const Ternary& region) const {
-  int best_bit = -1;
-  double best_score = std::numeric_limits<double>::infinity();
-  const std::size_t n = rules.size();
-  for (std::size_t bit = 0; bit < header_bits_used(); ++bit) {
-    if (region.care().get(bit)) continue;
-    std::size_t n0 = 0, n1 = 0;
-    for (const auto& rule : rules) {
-      if (!rule.match.care().get(bit)) {
-        ++n0;
-        ++n1;
-      } else if (rule.match.value().get(bit)) {
-        ++n1;
-      } else {
-        ++n0;
-      }
-    }
-    if (n0 == n || n1 == n) continue;
-    const double score = static_cast<double>(std::max(n0, n1)) +
-                         params_.dup_penalty * static_cast<double>(n0 + n1 - n);
-    if (score < best_score) {
-      best_score = score;
-      best_bit = static_cast<int>(bit);
-    }
-  }
-  return best_bit;
+  CutTally tally;
+  for (const auto& rule : rules) tally.add(rule.match);
+  return choose_cut_bit(tally, params_.dup_penalty,
+                        [&](std::size_t bit) { return !region.care().get(bit); });
 }
 
 void IncrementalPartitioner::sorted_insert(std::vector<Rule>& rules, Rule rule) {

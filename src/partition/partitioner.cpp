@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "classifier/dtree.hpp"
@@ -35,53 +34,27 @@ class TreeBuilder {
   int pick_bit(const std::vector<std::uint32_t>& rules, const Ternary& region,
                std::size_t* best_max_side) {
     // Candidate bits: inside the used header, not already fixed by the region.
-    std::vector<int> separating;
-    int best_bit = -1;
-    double best_score = std::numeric_limits<double>::infinity();
-    const std::size_t n = rules.size();
-    for (std::size_t bit = 0; bit < header_bits_used(); ++bit) {
-      if (region.care().get(bit)) continue;
-      if (params_.strategy == CutStrategy::kIpBitsOnly && !is_ip_bit(bit)) continue;
-      std::size_t n0 = 0, n1 = 0;
-      for (const auto i : rules) {
-        const auto& m = policy_.at(i).match;
-        if (!m.care().get(bit)) {
-          ++n0;
-          ++n1;
-        } else if (m.value().get(bit)) {
-          ++n1;
-        } else {
-          ++n0;
-        }
+    CutTally tally;
+    for (const auto i : rules) tally.add(policy_.at(i).match);
+    const auto allowed = [&](std::size_t bit) {
+      return !region.care().get(bit) &&
+             (params_.strategy != CutStrategy::kIpBitsOnly || is_ip_bit(bit));
+    };
+    int bit = -1;
+    if (params_.strategy == CutStrategy::kRandomBit) {
+      std::vector<int> separating;
+      for (std::size_t b = 0; b < header_bits_used(); ++b) {
+        if (allowed(b) && tally.separates(b)) separating.push_back(static_cast<int>(b));
       }
-      if (n0 == n || n1 == n) continue;  // does not separate
-      separating.push_back(static_cast<int>(bit));
-      const double score = static_cast<double>(std::max(n0, n1)) +
-                           params_.dup_penalty * static_cast<double>(n0 + n1 - n);
-      if (score < best_score) {
-        best_score = score;
-        best_bit = static_cast<int>(bit);
-        *best_max_side = std::max(n0, n1);
-      }
+      if (!separating.empty()) bit = separating[rng_.uniform(0, separating.size() - 1)];
+    } else {
+      bit = choose_cut_bit(tally, params_.dup_penalty, allowed);
     }
-    if (params_.strategy == CutStrategy::kRandomBit && !separating.empty()) {
-      const int bit = separating[rng_.uniform(0, separating.size() - 1)];
-      std::size_t n0 = 0, n1 = 0;
-      for (const auto i : rules) {
-        const auto& m = policy_.at(i).match;
-        if (!m.care().get(static_cast<std::size_t>(bit))) {
-          ++n0;
-          ++n1;
-        } else if (m.value().get(static_cast<std::size_t>(bit))) {
-          ++n1;
-        } else {
-          ++n0;
-        }
-      }
-      *best_max_side = std::max(n0, n1);
-      return bit;
+    if (bit >= 0) {
+      const auto b = static_cast<std::size_t>(bit);
+      *best_max_side = std::max(tally.n0(b), tally.n1(b));
     }
-    return best_bit;
+    return bit;
   }
 
   static bool is_ip_bit(std::size_t bit) {

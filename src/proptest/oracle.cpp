@@ -335,7 +335,9 @@ Violation check_cache_vs_authority(const Counterexample& cex,
       Partitioner(params.partitioner).build(policy, params.authority_count);
 
   // One AuthorityNode per authority index; switch ids are arbitrary labels.
+  // Bindings borrow the partition indexes, so those are declared first.
   constexpr SwitchId kAuthorityBase = 1000;
+  std::vector<std::unique_ptr<PartitionIndex>> indexes;
   std::vector<std::unique_ptr<AuthorityNode>> nodes;
   for (std::uint32_t a = 0; a < params.authority_count; ++a) {
     nodes.push_back(std::make_unique<AuthorityNode>(
@@ -343,7 +345,8 @@ Violation check_cache_vs_authority(const Counterexample& cex,
   }
   RuleId synth_base = 0x40000000u;
   for (const auto& p : plan.partitions()) {
-    nodes[p.primary]->bind(p, synth_base, synth_base + (1u << 22));
+    indexes.push_back(std::make_unique<PartitionIndex>(p));
+    nodes[p.primary]->bind(*indexes.back(), synth_base, synth_base + (1u << 22));
     synth_base += 1u << 22;
   }
 

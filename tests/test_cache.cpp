@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 #include "core/authority.hpp"
 #include "core/difane_controller.hpp"
@@ -40,6 +41,7 @@ RuleTable chain_policy() {
 struct Harness {
   RuleTable policy;
   PartitionPlan plan;
+  std::vector<std::unique_ptr<PartitionIndex>> indexes;
   AuthorityNode node;
 
   Harness(RuleTable p, CacheStrategy strategy, std::size_t capacity = 1000,
@@ -53,7 +55,8 @@ struct Harness {
         node(kAuthority, strategy) {
     RuleId base = 1u << 20;
     for (const auto& partition : plan.partitions()) {
-      node.bind(partition, base, base + (1u << 22));
+      indexes.push_back(std::make_unique<PartitionIndex>(partition));
+      node.bind(*indexes.back(), base, base + (1u << 22));
       base += 1u << 22;
     }
   }
@@ -209,8 +212,9 @@ TEST(Cache, HandleReturnsNulloptOutsideBoundPartitions) {
   params.capacity = 30;
   const auto plan = Partitioner(params).build(policy, 2);
   ASSERT_GT(plan.partitions().size(), 1u);
+  const PartitionIndex index(plan.partitions()[0]);
   AuthorityNode node(kAuthority, CacheStrategy::kDependentSet);
-  node.bind(plan.partitions()[0], 1u << 20, 1u << 22);  // bind only one partition
+  node.bind(index, 1u << 20, 1u << 22);  // bind only one partition
   // A packet in a different partition is not ours.
   Rng rng(9);
   bool saw_unbound = false;
@@ -279,6 +283,31 @@ TEST(Cache, CoverSetShadowIdsNeverAliasAcrossBindings) {
     }
   }
   EXPECT_EQ(shadows, 6u);  // one per packet per binding
+}
+
+TEST(Cache, BindingsOfOnePartitionShareOneIndex) {
+  // The primary and the backup borrow the partition's one index, so its
+  // tree and dependency graph are built once for both, and a live-migration
+  // rebind borrows the same index again instead of building its own.
+  ControllerHarness h(DifaneControllerParams{});
+  const PartitionIndex* index = h.primary->bound(0);
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(h.backup->bound(0), index);
+
+  const BitVec packet = PacketBuilder().ip_dst(make_ipv4(10, 1, 2, 1)).build();
+  ASSERT_TRUE(h.primary->handle(packet).has_value());
+  ASSERT_TRUE(h.backup->handle(packet).has_value());
+  const DependencyGraph* graph = &index->graph();
+  EXPECT_EQ(&h.backup->bound(0)->graph(), graph);
+  EXPECT_EQ(&h.backup->bound(0)->tree(), &index->tree());
+
+  const AuthorityIndex backup = h.ctl.plan().partitions()[0].backup;
+  h.ctl.unbind_partition(0, backup);
+  EXPECT_EQ(h.backup->bound(0), nullptr);
+  h.ctl.bind_partition(0, backup);
+  ASSERT_EQ(h.backup->bound(0), index);
+  EXPECT_EQ(&h.backup->bound(0)->graph(), graph);
+  ASSERT_TRUE(h.backup->handle(packet).has_value());
 }
 
 TEST(Cache, SyntheticIdRangesFailLoudlyInsteadOfAliasing) {

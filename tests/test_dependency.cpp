@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "classifier/dtree.hpp"
 #include "flowspace/dependency.hpp"
 #include "flowspace/header.hpp"
 #include "util/rng.hpp"
+#include "workload/rulegen.hpp"
 
 namespace difane {
 namespace {
@@ -165,6 +167,123 @@ TEST_P(DependencyProperty, EdgesMatchSampledSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DependencyProperty,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u));
+
+// The reference builder: for every rule, walk every higher rule, intersecting
+// or not, with the same remainder logic. O(n^2) per table.
+DependencyGraph quadratic_graph(const RuleTable& table, std::size_t max_pieces) {
+  DependencyGraph graph;
+  const std::size_t n = table.size();
+  graph.parents.assign(n, {});
+  graph.children.assign(n, {});
+  graph.conservative.assign(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Ternary& pred = table.at(i).match;
+    std::vector<Ternary> remainder{pred};
+    bool exploded = false;
+    for (std::size_t up = i; up-- > 0;) {
+      const Ternary& higher = table.at(up).match;
+      if (!exploded) {
+        bool bites = false;
+        std::vector<Ternary> next;
+        for (const auto& piece : remainder) {
+          if (intersects(piece, higher)) {
+            bites = true;
+            auto sub = subtract(piece, higher);
+            next.insert(next.end(), sub.begin(), sub.end());
+          } else {
+            next.push_back(piece);
+          }
+        }
+        if (next.size() > max_pieces) {
+          exploded = true;
+          graph.conservative[i] = true;
+        } else {
+          remainder = std::move(next);
+        }
+        if (bites) graph.parents[i].push_back(static_cast<std::uint32_t>(up));
+        if (!exploded && remainder.empty()) break;
+      } else if (intersects(pred, higher)) {
+        graph.parents[i].push_back(static_cast<std::uint32_t>(up));
+      }
+    }
+    std::sort(graph.parents[i].begin(), graph.parents[i].end());
+    for (const auto p : graph.parents[i]) {
+      graph.children[p].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  return graph;
+}
+
+// Rules `begin..begin+count` of a generated policy, ids and priorities kept.
+RuleTable slice(const RuleTable& policy, std::size_t begin, std::size_t count) {
+  std::vector<Rule> rules;
+  for (std::size_t i = begin; i < std::min(policy.size(), begin + count); ++i) {
+    rules.push_back(policy.at(i));
+  }
+  return RuleTable(std::move(rules));
+}
+
+// Dense patterns confined to one byte, priorities drawn from a few levels so
+// many rules tie (ties order by id).
+RuleTable dense_byte_policy(Rng& rng, std::size_t rules) {
+  RuleTable t;
+  for (RuleId i = 0; i < rules; ++i) {
+    Ternary m;
+    const auto bits = rng.uniform(0, 6);
+    for (std::uint64_t b = 0; b < bits; ++b) {
+      m.set_exact(rng.uniform(0, 7), 1, rng.uniform(0, 1));
+    }
+    t.add(rule_with(i, static_cast<Priority>(rng.uniform(1, 4)), m));
+  }
+  return t;
+}
+
+void expect_same_graph(const DependencyGraph& got, const DependencyGraph& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.parents, want.parents) << what;
+  EXPECT_EQ(got.children, want.children) << what;
+  EXPECT_EQ(got.conservative, want.conservative) << what;
+}
+
+// Property: the tree-driven builder returns the reference's parents,
+// children and conservative flags, at generous and at tiny piece budgets.
+class DependencyReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DependencyReference, TreeBuilderMatchesQuadraticReference) {
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed);
+  std::vector<std::pair<std::string, RuleTable>> policies;
+  for (int i = 0; i < 4; ++i) {
+    policies.emplace_back("dense byte", dense_byte_policy(rng, 40));
+  }
+  const RuleTable campus = campus_like(1200, seed);
+  const RuleTable classbench = classbench_like(1200, seed);
+  for (int i = 0; i < 2; ++i) {
+    policies.emplace_back("campus slice", slice(campus, rng.uniform(0, 1000), 200));
+    policies.emplace_back("classbench slice",
+                          slice(classbench, rng.uniform(0, 1000), 200));
+  }
+  policies.emplace_back("campus tail", slice(campus, 1000, 200));  // with default
+  std::size_t conservative = 0;
+  for (const auto& [name, policy] : policies) {
+    for (const std::size_t max_pieces : {std::size_t{1}, std::size_t{3},
+                                         std::size_t{16}, std::size_t{4096}}) {
+      const auto want = quadratic_graph(policy, max_pieces);
+      const std::string what = name + " max_pieces " + std::to_string(max_pieces);
+      expect_same_graph(build_dependency_graph(policy, max_pieces), want, what);
+      // Any tree over the table serves, whatever its leaf size.
+      DTreeParams params;
+      params.leaf_size = 1 + rng.uniform(0, 15);
+      const DTreeClassifier tree(policy, params);
+      expect_same_graph(build_dependency_graph(policy, tree, max_pieces), want, what);
+      for (const bool flag : want.conservative) conservative += flag;
+    }
+  }
+  EXPECT_GT(conservative, 0u);  // the small budgets took the fallback path
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DependencyReference,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace difane

@@ -296,6 +296,42 @@ TEST(ScenarioThreads, DifaneParallelRunConservesPacketsAndVerifies) {
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
+// Two replicas serve every partition, on different shards (authorities are
+// spread round-robin across them). Flows enter at all eight edges, which
+// split each partition's redirects between its replicas, and arrive about
+// 20 per 100 us window, so two shards first-touch a partition's shared tree
+// and dependency graph in the same window. Each is built once, under a
+// once-guard. TSan runs this suite.
+TEST(ScenarioThreads, ReplicasOnTwoShardsShareOnePartitionIndex) {
+  const auto policy = policy_for_threads();
+  TrafficParams tp;
+  tp.seed = 29;
+  tp.flow_pool = 2000;
+  tp.arrival_rate = 200000.0;
+  tp.duration = 0.01;
+  tp.mean_packets = 2.0;
+  tp.ingress_count = 8;
+  const auto flows = TrafficGenerator(policy, tp).generate();
+  auto params = threads_params(4);
+  params.authority_replicas = 2;
+  const auto run_once = [&]() {
+    Scenario scenario(policy, params);
+    const auto& stats = scenario.run(flows);
+    EXPECT_GT(stats.redirects, 0u);
+    EXPECT_EQ(stats.tracer.in_flight(), 0);
+    EXPECT_EQ(stats.tracer.injected(),
+              stats.tracer.delivered() + stats.tracer.dropped());
+    const auto verify = scenario.verify_installed();
+    EXPECT_TRUE(verify.clean()) << verify.summary();
+    auto report = stats.snapshot("replicas");
+    report.git_rev = "fixed";
+    report.wall_seconds = 0.0;
+    return report.to_json_string();
+  };
+  const std::string first = run_once();
+  EXPECT_EQ(run_once(), first);
+}
+
 // Seed stability: the same (seed, threads) pair replays byte-identically.
 TEST(ScenarioThreads, ParallelRunIsSeedStable) {
   const auto policy = policy_for_threads();

@@ -190,6 +190,44 @@ TEST_P(TernaryProperty, SubtractAllRemainderDisjointFromAll) {
   }
 }
 
+// The bit-at-a-time peel subtract() replaced: one bounds-checked bit per
+// step over all 256 bits.
+std::vector<Ternary> subtract_per_bit(const Ternary& a, const Ternary& b) {
+  if (!intersects(a, b)) return {a};
+  std::vector<Ternary> out;
+  Ternary cur = a;
+  for (std::size_t bit = 0; bit < kHeaderBits; ++bit) {
+    if (!b.care().get(bit) || cur.care().get(bit)) continue;
+    Ternary piece = cur;
+    piece.set_exact(bit, 1, b.value().get(bit) ? 0 : 1);
+    out.push_back(piece);
+    cur.set_exact(bit, 1, b.value().get(bit) ? 1 : 0);
+  }
+  return out;
+}
+
+TEST_P(TernaryProperty, SubtractMatchesPerBitReference) {
+  Rng rng(GetParam() ^ 0x5eed);
+  // Care bits anywhere in the 256, so peels cross every word boundary.
+  const auto spread = [&rng](std::uint64_t max_care) {
+    Ternary t;
+    const auto bits = rng.uniform(0, max_care);
+    for (std::uint64_t i = 0; i < bits; ++i) {
+      t.set_exact(rng.uniform(0, kHeaderBits - 1), 1, rng.uniform(0, 1));
+    }
+    return t;
+  };
+  for (int round = 0; round < 300; ++round) {
+    const Ternary a = spread(40);
+    Ternary b = spread(60);
+    // Mostly make b agree with a where both care, so the two intersect.
+    if (round % 4 != 0) b = Ternary((b.value() & ~a.care()) | a.value(), b.care());
+    EXPECT_EQ(subtract(a, b), subtract_per_bit(a, b)) << "round " << round;
+    EXPECT_EQ(subtract(Ternary::wildcard(), b),
+              subtract_per_bit(Ternary::wildcard(), b)) << "round " << round;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, TernaryProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
