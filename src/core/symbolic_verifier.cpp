@@ -161,11 +161,8 @@ SymbolicReport verify_ingress_symbolically(Network& net,
   // point-checked directly and left *unsubtracted* from the walk. The only
   // imprecision: a later violation whose entire witness lies on such points
   // would be a false alarm — `witness_real` filters those by sampling.
-  const std::size_t used_bits = header_bits_used();
   std::unordered_set<BitVec> exact_points;
-  BitVec used_mask;
-  for (std::size_t b = 0; b < used_bits; ++b) used_mask.set(b, true);
-  auto canon = [&](const BitVec& v) { return v & used_mask; };
+  auto canon = [](const BitVec& v) { return v & used_bits_mask(); };
   Rng witness_rng(0xd1fa);
   auto witness_real = [&](const Ternary& witness) {
     if (exact_points.empty()) return true;
@@ -179,7 +176,7 @@ SymbolicReport verify_ingress_symbolically(Network& net,
   for (const FlowEntry* entry : order) {
     if (pending.empty()) break;
     // Point-check exact entries without splitting the walk.
-    if (entry->rule.match.care_bits() >= static_cast<int>(used_bits)) {
+    if (covers_used_bits(entry->rule.match)) {
       const BitVec point = canon(entry->rule.match.value());
       const Rule* want = policy.match(point);
       const bool terminal = entry->rule.action.type == ActionType::kForward ||

@@ -42,6 +42,19 @@ std::size_t header_bits_used() {
   return last.offset + last.width;
 }
 
+const BitVec& used_bits_mask() {
+  static const BitVec mask = [] {
+    BitVec m;
+    for (std::size_t b = 0; b < header_bits_used(); ++b) m.set(b, true);
+    return m;
+  }();
+  return mask;
+}
+
+bool covers_used_bits(const Ternary& t) {
+  return (t.care() & used_bits_mask()) == used_bits_mask();
+}
+
 PacketBuilder& PacketBuilder::set(Field f, std::uint64_t value) {
   const auto& spec = field_spec(f);
   bits_.set_bits(spec.offset, spec.width, value);

@@ -42,6 +42,14 @@ const std::vector<FieldSpec>& all_fields();
 // Total bits used by the 12-tuple (== offset+width of the last field).
 std::size_t header_bits_used();
 
+// The header_bits_used() low bits set; the rest are spare bits no field
+// reads (generated packets carry noise there).
+const BitVec& used_bits_mask();
+
+// True iff `t` cares about every used bit, so it names one 12-tuple point
+// (whatever it does with the spare bits).
+bool covers_used_bits(const Ternary& t);
+
 // ---- Packet construction ----------------------------------------------
 
 // A concrete packet header is just a BitVec; this builder names the fields.

@@ -1,10 +1,24 @@
 #include "switchsim/flow_table.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "flowspace/header.hpp"
 #include "util/contract.hpp"
 
 namespace difane {
+
+namespace {
+
+// Order keys lie strictly between 0 and kKeyEnd, so kKeyEnd doubles as "no
+// exact winner" in the wildcard scan.
+constexpr std::uint32_t kKeyEnd = 0xffffffffu;
+
+// Largest key step for a band of `n` entries: a renumber spreads the keys
+// over the lower half of the key space, leaving the upper half for appends.
+std::uint64_t key_step(std::size_t n) { return (kKeyEnd / 2) / (n + 1); }
+
+}  // namespace
 
 const char* band_name(Band band) {
   switch (band) {
@@ -29,13 +43,6 @@ const char* cache_removal_name(CacheRemoval cause) {
 FlowTable::FlowTable(std::size_t cache_capacity, std::size_t hw_capacity)
     : cache_capacity_(cache_capacity), hw_capacity_(hw_capacity) {}
 
-bool FlowTable::full_mask(const Ternary& match) {
-  for (auto word : match.care().w) {
-    if (word != ~0ULL) return false;
-  }
-  return true;
-}
-
 double FlowTable::next_expiry(const FlowEntry& e) {
   double t = std::numeric_limits<double>::infinity();
   if (e.hard_timeout > 0.0) t = e.install_time + e.hard_timeout;
@@ -50,37 +57,41 @@ void FlowTable::note_expiry(const FlowEntry& e) {
 void FlowTable::recompute_watermark() {
   double t = std::numeric_limits<double>::infinity();
   for (const auto& bs : bands_) {
-    for (const auto slot : bs.order) t = std::min(t, next_expiry(slab_[slot]));
+    for (const auto slot : bs.order) t = std::min(t, next_expiry(bs.slab[slot]));
   }
   expiry_watermark_ = t;
 }
 
-std::uint32_t FlowTable::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
+std::uint32_t FlowTable::alloc_slot(BandState& bs) {
+  if (!bs.free_slots.empty()) {
+    const std::uint32_t slot = bs.free_slots.back();
+    bs.free_slots.pop_back();
     return slot;
   }
-  const std::uint32_t slot = static_cast<std::uint32_t>(slab_.size());
-  slab_.emplace_back();
-  exact_next_.push_back(kNilSlot);
-  order_pos_.push_back(0);
+  const std::uint32_t slot = static_cast<std::uint32_t>(bs.slab.size());
+  bs.slab.emplace_back();
+  bs.key.push_back(0);
+  if (&bs == &cache()) cache_links_.emplace_back();
   return slot;
 }
 
-void FlowTable::release_slot(std::uint32_t slot) {
-  FlowEntry& e = slab_[slot];
+void FlowTable::release_slot(BandState& bs, std::uint32_t slot) {
+  FlowEntry& e = bs.slab[slot];
   e.rule = Rule{};
   e.packets = 0;
   e.bytes = 0;
   e.guards.clear();  // keeps capacity for the next tenant
-  exact_next_[slot] = kNilSlot;
-  free_slots_.push_back(slot);
+  if (&bs == &cache()) cache_links_[slot] = CacheLinks{};
+  bs.free_slots.push_back(slot);
 }
 
-void FlowTable::refresh_positions(const BandState& bs, std::size_t from) {
-  for (std::size_t i = from; i < bs.order.size(); ++i) {
-    order_pos_[bs.order[i]] = static_cast<std::uint32_t>(i);
+void FlowTable::renumber(BandState& bs) {
+  const std::uint64_t step = key_step(bs.order.size());
+  expects(step > 0, "FlowTable: band too large for 32-bit order keys");
+  std::uint64_t k = 0;
+  for (const std::uint32_t slot : bs.order) bs.key[slot] = static_cast<std::uint32_t>(k += step);
+  if (&bs == &cache()) {
+    for (WildRow& row : cache_wild_) row.key = bs.key[row.slot];
   }
 }
 
@@ -88,78 +99,112 @@ void FlowTable::order_insert(BandState& bs, std::uint32_t slot) {
   // Same probe sequence as lower_bound over the old entry vector, so the
   // landing position matches it bit-for-bit even when stale-positioned
   // refreshed entries leave the band not strictly sorted.
-  const Rule& key = slab_[slot].rule;
+  const Rule& rule = bs.slab[slot].rule;
   const auto it = std::lower_bound(
-      bs.order.begin(), bs.order.end(), key,
-      [this](std::uint32_t s, const Rule& r) { return rule_before(slab_[s].rule, r); });
-  const std::size_t pos = static_cast<std::size_t>(it - bs.order.begin());
+      bs.order.begin(), bs.order.end(), rule,
+      [&bs](std::uint32_t s, const Rule& r) { return rule_before(bs.slab[s].rule, r); });
+  const std::uint64_t lo = it == bs.order.begin() ? 0 : bs.key[*(it - 1)];
+  const std::uint64_t hi = it == bs.order.end() ? kKeyEnd : bs.key[*it];
   bs.order.insert(it, slot);
-  refresh_positions(bs, pos);
+  if (hi - lo < 2) {
+    renumber(bs);
+    return;
+  }
+  const std::uint64_t gap = std::min((hi - lo) / 2, key_step(bs.order.size()));
+  bs.key[slot] = static_cast<std::uint32_t>(lo + std::max<std::uint64_t>(gap, 1));
 }
 
 void FlowTable::order_erase(BandState& bs, std::uint32_t slot) {
-  const std::size_t pos = order_pos_[slot];
-  bs.order.erase(bs.order.begin() + static_cast<std::ptrdiff_t>(pos));
-  refresh_positions(bs, pos);
+  const auto it = std::lower_bound(
+      bs.order.begin(), bs.order.end(), bs.key[slot],
+      [&bs](std::uint32_t s, std::uint32_t k) { return bs.key[s] < k; });
+  expects(it != bs.order.end() && *it == slot, "FlowTable: band order out of sync");
+  bs.order.erase(it);
 }
 
 void FlowTable::link_cache_aux(std::uint32_t slot) {
-  const FlowEntry& e = slab_[slot];
-  if (full_mask(e.rule.match)) {
-    const auto [it, inserted] = cache_exact_.try_emplace(e.rule.match.value(), slot);
-    if (!inserted) {
-      exact_next_[slot] = it->second;
-      it->second = slot;
-    } else {
-      exact_next_[slot] = kNilSlot;
-    }
+  const BandState& bs = cache();
+  const Ternary& match = bs.slab[slot].rule.match;
+  if (covers_used_bits(match)) {
+    const auto [it, inserted] =
+        cache_exact_.try_emplace(match.value() & used_bits_mask(), slot);
+    cache_links_[slot].exact_next = inserted ? kNilSlot : std::exchange(it->second, slot);
   } else {
-    const std::uint32_t pos = order_pos_[slot];
     const auto it = std::lower_bound(
-        cache_wild_order_.begin(), cache_wild_order_.end(), pos,
-        [this](std::uint32_t s, std::uint32_t p) { return order_pos_[s] < p; });
-    cache_wild_order_.insert(it, slot);
+        cache_wild_.begin(), cache_wild_.end(), bs.key[slot],
+        [](const WildRow& row, std::uint32_t k) { return row.key < k; });
+    cache_wild_.insert(it, WildRow{match, bs.key[slot], slot});
   }
 }
 
 void FlowTable::unlink_cache_aux(std::uint32_t slot) {
-  const FlowEntry& e = slab_[slot];
-  if (full_mask(e.rule.match)) {
-    const auto it = cache_exact_.find(e.rule.match.value());
+  const BandState& bs = cache();
+  const Ternary& match = bs.slab[slot].rule.match;
+  if (covers_used_bits(match)) {
+    const auto it = cache_exact_.find(match.value() & used_bits_mask());
     expects(it != cache_exact_.end(), "FlowTable: exact index out of sync");
+    std::uint32_t& next = cache_links_[slot].exact_next;
     if (it->second == slot) {
-      if (exact_next_[slot] == kNilSlot) {
+      if (next == kNilSlot) {
         cache_exact_.erase(it);
       } else {
-        it->second = exact_next_[slot];
+        it->second = next;
       }
     } else {
       std::uint32_t prev = it->second;
-      while (exact_next_[prev] != slot) {
-        expects(exact_next_[prev] != kNilSlot, "FlowTable: exact chain out of sync");
-        prev = exact_next_[prev];
+      while (cache_links_[prev].exact_next != slot) {
+        prev = cache_links_[prev].exact_next;
+        expects(prev != kNilSlot, "FlowTable: exact chain out of sync");
       }
-      exact_next_[prev] = exact_next_[slot];
+      cache_links_[prev].exact_next = next;
     }
-    exact_next_[slot] = kNilSlot;
+    next = kNilSlot;
   } else {
-    const std::uint32_t pos = order_pos_[slot];
     const auto it = std::lower_bound(
-        cache_wild_order_.begin(), cache_wild_order_.end(), pos,
-        [this](std::uint32_t s, std::uint32_t p) { return order_pos_[s] < p; });
-    expects(it != cache_wild_order_.end() && *it == slot,
+        cache_wild_.begin(), cache_wild_.end(), bs.key[slot],
+        [](const WildRow& row, std::uint32_t k) { return row.key < k; });
+    expects(it != cache_wild_.end() && it->slot == slot,
             "FlowTable: wildcard index out of sync");
-    cache_wild_order_.erase(it);
+    cache_wild_.erase(it);
   }
 }
 
+bool FlowTable::lru_linked(std::uint32_t slot) const {
+  return cache_links_[slot].lru_prev != kNilSlot || lru_head_ == slot;
+}
+
+void FlowTable::lru_unlink(std::uint32_t slot) {
+  if (!lru_linked(slot)) return;
+  CacheLinks& l = cache_links_[slot];
+  (l.lru_prev == kNilSlot ? lru_head_ : cache_links_[l.lru_prev].lru_next) = l.lru_next;
+  (l.lru_next == kNilSlot ? lru_tail_ : cache_links_[l.lru_next].lru_prev) = l.lru_prev;
+  l.lru_prev = l.lru_next = kNilSlot;
+}
+
+void FlowTable::touch(std::uint32_t slot, double now) {
+  auto& slab = cache().slab;
+  // The list orders by last_hit alone, so an unchanged stamp keeps its place.
+  if (slab[slot].last_hit == now && lru_linked(slot)) return;
+  slab[slot].last_hit = now;
+  lru_unlink(slot);
+  // Insert after the last entry hit no later than this one: the tail
+  // itself while time moves forward.
+  std::uint32_t prev = lru_tail_;
+  while (prev != kNilSlot && slab[prev].last_hit > now) prev = cache_links_[prev].lru_prev;
+  CacheLinks& l = cache_links_[slot];
+  l.lru_prev = prev;
+  l.lru_next = prev == kNilSlot ? lru_head_ : cache_links_[prev].lru_next;
+  (prev == kNilSlot ? lru_head_ : cache_links_[prev].lru_next) = slot;
+  (l.lru_next == kNilSlot ? lru_tail_ : cache_links_[l.lru_next].lru_prev) = slot;
+}
+
 void FlowTable::link_guards(std::uint32_t slot) {
-  const FlowEntry& e = slab_[slot];
+  const FlowEntry& e = cache().slab[slot];
   for (const RuleId g : e.guards) dependents_[g].push_back(e.rule.id);
 }
 
 void FlowTable::unlink_guards(std::uint32_t slot) {
-  const FlowEntry& e = slab_[slot];
+  const FlowEntry& e = cache().slab[slot];
   for (const RuleId g : e.guards) {
     const auto it = dependents_.find(g);
     if (it == dependents_.end()) continue;
@@ -173,14 +218,13 @@ void FlowTable::unlink_guards(std::uint32_t slot) {
 void FlowTable::erase_entry(std::uint32_t slot, Band band) {
   BandState& bs = bands_[index(band)];
   if (band == Band::kCache) {
-    // Aux lists search by order position, so unlink before the erase shifts
-    // positions.
     unlink_cache_aux(slot);
     unlink_guards(slot);
+    lru_unlink(slot);
   }
   order_erase(bs, slot);
-  bs.by_id.erase(slab_[slot].rule.id);
-  release_slot(slot);
+  bs.by_id.erase(bs.slab[slot].rule.id);
+  release_slot(bs, slot);
 }
 
 bool FlowTable::install(const Rule& rule, Band band, double now, double idle_timeout,
@@ -199,7 +243,7 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
     for (const RuleId g : guards) {
       const auto git = bs.by_id.find(g);
       if (git == bs.by_id.end()) continue;
-      const FlowEntry& ge = slab_[git->second];
+      const FlowEntry& ge = bs.slab[git->second];
       if (ge.idle_timeout <= 0.0) continue;  // guard never idles out
       const double remaining = ge.last_hit + ge.idle_timeout - now;
       if (remaining < idle_timeout) {
@@ -213,11 +257,11 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
   // entry keeps its band position even when the refresh changes the
   // priority — exactly what the old in-place vector refresh did — so only a
   // changed match needs the exact/wildcard indices rekeyed (the wildcard
-  // list orders by position, which does not move).
+  // rows order by key, which does not move).
   const auto existing = bs.by_id.find(rule.id);
   if (existing != bs.by_id.end()) {
     const std::uint32_t slot = existing->second;
-    FlowEntry& e = slab_[slot];
+    FlowEntry& e = bs.slab[slot];
     const bool match_changed = !(e.rule.match == rule.match);
     if (band == Band::kCache) {
       if (match_changed) unlink_cache_aux(slot);
@@ -239,11 +283,13 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
     }
     e.idle_timeout = idle_timeout;
     e.hard_timeout = hard_timeout;
-    e.last_hit = now;
     e.guards = std::move(guards);
     if (band == Band::kCache) {
       if (match_changed) link_cache_aux(slot);
       link_guards(slot);
+      touch(slot, now);
+    } else {
+      e.last_hit = now;
     }
     note_expiry(e);
     ++stats_.installs;
@@ -254,7 +300,7 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
       ++stats_.install_rejected;
       return false;
     }
-    while (bs.order.size() >= cache_capacity_) evict_lru_cache(now);
+    while (bs.order.size() >= cache_capacity_) evict_lru_cache();
   } else {
     const std::size_t other = bands_[index(Band::kAuthority)].order.size() +
                               bands_[index(Band::kPartition)].order.size();
@@ -263,8 +309,8 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
       return false;
     }
   }
-  const std::uint32_t slot = alloc_slot();
-  FlowEntry& e = slab_[slot];
+  const std::uint32_t slot = alloc_slot(bs);
+  FlowEntry& e = bs.slab[slot];
   e.rule = rule;
   e.band = band;
   e.install_time = now;
@@ -279,6 +325,7 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
   if (band == Band::kCache) {
     link_cache_aux(slot);
     link_guards(slot);
+    touch(slot, now);
   }
   note_expiry(e);
   ++stats_.installs;
@@ -293,8 +340,8 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
   BandState& bs = bands_[index(band)];
   const std::size_t before = bs.order.size();
   expects(std::is_sorted(bs.order.begin(), bs.order.end(),
-                         [this](std::uint32_t a, std::uint32_t b) {
-                           return rule_before(slab_[a].rule, slab_[b].rule);
+                         [&bs](std::uint32_t a, std::uint32_t b) {
+                           return rule_before(bs.slab[a].rule, bs.slab[b].rule);
                          }),
           "install_bulk: band order not rule_before-sorted (a refresh changed "
           "an entry's priority?)");
@@ -304,7 +351,7 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
     // bands have no aux indices or guard links to rekey.
     const auto existing = bs.by_id.find(rule->id);
     if (existing != bs.by_id.end()) {
-      FlowEntry& e = slab_[existing->second];
+      FlowEntry& e = bs.slab[existing->second];
       // A same-priority refresh keeps the band sorted; a priority change
       // would leave this entry stale-positioned and break the sortedness
       // precondition for the next bulk call (and the equivalence with
@@ -330,8 +377,8 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
       ++stats_.install_rejected;
       continue;
     }
-    const std::uint32_t slot = alloc_slot();
-    FlowEntry& e = slab_[slot];
+    const std::uint32_t slot = alloc_slot(bs);
+    FlowEntry& e = bs.slab[slot];
     e.rule = *rule;
     e.band = band;
     e.install_time = now;
@@ -353,12 +400,12 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
     // calls would have chosen: rule_before is a strict total order, so the
     // merged result is the unique sorted arrangement either way.
     const auto mid = bs.order.begin() + static_cast<std::ptrdiff_t>(before);
-    const auto by_rule = [this](std::uint32_t a, std::uint32_t b) {
-      return rule_before(slab_[a].rule, slab_[b].rule);
+    const auto by_rule = [&bs](std::uint32_t a, std::uint32_t b) {
+      return rule_before(bs.slab[a].rule, bs.slab[b].rule);
     };
     std::sort(mid, bs.order.end(), by_rule);
     std::inplace_merge(bs.order.begin(), mid, bs.order.end(), by_rule);
-    refresh_positions(bs, 0);
+    renumber(bs);
   }
   return accepted;
 }
@@ -374,7 +421,7 @@ void FlowTable::retire(const FlowEntry& entry) {
 }
 
 void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
-  BandState& cache = bands_[index(Band::kCache)];
+  BandState& bs = cache();
   std::vector<RuleId> deps;
   while (!removed_ids.empty()) {
     const RuleId gone = removed_ids.back();
@@ -384,11 +431,11 @@ void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
     deps = std::move(dit->second);
     dependents_.erase(dit);
     for (const RuleId id : deps) {
-      const auto bit = cache.by_id.find(id);
-      if (bit == cache.by_id.end()) continue;
+      const auto bit = bs.by_id.find(id);
+      if (bit == bs.by_id.end()) continue;
       const std::uint32_t slot = bit->second;
-      retire(slab_[slot]);
-      notify_removal(slab_[slot], CacheRemoval::kCascaded);
+      retire(bs.slab[slot]);
+      notify_removal(bs.slab[slot], CacheRemoval::kCascaded);
       erase_entry(slot, Band::kCache);
       ++stats_.cascade_evictions;
       removed_ids.push_back(id);
@@ -396,19 +443,21 @@ void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
   }
 }
 
-void FlowTable::evict_lru_cache(double now) {
-  BandState& cache = bands_[index(Band::kCache)];
-  expects(!cache.order.empty(), "evict_lru_cache: cache empty");
-  (void)now;
-  // First entry (in band priority order) with the minimal last_hit — the
-  // same victim min_element picked over the band-sorted entry vector.
-  std::uint32_t victim = cache.order[0];
-  for (const std::uint32_t slot : cache.order) {
-    if (slab_[slot].last_hit < slab_[victim].last_hit) victim = slot;
+void FlowTable::evict_lru_cache() {
+  const BandState& bs = cache();
+  expects(lru_head_ != kNilSlot, "evict_lru_cache: cache empty");
+  // The recency head holds the minimal last_hit. Among the entries tied with
+  // it, the first in band order (lowest key) goes — the same victim
+  // min_element picked over the band-sorted entry vector.
+  std::uint32_t victim = lru_head_;
+  const double oldest = bs.slab[victim].last_hit;
+  for (std::uint32_t s = cache_links_[victim].lru_next;
+       s != kNilSlot && bs.slab[s].last_hit == oldest; s = cache_links_[s].lru_next) {
+    if (bs.key[s] < bs.key[victim]) victim = s;
   }
-  retire(slab_[victim]);
-  notify_removal(slab_[victim], CacheRemoval::kEvicted);
-  const RuleId gone = slab_[victim].rule.id;
+  retire(bs.slab[victim]);
+  notify_removal(bs.slab[victim], CacheRemoval::kEvicted);
+  const RuleId gone = bs.slab[victim].rule.id;
   erase_entry(victim, Band::kCache);
   ++stats_.evictions;
   cascade_remove_dependents({gone});
@@ -419,8 +468,8 @@ bool FlowTable::remove(RuleId id, Band band) {
   const auto it = bs.by_id.find(id);
   if (it == bs.by_id.end()) return false;
   const std::uint32_t slot = it->second;
-  retire(slab_[slot]);
-  if (band == Band::kCache) notify_removal(slab_[slot], CacheRemoval::kRemoved);
+  retire(bs.slab[slot]);
+  if (band == Band::kCache) notify_removal(bs.slab[slot], CacheRemoval::kRemoved);
   erase_entry(slot, band);
   if (band == Band::kCache) cascade_remove_dependents({id});
   return true;
@@ -429,18 +478,19 @@ bool FlowTable::remove(RuleId id, Band band) {
 void FlowTable::clear_band(Band band) {
   BandState& bs = bands_[index(band)];
   for (const std::uint32_t slot : bs.order) {
-    retire(slab_[slot]);
-    if (band == Band::kCache) notify_removal(slab_[slot], CacheRemoval::kCleared);
-    release_slot(slot);
+    retire(bs.slab[slot]);
+    if (band == Band::kCache) notify_removal(bs.slab[slot], CacheRemoval::kCleared);
+    release_slot(bs, slot);
   }
   bs.order.clear();
   bs.by_id.clear();
   if (band == Band::kCache) {
-    // Guard links and exact/wildcard indices only ever reference cache
-    // entries, so wiping the band wipes them wholesale.
+    // Guard links, the exact/wildcard indices and the recency list only
+    // ever reference cache entries, so wiping the band wipes them wholesale.
     cache_exact_.clear();
-    cache_wild_order_.clear();
+    cache_wild_.clear();
     dependents_.clear();
+    lru_head_ = lru_tail_ = kNilSlot;
   }
   recompute_watermark();
 }
@@ -451,33 +501,28 @@ std::size_t FlowTable::expire(double now) {
   for (std::size_t b = 0; b < kNumBands; ++b) {
     BandState& bs = bands_[b];
     const bool is_cache = b == index(Band::kCache);
-    // Compact survivors in place; order_pos_ stays untouched until after the
-    // pass so the aux-list unlinks (which search by position) stay valid.
+    // Compact survivors in place; their keys stay increasing along the
+    // order, so nothing is renumbered.
     std::size_t kept = 0;
-    std::size_t first_removed = bs.order.size();
-    for (std::size_t i = 0; i < bs.order.size(); ++i) {
-      const std::uint32_t slot = bs.order[i];
-      FlowEntry& e = slab_[slot];
+    for (const std::uint32_t slot : bs.order) {
+      FlowEntry& e = bs.slab[slot];
       if (!e.expired(now)) {
         bs.order[kept++] = slot;
         continue;
       }
-      if (first_removed > i) first_removed = i;
       retire(e);
       if (is_cache) {
         notify_removal(e, CacheRemoval::kExpired);
         expired_cache.push_back(e.rule.id);
         unlink_cache_aux(slot);
         unlink_guards(slot);
+        lru_unlink(slot);
       }
       bs.by_id.erase(e.rule.id);
-      release_slot(slot);
+      release_slot(bs, slot);
       ++total;
     }
-    if (kept < bs.order.size()) {
-      bs.order.resize(kept);
-      refresh_positions(bs, first_removed);
-    }
+    bs.order.resize(kept);
   }
   stats_.expirations += total;
   if (!expired_cache.empty()) cascade_remove_dependents(std::move(expired_cache));
@@ -486,37 +531,38 @@ std::size_t FlowTable::expire(double now) {
 }
 
 const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) const {
-  // Cache band: exact-match fast path plus the wildcard-only ordered scan.
-  // The winner is the FIRST live match in band order, so candidates from the
-  // exact chain and the wildcard list compare by position, not priority —
-  // same-id refreshes can leave a band locally unsorted and the original
-  // linear scan still picked the earliest entry.
+  // Cache band: exact-match fast path plus the wildcard rows. The winner is
+  // the FIRST live match in band order, so candidates from the exact chain
+  // and the rows compare by key, not priority — same-id refreshes can leave
+  // a band locally unsorted and the original linear scan still picked the
+  // earliest entry.
+  const BandState& bs = cache();
   const FlowEntry* win = nullptr;
-  std::uint32_t win_pos = 0;
+  std::uint32_t win_key = kKeyEnd;
   if (!cache_exact_.empty()) {
-    const auto it = cache_exact_.find(packet);
+    // Generated packets carry noise in the spare bits; the key holds only
+    // the used bits, and live_match still checks any spare bits an entry
+    // cares about.
+    const auto it = cache_exact_.find(packet & used_bits_mask());
     const std::uint32_t head = it == cache_exact_.end() ? kNilSlot : it->second;
-    for (std::uint32_t s = head; s != kNilSlot; s = exact_next_[s]) {
-      const FlowEntry& e = slab_[s];
-      if (!live_match(e, packet, now)) continue;
-      if (win == nullptr || order_pos_[s] < win_pos) {
-        win = &e;
-        win_pos = order_pos_[s];
+    for (std::uint32_t s = head; s != kNilSlot; s = cache_links_[s].exact_next) {
+      if (bs.key[s] < win_key && live_match(bs.slab[s], packet, now)) {
+        win = &bs.slab[s];
+        win_key = bs.key[s];
       }
     }
   }
-  for (const std::uint32_t s : cache_wild_order_) {
-    const FlowEntry& e = slab_[s];
-    if (live_match(e, packet, now)) {
-      if (win == nullptr || order_pos_[s] < win_pos) win = &e;
-      break;
+  for (const WildRow& row : cache_wild_) {
+    if (row.key >= win_key) break;
+    if (row.match.matches(packet) && !bs.slab[row.slot].expired(now)) {
+      return &bs.slab[row.slot];
     }
   }
   if (win != nullptr) return win;
   for (const Band band : {Band::kAuthority, Band::kPartition}) {
-    for (const std::uint32_t s : bands_[index(band)].order) {
-      const FlowEntry& e = slab_[s];
-      if (live_match(e, packet, now)) return &e;
+    const BandState& other = bands_[index(band)];
+    for (const std::uint32_t s : other.order) {
+      if (live_match(other.slab[s], packet, now)) return &other.slab[s];
     }
   }
   return nullptr;
@@ -532,19 +578,21 @@ const FlowEntry* FlowTable::lookup(const BitVec& packet, double now, std::uint64
     ++stats_.misses;
     return nullptr;
   }
-  entry->last_hit = now;
   ++entry->packets;
   entry->bytes += bytes;
   ++stats_.hits_per_band[index(entry->band)];
-  // A hit keeps the whole protection group warm: guards that never win on
-  // their own must not idle out (or become LRU victims) while the entries
-  // they protect are hot — the safety cascade would then evict hot entries
-  // along with them.
-  if (entry->band == Band::kCache && !entry->guards.empty()) {
-    const auto& by_id = bands_[index(Band::kCache)].by_id;
+  if (entry->band != Band::kCache) {
+    entry->last_hit = now;
+  } else {
+    BandState& bs = cache();
+    touch(static_cast<std::uint32_t>(entry - bs.slab.data()), now);
+    // A hit keeps the whole protection group warm: guards that never win on
+    // their own must not idle out (or become LRU victims) while the entries
+    // they protect are hot — the safety cascade would then evict hot
+    // entries along with them.
     for (const RuleId g : entry->guards) {
-      const auto it = by_id.find(g);
-      if (it != by_id.end()) slab_[it->second].last_hit = now;
+      const auto it = bs.by_id.find(g);
+      if (it != bs.by_id.end()) touch(it->second, now);
     }
   }
   return entry;
@@ -554,11 +602,15 @@ bool FlowTable::hit(RuleId id, Band band, double now, std::uint64_t bytes) {
   BandState& bs = bands_[index(band)];
   const auto it = bs.by_id.find(id);
   if (it == bs.by_id.end()) return false;
-  FlowEntry& e = slab_[it->second];
-  e.last_hit = now;
+  FlowEntry& e = bs.slab[it->second];
   ++e.packets;
   e.bytes += bytes;
   ++stats_.hits_per_band[index(band)];
+  if (band == Band::kCache) {
+    touch(it->second, now);
+  } else {
+    e.last_hit = now;
+  }
   return true;
 }
 
@@ -575,7 +627,7 @@ std::size_t FlowTable::total_size() const {
 const FlowEntry* FlowTable::find(RuleId id, Band band) const {
   const auto& bs = bands_[index(band)];
   const auto it = bs.by_id.find(id);
-  return it == bs.by_id.end() ? nullptr : &slab_[it->second];
+  return it == bs.by_id.end() ? nullptr : &bs.slab[it->second];
 }
 
 }  // namespace difane

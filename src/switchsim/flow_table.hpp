@@ -5,18 +5,24 @@
 // when the cache band is full; authority and partition entries are proactive
 // and never expire.
 //
-// Fast-path layout: entries live in a stable slab; each band keeps an
-// ordered index of slab slots plus a RuleId hash map, and the cache band
-// additionally keeps an exact-match hash (full-mask microflow entries, the
-// dominant NOX / kExact case) with a wildcard-only ordered scan as the
-// fallthrough. The band order mirrors the original vector semantics
-// bit-for-bit: inserts land at their rule_before position, same-id refreshes
-// stay where they are (even when the refresh changes the priority), and the
-// winner is always the first live match in band order. Expiry is lazy: a
-// min-expiry watermark skips the per-lookup sweep entirely until some entry
-// can actually have timed out, at which point a full sweep runs — so
-// observable behavior (stats, cascades, LRU order) is byte-identical to
-// sweeping on every lookup.
+// Fast-path layout: each band keeps its entries in its own stable slab, an
+// ordered index of slab slots, a RuleId hash map and one 32-bit order key
+// per slot. Keys increase along the band order with gaps between them, so an
+// insert takes a key between its neighbours' and renumbers the band only
+// when no gap is left. The cache band adds three indices, stored for cache
+// slots only: an exact-match hash over entries that pin every used header
+// bit (the microflow / NOX / kExact shape), keyed and probed on the used
+// bits alone; the remaining wildcard entries as one contiguous row vector
+// in band order; and a recency list sorted by last_hit whose head yields
+// the LRU victim. The band order mirrors the original vector semantics
+// bit-for-bit: inserts land at their rule_before position, same-id
+// refreshes stay where they are (even when the refresh changes the
+// priority), the winner is always the first live match in band order, and
+// the victim is the first entry in band order with the minimal last_hit.
+// Expiry is lazy: a min-expiry watermark skips the per-lookup sweep
+// entirely until some entry can actually have timed out, at which point a
+// full sweep runs — so observable behavior (stats, cascades, LRU order) is
+// byte-identical to sweeping on every lookup.
 #pragma once
 
 #include <cstdint>
@@ -189,7 +195,7 @@ class FlowTable {
 
   BandView entries(Band band) const {
     const auto& bs = bands_[index(band)];
-    return BandView(slab_.data(), bs.order.data(), bs.order.size());
+    return BandView(bs.slab.data(), bs.order.data(), bs.order.size());
   }
 
   const FlowTableStats& stats() const { return stats_; }
@@ -223,36 +229,63 @@ class FlowTable {
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
 
   struct BandState {
+    std::vector<FlowEntry> slab;  // stable entry storage
+    std::vector<std::uint32_t> free_slots;
     // Slab slots in band match order: rule_before order on insert, with
     // same-id refreshes keeping their original position (mirroring the
     // vector implementation this replaced).
     std::vector<std::uint32_t> order;
+    // slot -> order key; strictly increasing along `order`, so comparing
+    // two keys compares band positions.
+    std::vector<std::uint32_t> key;
     std::unordered_map<RuleId, std::uint32_t> by_id;  // rule id -> slab slot
   };
 
+  // Per cache slot: the exact-hash chain and the recency list links.
+  struct CacheLinks {
+    std::uint32_t exact_next = kNilSlot;
+    std::uint32_t lru_prev = kNilSlot;
+    std::uint32_t lru_next = kNilSlot;
+  };
+
+  // One wildcard cache entry's pattern, stored inline so the scan reads
+  // contiguous rows and touches the slab only for a match.
+  struct WildRow {
+    Ternary match;
+    std::uint32_t key;
+    std::uint32_t slot;
+  };
+
   static std::size_t index(Band band) { return static_cast<std::size_t>(band); }
-  static bool full_mask(const Ternary& match);
+  BandState& cache() { return bands_[index(Band::kCache)]; }
+  const BandState& cache() const { return bands_[index(Band::kCache)]; }
 
   // Earliest instant this entry can expire (+inf when it never does).
   static double next_expiry(const FlowEntry& e);
   void note_expiry(const FlowEntry& e);
   void recompute_watermark();
 
-  std::uint32_t alloc_slot();
-  void release_slot(std::uint32_t slot);
+  std::uint32_t alloc_slot(BandState& bs);
+  void release_slot(BandState& bs, std::uint32_t slot);
 
-  // Band-order helpers: insert at the rule_before position, erase by the
-  // tracked position, and keep order_pos_ (slot -> index in its band's
-  // order) in sync after every shift.
+  // Band-order helpers: insert at the rule_before position with a key
+  // between its neighbours', erase by binary search on the keys, and
+  // renumber (respacing every key) when an insert finds no gap.
   void order_insert(BandState& bs, std::uint32_t slot);
   void order_erase(BandState& bs, std::uint32_t slot);
-  void refresh_positions(const BandState& bs, std::size_t from);
+  void renumber(BandState& bs);
 
-  // Cache-band accelerators (exact-match chain / wildcard scan list).
+  // Cache-band accelerators (exact-match chain / wildcard rows).
   void link_cache_aux(std::uint32_t slot);
   void unlink_cache_aux(std::uint32_t slot);
   void link_guards(std::uint32_t slot);
   void unlink_guards(std::uint32_t slot);
+
+  // Recency list: `touch` sets a cache entry's last_hit and (re)places it,
+  // in O(1) while time moves forward; `lru_unlink` drops it.
+  void touch(std::uint32_t slot, double now);
+  bool lru_linked(std::uint32_t slot) const;
+  void lru_unlink(std::uint32_t slot);
 
   // Remove a (already retired) entry from every index of its band.
   void erase_entry(std::uint32_t slot, Band band);
@@ -265,7 +298,7 @@ class FlowTable {
   // (exact fast path + wildcard scan), then authority, then partition.
   const FlowEntry* find_live_match(const BitVec& packet, double now) const;
 
-  void evict_lru_cache(double now);
+  void evict_lru_cache();
   void retire(const FlowEntry& entry);
   // Safety cascade: when a cache entry leaves (eviction, timeout, delete),
   // every cache entry that listed it as a guard is unsafe — without its
@@ -280,17 +313,17 @@ class FlowTable {
   std::size_t cache_capacity_;
   std::size_t hw_capacity_;  // shared budget for authority+partition bands
 
-  std::vector<FlowEntry> slab_;            // stable entry storage
-  std::vector<std::uint32_t> exact_next_;  // intrusive per-slot chain for cache_exact_
-  std::vector<std::uint32_t> order_pos_;   // slot -> index in its band's order
-  std::vector<std::uint32_t> free_slots_;
   BandState bands_[kNumBands];
 
-  // Cache-band fast path: full-mask entries hash by their exact header value
-  // (same-value duplicates chain through exact_next_); everything else sits
-  // in a wildcard-only scan list kept in band order (sorted by order_pos_).
+  // Cache-band indices. Entries that cover every used header bit hash by
+  // their used bits (same-key duplicates chain through exact_next); the
+  // rest sit in wildcard rows sorted by key. The recency list runs from
+  // the least to the most recently hit entry.
+  std::vector<CacheLinks> cache_links_;  // parallel to the cache slab
   std::unordered_map<BitVec, std::uint32_t> cache_exact_;
-  std::vector<std::uint32_t> cache_wild_order_;
+  std::vector<WildRow> cache_wild_;
+  std::uint32_t lru_head_ = kNilSlot;
+  std::uint32_t lru_tail_ = kNilSlot;
 
   // Reverse guard index: guard rule id -> ids of cache entries listing it.
   std::unordered_map<RuleId, std::vector<RuleId>> dependents_;

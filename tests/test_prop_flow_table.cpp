@@ -3,9 +3,15 @@
 // winners, same band contents in the same order, same counters/stats/retired
 // accounting — under randomized op sequences mixing installs (with idle/hard
 // timeouts and guard lists, including phantom guard ids), lookups, peeks,
-// out-of-band hits, removals, sweeps, and band clears. Three mixes shape the
-// sequences toward the three overhauled mechanisms: general traffic, timeout
-// streaming (lazy-expiry watermark), and LRU/cascade churn at tiny capacity.
+// out-of-band hits, removals, sweeps, and band clears. Microflows take both
+// the 253-bit exact_pattern shape the simulator installs and a 256-bit shape
+// that also pins the spare bits, at priorities above and below the policy
+// rules', and lookups revisit them with fresh spare-bit noise, so the exact
+// hash competes with wildcard entries on band order. Runs of ops share one
+// instant (ties at the LRU head), and one mix steps the clock back.
+// Three mixes shape the sequences toward the three overhauled mechanisms:
+// general traffic, timeout streaming (lazy-expiry watermark), and
+// LRU/cascade churn at tiny capacity.
 //
 // The reference below is the pre-overhaul implementation kept verbatim
 // (vector bands, full sweep per lookup, linear id scans, O(cache x guards)
@@ -16,6 +22,7 @@
 #include <sstream>
 #include <vector>
 
+#include "flowspace/header.hpp"
 #include "proptest/gen.hpp"
 #include "proptest/property.hpp"
 #include "switchsim/flow_table.hpp"
@@ -316,6 +323,10 @@ struct MixParams {
   std::size_t cache_cap_min = 4;
   std::size_t cache_cap_max = 64;
   std::size_t ops = 200;
+  double p_same_instant = 0.3;  // an op runs at the previous op's instant
+  // The clock moves backwards. Only for mixes without timeouts: the lazy
+  // expiry watermark assumes a forward clock, as the engine guarantees.
+  double p_step_back = 0.0;
 };
 
 void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
@@ -333,9 +344,16 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
   ReferenceFlowTable ref(cache_cap, hw_cap);
   double now = 0.0;
   RuleId next_id = 1000;  // microflow ids; policy rules keep their own
+  std::vector<BitVec> flows;  // headers of installed microflows
 
   for (std::size_t op = 0; op < mix.ops; ++op) {
-    now += ctx.rng.exponential(4.0);  // mean 0.25s per step
+    const double step = ctx.rng.exponential(4.0);  // mean 0.25s per step
+    const double clock = ctx.rng.uniform01();
+    if (clock < mix.p_step_back) {
+      now = std::max(0.0, now - step);
+    } else if (clock >= mix.p_step_back + mix.p_same_instant) {
+      now += step;
+    }
     const auto report = [&](const char* what) -> std::string {
       std::ostringstream os;
       os << "op " << op << " (" << what << ") at now=" << now << " seed 0x"
@@ -352,14 +370,16 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
         band = where < 6 ? Band::kCache
                          : (where < 8 ? Band::kAuthority : Band::kPartition);
       } else {
-        // Microflow: full-mask rule on a boundary-biased packet. Reusing a
-        // small id space exercises the same-id refresh path.
+        // Microflow on a boundary-biased packet, ranked anywhere among the
+        // policy rules. Reusing a small id space exercises the same-id
+        // refresh path.
         rule.id = ctx.rng.bernoulli(0.5)
                       ? next_id++
                       : 1000 + static_cast<RuleId>(ctx.rng.uniform(0, 40));
-        rule.priority = static_cast<Priority>(ctx.rng.uniform(0, 5));
-        rule.match = Ternary(proptest::gen_boundary_packet(ctx.rng, rules),
-                             BitVec::ones());
+        rule.priority = static_cast<Priority>(ctx.rng.uniform(0, 2 * rules.size() + 4));
+        flows.push_back(proptest::gen_boundary_packet(ctx.rng, rules));
+        rule.match = ctx.rng.bernoulli(0.7) ? exact_pattern(flows.back())
+                                            : Ternary(flows.back(), BitVec::ones());
         rule.action = Action::forward(static_cast<std::uint32_t>(ctx.rng.uniform(0, 3)));
       }
       const double idle =
@@ -380,7 +400,14 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
       const bool b = ref.install(rule, band, now, idle, hard, guards);
       ASSERT_EQ(a, b) << report("install");
     } else if (kind < 65) {  // lookup, with peek agreement first
-      const BitVec pkt = proptest::gen_boundary_packet(ctx.rng, rules);
+      BitVec pkt = proptest::gen_boundary_packet(ctx.rng, rules);
+      if (!flows.empty() && ctx.rng.bernoulli(0.5)) {
+        // Revisit a microflow's header with fresh noise in the spare bits.
+        pkt = flows[ctx.rng.uniform(0, flows.size() - 1)];
+        for (std::size_t b = header_bits_used(); b < kHeaderBits; ++b) {
+          pkt.set(b, ctx.rng.bernoulli(0.5));
+        }
+      }
       const FlowEntry* pa = table.peek(pkt, now);
       const FlowEntry* pb = ref.peek(pkt, now);
       ASSERT_EQ(pa == nullptr, pb == nullptr) << report("peek");
@@ -447,6 +474,18 @@ DIFANE_PROPERTY(FlowTableExpiryMatchesEagerReference, 120) {
 DIFANE_PROPERTY(FlowTableLruCascadeMatchesEagerReference, 120) {
   MixParams mix;
   mix.p_guards = 0.8;
+  mix.cache_cap_min = 2;
+  mix.cache_cap_max = 8;
+  drive(ctx, mix);
+}
+
+// Backward clock: hits and refreshes at an earlier instant move entries
+// behind later-hit ones, so the recency list must re-place them, not
+// append, to keep yielding the reference's LRU victims.
+DIFANE_PROPERTY(FlowTableBackwardClockMatchesEagerReference, 120) {
+  MixParams mix;
+  mix.p_timeout = 0.0;
+  mix.p_step_back = 0.2;
   mix.cache_cap_min = 2;
   mix.cache_cap_max = 8;
   drive(ctx, mix);

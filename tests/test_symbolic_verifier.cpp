@@ -2,6 +2,7 @@
 
 #include "core/symbolic_verifier.hpp"
 #include "core/system.hpp"
+#include "flowspace/header.hpp"
 #include "workload/rulegen.hpp"
 
 namespace difane {
@@ -75,6 +76,59 @@ TEST(Symbolic, FindsPlantedWrongAction) {
       << report.violation->detail;
   // The witness region lies inside the corrupted predicate.
   EXPECT_TRUE(intersects(report.violation->region, evil.match));
+}
+
+TEST(Symbolic, EntryWildcardingAUsedBitIsNoExactPoint) {
+  const auto policy = campus_like(30, 173);
+  Scenario scenario(policy, small_params());
+  // A point and one used bit whose flip changes the policy's action.
+  Rng rng(0x253);
+  BitVec named;
+  std::size_t flip = 0;
+  const Rule* want = nullptr;
+  for (int tries = 0; want == nullptr && tries < 1000; ++tries) {
+    const BitVec p = policy.at(rng.uniform(0, policy.size() - 1)).match.sample_point(rng);
+    for (std::size_t bit = 0; want == nullptr && bit < header_bits_used(); ++bit) {
+      BitVec lo = p;
+      lo.set(bit, false);
+      BitVec hi = p;
+      hi.set(bit, true);
+      const Rule* a = policy.match(lo);
+      const Rule* b = policy.match(hi);
+      if (a != nullptr && b != nullptr && !(a->action == b->action)) {
+        named = lo;
+        flip = bit;
+        want = a;
+      }
+    }
+  }
+  ASSERT_NE(want, nullptr);
+  BitVec other = named;
+  other.set(flip, true);
+  // The planted entry wildcards that bit but pins spare bit 253, so it has
+  // as many care bits as an exact entry. It is right at the point it names
+  // (the flipped bit reads 0) and wrong at the other point it covers.
+  BitVec care = used_bits_mask();
+  care.set(flip, false);
+  care.set(header_bits_used(), true);
+  Rule evil;
+  evil.id = 0xe013;
+  evil.priority = std::numeric_limits<Priority>::max();
+  evil.match = Ternary(named, care);
+  evil.action = want->action;
+  ASSERT_EQ(evil.match.care_bits(), static_cast<int>(header_bits_used()));
+  const SwitchId ingress = scenario.ingress_switch(0);
+  auto& table = scenario.net().sw(ingress).table();
+  table.install(evil, Band::kCache, 0.0);
+  const FlowEntry* at_other = table.peek(other, 0.0);
+  ASSERT_NE(at_other, nullptr);
+  ASSERT_EQ(at_other->rule.id, evil.id);
+  ASSERT_FALSE(at_other->rule.action == policy.match(other)->action);
+
+  const auto report = verify_ingress_symbolically(scenario.net(), *scenario.difane(),
+                                                  policy, ingress, 0.0);
+  ASSERT_TRUE(report.violation.has_value()) << report.summary();
+  EXPECT_TRUE(report.violation->region.matches(other)) << report.violation->detail;
 }
 
 TEST(Symbolic, FindsPlantedBlackHole) {
