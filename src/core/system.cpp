@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "partition/migration.hpp"
 #include "util/contract.hpp"
@@ -858,6 +859,14 @@ std::uint64_t Scenario::live_cache_entries(double now) const {
 }
 
 const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
+  for (const auto& flow : flows) {
+    const SimTime clock = engine_of(ingress_switch(flow.ingress_index)).now();
+    if (!(std::isfinite(flow.start) && flow.start >= clock &&
+          std::isfinite(flow.packet_gap) && flow.packet_gap >= 0.0)) {
+      throw contract_violation("Scenario::run: flow " + std::to_string(flow.id) +
+                               " has a bad start or packet_gap");
+    }
+  }
   // Occupancy sample, if requested: a global event (under the sharded
   // executor globals run at window barriers with the workers paused, so the
   // cross-shard table read is race-free).
@@ -866,7 +875,11 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
       stats_.cache_entries_final = live_cache_entries(net_.engine().now());
     });
   }
-  for (const auto& flow : flows) inject(flow);
+  for (const auto& flow : flows) {
+    if (flow.packets == 0) continue;
+    const SwitchId ingress = ingress_switch(flow.ingress_index);
+    schedule_arrival(flow, ingress, engine_of(ingress).reserve(flow.packets), 0);
+  }
   if (exec_ != nullptr) {
     // Routes must exist before shard threads read next_hop() concurrently;
     // they are recomputed at the barrier after any window that ran global
@@ -931,20 +944,27 @@ VerifyReport Scenario::verify_installed(std::size_t samples_per_ingress,
   return verify_installed_state(net_, *difane_, policy_, topo_.edge, vp);
 }
 
-void Scenario::inject(const FlowSpec& flow) {
-  const SwitchId ingress = ingress_switch(flow.ingress_index);
-  for (std::size_t p = 0; p < flow.packets; ++p) {
-    Packet pkt;
-    pkt.flow = flow.id;
-    pkt.header = flow.header;
-    pkt.created = flow.start + static_cast<double>(p) * flow.packet_gap;
-    pkt.ingress = ingress;
-    pkt.is_first_of_flow = (p == 0);
-    schedule_at_switch(ingress, pkt.created, [this, ingress, pkt]() {
-      st().tracer.on_injected(pkt);
-      process(ingress, pkt);
-    });
-  }
+void Scenario::schedule_arrival(const FlowSpec& flow, SwitchId ingress,
+                                std::uint64_t base, std::size_t p) {
+  engine_of(ingress).at(flow.start + static_cast<double>(p) * flow.packet_gap,
+                        base + p, [this, f = &flow, ingress, base, p]() {
+                          arrive(*f, ingress, base, p);
+                        });
+}
+
+void Scenario::arrive(const FlowSpec& flow, SwitchId ingress, std::uint64_t base,
+                      std::size_t p) {
+  // Packet p + 1 sorts after packet p (packet_gap >= 0, larger number), so
+  // scheduling it now keeps the up-front order. Same ingress, same engine.
+  if (p + 1 < flow.packets) schedule_arrival(flow, ingress, base, p + 1);
+  Packet pkt;
+  pkt.flow = flow.id;
+  pkt.header = flow.header;
+  pkt.created = flow.start + static_cast<double>(p) * flow.packet_gap;
+  pkt.ingress = ingress;
+  pkt.is_first_of_flow = (p == 0);
+  st().tracer.on_injected(pkt);
+  process(ingress, pkt);
 }
 
 void Scenario::dispose(const Packet& pkt, bool delivered, DropReason reason) {

@@ -282,7 +282,13 @@ class Scenario {
  public:
   Scenario(RuleTable policy, ScenarioParams params);
 
-  // Inject every flow and run the engine until all events drain.
+  // Inject every flow and run until all events drain. A flow holds one
+  // pending arrival: packet p schedules p + 1 on numbers reserved per flow
+  // in vector order, so events run as if all were scheduled up front. They
+  // point into `flows`; run() drains every engine before it returns. Before
+  // scheduling anything, a flow whose start is non-finite or before its
+  // ingress engine's clock, or whose packet_gap is negative or non-finite,
+  // is a contract_violation naming its id.
   const ScenarioStats& run(const std::vector<FlowSpec>& flows);
 
   // Schedule an authority switch failure at sim time `when` (DIFANE mode).
@@ -398,7 +404,11 @@ class Scenario {
   void send_export(SwitchId sw, std::vector<obs::FlowExportRecord> records);
   void on_cache_removed(SwitchId sw, const FlowEntry& entry);
   void finalize_measurement();
-  void inject(const FlowSpec& flow);
+  // Packet `p` of `flow` arrives on number `base + p` of its ingress engine.
+  void schedule_arrival(const FlowSpec& flow, SwitchId ingress, std::uint64_t base,
+                        std::size_t p);
+  void arrive(const FlowSpec& flow, SwitchId ingress, std::uint64_t base,
+              std::size_t p);
   void process(SwitchId at, Packet pkt);
   void handle_authority(SwitchId at, Packet pkt);
   void punt_to_controller(Packet pkt);
@@ -427,7 +437,8 @@ class Scenario {
     const std::uint32_t s = shard::current_shard();
     return s == shard::kNoShard ? stats_ : shard_stats_[s];
   }
-  // Engine owning switch `sw`'s events (construction-time wiring).
+  // Engine owning switch `sw`'s events. Under the executor, schedule on it
+  // directly only from setup code or from a handler on `sw`'s own shard.
   Engine& engine_of(SwitchId sw) {
     return exec_ ? exec_->shard_engine(shard_of_[sw]) : net_.engine();
   }

@@ -4,8 +4,9 @@
 
 namespace difane {
 
-void Engine::at(SimTime when, Handler fn) {
+void Engine::at(SimTime when, std::uint64_t seq, Handler fn) {
   expects(when >= now_, "Engine: cannot schedule in the past");
+  expects(seq < seq_, "Engine: sequence number was not reserved");
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -15,7 +16,7 @@ void Engine::at(SimTime when, Handler fn) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(std::move(fn));
   }
-  heap_.push_back(HeapItem{when, seq_++, slot});
+  heap_.push_back(HeapItem{when, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 

@@ -9,6 +9,12 @@
 // sifting whole events. Once the slab and heap reach their high-water marks,
 // steady-state schedule/dispatch performs zero heap allocations for any
 // handler that fits the inline buffer (bench_a3_fastpath gates on this).
+//
+// reserve(n) hands out n consecutive tie-break numbers for at(when, seq, fn)
+// to use later: a chain of events, each scheduling the next before it could
+// be the earliest pending, runs as if all were scheduled at reservation.
+// Scenario streams packet arrivals so, which bounds the slab's high-water
+// mark by the events in flight plus one arrival per active flow.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +36,11 @@ class Engine {
   using Handler = InlineFn<kInlineHandlerBytes>;
 
   // Schedule at absolute time `when` (>= now).
-  void at(SimTime when, Handler fn);
+  void at(SimTime when, Handler fn) { at(when, seq_++, std::move(fn)); }
+  // Same, on a number from reserve(); equal times run in number order.
+  void at(SimTime when, std::uint64_t seq, Handler fn);
+  // Reserve `n` consecutive sequence numbers; returns the first.
+  std::uint64_t reserve(std::uint64_t n) { return (seq_ += n) - n; }
   // Schedule `delay` seconds from now.
   void after(SimTime delay, Handler fn) { at(now_ + delay, std::move(fn)); }
 

@@ -183,6 +183,8 @@ std::vector<FlowSpec> load_trace(std::istream& is) {
           flow.ingress_index >> hex)) {
       fail(lineno, "malformed flow line");
     }
+    if (!(flow.start >= 0.0)) fail(lineno, "negative flow start");
+    if (!(flow.packet_gap >= 0.0)) fail(lineno, "negative packet_gap");
     flow.header = header_from_hex(hex, lineno);
     flows.push_back(std::move(flow));
   }

@@ -34,6 +34,29 @@ TEST(Engine, SchedulingInPastThrows) {
   e.at(5.0, [] {});
   e.run();
   EXPECT_THROW(e.at(1.0, [] {}), contract_violation);
+  EXPECT_THROW(e.at(1.0, e.reserve(1), [] {}), contract_violation);
+}
+
+TEST(Engine, ReservedNumbersRunInReservationOrder) {
+  // Streamed packet arrivals rely on this: an event on a reserved number
+  // sorts where it would have at reservation time, ahead of later events.
+  Engine e;
+  std::vector<int> order;
+  const std::uint64_t base = e.reserve(2);
+  e.at(1.0, [&] { order.push_back(2); });
+  e.at(1.0, base + 1, [&] { order.push_back(1); });
+  e.at(1.0, base, [&] { order.push_back(0); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Engine, UnreservedSequenceNumberIsAContractViolation) {
+  Engine e;
+  const std::uint64_t base = e.reserve(2);
+  EXPECT_THROW(e.at(1.0, base + 2, [] {}), contract_violation);
+  EXPECT_TRUE(e.empty());
+  e.at(1.0, base + 1, [] {});
+  EXPECT_EQ(e.pending(), 1u);
 }
 
 TEST(Engine, ReentrantSchedulingWorks) {

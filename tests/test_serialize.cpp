@@ -117,6 +117,10 @@ TEST(Serialize, TraceRejectsMalformedInput) {
   expect_throw("trace v2\n");
   expect_throw("trace v1\nflow 1 0.5\n");               // truncated
   expect_throw("trace v1\nflow 1 0.5 3 0.001 0 abc\n"); // short hex
+  // Negative timings would make a flow's packets arrive out of order.
+  const std::string header(64, '0');
+  expect_throw("trace v1\nflow 0 0.0012 5 -0.001 0 " + header + "\n");
+  expect_throw("trace v1\nflow 0 -0.5 5 0.001 0 " + header + "\n");
 }
 
 TEST(Serialize, FileRoundTripAndMissingFile) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/system.hpp"
 #include "workload/rulegen.hpp"
 
@@ -188,6 +193,56 @@ TEST(SystemDifane, AuthorityFailureLosesOnlyDetectionWindowTraffic) {
   const double completion = static_cast<double>(stats.setup_completions.total()) /
                             static_cast<double>(gen.generate().size());
   EXPECT_GT(completion, 0.85);
+}
+
+TEST(SystemDifane, PendingArrivalsArePerFlowNotPerPacket) {
+  // Arrivals stream: a packet schedules its flow's next one when it fires,
+  // so before the first arrival the engine holds one event per flow, not
+  // one per packet of the run.
+  const auto policy = classbench_like(400, 7);
+  Scenario scenario(policy, difane_params(2));
+  const auto flows = make_flows(policy, 500, 7);
+  std::uint64_t packets = 0;
+  for (const auto& flow : flows) packets += flow.packets;
+  ASSERT_GT(packets, 2 * flows.size());
+  Engine& engine = scenario.net().engine();
+  const std::size_t before = engine.pending();
+  std::size_t at_start = 0;
+  engine.at(0.0, [&] { at_start = engine.pending(); });
+  const auto& stats = scenario.run(flows);
+  EXPECT_LE(at_start, before + flows.size());
+  EXPECT_EQ(stats.tracer.injected(), packets);
+}
+
+TEST(SystemDifane, RunRejectsBadFlowTimingsBeforeSchedulingAnything) {
+  // Streamed arrivals need each flow's packets in time order, from a start
+  // no earlier than the clock, so a bad flow fails up front, naming its id,
+  // before any flow is scheduled.
+  const auto policy = classbench_like(200, 5);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> bad = {
+      {1.0, -0.001}, {1.0, inf}, {1.0, nan}, {-1.0, 0.001}, {inf, 0.001}, {nan, 0.001}};
+  for (const auto& [start, gap] : bad) {
+    Scenario scenario(policy, difane_params(1));
+    auto flows = make_flows(policy, 100, 5);
+    ASSERT_GT(flows.size(), 2u);
+    FlowSpec& flow = flows[flows.size() / 2];
+    flow.start = start;
+    flow.packet_gap = gap;
+    flow.packets = 5;
+    const std::size_t pending = scenario.net().engine().pending();
+    try {
+      scenario.run(flows);
+      ADD_FAILURE() << "accepted start " << start << ", packet_gap " << gap;
+    } catch (const contract_violation& e) {
+      EXPECT_NE(std::string(e.what()).find("flow " + std::to_string(flow.id) + " "),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(scenario.net().engine().pending(), pending);
+    EXPECT_EQ(scenario.stats().tracer.injected(), 0u);
+  }
 }
 
 TEST(SystemDifane, ZeroAuthorityCountRejected) {

@@ -7,6 +7,7 @@
 //              --duration 2 --strategy cover --cache 2000 --verify
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <type_traits>
 
@@ -164,10 +165,7 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+int run(const Options& opt) {
   const RuleTable policy =
       !opt.policy_in.empty() ? load_policy_file(opt.policy_in)
       : opt.campus           ? campus_like(opt.rules, opt.seed)
@@ -290,4 +288,17 @@ int main(int argc, char** argv) {
     }
   }
   return exit_code;
+}
+
+}  // namespace
+
+// A malformed input file is an error message and exit 2, not an abort.
+int main(int argc, char** argv) {
+  const Options opt = parse(argc, argv);
+  try {
+    return run(opt);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "difane_sim: %s\n", e.what());
+    return 2;
+  }
 }
