@@ -134,7 +134,10 @@ void FlowTable::link_cache_aux(std::uint32_t slot) {
         cache_wild_.begin(), cache_wild_.end(), bs.key[slot],
         [](const WildRow& row, std::uint32_t k) { return row.key < k; });
     cache_wild_.insert(it, WildRow{match, bs.key[slot], slot});
+    if (memo_.empty()) memo_.resize(kMemoSize);
   }
+  cache_links_[slot].stamp = ++links_;
+  link_log_[links_ % kLinkLog] = slot;
 }
 
 void FlowTable::unlink_cache_aux(std::uint32_t slot) {
@@ -167,6 +170,7 @@ void FlowTable::unlink_cache_aux(std::uint32_t slot) {
             "FlowTable: wildcard index out of sync");
     cache_wild_.erase(it);
   }
+  cache_links_[slot].stamp = 0;
 }
 
 bool FlowTable::lru_linked(std::uint32_t slot) const {
@@ -486,7 +490,8 @@ void FlowTable::clear_band(Band band) {
   bs.by_id.clear();
   if (band == Band::kCache) {
     // Guard links, the exact/wildcard indices and the recency list only
-    // ever reference cache entries, so wiping the band wipes them wholesale.
+    // ever reference cache entries, so wiping the band wipes them wholesale
+    // (release_slot already cleared every tenancy stamp).
     cache_exact_.clear();
     cache_wild_.clear();
     dependents_.clear();
@@ -530,14 +535,14 @@ std::size_t FlowTable::expire(double now) {
   return total;
 }
 
-const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) const {
-  // Cache band: exact-match fast path plus the wildcard rows. The winner is
-  // the FIRST live match in band order, so candidates from the exact chain
-  // and the rows compare by key, not priority — same-id refreshes can leave
-  // a band locally unsorted and the original linear scan still picked the
-  // earliest entry.
+std::uint32_t FlowTable::find_cache_match(const BitVec& packet, double now) const {
+  // Exact-match fast path plus the wildcard rows. The winner is the FIRST
+  // live match in band order, so candidates from the exact chain and the
+  // rows compare by key, not priority — same-id refreshes can leave a band
+  // locally unsorted and the original linear scan still picked the earliest
+  // entry.
   const BandState& bs = cache();
-  const FlowEntry* win = nullptr;
+  std::uint32_t win = kNilSlot;
   std::uint32_t win_key = kKeyEnd;
   if (!cache_exact_.empty()) {
     // Generated packets carry noise in the spare bits; the key holds only
@@ -547,18 +552,19 @@ const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) co
     const std::uint32_t head = it == cache_exact_.end() ? kNilSlot : it->second;
     for (std::uint32_t s = head; s != kNilSlot; s = cache_links_[s].exact_next) {
       if (bs.key[s] < win_key && live_match(bs.slab[s], packet, now)) {
-        win = &bs.slab[s];
+        win = s;
         win_key = bs.key[s];
       }
     }
   }
   for (const WildRow& row : cache_wild_) {
     if (row.key >= win_key) break;
-    if (row.match.matches(packet) && !bs.slab[row.slot].expired(now)) {
-      return &bs.slab[row.slot];
-    }
+    if (row.match.matches(packet) && !bs.slab[row.slot].expired(now)) return row.slot;
   }
-  if (win != nullptr) return win;
+  return win;
+}
+
+const FlowEntry* FlowTable::find_proactive_match(const BitVec& packet, double now) const {
   for (const Band band : {Band::kAuthority, Band::kPartition}) {
     const BandState& other = bands_[index(band)];
     for (const std::uint32_t s : other.order) {
@@ -568,12 +574,51 @@ const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) co
   return nullptr;
 }
 
+const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) const {
+  const std::uint32_t slot = find_cache_match(packet, now);
+  return slot != kNilSlot ? &cache().slab[slot] : find_proactive_match(packet, now);
+}
+
+std::uint32_t FlowTable::memo_cache_match(const BitVec& packet, double now) {
+  const BandState& bs = cache();
+  // BitVec::hash's low bits barely see the high bits of each word, so
+  // index by the top bits of a multiplicative mix instead.
+  MemoEntry& m = memo_[(packet.hash() * 0x9e3779b97f4a7c15ULL) >> (64 - kMemoBits)];
+  std::uint32_t win = m.winner;
+  if (links_ - m.links <= kLinkLog && m.header == packet &&
+      (win == kNilSlot || cache_links_[win].stamp == m.stamp)) {
+    // Only a matching entry linked ahead of the winner since m.links can
+    // have taken over; a logged link still counts while its stamp holds.
+    std::uint32_t win_key = win == kNilSlot ? kKeyEnd : bs.key[win];
+    for (std::uint64_t n = m.links + 1; n <= links_; ++n) {
+      const std::uint32_t s = link_log_[n % kLinkLog];
+      if (cache_links_[s].stamp == n && bs.key[s] < win_key &&
+          bs.slab[s].rule.match.matches(packet)) {
+        win = s;
+        win_key = bs.key[s];
+      }
+    }
+    ++stats_.memo_hits;
+  } else {
+    m.header = packet;
+    win = find_cache_match(packet, now);
+  }
+  m.winner = win;
+  m.stamp = win == kNilSlot ? 0 : cache_links_[win].stamp;
+  m.links = links_;
+  return win;
+}
+
 const FlowEntry* FlowTable::lookup(const BitVec& packet, double now, std::uint64_t bytes) {
   // Amortized sweep: the watermark lower-bounds every entry's expiry, so
   // skipping the sweep while now < watermark removes exactly nothing — the
   // table, stats, and cascades evolve byte-identically to an eager sweep.
   if (now >= expiry_watermark_) expire(now);
-  auto* entry = const_cast<FlowEntry*>(find_live_match(packet, now));
+  // Without wildcard rows the exact hash answers in one probe: no memo.
+  const std::uint32_t slot =
+      cache_wild_.empty() ? find_cache_match(packet, now) : memo_cache_match(packet, now);
+  auto* entry = slot != kNilSlot ? &cache().slab[slot]
+                                 : const_cast<FlowEntry*>(find_proactive_match(packet, now));
   if (entry == nullptr) {
     ++stats_.misses;
     return nullptr;

@@ -23,8 +23,28 @@
 // entirely until some entry can actually have timed out, at which point a
 // full sweep runs — so observable behavior (stats, cascades, LRU order) is
 // byte-identical to sweeping on every lookup.
+//
+// Header memo: while the cache band has wildcard rows, lookup remembers
+// each recent header's cache winner (slot, or "no cache entry matches") in
+// a direct-mapped array keyed on the full 256-bit header. Every link into
+// the exact hash or the rows gets a fresh tenancy stamp (its link number)
+// and a place in a log of the last kLinkLog links; an unlink clears the
+// stamp. Invariant: after lookup's watermark sweep every present entry is
+// live (the watermark assumes a forward clock, as the engine guarantees),
+// so a header's winner — the first matching entry in band order — changes
+// only when the winner leaves (its stamp no longer matches) or a matching
+// entry is linked ahead of it (the log holds it). Removing any other entry
+// cannot change the winner, and renumber keeps the keys' relative order.
+// So a memo entry whose header matches, whose winner's stamp is current and
+// which has seen at most kLinkLog links since it was validated is answered
+// from the links logged since then, without scanning the rows; anything
+// else falls back to the scan. Without wildcard rows the exact hash answers
+// in one probe and the memo is not consulted, but links are still stamped
+// and logged so earlier memo entries stay checkable. peek() is the plain
+// scan, the reference the memo must agree with.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -84,10 +104,19 @@ struct FlowTableStats {
   std::uint64_t expirations = 0;      // timeout removals
   std::uint64_t cascade_evictions = 0;  // dependents removed for safety
   std::uint64_t install_rejected = 0; // non-cache band over capacity
+  std::uint64_t memo_hits = 0;        // lookups answered by the header memo
 };
 
 class FlowTable {
  public:
+  // Header memo geometry (see the file comment), chosen on zipf-hits: 4,096
+  // direct-mapped entries answer 97.1% of its lookups (1,024: 95.5%;
+  // 16,384: 98.0% for 2.6 MiB more RSS), with a log of 64 links (16: 96.7%,
+  // 256: 97.6%); run time was flat across all five.
+  static constexpr unsigned kMemoBits = 12;
+  static constexpr std::size_t kMemoSize = std::size_t{1} << kMemoBits;
+  static constexpr std::uint64_t kLinkLog = 64;
+
   explicit FlowTable(std::size_t cache_capacity = 1000,
                      std::size_t hw_capacity = std::numeric_limits<std::size_t>::max());
 
@@ -126,12 +155,13 @@ class FlowTable {
   // within the band. A hit updates last_hit and counters. Expired entries
   // are swept (with identical semantics to an eager per-lookup sweep) before
   // matching; the sweep is skipped while the expiry watermark proves no
-  // entry can have timed out.
+  // entry can have timed out. A repeated header's cache winner comes from
+  // the header memo (see the file comment) when it is still valid.
   const FlowEntry* lookup(const BitVec& packet, double now, std::uint64_t bytes = 1);
 
-  // Non-mutating probe (no counter/LRU update, no expiry). Uses the same
-  // live-match selection as lookup, so the two can never disagree on the
-  // winner at a given instant.
+  // Non-mutating probe (no counter/LRU update, no expiry, no memo): the
+  // reference scan, first live match in band order. lookup agrees with it
+  // at any instant of a forward clock.
   const FlowEntry* peek(const BitVec& packet, double now) const;
 
   // Credit a hit to a specific entry by id (used when the control logic
@@ -146,9 +176,9 @@ class FlowTable {
   std::size_t cache_capacity() const { return cache_capacity_; }
   const FlowEntry* find(RuleId id, Band band) const;
 
-  // One entry's liveness+match test, shared verbatim by lookup and peek (and
-  // the property suite asserts their agreement): a rule wins iff it has not
-  // timed out and its ternary pattern matches the packet.
+  // One entry's liveness+match test, used by the reference scan that peek
+  // and lookup's memo fallback share: a rule wins iff it has not timed out
+  // and its ternary pattern matches the packet.
   static bool live_match(const FlowEntry& entry, const BitVec& packet, double now) {
     return !entry.expired(now) && entry.rule.match.matches(packet);
   }
@@ -241,11 +271,24 @@ class FlowTable {
     std::unordered_map<RuleId, std::uint32_t> by_id;  // rule id -> slab slot
   };
 
-  // Per cache slot: the exact-hash chain and the recency list links.
+  // Per cache slot: the exact-hash chain, the recency list links and the
+  // tenancy stamp (the link number that put the current entry in the exact
+  // hash or the rows; 0 while unlinked).
   struct CacheLinks {
     std::uint32_t exact_next = kNilSlot;
     std::uint32_t lru_prev = kNilSlot;
     std::uint32_t lru_next = kNilSlot;
+    std::uint64_t stamp = 0;
+  };
+
+  // One header's memoized cache winner: its slot and stamp (kNilSlot: no
+  // cache entry matches), true as of link count `links`. A fresh entry says
+  // "no cache match as of link 0", which holds: nothing was linked yet.
+  struct MemoEntry {
+    BitVec header;
+    std::uint32_t winner = kNilSlot;
+    std::uint64_t stamp = 0;
+    std::uint64_t links = 0;
   };
 
   // One wildcard cache entry's pattern, stored inline so the scan reads
@@ -294,9 +337,15 @@ class FlowTable {
     if (removal_listener_) removal_listener_(entry, cause);
   }
 
-  // Shared winner selection for lookup/peek: first live match in cache
-  // (exact fast path + wildcard scan), then authority, then partition.
+  // The reference scan: first live match in cache (exact fast path +
+  // wildcard rows; a slot, kNilSlot for none), then authority, then
+  // partition. find_live_match chains the two.
+  std::uint32_t find_cache_match(const BitVec& packet, double now) const;
+  const FlowEntry* find_proactive_match(const BitVec& packet, double now) const;
   const FlowEntry* find_live_match(const BitVec& packet, double now) const;
+  // The cache-band winner through the header memo, falling back to
+  // find_cache_match; either way the memo entry is left valid.
+  std::uint32_t memo_cache_match(const BitVec& packet, double now);
 
   void evict_lru_cache();
   void retire(const FlowEntry& entry);
@@ -324,6 +373,12 @@ class FlowTable {
   std::vector<WildRow> cache_wild_;
   std::uint32_t lru_head_ = kNilSlot;
   std::uint32_t lru_tail_ = kNilSlot;
+
+  // Header memo, allocated with the first wildcard row; link n's slot sits
+  // at link_log_[n % kLinkLog], and links_ counts every link.
+  std::vector<MemoEntry> memo_;
+  std::array<std::uint32_t, kLinkLog> link_log_{};
+  std::uint64_t links_ = 0;
 
   // Reverse guard index: guard rule id -> ids of cache entries listing it.
   std::unordered_map<RuleId, std::vector<RuleId>> dependents_;

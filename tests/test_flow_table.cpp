@@ -280,6 +280,154 @@ TEST(FlowTable, BulkInstallRejectsCacheBand) {
   EXPECT_THROW(ft.install_bulk(ptrs, Band::kCache, 0.0), contract_violation);
 }
 
+// Header memo. Each step checks lookup's winner against peek (the reference
+// scan, taken first at the same instant) and how many lookups the memo
+// answered without scanning the rows.
+RuleId memo_step(FlowTable& ft, const BitVec& pkt, double now, std::uint64_t memo_delta) {
+  const FlowEntry* ref = ft.peek(pkt, now);
+  const RuleId want = ref == nullptr ? kInvalidRuleId : ref->rule.id;
+  const std::uint64_t before = ft.stats().memo_hits;
+  const FlowEntry* e = ft.lookup(pkt, now);
+  const RuleId got = e == nullptr ? kInvalidRuleId : e->rule.id;
+  EXPECT_EQ(got, want) << "lookup disagrees with peek at t=" << now;
+  EXPECT_EQ(ft.stats().memo_hits - before, memo_delta) << "memo hits at t=" << now;
+  return got;
+}
+
+const BitVec kTcp = PacketBuilder().ip_proto(6).build();
+const BitVec kUdp = PacketBuilder().ip_proto(17).build();
+
+TEST(FlowTableMemo, RepeatedHeaderIsServedByTheMemo) {
+  FlowTable ft(10);
+  ft.install(proto_rule(1, 10, 6, Action::forward(1)), Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.0, 0), 1u);  // first sight: scanned
+  EXPECT_EQ(memo_step(ft, kTcp, 1.1, 1), 1u);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.2, 1), 1u);
+  EXPECT_EQ(memo_step(ft, kUdp, 1.3, 0), kInvalidRuleId);  // another header
+  EXPECT_EQ(memo_step(ft, kUdp, 1.4, 1), kInvalidRuleId);  // its miss, memoized
+  EXPECT_EQ(ft.find(1, Band::kCache)->packets, 3u);  // counters as without it
+}
+
+TEST(FlowTableMemo, NotConsultedWithoutWildcardRows) {
+  FlowTable ft(10);
+  Rule micro = rule_of(1, 10, Action::forward(1));
+  micro.match = exact_pattern(kTcp);
+  ft.install(micro, Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.0, 0), 1u);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.1, 0), 1u);  // the exact hash answers
+}
+
+TEST(FlowTableMemo, OnlyAMatchingLinkAheadOfTheWinnerTakesOver) {
+  FlowTable ft(10);
+  ft.install(proto_rule(1, 10, 6, Action::forward(1)), Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.0, 0), 1u);
+  ft.install(proto_rule(2, 5, 6, Action::forward(2)), Band::kCache, 1.0);  // behind
+  EXPECT_EQ(memo_step(ft, kTcp, 1.1, 1), 1u);
+  ft.install(proto_rule(3, 20, 17, Action::forward(3)), Band::kCache, 1.1);  // no match
+  EXPECT_EQ(memo_step(ft, kTcp, 1.2, 1), 1u);
+  ft.install(proto_rule(4, 20, 6, Action::forward(4)), Band::kCache, 1.2);  // ahead
+  EXPECT_EQ(memo_step(ft, kTcp, 1.3, 1), 4u);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.4, 1), 4u);
+  // A link ahead that left again before the lookup is still in the log.
+  ft.install(proto_rule(5, 30, 6, Action::forward(5)), Band::kCache, 1.4);
+  ft.remove(5, Band::kCache);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.5, 1), 4u);
+}
+
+TEST(FlowTableMemo, RemovedWinnerFallsBackToTheShadowedEntry) {
+  FlowTable ft(10);
+  ft.install(rule_of(1, 1, Action::forward(1)), Band::kCache, 0.0);  // matches all
+  ft.install(proto_rule(2, 10, 6, Action::forward(2)), Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.0, 0), 2u);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.1, 1), 2u);
+  ft.remove(2, Band::kCache);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.2, 0), 1u);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.3, 1), 1u);
+}
+
+TEST(FlowTableMemo, EvictedWinnerIsRescanned) {
+  FlowTable ft(2);
+  ft.install(rule_of(99, 1, Action::encap(9)), Band::kPartition, 0.0);
+  ft.install(proto_rule(1, 10, 6, Action::forward(1)), Band::kCache, 0.0);
+  ft.install(proto_rule(2, 10, 17, Action::forward(2)), Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.0, 0), 1u);
+  EXPECT_EQ(memo_step(ft, kTcp, 2.0, 1), 1u);
+  EXPECT_EQ(memo_step(ft, kUdp, 3.0, 0), 2u);  // entry 1 is now the LRU victim
+  ft.install(proto_rule(3, 10, 1, Action::forward(3)), Band::kCache, 4.0);
+  ASSERT_EQ(ft.find(1, Band::kCache), nullptr);
+  EXPECT_EQ(memo_step(ft, kTcp, 5.0, 0), 99u);
+  EXPECT_EQ(memo_step(ft, kTcp, 5.1, 1), 99u);
+}
+
+TEST(FlowTableMemo, ExpiredWinnerIsRescanned) {
+  FlowTable ft(10);
+  ft.install(rule_of(1, 1, Action::forward(1)), Band::kCache, 0.0);
+  ft.install(proto_rule(2, 10, 6, Action::forward(2)), Band::kCache, 0.0, /*idle=*/1.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 0.5, 0), 2u);
+  EXPECT_EQ(memo_step(ft, kTcp, 0.9, 1), 2u);
+  EXPECT_EQ(memo_step(ft, kTcp, 2.5, 0), 1u);  // the sweep took entry 2
+  EXPECT_EQ(ft.stats().expirations, 1u);
+}
+
+TEST(FlowTableMemo, RefreshThatMovesTheWinnersMatchIsRescanned) {
+  FlowTable ft(10);
+  ft.install(rule_of(1, 1, Action::forward(1)), Band::kCache, 0.0);
+  ft.install(proto_rule(2, 10, 6, Action::forward(2)), Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.0, 0), 2u);
+  ft.install(proto_rule(2, 10, 6, Action::forward(3)), Band::kCache, 1.0);  // same match
+  EXPECT_EQ(memo_step(ft, kTcp, 1.1, 1), 2u);
+  ft.install(proto_rule(2, 10, 17, Action::forward(2)), Band::kCache, 1.1);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.2, 0), 1u);
+  EXPECT_EQ(memo_step(ft, kUdp, 1.3, 0), 2u);
+}
+
+TEST(FlowTableMemo, NoCacheMatchThenAMatchingLink) {
+  FlowTable ft(10);
+  ft.install(rule_of(99, 1, Action::encap(9)), Band::kPartition, 0.0);
+  ft.install(proto_rule(1, 10, 6, Action::forward(1)), Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kUdp, 1.0, 0), 99u);
+  EXPECT_EQ(memo_step(ft, kUdp, 1.1, 1), 99u);  // "no cache match", memoized
+  ft.install(proto_rule(2, 5, 17, Action::forward(2)), Band::kCache, 1.1);
+  EXPECT_EQ(memo_step(ft, kUdp, 1.2, 1), 2u);
+}
+
+TEST(FlowTableMemo, MoreLinksThanTheLogHoldsForceARescan) {
+  constexpr std::uint64_t k = FlowTable::kLinkLog;
+  FlowTable ft(3 * k);
+  ft.install(proto_rule(1, 10, 6, Action::forward(1)), Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.0, 0), 1u);
+  RuleId id = 100;
+  // Exactly k links, the last one a matching entry ahead of the winner:
+  // the log still holds every one of them.
+  for (std::uint64_t i = 0; i + 1 < k; ++i) {
+    ft.install(proto_rule(id++, 5, 17, Action::drop()), Band::kCache, 1.0);
+  }
+  ft.install(proto_rule(2, 20, 6, Action::forward(2)), Band::kCache, 1.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.1, 1), 2u);
+  // k + 1 links, the first one ahead of the winner: it has left the log.
+  ft.install(proto_rule(3, 30, 6, Action::forward(3)), Band::kCache, 1.1);
+  for (std::uint64_t i = 0; i < k; ++i) {
+    ft.install(proto_rule(id++, 5, 17, Action::drop()), Band::kCache, 1.1);
+  }
+  EXPECT_EQ(memo_step(ft, kTcp, 1.2, 0), 3u);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.3, 1), 3u);
+}
+
+TEST(FlowTableMemo, ClearedCacheLeavesThePartitionEntryAsWinner) {
+  FlowTable ft(10);
+  ft.install(rule_of(99, 1, Action::encap(9)), Band::kPartition, 0.0);
+  ft.install(proto_rule(1, 10, 6, Action::forward(1)), Band::kCache, 0.0);
+  ft.install(proto_rule(2, 5, 17, Action::forward(2)), Band::kCache, 0.0);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.0, 0), 1u);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.1, 1), 1u);
+  ft.clear_band(Band::kCache);
+  // One non-matching row brings the memo back while entry 1's old slot
+  // stays free: its memo entry must not outlive the wipe.
+  ft.install(proto_rule(3, 5, 17, Action::forward(3)), Band::kCache, 1.1);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.2, 0), 99u);
+  EXPECT_EQ(memo_step(ft, kTcp, 1.3, 1), 99u);
+}
+
 TEST(FlowTable, ClearBand) {
   FlowTable ft(4);
   ft.install(rule_of(1, 1), Band::kPartition, 0.0);

@@ -11,7 +11,9 @@
 // instant (ties at the LRU head), and one mix steps the clock back.
 // Three mixes shape the sequences toward the three overhauled mechanisms:
 // general traffic, timeout streaming (lazy-expiry watermark), and
-// LRU/cascade churn at tiny capacity.
+// LRU/cascade churn at tiny capacity. Two more repeat a few exact headers
+// over the general and the churn mix, so lookups run through the header
+// memo; each sweep must see the memo answer some of them.
 //
 // The reference below is the pre-overhaul implementation kept verbatim
 // (vector bands, full sweep per lookup, linear id scans, O(cache x guards)
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -327,9 +330,15 @@ struct MixParams {
   // The clock moves backwards. Only for mixes without timeouts: the lazy
   // expiry watermark assumes a forward clock, as the engine guarantees.
   double p_step_back = 0.0;
+  // A lookup's header is one of 6 boundary packets fixed per case, exactly
+  // as drawn (no spare-bit noise), so headers repeat and the header memo
+  // answers them across installs, removals, expiry, evictions and clears.
+  double p_repeat = 0.0;
 };
 
-void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
+// Drives one case; adds the table's memo hits to `memo_hits` when given.
+void drive(proptest::PropertyContext& ctx, const MixParams& mix,
+           std::uint64_t* memo_hits = nullptr) {
   proptest::TableGenParams tg;
   tg.max_rules = 24;
   tg.add_default = ctx.rng.bernoulli(0.5);
@@ -345,6 +354,10 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
   double now = 0.0;
   RuleId next_id = 1000;  // microflow ids; policy rules keep their own
   std::vector<BitVec> flows;  // headers of installed microflows
+  std::vector<BitVec> repeats;
+  if (mix.p_repeat > 0.0) {
+    for (int i = 0; i < 6; ++i) repeats.push_back(proptest::gen_boundary_packet(ctx.rng, rules));
+  }
 
   for (std::size_t op = 0; op < mix.ops; ++op) {
     const double step = ctx.rng.exponential(4.0);  // mean 0.25s per step
@@ -401,7 +414,9 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
       ASSERT_EQ(a, b) << report("install");
     } else if (kind < 65) {  // lookup, with peek agreement first
       BitVec pkt = proptest::gen_boundary_packet(ctx.rng, rules);
-      if (!flows.empty() && ctx.rng.bernoulli(0.5)) {
+      if (!repeats.empty() && ctx.rng.bernoulli(mix.p_repeat)) {
+        pkt = repeats[ctx.rng.uniform(0, repeats.size() - 1)];
+      } else if (!flows.empty() && ctx.rng.bernoulli(0.5)) {
         // Revisit a microflow's header with fresh noise in the spare bits.
         pkt = flows[ctx.rng.uniform(0, flows.size() - 1)];
         for (std::size_t b = header_bits_used(); b < kHeaderBits; ++b) {
@@ -421,10 +436,10 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
       const FlowEntry* lb = ref.lookup(pkt, now, 7);
       ASSERT_EQ(la == nullptr, lb == nullptr) << report("lookup");
       if (la != nullptr) ASSERT_EQ(la->rule.id, lb->rule.id) << report("lookup");
-      // peek and lookup share live_match, so at one instant they agree on
-      // the winner — unless the sweep's safety cascade just removed live
-      // dependents of an expired guard (then lookup legitimately sees a
-      // smaller table; eager sweeping behaved the same way).
+      // peek is the reference scan, and lookup (memo or scan) agrees with
+      // it at one instant — unless the sweep's safety cascade just removed
+      // live dependents of an expired guard (then lookup legitimately sees
+      // a smaller table; eager sweeping behaved the same way).
       if (table.stats().cascade_evictions == cascades_before) {
         ASSERT_EQ(peek_hit, la != nullptr) << report("peek/lookup agreement");
         if (peek_hit) {
@@ -453,6 +468,17 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
     const std::string diff = diff_tables(table, ref);
     ASSERT_TRUE(diff.empty()) << report("state diff") << ": " << diff;
   }
+  if (memo_hits != nullptr) *memo_hits += table.stats().memo_hits;
+}
+
+// Runs a repeated-header mix as a property sweep and checks that the memo
+// answered some of its lookups, so the agreement covered the memo path.
+void sweep_repeated(const char* name, const MixParams& mix) {
+  std::uint64_t memo_hits = 0;
+  proptest::run_property(name, 120, 0xd1fa9eULL, [&](proptest::PropertyContext& ctx) {
+    drive(ctx, mix, &memo_hits);
+  });
+  if (std::getenv("DIFANE_PROPTEST_REPLAY") == nullptr) EXPECT_GT(memo_hits, 0u);
 }
 
 DIFANE_PROPERTY(FlowTableMatchesEagerReference, 120) {
@@ -489,6 +515,27 @@ DIFANE_PROPERTY(FlowTableBackwardClockMatchesEagerReference, 120) {
   mix.cache_cap_min = 2;
   mix.cache_cap_max = 8;
   drive(ctx, mix);
+}
+
+// Repeated headers over the general mix: the memo must pick the eager
+// reference's winner after every kind of table change.
+TEST(Property, FlowTableRepeatedHeadersMatchEagerReference) {
+  MixParams mix;
+  mix.p_repeat = 0.8;
+  sweep_repeated("FlowTableRepeatedHeadersMatchEagerReference", mix);
+}
+
+// Repeated headers under churn: tiny cache, dense guards and mostly
+// timed-out entries, so memoized winners keep leaving by eviction,
+// cascade and expiry.
+TEST(Property, FlowTableRepeatedHeadersUnderChurnMatchEagerReference) {
+  MixParams mix;
+  mix.p_repeat = 0.8;
+  mix.p_timeout = 0.85;
+  mix.p_guards = 0.8;
+  mix.cache_cap_min = 2;
+  mix.cache_cap_max = 8;
+  sweep_repeated("FlowTableRepeatedHeadersUnderChurnMatchEagerReference", mix);
 }
 
 }  // namespace
