@@ -875,10 +875,22 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
       stats_.cache_entries_final = live_cache_entries(net_.engine().now());
     });
   }
+  // Numbers are reserved in vector order; stable sorting keeps tied starts
+  // in that order, so the key (start, base) grows along each start list.
+  start_lists_.assign(net_.switch_count(), StartList{});
   for (const auto& flow : flows) {
     if (flow.packets == 0) continue;
     const SwitchId ingress = ingress_switch(flow.ingress_index);
-    schedule_arrival(flow, ingress, engine_of(ingress).reserve(flow.packets), 0);
+    start_lists_[ingress].starts.push_back(
+        FlowStart{&flow, engine_of(ingress).reserve(flow.packets)});
+  }
+  for (SwitchId ingress = 0; ingress < start_lists_.size(); ++ingress) {
+    auto& starts = start_lists_[ingress].starts;
+    std::stable_sort(starts.begin(), starts.end(),
+                     [](const FlowStart& a, const FlowStart& b) {
+                       return a.flow->start < b.flow->start;
+                     });
+    start_next_flow(ingress);
   }
   if (exec_ != nullptr) {
     // Routes must exist before shard threads read next_hop() concurrently;
@@ -890,6 +902,7 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
   } else {
     net_.engine().run();
   }
+  start_lists_ = std::vector<StartList>();
   ensures(stats_.tracer.in_flight() == 0,
           "Scenario: packets unaccounted for after the run");
   if (params_.occupancy_sample_at < 0.0) {
@@ -952,10 +965,19 @@ void Scenario::schedule_arrival(const FlowSpec& flow, SwitchId ingress,
                         });
 }
 
+void Scenario::start_next_flow(SwitchId ingress) {
+  StartList& list = start_lists_[ingress];
+  if (list.next == list.starts.size()) return;
+  const FlowStart& next = list.starts[list.next++];
+  schedule_arrival(*next.flow, ingress, next.base, 0);
+}
+
 void Scenario::arrive(const FlowSpec& flow, SwitchId ingress, std::uint64_t base,
                       std::size_t p) {
-  // Packet p + 1 sorts after packet p (packet_gap >= 0, larger number), so
-  // scheduling it now keeps the up-front order. Same ingress, same engine.
+  // Packet p + 1 sorts after packet p (packet_gap >= 0, larger number), and
+  // the ingress's next start after this one (see run()), so scheduling them
+  // now keeps the up-front order. Same ingress, same engine.
+  if (p == 0) start_next_flow(ingress);
   if (p + 1 < flow.packets) schedule_arrival(flow, ingress, base, p + 1);
   Packet pkt;
   pkt.flow = flow.id;

@@ -282,13 +282,17 @@ class Scenario {
  public:
   Scenario(RuleTable policy, ScenarioParams params);
 
-  // Inject every flow and run until all events drain. A flow holds one
-  // pending arrival: packet p schedules p + 1 on numbers reserved per flow
-  // in vector order, so events run as if all were scheduled up front. They
-  // point into `flows`; run() drains every engine before it returns. Before
-  // scheduling anything, a flow whose start is non-finite or before its
-  // ingress engine's clock, or whose packet_gap is negative or non-finite,
-  // is a contract_violation naming its id.
+  // Inject every flow and run until all events drain. Each flow reserves one
+  // engine number per packet, in vector order. Each ingress keeps its flows
+  // in a start list, stably sorted by start, and schedules only the head:
+  // packet 0 of a flow schedules its ingress's next start, and packet p
+  // schedules p + 1. Events run as if all were scheduled up front, while the
+  // engine holds only the events in flight plus one start per ingress.
+  // Events and lists point into `flows`; run() drains every engine and
+  // releases the lists before it returns. Before scheduling anything, a flow
+  // whose start is non-finite or before its ingress engine's clock, or whose
+  // packet_gap is negative or non-finite, is a contract_violation naming its
+  // id.
   const ScenarioStats& run(const std::vector<FlowSpec>& flows);
 
   // Schedule an authority switch failure at sim time `when` (DIFANE mode).
@@ -407,6 +411,8 @@ class Scenario {
   // Packet `p` of `flow` arrives on number `base + p` of its ingress engine.
   void schedule_arrival(const FlowSpec& flow, SwitchId ingress, std::uint64_t base,
                         std::size_t p);
+  // Schedule packet 0 of the next flow in `ingress`'s start list, if any.
+  void start_next_flow(SwitchId ingress);
   void arrive(const FlowSpec& flow, SwitchId ingress, std::uint64_t base,
               std::size_t p);
   void process(SwitchId at, Packet pkt);
@@ -507,6 +513,18 @@ class Scenario {
   std::int64_t migration_double_now_ = 0;   // live extra authority-rule copies
   std::vector<ScenarioStats> shard_stats_;
   ScenarioStats stats_;
+  // Flows not yet started, per ingress SwitchId (during run() only). Each
+  // list is touched only by its ingress's engine, so shard threads never
+  // share one.
+  struct FlowStart {
+    const FlowSpec* flow;
+    std::uint64_t base;  // the flow's first reserved engine number
+  };
+  struct StartList {
+    std::vector<FlowStart> starts;  // stably sorted by start
+    std::size_t next = 0;           // first start not yet scheduled
+  };
+  std::vector<StartList> start_lists_;
 };
 
 }  // namespace difane

@@ -31,9 +31,22 @@ void SwitchAgent::deliver(const Request& request, ReplyHandler on_reply) {
       },
       request);
   const double done = admit(cost);
-  engine_.at(done, [this, request, on_reply = std::move(on_reply)]() {
-    apply(request, on_reply);
-  });
+  backlog_.push_back(Admitted{request, std::move(on_reply), done, engine_.reserve(1)});
+  if (backlog_.size() == 1) schedule_head();
+}
+
+void SwitchAgent::schedule_head() {
+  const Admitted& head = backlog_.front();
+  engine_.at(head.done, head.seq, [this]() { apply_head(); });
+}
+
+void SwitchAgent::apply_head() {
+  Admitted head = std::move(backlog_.front());
+  backlog_.pop_front();
+  // The next request sorts after this one (no earlier apply time, larger
+  // number), so scheduling it now keeps the delivery-time order.
+  if (!backlog_.empty()) schedule_head();
+  apply(head.request, head.on_reply);
 }
 
 void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {

@@ -3,8 +3,18 @@
 // processing takes time (a real switch's flow-mod path is ~ms-scale), which
 // is what makes barriers meaningful: a BarrierReply is issued only after
 // every earlier message has been *applied*, not merely received.
+//
+// Admitted requests wait in a FIFO, each with its apply time and the engine
+// number it took at delivery; only the head has an engine event. The head's
+// handler schedules the next head, then applies. Apply times never decrease
+// along the FIFO and numbers increase, so each head is scheduled before it
+// could be the earliest pending event, and the applies run exactly as if
+// each had been scheduled at delivery. A backlog of any depth holds one
+// engine event.
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 
 #include "ctrlchan/messages.hpp"
@@ -61,7 +71,15 @@ class SwitchAgent : public ControlEndpoint {
   std::uint64_t guard_rejects() const { return guard_rejects_; }
 
  private:
+  struct Admitted {
+    Request request;
+    ReplyHandler on_reply;
+    double done;         // apply time
+    std::uint64_t seq;   // engine number taken at delivery
+  };
   double admit(double cost);
+  void schedule_head();
+  void apply_head();
   void apply(const Request& request, const ReplyHandler& on_reply);
 
   Engine& engine_;
@@ -71,6 +89,7 @@ class SwitchAgent : public ControlEndpoint {
   InstallFaultHook install_fault_;
   bool strict_guards_ = false;
   double next_free_ = 0.0;  // serialization of the agent's control pipeline
+  std::deque<Admitted> backlog_;  // admitted, not yet applied; head scheduled
   std::uint64_t applied_ = 0;
   std::uint64_t install_faults_ = 0;
   std::uint64_t guard_rejects_ = 0;

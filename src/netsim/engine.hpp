@@ -13,8 +13,10 @@
 // reserve(n) hands out n consecutive tie-break numbers for at(when, seq, fn)
 // to use later: a chain of events, each scheduling the next before it could
 // be the earliest pending, runs as if all were scheduled at reservation.
-// Scenario streams packet arrivals so, which bounds the slab's high-water
-// mark by the events in flight plus one arrival per active flow.
+// Scenario streams each flow's packets and each ingress's flow starts so,
+// and SwitchAgent its FlowMod backlog. The slab's high-water mark is then
+// the events in flight (the next packet of each started flow among them),
+// plus one start per ingress, plus one head apply per switch agent.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/system.hpp"
 #include "ctrlchan/channel.hpp"
 #include "faults/heartbeat.hpp"
@@ -98,6 +102,64 @@ TEST(SwitchAgent, FlowModsTakeTimeToApply) {
   f.agent.deliver(a, [&](const Reply&) { applied_at = f.engine.now(); });
   f.engine.run();
   EXPECT_GT(applied_at, 0.0);  // flow_mod_cost elapsed
+}
+
+TEST(SwitchAgent, BacklogHoldsOneEngineEvent) {
+  // Admitted requests wait in the agent's FIFO; only the head has an engine
+  // event, and each apply runs where it would have on its own event.
+  Engine engine;
+  Switch sw(0, /*cache=*/2000);
+  SwitchAgent agent(engine, sw);
+  const double cost = SwitchAgentParams{}.flow_mod_cost;
+  constexpr std::uint32_t kMods = 1000;
+  std::vector<std::pair<std::uint32_t, double>> replies;
+  const auto record = [&](const Reply& r) {
+    replies.emplace_back(std::get<FlowModReply>(r).xid, engine.now());
+  };
+  for (std::uint32_t k = 1; k <= kMods; ++k) {
+    FlowMod mod;
+    mod.xid = k;
+    mod.rule = rule_of(k, 10);
+    agent.deliver(mod, record);
+  }
+  EXPECT_EQ(engine.pending(), 1u);
+  engine.run();
+  ASSERT_EQ(replies.size(), kMods);
+  for (std::uint32_t k = 1; k <= kMods; ++k) {
+    EXPECT_EQ(replies[k - 1].first, k);
+    EXPECT_NEAR(replies[k - 1].second, k * cost, 1e-9) << "reply " << k;
+  }
+  EXPECT_EQ(agent.applied(), kMods);
+  EXPECT_EQ(sw.table().size(Band::kCache), kMods);
+
+  // Barriers delivered from inside a reply: the first while two FlowMods
+  // still wait, the second from the first's reply, with the FIFO empty.
+  // Each replies after every request delivered before it.
+  replies.clear();
+  std::vector<std::string> order;
+  const auto barrier_b = [&](const Reply&) { order.push_back("B"); };
+  const auto barrier_a = [&](const Reply&) {
+    order.push_back("A");
+    EXPECT_EQ(replies.size(), 3u);
+    agent.deliver(BarrierRequest{2}, barrier_b);
+  };
+  for (std::uint32_t k = 1; k <= 3; ++k) {
+    FlowMod mod;
+    mod.xid = kMods + k;
+    mod.rule = rule_of(kMods + k, 10);
+    agent.deliver(mod, [&, k](const Reply& r) {
+      record(r);
+      order.push_back("F" + std::to_string(k));
+      if (k == 1) agent.deliver(BarrierRequest{1}, barrier_a);
+    });
+  }
+  EXPECT_EQ(engine.pending(), 1u);
+  const double start = engine.now();
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"F1", "F2", "F3", "A", "B"}));
+  EXPECT_NEAR(engine.now(), start + 3 * cost, 1e-9);
+  EXPECT_EQ(agent.applied(), kMods + 5);
+  EXPECT_TRUE(engine.empty());
 }
 
 TEST(SwitchAgent, PacketOutInvokesHandler) {

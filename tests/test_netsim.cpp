@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "netsim/link.hpp"
 #include "netsim/topology.hpp"
 #include "netsim/tracer.hpp"
+#include "util/rng.hpp"
 
 namespace difane {
 namespace {
@@ -48,6 +53,110 @@ TEST(Engine, ReservedNumbersRunInReservationOrder) {
   e.at(1.0, base, [&] { order.push_back(0); });
   e.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// One event of the chain property below: a member of chain `group`, and,
+// when `child_delay` >= 0, the parent of an event scheduled on a fresh number
+// when it fires (another producer's in-flight event).
+struct PlannedEvent {
+  SimTime when = 0.0;
+  std::size_t group = 0;
+  std::uint64_t extra = 0;  // numbers reserved behind this one (a flow's packets)
+  SimTime child_delay = -1.0;
+};
+
+// Runs the plan and records event ids in pop order; the child of event i is
+// id events.size() + i. Both ways take the same numbers: `loose` plain
+// events, then one reservation per event in `reserve_order`. Up front, every
+// event is scheduled on its number before the run. Chained, each group
+// schedules only its earliest event by (when, number), and each event
+// schedules its group's next one when it fires.
+struct ChainRun {
+  const std::vector<PlannedEvent>& events;
+  bool chained;
+  Engine engine;
+  std::vector<std::uint64_t> seq;
+  std::vector<std::vector<std::size_t>> chains;
+  std::vector<std::size_t> next;
+  std::vector<std::size_t> fired;
+
+  ChainRun(const std::vector<PlannedEvent>& planned, std::size_t groups,
+           const std::vector<std::size_t>& reserve_order,
+           const std::vector<SimTime>& loose, bool chain)
+      : events(planned), chained(chain), seq(planned.size()), chains(groups),
+        next(groups, 0) {
+    for (std::size_t k = 0; k < loose.size(); ++k) {
+      const std::size_t id = 2 * events.size() + k;
+      engine.at(loose[k], [this, id] { fired.push_back(id); });
+    }
+    for (const std::size_t i : reserve_order) {
+      seq[i] = engine.reserve(1 + events[i].extra);
+    }
+    for (std::size_t i = 0; i < events.size(); ++i) chains[events[i].group].push_back(i);
+    for (auto& chain : chains) {
+      std::sort(chain.begin(), chain.end(), [&](std::size_t a, std::size_t b) {
+        if (events[a].when != events[b].when) return events[a].when < events[b].when;
+        return seq[a] < seq[b];
+      });
+    }
+    if (chained) {
+      for (std::size_t g = 0; g < groups; ++g) schedule_next(g);
+    } else {
+      for (std::size_t i = 0; i < events.size(); ++i) schedule(i);
+    }
+  }
+  ChainRun(const ChainRun&) = delete;  // handlers hold `this`
+  ChainRun& operator=(const ChainRun&) = delete;
+  void schedule(std::size_t i) {
+    engine.at(events[i].when, seq[i], [this, i] { fire(i); });
+  }
+  void schedule_next(std::size_t g) {
+    if (next[g] < chains[g].size()) schedule(chains[g][next[g]++]);
+  }
+  void fire(std::size_t i) {
+    if (chained) schedule_next(events[i].group);
+    fired.push_back(i);
+    if (events[i].child_delay >= 0.0) {
+      const std::size_t child = events.size() + i;
+      engine.after(events[i].child_delay, [this, child] { fired.push_back(child); });
+    }
+  }
+};
+
+TEST(Engine, ChainsOnReservedNumbersPopAsIfScheduledUpFront) {
+  // Flow starts per ingress and a switch agent's backlog both stream this
+  // way. Random groups of events on a grid of four times, so most events tie;
+  // numbers reserved in a random interleaving across groups, some with
+  // trailing numbers; plain events and children on fresh numbers around them.
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    const std::size_t groups = rng.uniform(1, 5);
+    std::vector<PlannedEvent> events(rng.uniform(1, 40));
+    for (auto& ev : events) {
+      ev.when = 0.5 * static_cast<double>(rng.uniform(0, 3));
+      ev.group = rng.uniform(0, groups - 1);
+      ev.extra = rng.bernoulli(0.3) ? rng.uniform(1, 3) : 0;
+      if (rng.bernoulli(0.3)) ev.child_delay = 0.5 * static_cast<double>(rng.uniform(0, 1));
+    }
+    std::vector<std::size_t> reserve_order(events.size());
+    std::iota(reserve_order.begin(), reserve_order.end(), std::size_t{0});
+    for (std::size_t i = reserve_order.size(); i > 1; --i) {
+      std::swap(reserve_order[i - 1], reserve_order[rng.uniform(0, i - 1)]);
+    }
+    std::vector<SimTime> loose(rng.uniform(0, 3));
+    for (auto& when : loose) when = 0.5 * static_cast<double>(rng.uniform(0, 3));
+
+    ChainRun up_front(events, groups, reserve_order, loose, false);
+    ChainRun chained(events, groups, reserve_order, loose, true);
+    std::size_t used_groups = 0;
+    for (const auto& chain : chained.chains) used_groups += chain.empty() ? 0 : 1;
+    EXPECT_EQ(up_front.engine.pending(), events.size() + loose.size());
+    EXPECT_EQ(chained.engine.pending(), used_groups + loose.size());
+    up_front.engine.run();
+    chained.engine.run();
+    EXPECT_EQ(chained.fired, up_front.fired) << "seed " << seed;
+    EXPECT_EQ(chained.engine.executed(), up_front.engine.executed()) << "seed " << seed;
+  }
 }
 
 TEST(Engine, UnreservedSequenceNumberIsAContractViolation) {

@@ -6,8 +6,10 @@
 // conserve packets and converge to a verifier-clean installed state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -345,6 +347,49 @@ TEST(ScenarioThreads, ParallelRunIsSeedStable) {
   };
   const std::string first = run_once();
   EXPECT_EQ(run_once(), first);
+}
+
+// Each ingress streams its flow starts from a list stably sorted by start;
+// under the executor each list's cursor is written from its ingress's shard
+// thread. Flows enter at all eight edges. A shuffled flow list, with eight
+// exactly equal starts at ingress 1, runs exactly as the same list stably
+// sorted by start. TSan runs this suite.
+TEST(ScenarioThreads, ShuffledFlowListRunsAsItsStableSortByStart) {
+  const auto policy = policy_for_threads();
+  TrafficParams tp;
+  tp.seed = 31;
+  tp.flow_pool = 400;
+  tp.zipf_s = 0.9;
+  tp.arrival_rate = 4000.0;
+  tp.duration = 0.25;
+  tp.mean_packets = 3.0;
+  tp.ingress_count = 8;
+  auto shuffled = TrafficGenerator(policy, tp).generate();
+  ASSERT_GT(shuffled.size(), 100u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    FlowSpec& flow = shuffled[40 + 5 * i];
+    flow.start = shuffled[40].start;
+    flow.ingress_index = 1;
+  }
+  std::mt19937_64 rng(31);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  const auto by_start = [](const FlowSpec& a, const FlowSpec& b) {
+    return a.start < b.start;
+  };
+  ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end(), by_start));
+  auto sorted = shuffled;
+  std::stable_sort(sorted.begin(), sorted.end(), by_start);
+  const auto run_once = [&](const std::vector<FlowSpec>& flows) {
+    Scenario scenario(policy, threads_params(4));
+    const auto& stats = scenario.run(flows);
+    EXPECT_GT(stats.redirects, 0u);
+    EXPECT_EQ(stats.tracer.in_flight(), 0);
+    auto report = stats.snapshot("shuffled");
+    report.git_rev = "fixed";
+    report.wall_seconds = 0.0;
+    return report.to_json_string();
+  };
+  EXPECT_EQ(run_once(shuffled), run_once(sorted));
 }
 
 // threads=1 must take the legacy code path bit for bit: the report matches a

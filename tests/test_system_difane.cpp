@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -197,21 +199,58 @@ TEST(SystemDifane, AuthorityFailureLosesOnlyDetectionWindowTraffic) {
 
 TEST(SystemDifane, PendingArrivalsArePerFlowNotPerPacket) {
   // Arrivals stream: a packet schedules its flow's next one when it fires,
-  // so before the first arrival the engine holds one event per flow, not
-  // one per packet of the run.
+  // and a flow's first packet schedules its ingress's next start, so before
+  // the first arrival the engine holds one start per ingress, not one event
+  // per flow or per packet of the run.
   const auto policy = classbench_like(400, 7);
-  Scenario scenario(policy, difane_params(2));
+  const auto params = difane_params(2);
+  Scenario scenario(policy, params);
   const auto flows = make_flows(policy, 500, 7);
   std::uint64_t packets = 0;
   for (const auto& flow : flows) packets += flow.packets;
   ASSERT_GT(packets, 2 * flows.size());
+  ASSERT_GT(flows.size(), 10 * params.edge_switches);
   Engine& engine = scenario.net().engine();
   const std::size_t before = engine.pending();
   std::size_t at_start = 0;
   engine.at(0.0, [&] { at_start = engine.pending(); });
   const auto& stats = scenario.run(flows);
   EXPECT_LE(at_start, before + flows.size());
+  EXPECT_LE(at_start, before + params.edge_switches);
   EXPECT_EQ(stats.tracer.injected(), packets);
+}
+
+TEST(SystemDifane, ShuffledFlowListRunsAsItsStableSortByStart) {
+  // Each ingress streams its flow starts from a list stably sorted by start,
+  // so the flow vector need not be sorted. A shuffled list runs exactly as
+  // the same list stably sorted by start, which keeps the order of the
+  // eight flows at ingress 1 whose starts are exactly equal.
+  const auto policy = classbench_like(400, 9);
+  auto shuffled = make_flows(policy, 500, 9);
+  ASSERT_GT(shuffled.size(), 100u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    FlowSpec& flow = shuffled[40 + 5 * i];
+    flow.start = shuffled[40].start;
+    flow.ingress_index = 1;
+  }
+  std::mt19937_64 rng(9);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  const auto by_start = [](const FlowSpec& a, const FlowSpec& b) {
+    return a.start < b.start;
+  };
+  ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end(), by_start));
+  auto sorted = shuffled;
+  std::stable_sort(sorted.begin(), sorted.end(), by_start);
+  const auto run_once = [&](const std::vector<FlowSpec>& flows) {
+    Scenario scenario(policy, difane_params(2));
+    const auto& stats = scenario.run(flows);
+    EXPECT_GT(stats.redirects, 0u);
+    auto report = stats.snapshot("shuffled");
+    report.git_rev = "fixed";
+    report.wall_seconds = 0.0;
+    return report.to_json_string();
+  };
+  EXPECT_EQ(run_once(shuffled), run_once(sorted));
 }
 
 TEST(SystemDifane, RunRejectsBadFlowTimingsBeforeSchedulingAnything) {
