@@ -1,18 +1,14 @@
 // E11 — scale-out stress tier. Not a paper figure: this tier exists to prove
 // the engine holds production-scale state — ≥10M installed rules and ≥1M
-// concurrent flows in flight — on the 4-thread sharded executor (fault-free
-// DIFANE data plane, work stealing always on), and to track what that costs
-// (RSS high-water, wall time) across the trajectory.
+// concurrent flows in flight — on the fault-free DIFANE data plane, and to
+// track what that costs (RSS high-water, wall time) across the trajectory.
 //
 // Metric conventions:
 //   * Deterministic (gated byte-identical by bench_compare): rule counts,
 //     flow counts, peak concurrency, delivery counters — all derived from
 //     the simulation, reproducible from the seed on any host.
 //   * Host measurements (exempt, "_wall_"/"_rss_" keys): build/run wall
-//     time, RSS high-water, and the stolen-shard count. Steals are
-//     timing-dependent by design — stealing only changes which thread runs
-//     a shard, never the result — so the count rides under the wall-metric
-//     exemption.
+//     time and RSS high-water.
 //
 // The full tier is deliberately heavy (minutes, ~10 GiB); --quick shrinks
 // every axis into CI territory while keeping the same metric keys so the
@@ -76,7 +72,7 @@ int main(int argc, char** argv) {
     if (rep.verbose) {
       print_header(
           "E11: scale-out stress tier (10M rules / 1M concurrent flows)",
-          "none — production-scale capacity proof for the sharded engine",
+          "none — production-scale capacity proof for the event engine",
           "construction near-linear in rules; run survives 1M in-flight flows");
     }
 
@@ -95,13 +91,8 @@ int main(int argc, char** argv) {
     params.edge_cache_capacity = 1u << 21;
     params.partitioner.capacity = args.pick<std::size_t>(32768, 2048);
     params.cache_strategy = CacheStrategy::kMicroflow;
-    // The scale-out execution stack under test. threads is fixed (not
-    // --threads) so the tier's deterministic metrics are self-consistent
-    // across hosts and across the harness's thread sweeps.
-    params.threads = 4;
     rep.report.params["rules_target"] = obs::Json(rules_target);
     rep.report.params["concurrent_target"] = obs::Json(concurrent_target);
-    rep.report.params["threads"] = obs::Json(params.threads);
     rep.report.params["partition_capacity"] = obs::Json(params.partitioner.capacity);
 
     t0 = std::chrono::steady_clock::now();
@@ -160,7 +151,6 @@ int main(int argc, char** argv) {
     rep.set("scale_traffic_wall_s", traffic_wall);
     rep.set("scale_run_wall_s", run_wall);
     rep.set("scale_rss_high_water_mib", rss_high_water_mib());
-    rep.set("scale_wall_shards_stolen", static_cast<double>(scenario.shards_stolen()));
 
     if (rep.verbose) {
       TextTable table({"axis", "value"});
@@ -173,7 +163,6 @@ int main(int argc, char** argv) {
       table.add_row({"build wall (s)", TextTable::num(build_wall, 1)});
       table.add_row({"run wall (s)", TextTable::num(run_wall, 1)});
       table.add_row({"RSS high-water (MiB)", TextTable::num(rss_high_water_mib(), 0)});
-      table.add_row({"shards stolen", TextTable::integer(scenario.shards_stolen())});
       std::printf("%s\n", table.render().c_str());
       std::printf("targets (%zu rules, %zu concurrent): %s\n", rules_target,
                   concurrent_target, targets_met ? "MET" : "MISSED");

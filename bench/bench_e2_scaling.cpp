@@ -61,39 +61,5 @@ int main(int argc, char** argv) {
                      TextTable::num(nox_rate, 0)});
     }
     if (rep.verbose) std::printf("%s\n", table.render().c_str());
-
-    // Sharded-engine demonstration row: the largest k re-run with the
-    // in-scenario parallel engine (ScenarioParams::threads = --threads).
-    // Wall-clock only — the simulated counters legitimately differ from the
-    // serial engine's (window-boundary clamping), so only `_wall_` metrics
-    // (exempt from the determinism gate) are exported from this row.
-    if (args.threads > 1) {
-      auto params = difane_params(ks.back(), CacheStrategy::kMicroflow);
-      params.edge_switches = 8;
-      const auto t0 = std::chrono::steady_clock::now();
-      Scenario serial(policy, params);
-      serial.run(flows);
-      const double serial_wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      params.threads = static_cast<std::size_t>(args.threads);
-      const auto t1 = std::chrono::steady_clock::now();
-      Scenario sharded(policy, params);
-      sharded.run(flows);
-      const double sharded_wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
-              .count();
-      rep.set("engine_wall_serial_s", serial_wall);
-      rep.set("engine_wall_sharded_s", sharded_wall);
-      rep.set("engine_wall_speedup",
-              sharded_wall > 0 ? serial_wall / sharded_wall : 0.0);
-      if (rep.verbose) {
-        std::printf(
-            "sharded engine (k=%u, threads=%d): serial %.3fs, sharded %.3fs, "
-            "speedup %.2fx\n",
-            ks.back(), args.threads, serial_wall, sharded_wall,
-            sharded_wall > 0 ? serial_wall / sharded_wall : 0.0);
-      }
-    }
   });
 }

@@ -108,7 +108,8 @@ std::uint64_t shadow_id_space(const Partition& partition, CacheStrategy strategy
 // (primary, backup, replicas, live-migration rebinds): a decision tree over
 // its clipped rules, which answers the authority match, and the dependency
 // graph built from the tree's overlap queries. Each is built on first use,
-// at most once, even when bindings on different shards reach it at once.
+// at most once under std::call_once, so the const accessors are safe to call
+// from several threads.
 class PartitionIndex {
  public:
   // `partition` must outlive the index and keep its rules unchanged.

@@ -184,32 +184,14 @@ void validate_measurement(const ScenarioParams& p) {
   }
 }
 
+// Both fields survive only because perfbench/workloads.hpp assigns them.
 void validate_execution(const ScenarioParams& p) {
-  if (p.threads == 0) {
-    throw ConfigError("threads", "need at least one worker thread");
+  if (p.threads != 1) {
+    throw ConfigError("threads",
+                      "in-scenario parallel execution was removed; every "
+                      "scenario runs on one event engine, so threads must "
+                      "be 1");
   }
-  if (p.threads > 1) {
-    if (p.link.latency <= 0.0) {
-      throw ConfigError("threads",
-                        "the sharded engine's conservative lookahead is the "
-                        "link latency; threads > 1 needs link.latency > 0");
-    }
-    // The sharded executor runs the fault-free DIFANE data plane only (E11
-    // and E2's demo row); every control-plane feature runs at threads == 1.
-    const auto serial_only = [](const char* feature) {
-      return ConfigError("threads", std::string(feature) +
-                                        " runs on the serial engine only; "
-                                        "set threads = 1");
-    };
-    if (p.mode != Mode::kDifane) throw serial_only("NOX mode");
-    if (p.faults.active()) throw serial_only("an active fault plan");
-    if (p.timings.heartbeat_interval > 0.0) {
-      throw serial_only("heartbeat detection");
-    }
-    if (p.measurement.enabled) throw serial_only("flow measurement");
-    if (p.migration.enabled) throw serial_only("live migration");
-  }
-  // The field survives only because perfbench/workloads.hpp assigns it.
   if (p.burst != 0) {
     throw ConfigError("burst",
                       "the burst data plane was removed; packets are always "
@@ -364,9 +346,6 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
       break;
     }
   }
-  // Shard plan before any engine-holding component: agents and channels are
-  // constructed against the engine that will execute their switch's events.
-  build_shards();
   // Fault machinery first, so the channels and agents below can hook into
   // it. With an inactive plan nothing is built and every construction below
   // takes its fault-free path.
@@ -383,7 +362,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
   reliability.rto_max = params_.timings.ctrl_rto_max;
   for (SwitchId id = 0; id < net_.switch_count(); ++id) {
     agents_.push_back(
-        std::make_unique<SwitchAgent>(engine_of(id), net_.sw(id)));
+        std::make_unique<SwitchAgent>(net_.engine(), net_.sw(id)));
     if (injector_ != nullptr) {
       // Under faults a protector install can be lost or fail, so dependents
       // must be checked rather than trusted (over-redirect beats
@@ -396,7 +375,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
                                ? params_.timings.cache_install_latency
                                : params_.nox.one_way_latency;
     install_channels_.push_back(std::make_unique<ControlChannel>(
-        engine_of(id), *agents_.back(), latency, reliability, injector_.get()));
+        net_.engine(), *agents_.back(), latency, reliability, injector_.get()));
   }
   // Heartbeat-based failure detection over the authority switches.
   if (difane_ != nullptr && params_.timings.heartbeat_interval > 0.0) {
@@ -416,8 +395,8 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
   // and its export channels want the injector, both built above.
   setup_measurement();
   schedule_faults();
-  // Live-migration rebalance loop: a global-event tick chain (mirrors the
-  // measurement tick chain). Explicit request_rehome() works without it.
+  // Live-migration rebalance loop: a tick chain (mirrors the measurement
+  // tick chain). Explicit request_rehome() works without it.
   if (params_.migration.enabled && params_.migration.check_interval > 0.0 &&
       params_.migration.check_interval <= params_.migration.horizon) {
     net_.engine().at(params_.migration.check_interval,
@@ -475,7 +454,7 @@ void Scenario::setup_measurement() {
     }
     export_endpoints_[sw] = std::make_unique<CollectorEndpoint>(std::move(hook));
     export_channels_[sw] = std::make_unique<ControlChannel>(
-        engine_of(sw), *export_endpoints_[sw], params_.measurement.export_latency,
+        net_.engine(), *export_endpoints_[sw], params_.measurement.export_latency,
         reliability, injector_.get());
     // Eviction flush: when a cache entry leaves this switch's table, any
     // pending counts bound to it close into kEvict records instead of
@@ -485,8 +464,8 @@ void Scenario::setup_measurement() {
           on_cache_removed(sw, entry);
         });
     if (params_.measurement.export_interval <= params_.measurement.export_horizon) {
-      schedule_at_switch(sw, params_.measurement.export_interval,
-                        [this, sw]() { export_tick(sw); });
+      net_.engine().at(params_.measurement.export_interval,
+                       [this, sw]() { export_tick(sw); });
     }
   }
 }
@@ -500,9 +479,9 @@ void Scenario::export_tick(SwitchId sw) {
     // "partitioned" for an authority serving no misses.
     send_export(sw, telemetry_[sw]->drain(obs::ExportKind::kPeriodic));
   }
-  const double next = cur_engine().now() + params_.measurement.export_interval;
+  const double next = net_.engine().now() + params_.measurement.export_interval;
   if (next <= params_.measurement.export_horizon) {
-    schedule_at_switch(sw, next, [this, sw]() { export_tick(sw); });
+    net_.engine().at(next, [this, sw]() { export_tick(sw); });
   }
 }
 
@@ -510,7 +489,7 @@ void Scenario::send_export(SwitchId sw, std::vector<obs::FlowExportRecord> recor
   obs::FlowExportBatch batch;
   batch.exporter = sw;
   batch.seq = export_seq_[sw]++;
-  batch.sent_at = cur_engine().now();
+  batch.sent_at = net_.engine().now();
   // Stamp the batch with the heartbeat epoch it was sent in; the monitor
   // accepts it as liveness evidence iff the stamp is within miss_threshold
   // ticks of its own counter (see HeartbeatMonitor::note_liveness).
@@ -534,7 +513,7 @@ void Scenario::on_cache_removed(SwitchId sw, const FlowEntry& entry) {
   // drops the rest via drop_all()).
   const bool export_counts =
       params_.measurement.flush_on_evict && !net_.sw(sw).failed();
-  tel->on_rule_removed(entry.rule.id, cur_engine().now(), export_counts);
+  tel->on_rule_removed(entry.rule.id, net_.engine().now(), export_counts);
 }
 
 // After the engine drains: final-drain every exporter, then feed the
@@ -604,58 +583,6 @@ void Scenario::finalize_measurement() {
     stats_.export_piggyback_fresh = heartbeat_->piggyback_fresh();
     stats_.export_piggyback_stale = heartbeat_->piggyback_stale();
   }
-}
-
-// Partition the switches into shards: authority switches spread round-robin
-// across the shards first — each shard then accretes a slice of the edge — so
-// concurrent authority-serving work lands on distinct workers. threads == 1
-// builds nothing, and every branch on exec_ takes the serial path.
-void Scenario::build_shards() {
-  shard_of_.assign(net_.switch_count(), 0);
-  if (params_.threads <= 1 || net_.switch_count() == 0) return;
-  const std::size_t n_shards =
-      std::min<std::size_t>(params_.threads, net_.switch_count());
-  std::vector<char> placed(net_.switch_count(), 0);
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < params_.authority_count; ++i) {
-    const SwitchId sw = topo_.core[i];
-    shard_of_[sw] = static_cast<std::uint32_t>(next++ % n_shards);
-    placed[sw] = 1;
-  }
-  for (SwitchId id = 0; id < net_.switch_count(); ++id) {
-    if (placed[id]) continue;
-    shard_of_[id] = static_cast<std::uint32_t>(next++ % n_shards);
-  }
-  exec_ = std::make_unique<shard::Executor>(
-      n_shards, params_.threads, params_.link.latency, &net_.engine());
-  shard_stats_.resize(n_shards);
-}
-
-void Scenario::merge_shard_stats() {
-  for (auto& s : shard_stats_) {
-    stats_.merge_from(s);
-    s = ScenarioStats{};  // reset so a rerun of this Scenario starts clean
-  }
-}
-
-// Shard handlers write only the data-plane counters: every other feature
-// runs at threads == 1 (validate_execution), and the fault, telemetry and
-// migration totals are collected into stats_ directly after the run.
-void ScenarioStats::merge_from(const ScenarioStats& other) {
-  tracer.merge_from(other.tracer);
-  ingress_cache_hits += other.ingress_cache_hits;
-  ingress_local_hits += other.ingress_local_hits;
-  redirects += other.redirects;
-  queue_rejects += other.queue_rejects;
-  cache_installs += other.cache_installs;
-  cache_rules_installed += other.cache_rules_installed;
-  cache_hit_mismatches += other.cache_hit_mismatches;
-  elephant_promotions += other.elephant_promotions;
-  elephant_installs += other.elephant_installs;
-  elephant_proactive += other.elephant_proactive;
-  mice_bypassed += other.mice_bypassed;
-  stretch.merge_from(other.stretch);
-  setup_completions.merge_from(other.setup_completions);
 }
 
 void Scenario::schedule_faults() {
@@ -859,19 +786,16 @@ std::uint64_t Scenario::live_cache_entries(double now) const {
 }
 
 const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
+  Engine& engine = net_.engine();
   for (const auto& flow : flows) {
-    const SimTime clock = engine_of(ingress_switch(flow.ingress_index)).now();
-    if (!(std::isfinite(flow.start) && flow.start >= clock &&
+    if (!(std::isfinite(flow.start) && flow.start >= engine.now() &&
           std::isfinite(flow.packet_gap) && flow.packet_gap >= 0.0)) {
       throw contract_violation("Scenario::run: flow " + std::to_string(flow.id) +
                                " has a bad start or packet_gap");
     }
   }
-  // Occupancy sample, if requested: a global event (under the sharded
-  // executor globals run at window barriers with the workers paused, so the
-  // cross-shard table read is race-free).
   if (params_.occupancy_sample_at >= 0.0) {
-    net_.engine().at(params_.occupancy_sample_at, [this]() {
+    engine.at(params_.occupancy_sample_at, [this]() {
       stats_.cache_entries_final = live_cache_entries(net_.engine().now());
     });
   }
@@ -882,7 +806,7 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
     if (flow.packets == 0) continue;
     const SwitchId ingress = ingress_switch(flow.ingress_index);
     start_lists_[ingress].starts.push_back(
-        FlowStart{&flow, engine_of(ingress).reserve(flow.packets)});
+        FlowStart{&flow, engine.reserve(flow.packets)});
   }
   for (SwitchId ingress = 0; ingress < start_lists_.size(); ++ingress) {
     auto& starts = start_lists_[ingress].starts;
@@ -892,16 +816,7 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
                      });
     start_next_flow(ingress);
   }
-  if (exec_ != nullptr) {
-    // Routes must exist before shard threads read next_hop() concurrently;
-    // they are recomputed at the barrier after any window that ran global
-    // events (link flaps, crashes) — the only events that invalidate them.
-    net_.precompute_routes();
-    exec_->run([this]() { net_.precompute_routes(); });
-    merge_shard_stats();
-  } else {
-    net_.engine().run();
-  }
+  engine.run();
   start_lists_ = std::vector<StartList>();
   ensures(stats_.tracer.in_flight() == 0,
           "Scenario: packets unaccounted for after the run");
@@ -959,10 +874,10 @@ VerifyReport Scenario::verify_installed(std::size_t samples_per_ingress,
 
 void Scenario::schedule_arrival(const FlowSpec& flow, SwitchId ingress,
                                 std::uint64_t base, std::size_t p) {
-  engine_of(ingress).at(flow.start + static_cast<double>(p) * flow.packet_gap,
-                        base + p, [this, f = &flow, ingress, base, p]() {
-                          arrive(*f, ingress, base, p);
-                        });
+  net_.engine().at(flow.start + static_cast<double>(p) * flow.packet_gap,
+                   base + p, [this, f = &flow, ingress, base, p]() {
+                     arrive(*f, ingress, base, p);
+                   });
 }
 
 void Scenario::start_next_flow(SwitchId ingress) {
@@ -976,7 +891,7 @@ void Scenario::arrive(const FlowSpec& flow, SwitchId ingress, std::uint64_t base
                       std::size_t p) {
   // Packet p + 1 sorts after packet p (packet_gap >= 0, larger number), and
   // the ingress's next start after this one (see run()), so scheduling them
-  // now keeps the up-front order. Same ingress, same engine.
+  // now keeps the up-front order.
   if (p == 0) start_next_flow(ingress);
   if (p + 1 < flow.packets) schedule_arrival(flow, ingress, base, p + 1);
   Packet pkt;
@@ -985,23 +900,22 @@ void Scenario::arrive(const FlowSpec& flow, SwitchId ingress, std::uint64_t base
   pkt.created = flow.start + static_cast<double>(p) * flow.packet_gap;
   pkt.ingress = ingress;
   pkt.is_first_of_flow = (p == 0);
-  st().tracer.on_injected(pkt);
+  stats_.tracer.on_injected(pkt);
   process(ingress, pkt);
 }
 
 void Scenario::dispose(const Packet& pkt, bool delivered, DropReason reason) {
-  const double now = cur_engine().now();
-  ScenarioStats& s = st();
+  const double now = net_.engine().now();
   if (delivered) {
-    s.tracer.on_delivered(pkt, now);
+    stats_.tracer.on_delivered(pkt, now);
   } else {
-    s.tracer.on_dropped(pkt, reason);
+    stats_.tracer.on_dropped(pkt, reason);
   }
   // Flow setup completes when the first packet reaches its policy-mandated
   // disposition (delivery or an explicit policy drop). Losses from overload
   // or failures are not completions.
   if (pkt.is_first_of_flow && (delivered || reason == DropReason::kPolicyDrop)) {
-    s.setup_completions.record(now);
+    stats_.setup_completions.record(now);
   }
 }
 
@@ -1028,7 +942,7 @@ void Scenario::process(SwitchId at, Packet pkt) {
     }
     return;
   }
-  const double now = cur_engine().now();
+  const double now = net_.engine().now();
   const FlowEntry* entry = sw.table().lookup(pkt.header, now, pkt.bytes);
   if (entry == nullptr) {
     if (params_.mode == Mode::kNox && at == pkt.ingress) {
@@ -1041,17 +955,17 @@ void Scenario::process(SwitchId at, Packet pkt) {
   // Ingress-side cache accounting (first lookup of the packet only).
   if (at == pkt.ingress && pkt.hops == 0 && !pkt.was_redirected) {
     if (entry->band == Band::kCache) {
-      ++st().ingress_cache_hits;
+      ++stats_.ingress_cache_hits;
     } else if (entry->band == Band::kAuthority) {
-      ++st().ingress_local_hits;
+      ++stats_.ingress_local_hits;
     }
   }
   if (params_.verify_cache_hits && entry->band == Band::kCache &&
       entry->rule.action.type != ActionType::kEncap) {
     const Rule* want = policy_.match(pkt.header);
     if (want != nullptr && entry->rule.origin_or_self() != want->id) {
-      ++st().cache_hit_mismatches;
-      if (st().cache_hit_mismatches <= 5) {
+      ++stats_.cache_hit_mismatches;
+      if (stats_.cache_hit_mismatches <= 5) {
         log_warn("cache-hit mismatch at switch ", at, ": hit ",
                  entry->rule.to_string(), " (origin ", entry->rule.origin_or_self(),
                  ") want ", want->to_string());
@@ -1070,13 +984,13 @@ void Scenario::process(SwitchId at, Packet pkt) {
 }
 
 void Scenario::handle_authority(SwitchId at, Packet pkt) {
-  const double now = cur_engine().now();
+  const double now = net_.engine().now();
   auto queue_it = authority_queues_.find(at);
   expects(queue_it != authority_queues_.end(),
           "handle_authority: redirect reached a non-authority switch");
   const auto completion = queue_it->second.admit(now);
   if (!completion.has_value()) {
-    ++st().queue_rejects;
+    ++stats_.queue_rejects;
     dispose(pkt, false, DropReason::kControllerQueue);
     return;
   }
@@ -1108,13 +1022,12 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
     if (!migrating_old_home_.empty()) {
       const auto mig = migrating_old_home_.find(result->partition);
       if (mig != migrating_old_home_.end() && mig->second == at) {
-        ++st().migration_inflight_redirects;
+        ++stats_.migration_inflight_redirects;
       }
     }
     // Elephant-aware install policy: feed this miss into the authority's
     // heavy-hitter summary, then classify on the *guaranteed* (lower-bound)
-    // count so sketch overestimation never promotes a mouse. Runs on the
-    // authority's owning shard, so the summary needs no locking.
+    // count so sketch overestimation never promotes a mouse.
     double idle_timeout = params_.timings.cache_idle_timeout;
     bool bypass = false;
     bool promoted = false;
@@ -1131,33 +1044,21 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
         case InstallClass::kElephant:
           idle_timeout = params_.elephants.idle_timeout;
           if (before < params_.elephants.threshold) {
-            ++st().elephant_promotions;
+            ++stats_.elephant_promotions;
             promoted = true;
           }
-          if (installable) ++st().elephant_installs;
+          if (installable) ++stats_.elephant_installs;
           break;
         case InstallClass::kBypass:
           bypass = true;
-          if (installable) ++st().mice_bypassed;
+          if (installable) ++stats_.mice_bypassed;
           break;
         case InstallClass::kNormal:
           break;
       }
     }
     if (installable && !bypass) {
-      if (exec_ == nullptr) {
-        install_cache(pkt.ingress, at, result->install, idle_timeout);
-      } else {
-        // The ingress's channel lives on the ingress's shard engine; hop the
-        // install there (it crosses the window boundary, so threads > 1 pays
-        // the documented clamp on this latency-free control dispatch).
-        const SwitchId ingress = pkt.ingress;
-        exec_->schedule(shard_of_[ingress], cur_engine().now(),
-                        [this, ingress, at, install = result->install,
-                         idle_timeout]() {
-                          install_cache(ingress, at, install, idle_timeout);
-                        });
-      }
+      install_cache(pkt.ingress, at, result->install, idle_timeout);
       // Proactive install: a freshly promoted elephant's flows arrive at
       // many ingresses; pre-seed every other edge now so each one's
       // cold-start miss becomes a hit. These entries would have been
@@ -1166,16 +1067,8 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
       if (promoted && params_.elephants.proactive) {
         for (const SwitchId edge : topo_.edge) {
           if (edge == pkt.ingress) continue;
-          ++st().elephant_proactive;
-          if (exec_ == nullptr) {
-            install_cache(edge, at, result->install, idle_timeout);
-          } else {
-            exec_->schedule(shard_of_[edge], cur_engine().now(),
-                            [this, edge, at, install = result->install,
-                             idle_timeout]() {
-                              install_cache(edge, at, install, idle_timeout);
-                            });
-          }
+          ++stats_.elephant_proactive;
+          install_cache(edge, at, result->install, idle_timeout);
         }
       }
     }
@@ -1186,18 +1079,18 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
     // Credit the hit to this switch's installed authority-band copy so
     // per-policy-rule counters stay exact (transparency).
     net_.sw(at).table().hit(result->winner->id, Band::kAuthority,
-                            cur_engine().now(), pkt.bytes);
+                            net_.engine().now(), pkt.bytes);
     // Telemetry: an authority resolution is this packet's terminal match.
     if (at < telemetry_.size() && telemetry_[at] != nullptr) {
       telemetry_[at]->sample(pkt.header, result->winner->id,
-                             cur_engine().now(), pkt.bytes);
+                             net_.engine().now(), pkt.bytes);
     }
     apply_action(at, pkt, result->winner->action);
   };
   static_assert(Engine::Handler::fits_inline<decltype(resolve)>,
                 "authority-resolution capture must fit the engine's inline "
                 "handler storage (raise Engine::kInlineHandlerBytes)");
-  cur_engine().at(*completion, std::move(resolve));
+  net_.engine().at(*completion, std::move(resolve));
 }
 
 void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
@@ -1207,18 +1100,17 @@ void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
   // redirect path, which is always correct).
   if (install.rules.empty()) return;  // kNone: nothing to install
   if (install.rules.size() > params_.edge_cache_capacity) return;
-  ScenarioStats& s = st();
-  ++s.cache_installs;
-  s.cache_rules_installed += install.rules.size();
+  ++stats_.cache_installs;
+  stats_.cache_rules_installed += install.rules.size();
   // An install push is liveness evidence for the sending authority: tell the
   // heartbeat monitor once the message would have reached the ingress, so a
   // run of lost beats from a switch that is visibly serving traffic does not
   // escalate into a spurious failover.
   if (heartbeat_ != nullptr) {
-    net_.engine().at(cur_engine().now() + params_.timings.cache_install_latency,
-                     [this, from_authority]() {
-                       heartbeat_->note_message_from(from_authority);
-                     });
+    net_.engine().after(params_.timings.cache_install_latency,
+                        [this, from_authority]() {
+                          heartbeat_->note_message_from(from_authority);
+                        });
   }
   // Protectors first: until the lowest-priority member lands, a partially
   // installed group only over-redirects, never mis-forwards.
@@ -1241,11 +1133,11 @@ void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
 }
 
 void Scenario::punt_to_controller(Packet pkt) {
-  const double arrival = cur_engine().now() + params_.nox.one_way_latency;
+  const double arrival = net_.engine().now() + params_.nox.one_way_latency;
   auto punt = [this, pkt]() mutable {
-    const auto decision = nox_->handle_punt(cur_engine().now(), pkt.header);
+    const auto decision = nox_->handle_punt(net_.engine().now(), pkt.header);
     if (!decision.has_value()) {
-      ++st().queue_rejects;
+      ++stats_.queue_rejects;
       dispose(pkt, false, DropReason::kControllerQueue);
       return;
     }
@@ -1266,8 +1158,8 @@ void Scenario::punt_to_controller(Packet pkt) {
         install_channels_[pkt.ingress]->send(mod);
       }
       // ...while the packet-out resumes the packet at the ingress switch.
-      const double out = cur_engine().now() + params_.nox.one_way_latency;
-      schedule_at_switch(pkt.ingress, out, [this, pkt, action]() mutable {
+      const double out = net_.engine().now() + params_.nox.one_way_latency;
+      net_.engine().at(out, [this, pkt, action]() mutable {
         Switch& sw = net_.sw(pkt.ingress);
         if (sw.failed()) {
           dispose(pkt, false, DropReason::kSwitchFailed);
@@ -1280,7 +1172,7 @@ void Scenario::punt_to_controller(Packet pkt) {
                   "NOX resume capture (packet + controller decision) must fit "
                   "the engine's inline handler storage — it is the largest "
                   "event capture in core/system.cpp");
-    cur_engine().at(decision->ready_time, std::move(resume));
+    net_.engine().at(decision->ready_time, std::move(resume));
   };
   net_.engine().at(arrival, std::move(punt));
 }
@@ -1289,7 +1181,7 @@ void Scenario::deliver(SwitchId at, Packet pkt) {
   if (pkt.is_first_of_flow) {
     const auto shortest = net_.distance(pkt.ingress, at);
     const double base = shortest == 0 ? 1.0 : static_cast<double>(shortest);
-    st().stretch.add(static_cast<double>(std::max<std::uint32_t>(pkt.hops, 1)) / base);
+    stats_.stretch.add(static_cast<double>(std::max<std::uint32_t>(pkt.hops, 1)) / base);
   }
   dispose(pkt, true, DropReason::kPolicyDrop /*unused for deliveries*/);
 }
@@ -1314,7 +1206,7 @@ void Scenario::apply_action(SwitchId at, Packet pkt, const Action& action) {
       pkt.encap_target = target;
       if (!pkt.was_redirected) {
         pkt.was_redirected = true;
-        ++st().redirects;
+        ++stats_.redirects;
       }
       if (at == target) {
         handle_authority(at, pkt);
@@ -1347,22 +1239,19 @@ void Scenario::forward_hop(SwitchId at, SwitchId toward, Packet pkt) {
     dispose(pkt, false, DropReason::kUnreachable);
     return;
   }
-  const double now = cur_engine().now();
+  const double now = net_.engine().now();
   const double delivery = link->send(now, pkt.bytes) + params_.timings.switch_proc;
   pkt.hops += 1;
   auto hop = [this, nh, pkt]() { process(nh, pkt); };
   static_assert(Engine::Handler::fits_inline<decltype(hop)>,
                 "per-hop capture must fit the engine's inline handler storage");
-  // Every hop pays at least the link latency, so a cross-shard hop always
-  // lands at or beyond the receiving window's start — never clamped.
-  schedule_at_switch(nh, delivery, std::move(hop));
+  net_.engine().at(delivery, std::move(hop));
 }
 
 // ---- live partition migration --------------------------------------------
-// Make-before-break over the reliable control channel, on the serial engine
-// (validate_execution rejects migration at threads > 1). The control
-// messages ride the per-switch channels, so installs and flips pay latency,
-// loss, and retransmission like any other control traffic.
+// Make-before-break over the reliable control channel. The control messages
+// ride the per-switch channels, so installs and flips pay latency, loss, and
+// retransmission like any other control traffic.
 
 void Scenario::request_rehome(std::size_t partition_index, AuthorityIndex dest,
                               SimTime when) {
@@ -1541,8 +1430,8 @@ void Scenario::migration_rollback(std::size_t slot) {
   if (!m.flipped) {
     // Pre-flip abort: the plan never changed and no ingress was flipped, so
     // rolling back is unstocking the installs. A crashed member's table is
-    // already empty; live members get the copies removed directly (global
-    // event — the same direct-poke idiom as the failover purge).
+    // already empty; live members get the copies removed directly (the same
+    // direct-poke idiom as the failover purge).
     for (const auto member : m.installs) {
       difane_->unbind_partition(m.index, member);
       Switch& sw = net_.sw(difane_->authority_switch(member));

@@ -17,7 +17,6 @@
 #include "core/verifier.hpp"
 #include "ctrlchan/channel.hpp"
 #include "obs/flow_export.hpp"
-#include "engine/sharded.hpp"
 #include "faults/heartbeat.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
@@ -154,26 +153,16 @@ struct ScenarioParams {
   MigrationParams migration;
 
   // When >= 0, ScenarioStats::cache_entries_final is sampled at this sim
-  // time (a global event; scheduled by run()) instead of at the end of the
+  // time (an event scheduled by run()) instead of at the end of the
   // drained run. The drain tail of a long-lived flow can outlast every idle
   // timeout, so "live entries at the end of arrivals" is usually the
   // occupancy number an experiment wants.
   double occupancy_sample_at = -1.0;
 
-  // Worker threads for the sharded parallel engine. 1 (the default) runs the
-  // classic single-threaded event loop, which every bench/BASELINE.json row
-  // but E11 pins. N > 1 partitions the switches into per-authority-serving-set
-  // shards executed under conservative time windows (lookahead = link
-  // latency); results are then *seed-stable* — the same (seed, threads)
-  // replays identically regardless of OS scheduling — but not numerically
-  // equal to threads=1, because latency-free cross-shard control dispatches
-  // are exchanged at window boundaries. N > 1 supports the fault-free DIFANE
-  // data plane only: validate() rejects it with NOX mode, an active fault
-  // plan, heartbeat detection, measurement or migration. See shard::Executor
-  // and the README "Parallel execution" section.
+  // threads must be 1 and burst 0 (validate() rejects anything else): every
+  // scenario runs on one event engine, one packet per event. See
+  // validate_execution.
   std::size_t threads = 1;
-
-  // Must be 0 (validate() rejects anything else); see validate_execution.
   std::size_t burst = 0;
 
   // Reject mis-wired parameter combinations before any topology or control
@@ -198,7 +187,7 @@ struct ScenarioStats {
   std::uint64_t elephant_proactive = 0;   // promotion-time pre-seeds of other edges
   std::uint64_t mice_bypassed = 0;        // installs skipped by mice bypass
   // Live (unexpired) cache-band entries across the edge at the end of run():
-  // the TCAM footprint the run leaves behind. Computed by run(), not merged.
+  // the TCAM footprint the run leaves behind. Computed by run().
   std::uint64_t cache_entries_final = 0;
   SampleSet stretch;                      // delivered first packets: hops / shortest
   RateMeter setup_completions;            // first-packet dispositions per second
@@ -264,11 +253,6 @@ struct ScenarioStats {
                  : 0.0;
   }
 
-  // Fold another shard's data-plane counters into this one (commutative sums
-  // plus sample-set/rate-meter merges). The Scenario merges shards in fixed
-  // shard order after a parallel run, so the aggregate is deterministic.
-  void merge_from(const ScenarioStats& other);
-
   // Flatten every measurement into one structured report — the single
   // surface the exporters, benches, and tests consume, instead of each
   // caller poking tracer/stretch/setup_completions fields. Keys are stable
@@ -288,9 +272,9 @@ class Scenario {
   // packet 0 of a flow schedules its ingress's next start, and packet p
   // schedules p + 1. Events run as if all were scheduled up front, while the
   // engine holds only the events in flight plus one start per ingress.
-  // Events and lists point into `flows`; run() drains every engine and
+  // Events and lists point into `flows`; run() drains the engine and
   // releases the lists before it returns. Before scheduling anything, a flow
-  // whose start is non-finite or before its ingress engine's clock, or whose
+  // whose start is non-finite or before the engine's clock, or whose
   // packet_gap is negative or non-finite, is a contract_violation naming its
   // id.
   const ScenarioStats& run(const std::vector<FlowSpec>& flows);
@@ -317,24 +301,12 @@ class Scenario {
                                 std::uint64_t seed = 1);
 
   // Sim time of the latest executed event; after run(), the end-of-run
-  // clock. Under the executor the global engine only advances on global
-  // events, so the shard engines' clocks count too.
-  SimTime end_clock() {
-    return exec_ ? exec_->now() : net_.engine().now();
-  }
+  // clock.
+  SimTime end_clock() { return net_.engine().now(); }
 
   Network& net() { return net_; }
   const RuleTable& policy() const { return policy_; }
   const ScenarioStats& stats() const { return stats_; }
-
-  // Shards executed by a worker other than their home worker (threads > 1;
-  // 0 otherwise). Host-timing dependent — which steals succeed depends on OS
-  // scheduling even though results never do — so this is deliberately *not*
-  // part of ScenarioStats or any snapshot: it may only feed tests and
-  // wall-style (ungated) telemetry.
-  std::uint64_t shards_stolen() const {
-    return exec_ != nullptr ? exec_->shards_stolen() : 0;
-  }
   const PartitionPlan* plan() const {
     return difane_ ? &difane_->plan() : nullptr;
   }
@@ -367,9 +339,9 @@ class Scenario {
   }
 
  private:
-  // ---- live partition migration (serial engine only). Control messages ride
-  // the per-switch channels, so installs/flips pay latency, loss, and
-  // retransmission like any other control traffic.
+  // ---- live partition migration. Control messages ride the per-switch
+  // channels, so installs/flips pay latency, loss, and retransmission like
+  // any other control traffic.
   struct LiveMigration {
     std::size_t index = 0;          // partition index in the plan
     AuthorityIndex from = 0;        // old primary
@@ -427,35 +399,6 @@ class Scenario {
   // Live (unexpired) cache-band entries across the edge at sim time `now`.
   // Read-only walk — lookup() would sweep lazily-expired slots and mutate.
   std::uint64_t live_cache_entries(double now) const;
-  void build_shards();
-  void merge_shard_stats();
-
-  // The engine driving the code currently executing: the owning shard's
-  // engine under the sharded executor, net_.engine() otherwise. Handlers use
-  // this (never net_.engine() directly) for now()/after().
-  Engine& cur_engine() {
-    return exec_ ? exec_->context_engine() : net_.engine();
-  }
-  // Per-shard stats under the executor (merged in shard order after the
-  // run), the scenario-wide stats otherwise.
-  ScenarioStats& st() {
-    if (exec_ == nullptr) return stats_;
-    const std::uint32_t s = shard::current_shard();
-    return s == shard::kNoShard ? stats_ : shard_stats_[s];
-  }
-  // Engine owning switch `sw`'s events. Under the executor, schedule on it
-  // directly only from setup code or from a handler on `sw`'s own shard.
-  Engine& engine_of(SwitchId sw) {
-    return exec_ ? exec_->shard_engine(shard_of_[sw]) : net_.engine();
-  }
-  // Schedule a handler that touches switch `sw` at absolute time `when`.
-  void schedule_at_switch(SwitchId sw, SimTime when, Engine::Handler fn) {
-    if (exec_ != nullptr) {
-      exec_->schedule(shard_of_[sw], when, std::move(fn));
-    } else {
-      net_.engine().at(when, std::move(fn));
-    }
-  }
 
   RuleTable policy_;
   ScenarioParams params_;
@@ -464,11 +407,10 @@ class Scenario {
   std::unique_ptr<DifaneController> difane_;
   std::unique_ptr<NoxControlPlane> nox_;
   std::unordered_map<SwitchId, ServiceQueue> authority_queues_;
-  // Heavy-hitter summary per authority switch (elephants.enabled only).
-  // Touched exclusively from that authority's resolve handler, which the
-  // sharded executor runs on the authority's owning shard — no locking
-  // needed. The summary is control state on the switch: crash_authority()
-  // resets it, so a restarted authority must re-detect its elephants.
+  // Heavy-hitter summary per authority switch (elephants.enabled only),
+  // touched only from that authority's resolve handler. The summary is
+  // control state on the switch: crash_authority() resets it, so a restarted
+  // authority must re-detect its elephants.
   std::unordered_map<SwitchId, obs::SpaceSaving<BitVec>> elephant_trackers_;
   // One control agent per switch; installs ride ControlChannels so they pay
   // propagation latency plus the switch's flow-mod apply cost, in order.
@@ -493,12 +435,6 @@ class Scenario {
   std::vector<std::uint64_t> export_seq_; // per-exporter batch sequence
   obs::FlowCollector collector_;
   obs::CollectorSink* export_sink_ = nullptr;
-  // Sharded parallel execution (threads > 1 only; nullptr runs everything on
-  // net_.engine(), see ScenarioParams::threads). Global events (the
-  // occupancy sample, scheduled authority failures) stay on net_.engine(),
-  // which the executor runs as its coordinator-side global queue.
-  std::unique_ptr<shard::Executor> exec_;
-  std::vector<std::uint32_t> shard_of_;   // switch -> shard
   // Live-migration state (params_.migration.enabled only; all empty
   // otherwise, which E7's *_migration_off rows in bench/BASELINE.json pin).
   // Slots are stable for the run so in-flight ack callbacks can address
@@ -511,11 +447,8 @@ class Scenario {
   // in-flight redirects that landed at the old home.
   std::unordered_map<PartitionId, SwitchId> migrating_old_home_;
   std::int64_t migration_double_now_ = 0;   // live extra authority-rule copies
-  std::vector<ScenarioStats> shard_stats_;
   ScenarioStats stats_;
-  // Flows not yet started, per ingress SwitchId (during run() only). Each
-  // list is touched only by its ingress's engine, so shard threads never
-  // share one.
+  // Flows not yet started, per ingress SwitchId (during run() only).
   struct FlowStart {
     const FlowSpec* flow;
     std::uint64_t base;  // the flow's first reserved engine number

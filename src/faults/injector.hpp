@@ -5,8 +5,6 @@
 // bit-for-bit. E9's plan_* rows in bench/BASELINE.json pin this draw order.
 // The injector is passive: it owns no events of its own, it only answers
 // "what happens to this transmission?" when a channel or monitor asks.
-// Scenario builds one only at threads == 1 (validate() rejects an active plan
-// under the sharded executor), so draws never race.
 #pragma once
 
 #include <cstdint>

@@ -40,22 +40,6 @@ std::uint64_t Engine::run(SimTime until, std::uint64_t max_events) {
   return count;
 }
 
-std::uint64_t Engine::run_before(SimTime end) {
-  std::uint64_t count = 0;
-  while (!heap_.empty() && heap_.front().when < end) {
-    const HeapItem top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    Handler fn = std::move(slots_[top.slot]);
-    free_slots_.push_back(top.slot);
-    now_ = top.when;
-    fn();
-    ++count;
-    ++executed_;
-  }
-  return count;
-}
-
 void Engine::clear() {
   heap_.clear();
   slots_.clear();

@@ -52,21 +52,9 @@ class Engine {
   std::size_t pending() const { return heap_.size(); }
   std::uint64_t executed() const { return executed_; }
 
-  // Timestamp of the earliest pending event, or kNoEvent when the queue is
-  // empty. The sharded executor uses this to size conservative time windows.
-  static constexpr SimTime kNoEvent = 1e300;
-  SimTime peek_time() const { return heap_.empty() ? kNoEvent : heap_.front().when; }
-
   // Run until the queue drains, `until` is passed, or `max_events` fire.
   // Returns the number of events executed by this call.
   std::uint64_t run(SimTime until = 1e18, std::uint64_t max_events = ~0ULL);
-
-  // Run every event with `when` strictly before `end`, leaving `now()` at the
-  // last executed event (never advanced to `end`). This is the window-bounded
-  // primitive for conservative parallel execution: events at exactly `end`
-  // belong to the next window, after the barrier has exchanged cross-shard
-  // messages and applied global state changes.
-  std::uint64_t run_before(SimTime end);
 
   // Drop all pending events (end-of-experiment cleanup).
   void clear();

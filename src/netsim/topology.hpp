@@ -53,13 +53,6 @@ class Network {
 
   void invalidate_routes() { routes_valid_ = false; }
 
-  // Force the lazy route recompute now. The sharded executor calls this from
-  // the coordinator (before the run and after every barrier that executed
-  // global events) so worker threads never race to rebuild next_/dist_.
-  void precompute_routes() {
-    if (!routes_valid_) recompute_routes();
-  }
-
  private:
   void recompute_routes();
 

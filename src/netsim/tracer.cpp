@@ -28,17 +28,6 @@ void Tracer::on_delivered(const Packet& packet, double now) {
   hops_.add(static_cast<double>(packet.hops));
 }
 
-void Tracer::merge_from(const Tracer& other) {
-  injected_ += other.injected_;
-  delivered_ += other.delivered_;
-  dropped_total_ += other.dropped_total_;
-  for (std::size_t i = 0; i < kNumDropReasons; ++i) dropped_[i] += other.dropped_[i];
-  redirected_ += other.redirected_;
-  first_delay_.merge_from(other.first_delay_);
-  later_delay_.merge_from(other.later_delay_);
-  hops_.merge_from(other.hops_);
-}
-
 std::string Tracer::summary() const {
   std::ostringstream os;
   os << "injected=" << injected_ << " delivered=" << delivered_

@@ -32,11 +32,6 @@ class Tracer {
     ++dropped_[static_cast<std::size_t>(reason)];
   }
 
-  // Fold another tracer's accounting in (per-shard tracers merged in
-  // shard-index order at the end of a sharded run). Delay sample sets append;
-  // their percentiles sort first, so results are merge-order independent.
-  void merge_from(const Tracer& other);
-
   std::uint64_t injected() const { return injected_; }
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t dropped() const { return dropped_total_; }

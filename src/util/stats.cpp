@@ -19,23 +19,6 @@ void OnlineStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void OnlineStats::merge_from(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n = n_ + other.n_;
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / static_cast<double>(n);
-  mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(n);
-  sum_ += other.sum_;
-  n_ = n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double OnlineStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -148,17 +131,6 @@ void RateMeter::record(double time, std::uint64_t count) {
   }
   last_ = std::max(last_, time);
   total_ += count;
-}
-
-void RateMeter::merge_from(const RateMeter& other) {
-  if (!other.any_) return;
-  if (!any_) {
-    *this = other;
-    return;
-  }
-  first_ = std::min(first_, other.first_);
-  last_ = std::max(last_, other.last_);
-  total_ += other.total_;
 }
 
 double RateMeter::rate() const {

@@ -14,10 +14,6 @@ namespace difane {
 class OnlineStats {
  public:
   void add(double x);
-  // Fold another accumulator in (Chan's parallel Welford combination).
-  // Deterministic for a fixed merge order; the sharded engine merges
-  // per-shard accumulators in shard-index order.
-  void merge_from(const OnlineStats& other);
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const;  // sample variance; 0 for n < 2
@@ -40,12 +36,6 @@ class OnlineStats {
 class SampleSet {
  public:
   void add(double x) { samples_.push_back(x); sorted_ = false; }
-  // Append another set's samples. Percentiles/CDFs sort first, so the result
-  // is independent of merge order.
-  void merge_from(const SampleSet& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-    sorted_ = false;
-  }
   void reserve(std::size_t n) { samples_.reserve(n); }
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
@@ -97,8 +87,6 @@ class LogHistogram {
 class RateMeter {
  public:
   void record(double time, std::uint64_t count = 1);
-  // Fold another meter in: the union's first/last span and summed total.
-  void merge_from(const RateMeter& other);
   // Events per unit time between first and last recorded event.
   double rate() const;
   std::uint64_t total() const { return total_; }

@@ -225,8 +225,8 @@ TEST(Incremental, ChurnPreservesUntouchedHomes) {
 
 // Two partitioners fed the identical op sequence produce identical
 // snapshots — assignment must be a deterministic function of the history,
-// never of iteration order or addresses (migration replay-by-seed and the
-// threads=1-vs-N differential both lean on this).
+// never of iteration order or addresses (migration replay-by-seed leans on
+// this).
 TEST(Incremental, IdenticalHistoryYieldsIdenticalAssignment) {
   const auto policy = classbench_like(400, 73);
   const auto churn = [&](IncrementalPartitioner& inc) {

@@ -12,9 +12,6 @@
 //  * Replay: the same (seed, plan) reproduces a byte-identical metrics
 //    report, so any chaos failure replays from its printed case seed
 //    (DIFANE_PROPTEST_REPLAY=0x<seed> <binary>).
-//
-// Every case runs on the serial engine: the sharded executor rejects fault
-// plans and heartbeat detection (ScenarioThreads.ValidateRejectsMisWires).
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -428,14 +428,18 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix,
       ASSERT_EQ(pa == nullptr, pb == nullptr) << report("peek");
       const bool peek_hit = pa != nullptr;
       const RuleId peek_id = peek_hit ? pa->rule.id : kInvalidRuleId;
-      if (peek_hit) ASSERT_EQ(peek_id, pb->rule.id) << report("peek");
+      if (peek_hit) {
+        ASSERT_EQ(peek_id, pb->rule.id) << report("peek");
+      }
       // Capture peek results by value: lookup's sweep below may relocate or
       // erase entries, invalidating the peeked pointers.
       const std::uint64_t cascades_before = table.stats().cascade_evictions;
       const FlowEntry* la = table.lookup(pkt, now, 7);
       const FlowEntry* lb = ref.lookup(pkt, now, 7);
       ASSERT_EQ(la == nullptr, lb == nullptr) << report("lookup");
-      if (la != nullptr) ASSERT_EQ(la->rule.id, lb->rule.id) << report("lookup");
+      if (la != nullptr) {
+        ASSERT_EQ(la->rule.id, lb->rule.id) << report("lookup");
+      }
       // peek is the reference scan, and lookup (memo or scan) agrees with
       // it at one instant — unless the sweep's safety cascade just removed
       // live dependents of an expired guard (then lookup legitimately sees
@@ -478,7 +482,9 @@ void sweep_repeated(const char* name, const MixParams& mix) {
   proptest::run_property(name, 120, 0xd1fa9eULL, [&](proptest::PropertyContext& ctx) {
     drive(ctx, mix, &memo_hits);
   });
-  if (std::getenv("DIFANE_PROPTEST_REPLAY") == nullptr) EXPECT_GT(memo_hits, 0u);
+  if (std::getenv("DIFANE_PROPTEST_REPLAY") == nullptr) {
+    EXPECT_GT(memo_hits, 0u);
+  }
 }
 
 DIFANE_PROPERTY(FlowTableMatchesEagerReference, 120) {

@@ -16,10 +16,6 @@
 //  * Replay: the same (seed, plan) reproduces a byte-identical metrics
 //    report, so any failure replays from its printed seed
 //    (DIFANE_PROPTEST_REPLAY=0x<seed>).
-//
-// Every case runs on the serial engine: the sharded executor rejects
-// migration, fault plans and heartbeat detection
-// (ScenarioThreads.ValidateRejectsMisWires).
 #include <gtest/gtest.h>
 
 #include <sstream>

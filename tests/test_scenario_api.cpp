@@ -468,6 +468,64 @@ TEST(Validate, RejectsBurstAndRingMisWiresNamingTheField) {
   EXPECT_EQ(field_of(params), "burst");
 }
 
+// Every scenario runs on one event engine, so threads survives only as a
+// field that must stay 1. Any other count is rejected naming `threads`, with
+// or without link latency, and so is every feature that is otherwise valid
+// (it passes at threads=1) once threads is 4.
+TEST(ScenarioThreads, ValidateRejectsMisWires) {
+  const auto field_of = [](const ScenarioParams& params) -> std::string {
+    try {
+      params.validate();
+    } catch (const ConfigError& e) {
+      return e.field();
+    }
+    return "";
+  };
+  const auto with_threads = [](std::size_t threads) {
+    ScenarioParams params = good_params();
+    params.threads = threads;
+    return params;
+  };
+  EXPECT_NO_THROW(with_threads(1).validate());
+  EXPECT_EQ(field_of(with_threads(0)), "threads");
+  EXPECT_EQ(field_of(with_threads(4)), "threads");
+  auto params = with_threads(4);
+  params.link.latency = 0.0;
+  EXPECT_EQ(field_of(params), "threads");
+
+  const auto expect_serial_only = [&](const ScenarioParams& base,
+                                      const char* feature) {
+    ScenarioParams serial = base;
+    serial.threads = 1;
+    EXPECT_NO_THROW(serial.validate()) << feature;
+    EXPECT_EQ(field_of(base), "threads") << feature;
+  };
+  params = with_threads(4);
+  params.mode = Mode::kNox;
+  expect_serial_only(params, "NOX mode");
+
+  params = with_threads(4);
+  params.faults.msg_loss = 0.1;
+  params.reliable_ctrl = true;
+  expect_serial_only(params, "fault plan");
+
+  params = with_threads(4);
+  params.timings.heartbeat_interval = 0.01;
+  params.timings.heartbeat_horizon = 1.0;
+  expect_serial_only(params, "heartbeat detection");
+
+  params = with_threads(4);
+  params.measurement.enabled = true;
+  params.measurement.export_interval = 0.05;
+  params.measurement.export_horizon = 1.0;
+  expect_serial_only(params, "measurement");
+
+  params = with_threads(4);
+  params.migration.enabled = true;
+  params.reliable_ctrl = true;
+  expect_serial_only(params, "migration");
+}
+
 TEST(Validate, ConfigErrorIsAContractViolation) {
   // Legacy callers catch contract_violation; the refined type must still
   // satisfy them.

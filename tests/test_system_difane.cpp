@@ -253,6 +253,34 @@ TEST(SystemDifane, ShuffledFlowListRunsAsItsStableSortByStart) {
   EXPECT_EQ(run_once(shuffled), run_once(sorted));
 }
 
+TEST(SystemDifane, EndOfRunClockExpiresIdleEntries) {
+  // cache_entries_final counts the cache entries live at the end-of-run
+  // clock, the time of the run's last event. Read at t=0 instead, no entry
+  // would have idled out yet.
+  RuleGenParams rg;
+  rg.num_rules = 250;
+  rg.seed = 7;
+  const auto policy = generate_policy(rg);
+  TrafficParams tp;
+  tp.seed = 28;
+  tp.flow_pool = 400;
+  tp.zipf_s = 0.9;
+  tp.arrival_rate = 4000.0;
+  tp.duration = 0.25;
+  tp.mean_packets = 3.0;
+  auto params = difane_params(4);
+  params.edge_switches = 8;
+  params.core_switches = 4;
+  params.edge_cache_capacity = 400;
+  params.partitioner.capacity = 300;
+  params.timings.cache_idle_timeout = 0.001;
+  Scenario scenario(policy, params);
+  const auto& stats = scenario.run(TrafficGenerator(policy, tp).generate());
+  EXPECT_GT(stats.cache_installs, 100u);
+  EXPECT_GT(scenario.end_clock(), 0.2);
+  EXPECT_LT(stats.cache_entries_final, 10u);  // nearly every entry idled out
+}
+
 TEST(SystemDifane, RunRejectsBadFlowTimingsBeforeSchedulingAnything) {
   // Streamed arrivals need each flow's packets in time order, from a start
   // no earlier than the clock, so a bad flow fails up front, naming its id,

@@ -67,7 +67,9 @@ TEST(Zipf, PmfSumsToOneAndIsDecreasing) {
   double sum = 0.0;
   for (std::size_t k = 0; k < 100; ++k) {
     sum += zipf.pmf(k);
-    if (k > 0) EXPECT_LE(zipf.pmf(k), zipf.pmf(k - 1) + 1e-12);
+    if (k > 0) {
+      EXPECT_LE(zipf.pmf(k), zipf.pmf(k - 1) + 1e-12);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }

@@ -2,9 +2,9 @@
 # Full verification sweep: the tier-1 build+test pass, the benchmark
 # self-test, then the same suite plus a short differential fuzz soak under
 # ASan+UBSan (DIFANE_SANITIZE=ON), plus a TSan pass (DIFANE_SANITIZE=thread)
-# over the unit label and the sharded-executor suites — the only tests that
-# start worker threads inside a scenario, so race coverage stays part of
-# tier-1 hygiene.
+# over the unit label. A scenario runs on one thread; the unit label holds
+# the tests that start threads of their own (Metrics.RegistryIsThreadSafe),
+# so race coverage stays part of tier-1 hygiene.
 #
 # The benchmark self-test (python3 perfbench/selftest.py) builds src/ in
 # perfbench's own CMake tree against the public API and makes a reduced pass
@@ -26,9 +26,8 @@
 # --threads runs the bench pipeline in --quick mode at --threads 1 and at
 # the host's hardware concurrency, then asserts with bench_compare that
 # every deterministic (non-wall) metric is identical — the thread-count
-# invariance contract for cell-parallel benches (bench::run_cells). The
-# sharded engine is outside it: E11 fixes its own thread count, and E2's
-# --threads > 1 demo row exports only exempt wall metrics.
+# invariance contract for cell-parallel benches (bench::run_cells): each
+# thread runs whole scenarios, one event engine each.
 #
 # --scale runs the E11 scale-out stress tier in --quick mode twice and
 # asserts with bench_compare that its deterministic metrics (rule counts,
@@ -109,8 +108,7 @@ if [[ "$threads_gate" == 1 ]]; then
   ./build/tools/bench_all --quick --jobs "$jobs" --threads "$max_threads" \
     --dir build/bench-reports-tN --out build/BENCH_trajectory_tN.json
   # Deterministic metrics must be byte-identical across thread counts; wall
-  # metrics (and the sharded-engine engine_wall_* demo row, present only at
-  # --threads > 1) are exempt / candidate-only and ignored by bench_compare.
+  # metrics are exempt.
   ./build/tools/bench_compare build/BENCH_trajectory_t1.json \
     build/BENCH_trajectory_tN.json
 fi
@@ -130,8 +128,8 @@ fi
 
 if [[ "$perf" == 1 ]]; then
   echo "== perf: bench_all --quick vs committed baseline =="
-  # --jobs 1, as the baseline was recorded: E11 runs four shard threads, and
-  # benches running beside it more than double its run wall.
+  # --jobs 1, as the baseline was recorded: benches running side by side
+  # share the host's cores and memory bandwidth, which inflates their walls.
   ./build/tools/bench_all --quick --jobs 1 \
     --dir build/bench-perf-reports --out build/BENCH_trajectory_perf.json
   ./build/tools/bench_compare bench/BASELINE.json \
@@ -160,16 +158,5 @@ cmake --build build-tsan -j "$jobs"
 # halt_on_error makes any reported race fail its test.
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -L unit -j "$jobs"
-# The sharded executor is the only code that runs a scenario on several
-# threads: test_sharded_engine drives its worker pool directly and through
-# threads=4 scenarios, including the threads=1-vs-4 data-plane differential.
-# gtest discovery registers Suite.Test names, not binary names, so the name
-# filter matches the suites (--no-tests=error guards against a filter
-# silently matching nothing).
-echo "== sharded engine (tsan): executor suites + parallel differential =="
-TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-  -R '^(ShardedExecutor|WorkStealing|ScenarioThreads)\.|^Property\.ParallelDataPlaneDifferential$' \
-  -j "$jobs"
 
 echo "== all checks passed =="

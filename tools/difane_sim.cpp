@@ -3,7 +3,7 @@
 // optionally verifies the installed state afterwards. Every experiment in
 // bench/ can be approximated interactively with this tool.
 //
-//   difane_sim --mode difane --rules 5000 --authorities 4 --rate 20000 \
+//   difane_sim --mode difane --rules 5000 --authorities 4 --rate 20000
 //              --duration 2 --strategy cover --cache 2000 --verify
 #include <cstdio>
 #include <cstdlib>
