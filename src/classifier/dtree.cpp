@@ -1,8 +1,12 @@
 #include "classifier/dtree.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace difane {
+
+namespace {
+
+constexpr std::size_t kMaxDepth = 64;  // hard recursion bound
+
+}  // namespace
 
 void CutTally::add(const Ternary& match) {
   ++n_;
@@ -18,10 +22,6 @@ void CutTally::add(const Ternary& match) {
 
 DTreeClassifier::DTreeClassifier(const RuleTable& table, DTreeParams params)
     : rules_(table.rules()), params_(params) {
-  // Build wall time, aggregated process-wide.
-  static obs::Timer* const build_timer =
-      obs::MetricsRegistry::global().timer("dtree_build");
-  obs::ScopedTimer timed(build_timer);
   // table.rules() is already priority-sorted; indices preserve that order.
   std::vector<std::uint32_t> all(rules_.size());
   for (std::uint32_t i = 0; i < rules_.size(); ++i) all[i] = i;
@@ -41,7 +41,7 @@ std::uint32_t DTreeClassifier::make_leaf(const std::vector<std::uint32_t>& rules
 std::uint32_t DTreeClassifier::build(std::vector<std::uint32_t>& rules,
                                      std::size_t depth) {
   depth_ = std::max(depth_, depth);
-  if (rules.size() <= params_.leaf_size || depth >= params_.max_depth) {
+  if (rules.size() <= params_.leaf_size || depth >= kMaxDepth) {
     return make_leaf(rules);
   }
   CutTally tally;

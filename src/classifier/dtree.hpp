@@ -19,9 +19,9 @@
 
 namespace difane {
 
+// The recursion bound is kMaxDepth in dtree.cpp.
 struct DTreeParams {
   std::size_t leaf_size = 8;     // stop splitting at or below this many rules
-  std::size_t max_depth = 64;    // hard recursion bound
   // Relative weight of duplication vs. balance when scoring a cut bit:
   // score = max(n0, n1) + dup_penalty * (n0 + n1 - n).
   double dup_penalty = 1.0;

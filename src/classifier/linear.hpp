@@ -1,10 +1,7 @@
 // Linear-scan classifier: the semantic reference model of a TCAM. A real
 // TCAM answers in one cycle; in simulation the *semantics* are a priority
-// scan. Lookup cost accounting lets the event simulator model software
-// switches whose per-packet cost grows with table size.
+// scan.
 #pragma once
-
-#include <cstdint>
 
 #include "flowspace/rule_table.hpp"
 
@@ -15,26 +12,13 @@ class LinearClassifier {
   LinearClassifier() = default;
   explicit LinearClassifier(RuleTable table) : table_(std::move(table)) {}
 
-  const Rule* classify(const BitVec& packet) const {
-    ++lookups_;
-    const Rule* r = table_.match(packet);
-    rules_scanned_ += r ? 1 : table_.size();
-    return r;
-  }
+  const Rule* classify(const BitVec& packet) const { return table_.match(packet); }
 
   const RuleTable& table() const { return table_; }
   RuleTable& table() { return table_; }
 
-  std::uint64_t lookups() const { return lookups_; }
-  double avg_rules_scanned() const {
-    return lookups_ ? static_cast<double>(rules_scanned_) / static_cast<double>(lookups_)
-                    : 0.0;
-  }
-
  private:
   RuleTable table_;
-  mutable std::uint64_t lookups_ = 0;
-  mutable std::uint64_t rules_scanned_ = 0;
 };
 
 }  // namespace difane

@@ -15,11 +15,11 @@
 
 namespace difane {
 
+// The switch <-> controller latency is kNoxOneWayLatency in core/system.cpp,
+// and microflow rule ids start at NoxControlPlane::kMicroflowIdBase.
 struct NoxParams {
   double service_time = 2e-5;   // ~50K flow setups/s, NOX-era throughput
   double max_backlog = 0.02;    // drop punts once queueing exceeds 20 ms
-  double one_way_latency = 5e-3;  // switch <-> controller, each direction
-  RuleId microflow_id_base = 0x80000000u;
 };
 
 class NoxControlPlane {
@@ -28,7 +28,7 @@ class NoxControlPlane {
   NoxControlPlane(const RuleTable& policy, NoxParams params)
       : policy_(policy), params_(params),
         queue_(params.service_time, params.max_backlog),
-        next_microflow_id_(params.microflow_id_base) {}
+        next_microflow_id_(kMicroflowIdBase) {}
 
   struct Decision {
     SimTime ready_time = 0.0;       // when the controller finished processing
@@ -46,6 +46,8 @@ class NoxControlPlane {
   std::uint64_t punts() const { return punts_; }
 
  private:
+  static constexpr RuleId kMicroflowIdBase = 0x80000000u;
+
   const RuleTable& policy_;
   NoxParams params_;
   ServiceQueue queue_;

@@ -7,6 +7,14 @@
 
 namespace difane {
 
+namespace {
+
+// Partition redirect rules sit at the lowest priority, with ids from here up.
+constexpr Priority kPartitionRulePriority = 0;
+constexpr RuleId kPartitionRuleIdBase = 0x20000000u;
+
+}  // namespace
+
 DifaneController::DifaneController(Network& net, const RuleTable& policy,
                                    std::vector<SwitchId> authority_switches,
                                    DifaneControllerParams params)
@@ -136,8 +144,8 @@ Rule DifaneController::partition_redirect_rule(std::size_t index,
                                                SwitchId for_switch) const {
   const auto& partition = plan_.partitions().at(index);
   Rule rule;
-  rule.id = params_.partition_rule_id_base + static_cast<RuleId>(index);
-  rule.priority = params_.partition_rule_priority;
+  rule.id = kPartitionRuleIdBase + static_cast<RuleId>(index);
+  rule.priority = kPartitionRulePriority;
   rule.match = partition.region;
   rule.action = Action::encap(replica_for(partition, for_switch));
   return rule;
@@ -190,8 +198,7 @@ void DifaneController::install_authority_rules() {
 }
 
 void DifaneController::install_partition_rules() {
-  auto rules = plan_.make_partition_rules(params_.partition_rule_priority,
-                                          params_.partition_rule_id_base);
+  auto rules = plan_.make_partition_rules(kPartitionRulePriority, kPartitionRuleIdBase);
   std::vector<Rule> resolved;
   std::vector<const Rule*> batch;
   for (SwitchId id = 0; id < net_.switch_count(); ++id) {

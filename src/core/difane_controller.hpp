@@ -27,8 +27,8 @@ struct DifaneControllerParams {
   // busy region of flow space need not bottleneck on one switch. Clamped to
   // the number of authority switches.
   std::uint32_t replicas = 1;
-  Priority partition_rule_priority = 0;
-  RuleId partition_rule_id_base = 0x20000000u;
+  // Partition redirect rules take their priority and ids from
+  // kPartitionRulePriority and kPartitionRuleIdBase in difane_controller.cpp.
   RuleId synth_id_base = 0x40000000u;
   // Synthetic-id space per partition binding, in strides: one stride, or
   // enough whole strides to hold a cover-set binding's n^2 shadow ids. When
@@ -77,10 +77,6 @@ class DifaneController {
   // `partition`: a live replica chosen by (switch, partition) hash so load
   // spreads; falls back to the backup when every replica is down.
   SwitchId replica_for(const Partition& partition, SwitchId sw) const;
-
-  // Total partition-band entries installed per switch (they are identical
-  // across switches: one rule per partition).
-  std::size_t partition_rules_per_switch() const { return plan_.partitions().size(); }
 
   // ---- live migration hooks (driven by the Scenario state machine) -------
 

@@ -9,6 +9,20 @@
 
 namespace difane {
 
+namespace {
+
+// Redirects are dropped once an authority switch's queue holds this much
+// work (seconds).
+constexpr double kAuthorityBacklogMax = 0.01;
+// A packet that has made this many hops is dropped instead of forwarded.
+constexpr std::uint32_t kTtlHops = 64;
+// One-way latency of each measuring switch's export channel to the collector.
+constexpr double kExportLatency = 2e-4;
+// NOX mode: switch <-> controller latency, each direction.
+constexpr double kNoxOneWayLatency = 5e-3;
+
+}  // namespace
+
 const char* mode_name(Mode mode) {
   switch (mode) {
     case Mode::kDifane: return "difane";
@@ -81,9 +95,6 @@ void validate_control_plane(const ScenarioParams& p) {
 void validate_timings(const ScenarioParams& p) {
   if (p.timings.authority_service <= 0.0) {
     throw ConfigError("timings.authority_service", "service time must be > 0");
-  }
-  if (p.timings.ttl_hops == 0) {
-    throw ConfigError("timings.ttl_hops", "a zero TTL drops every packet");
   }
   if (p.timings.failover_detect < 0.0) {
     throw ConfigError("timings.failover_detect",
@@ -174,10 +185,6 @@ void validate_measurement(const ScenarioParams& p) {
                       "tick chain never ends (set it at or past the end of "
                       "injected traffic)");
   }
-  if (p.measurement.export_latency < 0.0) {
-    throw ConfigError("measurement.export_latency",
-                      "export latency cannot be negative");
-  }
   if (p.measurement.record_capacity == 0) {
     throw ConfigError("measurement.record_capacity",
                       "a zero-record flow table can measure nothing");
@@ -201,19 +208,6 @@ void validate_execution(const ScenarioParams& p) {
 
 void validate_reliability(const ScenarioParams& p) {
   if (!p.reliable_ctrl) return;
-  if (p.timings.ctrl_rto_initial <= 0.0) {
-    throw ConfigError("timings.ctrl_rto_initial",
-                      "retransmission timeout must be > 0");
-  }
-  if (p.timings.ctrl_rto_backoff < 1.0) {
-    throw ConfigError("timings.ctrl_rto_backoff",
-                      "backoff factor must be >= 1 (shrinking timeouts "
-                      "retransmit faster and faster forever)");
-  }
-  if (p.timings.ctrl_rto_max < p.timings.ctrl_rto_initial) {
-    throw ConfigError("timings.ctrl_rto_max",
-                      "backoff cap must be >= the initial timeout");
-  }
   if (p.faults.msg_loss >= 1.0) {
     throw ConfigError("faults.msg_loss",
                       "reliable delivery with 100% loss retransmits "
@@ -332,8 +326,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
       difane_->install_all();
       for (const auto sw : authorities) {
         authority_queues_.emplace(
-            sw, ServiceQueue(params_.timings.authority_service,
-                             params_.timings.authority_backlog_max));
+            sw, ServiceQueue(params_.timings.authority_service, kAuthorityBacklogMax));
         if (params_.elephants.enabled) {
           elephant_trackers_.emplace(
               sw, obs::SpaceSaving<BitVec>(params_.elephants.tracker_capacity));
@@ -355,11 +348,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
   // Control agents + install channels for every switch. Cache installs (from
   // authority switches or the NOX controller) go through these so they pay
   // propagation latency plus the per-flow-mod apply cost, in order.
-  ControlChannel::Reliability reliability;
-  reliability.enabled = params_.reliable_ctrl;
-  reliability.rto_initial = params_.timings.ctrl_rto_initial;
-  reliability.rto_backoff = params_.timings.ctrl_rto_backoff;
-  reliability.rto_max = params_.timings.ctrl_rto_max;
+  const ControlChannel::Reliability reliability{.enabled = params_.reliable_ctrl};
   for (SwitchId id = 0; id < net_.switch_count(); ++id) {
     agents_.push_back(
         std::make_unique<SwitchAgent>(net_.engine(), net_.sw(id)));
@@ -373,7 +362,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
     }
     const double latency = params_.mode == Mode::kDifane
                                ? params_.timings.cache_install_latency
-                               : params_.nox.one_way_latency;
+                               : kNoxOneWayLatency;
     install_channels_.push_back(std::make_unique<ControlChannel>(
         net_.engine(), *agents_.back(), latency, reliability, injector_.get()));
   }
@@ -393,7 +382,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
   }
   // Measurement mode last: its piggyback hook wants the heartbeat monitor,
   // and its export channels want the injector, both built above.
-  setup_measurement();
+  setup_measurement(reliability);
   schedule_faults();
   // Live-migration rebalance loop: a tick chain (mirrors the measurement
   // tick chain). Explicit request_rehome() works without it.
@@ -408,7 +397,7 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
 // exporter (every edge switch, then every authority switch not already an
 // edge — that fixed order is also the order finalize_measurement() merges
 // the per-exporter batch streams, making the collector stream deterministic).
-void Scenario::setup_measurement() {
+void Scenario::setup_measurement(const ControlChannel::Reliability& reliability) {
   if (!params_.measurement.enabled) return;
   std::vector<char> is_exporter(net_.switch_count(), 0);
   for (const SwitchId e : topo_.edge) {
@@ -431,11 +420,6 @@ void Scenario::setup_measurement() {
   export_endpoints_.resize(net_.switch_count());
   export_channels_.resize(net_.switch_count());
   export_seq_.assign(net_.switch_count(), 0);
-  ControlChannel::Reliability reliability;
-  reliability.enabled = params_.reliable_ctrl;
-  reliability.rto_initial = params_.timings.ctrl_rto_initial;
-  reliability.rto_backoff = params_.timings.ctrl_rto_backoff;
-  reliability.rto_max = params_.timings.ctrl_rto_max;
   for (const SwitchId sw : exporters_) {
     // Per-switch sampler stream split from the master measurement seed, so
     // adding or removing one exporter never perturbs another's draws.
@@ -454,8 +438,8 @@ void Scenario::setup_measurement() {
     }
     export_endpoints_[sw] = std::make_unique<CollectorEndpoint>(std::move(hook));
     export_channels_[sw] = std::make_unique<ControlChannel>(
-        net_.engine(), *export_endpoints_[sw], params_.measurement.export_latency,
-        reliability, injector_.get());
+        net_.engine(), *export_endpoints_[sw], kExportLatency, reliability,
+        injector_.get());
     // Eviction flush: when a cache entry leaves this switch's table, any
     // pending counts bound to it close into kEvict records instead of
     // silently vanishing with the entry.
@@ -1133,7 +1117,7 @@ void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
 }
 
 void Scenario::punt_to_controller(Packet pkt) {
-  const double arrival = net_.engine().now() + params_.nox.one_way_latency;
+  const double arrival = net_.engine().now() + kNoxOneWayLatency;
   auto punt = [this, pkt]() mutable {
     const auto decision = nox_->handle_punt(net_.engine().now(), pkt.header);
     if (!decision.has_value()) {
@@ -1158,7 +1142,7 @@ void Scenario::punt_to_controller(Packet pkt) {
         install_channels_[pkt.ingress]->send(mod);
       }
       // ...while the packet-out resumes the packet at the ingress switch.
-      const double out = net_.engine().now() + params_.nox.one_way_latency;
+      const double out = net_.engine().now() + kNoxOneWayLatency;
       net_.engine().at(out, [this, pkt, action]() mutable {
         Switch& sw = net_.sw(pkt.ingress);
         if (sw.failed()) {
@@ -1222,7 +1206,7 @@ void Scenario::apply_action(SwitchId at, Packet pkt, const Action& action) {
 }
 
 void Scenario::forward_hop(SwitchId at, SwitchId toward, Packet pkt) {
-  if (pkt.hops >= params_.timings.ttl_hops) {
+  if (pkt.hops >= kTtlHops) {
     dispose(pkt, false, DropReason::kTtlExceeded);
     return;
   }

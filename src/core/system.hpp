@@ -36,19 +36,21 @@ enum class TopologyKind : std::uint8_t {
   kLine = 1,     // a chain; every node is an edge, authorities evenly spaced
 };
 
+// The values no experiment varies are constants in core/system.cpp: the
+// authority queue's backlog bound (kAuthorityBacklogMax) and the TTL
+// (kTtlHops). Reliable control channels use ChannelReliability's default
+// retransmission timeouts (ctrlchan/channel.hpp).
 struct Timings {
   double switch_proc = 1e-6;         // per-hop forwarding overhead
   // Authority-switch miss path: ~800K flows/s per switch, the paper's
   // single-authority-switch throughput.
   double authority_service = 1.25e-6;
-  double authority_backlog_max = 0.01;   // redirects dropped past this backlog
   double cache_install_latency = 2e-4;   // authority -> ingress install push
   double cache_idle_timeout = 10.0;      // cache-band idle timeout
   // Fixed-delay failure detection: the controller re-points partitions this
   // long after a scheduled failure. Used only while heartbeat detection is
   // off (heartbeat_interval == 0), which is the default.
   double failover_detect = 0.2;
-  std::uint32_t ttl_hops = 64;
 
   // Heartbeat-based failure detection (DIFANE mode). interval > 0 switches
   // the failover path from the fixed failover_detect delay to a
@@ -62,12 +64,6 @@ struct Timings {
   double heartbeat_interval = 0.0;
   std::uint32_t heartbeat_miss = 3;
   double heartbeat_horizon = 0.0;
-
-  // Reliable control-channel retransmission (see ControlChannel::Reliability;
-  // consulted only when ScenarioParams::reliable_ctrl is set).
-  double ctrl_rto_initial = 2e-3;
-  double ctrl_rto_backoff = 2.0;
-  double ctrl_rto_max = 0.1;
 };
 
 // Live partition migration (DIFANE mode, reliable control channel only).
@@ -121,10 +117,10 @@ struct ScenarioParams {
   bool verify_cache_hits = false;
 
   // Reliable delivery on every control channel: sequence numbers, acks,
-  // timeout + capped exponential backoff retransmission, duplicate
-  // suppression and in-order apply at the switch agent. Required for
-  // transparency under message faults; off by default (the clean wire needs
-  // none of it).
+  // timeout + capped exponential backoff retransmission (ChannelReliability's
+  // default timeouts), duplicate suppression and in-order apply at the switch
+  // agent. Required for transparency under message faults; off by default
+  // (the clean wire needs none of it).
   bool reliable_ctrl = false;
 
   // What goes wrong during the run (default: nothing). An active plan also
@@ -375,7 +371,7 @@ class Scenario {
   void crash_authority(SwitchId sw);
   void restart_authority(SwitchId sw);
   void collect_fault_stats();
-  void setup_measurement();
+  void setup_measurement(const ControlChannel::Reliability& reliability);
   void export_tick(SwitchId sw);
   void send_export(SwitchId sw, std::vector<obs::FlowExportRecord> records);
   void on_cache_removed(SwitchId sw, const FlowEntry& entry);

@@ -23,7 +23,6 @@ bool FlowTelemetry::sample(const BitVec& header, RuleId rule, double now,
       ++sampled_packets_;
       sampled_bytes_ += bytes;
       ++dropped_packets_;
-      dropped_bytes_ += bytes;
       return true;
     }
     slot = pending_.size();
@@ -71,7 +70,6 @@ void FlowTelemetry::on_rule_removed(RuleId rule, double now, bool export_counts)
     } else {
       ++dropped_records_;
       dropped_packets_ += rec.packets;
-      dropped_bytes_ += rec.bytes;
     }
     rec.packets = 0;
     rec.bytes = 0;
@@ -89,14 +87,12 @@ void FlowTelemetry::drop_all() {
     if (rec.packets == 0 && rec.bytes == 0) continue;
     ++dropped_records_;
     dropped_packets_ += rec.packets;
-    dropped_bytes_ += rec.bytes;
     rec.packets = 0;
     rec.bytes = 0;
   }
   for (const auto& rec : closed_) {
     ++dropped_records_;
     dropped_packets_ += rec.sampled_packets;
-    dropped_bytes_ += rec.sampled_bytes;
   }
   closed_.clear();
   by_rule_.clear();

@@ -28,7 +28,8 @@ namespace difane {
 
 // The one validated knob block for measurement mode (ScenarioParams holds it
 // next to the heartbeat/elephant groups; ScenarioParams::validate() rejects
-// nonsense with field-named ConfigError).
+// nonsense with field-named ConfigError). The export channel's one-way
+// latency is kExportLatency in core/system.cpp.
 struct MeasurementParams {
   bool enabled = false;
   // Per-packet sampling probability in (0, 1]. 1.0 counts every packet.
@@ -39,8 +40,6 @@ struct MeasurementParams {
   // must drain; set it at or past the end of injected traffic). Pending
   // deltas that accrue after the last tick leave in the end-of-run drain.
   double export_horizon = 0.0;
-  // One-way latency of the export channel to the collector.
-  double export_latency = 2e-4;
   // Per-switch bound on tracked flow records; sampled packets of flows past
   // the bound are counted as overflow drops (NetFlow cache exhaustion).
   std::size_t record_capacity = 65536;
@@ -90,7 +89,6 @@ class FlowTelemetry {
   std::uint64_t overflow_drops() const { return overflow_drops_; }
   std::uint64_t dropped_records() const { return dropped_records_; }
   std::uint64_t dropped_packets() const { return dropped_packets_; }
-  std::uint64_t dropped_bytes() const { return dropped_bytes_; }
 
  private:
   struct PendingRecord {
@@ -118,7 +116,6 @@ class FlowTelemetry {
   std::uint64_t overflow_drops_ = 0;
   std::uint64_t dropped_records_ = 0;
   std::uint64_t dropped_packets_ = 0;
-  std::uint64_t dropped_bytes_ = 0;
 };
 
 // Controller-side endpoint of an export channel: the ControlEndpoint that

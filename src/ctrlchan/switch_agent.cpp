@@ -5,6 +5,12 @@
 
 namespace difane {
 
+namespace {
+
+constexpr SwitchAgentParams kCosts{};
+
+}  // namespace
+
 double SwitchAgent::admit(double cost) {
   const double now = engine_.now();
   const double start = std::max(next_free_, now);
@@ -16,17 +22,17 @@ void SwitchAgent::deliver(const Request& request, ReplyHandler on_reply) {
   const double cost = std::visit(
       [&](const auto& msg) -> double {
         using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, FlowMod>) return params_.flow_mod_cost;
-        if constexpr (std::is_same_v<T, PacketOut>) return params_.packet_out_cost;
-        if constexpr (std::is_same_v<T, FlowStatsRequest>) return params_.stats_cost;
+        if constexpr (std::is_same_v<T, FlowMod>) return kCosts.flow_mod_cost;
+        if constexpr (std::is_same_v<T, PacketOut>) return kCosts.packet_out_cost;
+        if constexpr (std::is_same_v<T, FlowStatsRequest>) return kCosts.stats_cost;
         if constexpr (std::is_same_v<T, PartitionInstall>) {
           // A bulk authority install pays per rule, like the equivalent
           // stream of FlowMods would.
-          return params_.flow_mod_cost *
+          return kCosts.flow_mod_cost *
                  static_cast<double>(std::max<std::size_t>(1, msg.rules.size()));
         }
-        if constexpr (std::is_same_v<T, PartitionFlip>) return params_.flow_mod_cost;
-        if constexpr (std::is_same_v<T, PartitionRetire>) return params_.flow_mod_cost;
+        if constexpr (std::is_same_v<T, PartitionFlip>) return kCosts.flow_mod_cost;
+        if constexpr (std::is_same_v<T, PartitionRetire>) return kCosts.flow_mod_cost;
         return 0.0;  // barriers only wait for the pipeline to drain
       },
       request);

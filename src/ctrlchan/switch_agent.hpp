@@ -23,6 +23,8 @@
 
 namespace difane {
 
+// Per-message apply times. Every SwitchAgent uses these defaults (kCosts in
+// switch_agent.cpp); the struct lets other code read them.
 struct SwitchAgentParams {
   double flow_mod_cost = 1e-4;   // apply time per flow-mod (typical ~0.1-1ms)
   double stats_cost = 5e-4;      // walking the table for counters
@@ -36,8 +38,7 @@ class SwitchAgent : public ControlEndpoint {
   // "executing the action at this switch" means (forwarding lives in core/).
   using PacketOutHandler = std::function<void(const PacketOut&)>;
 
-  SwitchAgent(Engine& engine, Switch& sw, SwitchAgentParams params = {})
-      : engine_(engine), switch_(sw), params_(params) {}
+  SwitchAgent(Engine& engine, Switch& sw) : engine_(engine), switch_(sw) {}
 
   // Deliver a request to the agent (already transported; the channel adds
   // propagation latency). Requests are applied in delivery order; the reply
@@ -84,7 +85,6 @@ class SwitchAgent : public ControlEndpoint {
 
   Engine& engine_;
   Switch& switch_;
-  SwitchAgentParams params_;
   PacketOutHandler packet_out_;
   InstallFaultHook install_fault_;
   bool strict_guards_ = false;

@@ -62,9 +62,6 @@ class HeartbeatMonitor {
   // or keepalives still flowing) from a *partitioned* one.
   void note_liveness(SwitchId sw, std::uint64_t beat_seq);
 
-  // Monitor-side tick counter (ticks fired so far); tick k fires at time
-  // k * interval, which is what makes beat_seq stamps comparable to it.
-  std::uint64_t tick_seq() const { return tick_seq_; }
   std::uint64_t piggyback_fresh() const { return piggyback_fresh_; }
   std::uint64_t piggyback_stale() const { return piggyback_stale_; }
 
@@ -92,6 +89,8 @@ class HeartbeatMonitor {
   std::vector<WatchState> watched_;
   Callback on_failure_;
   Callback on_recovery_;
+  // Ticks fired so far; tick k fires at time k * interval, which is what
+  // makes beat_seq stamps comparable to it.
   std::uint64_t tick_seq_ = 0;
   std::uint64_t beats_heard_ = 0;
   std::uint64_t beats_missed_ = 0;

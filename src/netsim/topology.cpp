@@ -7,9 +7,15 @@
 
 namespace difane {
 
-SwitchId Network::add_switch(std::size_t cache_capacity, std::size_t hw_capacity) {
+namespace {
+
+constexpr double kLinkRateBps = 10e9;  // 10 Gbps
+
+}  // namespace
+
+SwitchId Network::add_switch(std::size_t cache_capacity) {
   const auto id = static_cast<SwitchId>(switches_.size());
-  switches_.push_back(std::make_unique<Switch>(id, cache_capacity, hw_capacity));
+  switches_.push_back(std::make_unique<Switch>(id, cache_capacity));
   routes_valid_ = false;
   return id;
 }
@@ -17,8 +23,8 @@ SwitchId Network::add_switch(std::size_t cache_capacity, std::size_t hw_capacity
 void Network::add_link(SwitchId a, SwitchId b, LinkParams params) {
   expects(a < switches_.size() && b < switches_.size() && a != b,
           "add_link: bad endpoints");
-  links_[{a, b}] = std::make_unique<Link>(params.latency, params.rate_bps);
-  links_[{b, a}] = std::make_unique<Link>(params.latency, params.rate_bps);
+  links_[{a, b}] = std::make_unique<Link>(params.latency, kLinkRateBps);
+  links_[{b, a}] = std::make_unique<Link>(params.latency, kLinkRateBps);
   // Port numbering: use the neighbor id as the port id (unique per neighbor).
   switches_[a]->connect(b, b);
   switches_[b]->connect(a, a);

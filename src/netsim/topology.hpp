@@ -16,17 +16,16 @@
 
 namespace difane {
 
+// Every link runs at kLinkRateBps (topology.cpp).
 struct LinkParams {
   SimTime latency = 100e-6;  // 100 us per hop, LAN-scale
-  double rate_bps = 10e9;    // 10 Gbps
 };
 
 class Network {
  public:
   Engine& engine() { return engine_; }
 
-  SwitchId add_switch(std::size_t cache_capacity,
-                      std::size_t hw_capacity = std::numeric_limits<std::size_t>::max());
+  SwitchId add_switch(std::size_t cache_capacity);
 
   // Bidirectional: creates one Link object per direction.
   void add_link(SwitchId a, SwitchId b, LinkParams params = {});

@@ -1,6 +1,5 @@
 #include "obs/flow_export.hpp"
 
-#include <fstream>
 #include <stdexcept>
 
 namespace difane::obs {
@@ -168,14 +167,6 @@ void FlowCollector::clear() {
   index_.clear();
   stream_.clear();
   batches_ = records_ = keepalives_ = evict_records_ = final_records_ = 0;
-}
-
-void JsonCollectorSink::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("JsonCollectorSink: cannot open '" + path + "'");
-  }
-  out << json().dump(2) << "\n";
 }
 
 }  // namespace difane::obs

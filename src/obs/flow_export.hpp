@@ -142,15 +142,14 @@ class MemoryCollectorSink : public CollectorSink {
   bool closed_ = false;
 };
 
-// Bench/CLI sink: accumulates the stream as a JSON array and writes it out
-// (same deterministic serialization as the MetricsReport exporters).
+// Bench sink: accumulates the stream as a JSON array (same deterministic
+// serialization as the MetricsReport exporters).
 class JsonCollectorSink : public CollectorSink {
  public:
   void on_batch(const FlowExportBatch& batch) override {
     stream_.push_back(batch.to_json());
   }
   Json json() const { return Json(stream_); }
-  void write_file(const std::string& path) const;
 
  private:
   Json::Array stream_;

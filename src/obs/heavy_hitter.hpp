@@ -120,51 +120,6 @@ class SpaceSaving {
     return all;
   }
 
-  // Fold another summary into this one (e.g. per-replica sketches after a
-  // failover). A key missing from one side contributes that side's
-  // min_count() as both count and error — the standard sketch merge, which
-  // keeps the overestimate property and bounds the combined error by
-  // N_a/k_a + N_b/k_b. The result keeps this summary's capacity.
-  void merge_from(const SpaceSaving& other) {
-    const std::uint64_t floor_self = min_count();
-    const std::uint64_t floor_other = other.min_count();
-    std::vector<Slot> merged;
-    merged.reserve(slots_.size() + other.slots_.size());
-    for (const Slot& s : slots_) {
-      Slot m = s;
-      if (const auto it = other.index_.find(s.key); it != other.index_.end()) {
-        m.count += other.slots_[it->second].count;
-        m.error += other.slots_[it->second].error;
-      } else {
-        m.count += floor_other;
-        m.error += floor_other;
-      }
-      merged.push_back(std::move(m));
-    }
-    for (const Slot& o : other.slots_) {
-      if (index_.find(o.key) != index_.end()) continue;
-      Slot m = o;
-      m.count += floor_self;
-      m.error += floor_self;
-      merged.push_back(std::move(m));
-    }
-    // Keep the heaviest `capacity_` keys; iteration above is deterministic
-    // (this summary's slots in insertion order, then the other's), and the
-    // stable sort preserves that order on count ties.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Slot& a, const Slot& b) { return a.count > b.count; });
-    if (merged.size() > capacity_) merged.resize(capacity_);
-    slots_.clear();
-    index_.clear();
-    next_seq_ = 0;
-    for (Slot& m : merged) {
-      m.seq = next_seq_++;
-      index_.emplace(m.key, slots_.size());
-      slots_.push_back(std::move(m));
-    }
-    total_ += other.total_;
-  }
-
   void reset() {
     slots_.clear();
     index_.clear();

@@ -66,7 +66,7 @@ class TreeBuilder {
 
   void recurse(const Ternary& region, std::vector<std::uint32_t>& rules,
                std::size_t depth) {
-    if (rules.size() <= params_.capacity || depth >= params_.max_depth) {
+    if (rules.size() <= params_.capacity || depth >= kPartitionMaxDepth) {
       leaves_.push_back(LeafRegion{region, std::move(rules)});
       return;
     }
@@ -75,7 +75,7 @@ class TreeBuilder {
     // No separating bit, or the best cut leaves almost everything on one
     // side (pure duplication): stop here, capacity becomes soft.
     if (bit < 0 || static_cast<double>(best_max_side) >
-                       params_.min_progress * static_cast<double>(rules.size())) {
+                       kPartitionMinProgress * static_cast<double>(rules.size())) {
       leaves_.push_back(LeafRegion{region, std::move(rules)});
       return;
     }

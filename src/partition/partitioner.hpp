@@ -17,6 +17,15 @@ enum class CutStrategy : std::uint8_t {
   kRandomBit,  // random separating bit (ablation: no cost function)
 };
 
+// Recursion bound of the partition tree (>= header bits suffices).
+inline constexpr std::size_t kPartitionMaxDepth = 200;
+// Stop splitting a leaf when even the best cut keeps more than this fraction
+// of its rules on one side: past that point cuts only duplicate broad
+// wildcard rules without spreading load. Capacity becomes soft for such
+// leaves (wildcard-heavy policies cannot be partitioned arbitrarily finely —
+// every partition must carry its own copy of rules like the default).
+inline constexpr double kPartitionMinProgress = 0.95;
+
 struct PartitionerParams {
   // Max rules per partition (authority-switch TCAM budget per region).
   std::size_t capacity = 1000;
@@ -24,14 +33,6 @@ struct PartitionerParams {
   double dup_penalty = 1.0;
   CutStrategy strategy = CutStrategy::kBestBit;
   std::uint64_t seed = 1;       // for kRandomBit
-  std::size_t max_depth = 200;  // recursion bound (>= header bits suffices)
-  // Stop splitting a leaf when even the best cut keeps more than this
-  // fraction of its rules on one side: past that point cuts only duplicate
-  // broad wildcard rules without spreading load. Capacity becomes soft for
-  // such leaves (wildcard-heavy policies cannot be partitioned arbitrarily
-  // finely — every partition must carry its own copy of rules like the
-  // default).
-  double min_progress = 0.95;
 };
 
 class Partitioner {

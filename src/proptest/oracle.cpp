@@ -249,7 +249,7 @@ Violation check_partition(const Counterexample& cex, const PartitionerParams& pa
 
   // Capacity holds except where the partitioner provably could not cut: the
   // best-scoring separating bit (the one it would have chosen) leaves more
-  // than min_progress of the rules on one side. Mirrors the effective
+  // than kPartitionMinProgress of the rules on one side. Mirrors the effective
   // capacity shrink build() applies for multi-authority plans. kRandomBit
   // stops on whatever bit it sampled, so over-capacity leaves prove nothing.
   std::size_t effective = params.capacity;
@@ -266,7 +266,7 @@ Violation check_partition(const Counterexample& cex, const PartitionerParams& pa
   for (const auto& p : plan.partitions()) {
     const std::size_t n = p.rules.size();
     if (n <= effective || params.strategy == CutStrategy::kRandomBit) continue;
-    if (static_cast<std::size_t>(p.region.care_bits()) >= params.max_depth) continue;
+    if (static_cast<std::size_t>(p.region.care_bits()) >= kPartitionMaxDepth) continue;
     int best_bit = -1;
     double best_score = std::numeric_limits<double>::infinity();
     std::size_t best_max_side = n;
@@ -295,7 +295,7 @@ Violation check_partition(const Counterexample& cex, const PartitionerParams& pa
     }
     if (best_bit >= 0 &&
         static_cast<double>(best_max_side) <=
-            params.min_progress * static_cast<double>(n)) {
+            kPartitionMinProgress * static_cast<double>(n)) {
       os << "partition " << p.id << " holds " << n << " rules (cap " << effective
          << ") but bit " << best_bit << " still cuts it";
       return os.str();

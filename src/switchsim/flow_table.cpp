@@ -40,8 +40,7 @@ const char* cache_removal_name(CacheRemoval cause) {
   return "?";
 }
 
-FlowTable::FlowTable(std::size_t cache_capacity, std::size_t hw_capacity)
-    : cache_capacity_(cache_capacity), hw_capacity_(hw_capacity) {}
+FlowTable::FlowTable(std::size_t cache_capacity) : cache_capacity_(cache_capacity) {}
 
 double FlowTable::next_expiry(const FlowEntry& e) {
   double t = std::numeric_limits<double>::infinity();
@@ -305,13 +304,6 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
       return false;
     }
     while (bs.order.size() >= cache_capacity_) evict_lru_cache();
-  } else {
-    const std::size_t other = bands_[index(Band::kAuthority)].order.size() +
-                              bands_[index(Band::kPartition)].order.size();
-    if (other >= hw_capacity_) {
-      ++stats_.install_rejected;
-      return false;
-    }
   }
   const std::uint32_t slot = alloc_slot(bs);
   FlowEntry& e = bs.slab[slot];
@@ -336,8 +328,8 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
   return true;
 }
 
-std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
-                                    Band band, double now) {
+void FlowTable::install_bulk(const std::vector<const Rule*>& rules, Band band,
+                             double now) {
   expects(band != Band::kCache,
           "install_bulk: cache-band installs need the eviction/guard logic of "
           "install()");
@@ -349,7 +341,6 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
                          }),
           "install_bulk: band order not rule_before-sorted (a refresh changed "
           "an entry's priority?)");
-  std::size_t accepted = 0;
   for (const Rule* rule : rules) {
     // Same-id refresh keeps its position — identical to install(). Non-cache
     // bands have no aux indices or guard links to rekey.
@@ -372,13 +363,6 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
       e.guards.clear();
       note_expiry(e);
       ++stats_.installs;
-      ++accepted;
-      continue;
-    }
-    const std::size_t other = bands_[index(Band::kAuthority)].order.size() +
-                              bands_[index(Band::kPartition)].order.size();
-    if (other >= hw_capacity_) {
-      ++stats_.install_rejected;
       continue;
     }
     const std::uint32_t slot = alloc_slot(bs);
@@ -396,7 +380,6 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
     bs.by_id.emplace(rule->id, slot);
     note_expiry(e);
     ++stats_.installs;
-    ++accepted;
   }
   if (bs.order.size() != before) {
     // One sort of the appended tail plus one merge with the (sorted) prefix
@@ -411,7 +394,6 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
     std::inplace_merge(bs.order.begin(), mid, bs.order.end(), by_rule);
     renumber(bs);
   }
-  return accepted;
 }
 
 void FlowTable::retire(const FlowEntry& entry) {

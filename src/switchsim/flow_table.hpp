@@ -103,7 +103,7 @@ struct FlowTableStats {
   std::uint64_t evictions = 0;        // cache LRU evictions
   std::uint64_t expirations = 0;      // timeout removals
   std::uint64_t cascade_evictions = 0;  // dependents removed for safety
-  std::uint64_t install_rejected = 0; // non-cache band over capacity
+  std::uint64_t install_rejected = 0; // cache installs into a zero-capacity cache
   std::uint64_t memo_hits = 0;        // lookups answered by the header memo
 };
 
@@ -117,21 +117,21 @@ class FlowTable {
   static constexpr std::size_t kMemoSize = std::size_t{1} << kMemoBits;
   static constexpr std::uint64_t kLinkLog = 64;
 
-  explicit FlowTable(std::size_t cache_capacity = 1000,
-                     std::size_t hw_capacity = std::numeric_limits<std::size_t>::max());
+  // `cache_capacity` bounds the cache band only; the authority and partition
+  // bands are unbounded.
+  explicit FlowTable(std::size_t cache_capacity = 1000);
 
   // Install an entry. Cache-band installs LRU-evict on overflow and replace
   // an existing entry with the same rule id (refreshing its timeouts and
-  // guards). Authority/partition installs fail (returning false) if the
-  // non-cache capacity is exhausted. `guards` lists the protector entry ids
-  // this entry depends on (see FlowEntry::guards).
+  // guards); they fail (returning false) only when the cache capacity is 0.
+  // `guards` lists the protector entry ids this entry depends on (see
+  // FlowEntry::guards).
   bool install(const Rule& rule, Band band, double now, double idle_timeout = 0.0,
                double hard_timeout = 0.0, std::vector<RuleId> guards = {});
 
   // Bulk install into a non-cache band: semantically identical to calling
   // install(rule, band, now) for each pointed-to rule in sequence (same
-  // final match order, same stats counters, same capacity/refresh
-  // behaviour), but O((n + k) + k log k) instead of O(n * k) — new entries
+  // final match order, same stats counters, same refresh behaviour), but O((n + k) + k log k) instead of O(n * k) — new entries
   // are appended and merged into the band order once instead of paying a
   // vector memmove plus a full position refresh per rule. Used by the
   // controller's initial authority/partition population, where the
@@ -143,10 +143,8 @@ class FlowTable {
   // unique within a band, and same-id refreshes keep their position — it
   // could only break if a refresh changed an entry's priority, which no
   // non-cache caller does. Timeouts are fixed at "never" (0.0) and guards
-  // empty, matching every existing non-cache install site. Returns the
-  // number of rules accepted (installed or refreshed in place).
-  std::size_t install_bulk(const std::vector<const Rule*>& rules, Band band,
-                           double now);
+  // empty, matching every existing non-cache install site.
+  void install_bulk(const std::vector<const Rule*>& rules, Band band, double now);
 
   bool remove(RuleId id, Band band);
   void clear_band(Band band);
@@ -360,7 +358,6 @@ class FlowTable {
   void cascade_remove_dependents(std::vector<RuleId> removed_ids);
 
   std::size_t cache_capacity_;
-  std::size_t hw_capacity_;  // shared budget for authority+partition bands
 
   BandState bands_[kNumBands];
 

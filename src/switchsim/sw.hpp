@@ -21,9 +21,8 @@ inline constexpr SwitchId kInvalidSwitch = 0xffffffffu;
 
 class Switch {
  public:
-  Switch(SwitchId id, std::size_t cache_capacity,
-         std::size_t hw_capacity = std::numeric_limits<std::size_t>::max())
-      : id_(id), table_(cache_capacity, hw_capacity) {}
+  Switch(SwitchId id, std::size_t cache_capacity)
+      : id_(id), table_(cache_capacity) {}
 
   SwitchId id() const { return id_; }
   FlowTable& table() { return table_; }

@@ -1,11 +1,9 @@
 // Measurement plumbing: online moments, sample-based CDFs/percentiles, and a
-// log-scale latency histogram. These back every table and figure the bench
-// harnesses print.
+// rate meter. These back every table and figure the bench harnesses print.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace difane {
@@ -56,31 +54,6 @@ class SampleSet {
   void sort_if_needed() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-// Log-scale histogram for latencies spanning decades (100 ns .. 1 s).
-class LogHistogram {
- public:
-  // Buckets are powers of `base` starting at `min_value`.
-  LogHistogram(double min_value = 1e-7, double base = 2.0, std::size_t buckets = 48);
-
-  void add(double x);
-  std::uint64_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_lower_bound(std::size_t i) const;
-
-  // Approximate percentile by linear interpolation within a bucket.
-  double percentile(double p) const;
-
-  std::string ascii_art(std::size_t width = 50) const;
-
- private:
-  double min_value_;
-  double base_;
-  double log_base_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 // Counts events over a window; reports rate. Used for throughput series.

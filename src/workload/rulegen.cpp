@@ -28,10 +28,14 @@ std::size_t sample_prefix_len(Rng& rng, double p_long = 0.0) {
   return 32;
 }
 
-Action sample_action(const RuleGenParams& params, Rng& rng) {
-  if (rng.bernoulli(params.drop_fraction)) return Action::drop();
-  return Action::forward(static_cast<std::uint32_t>(
-      rng.uniform(0, params.egress_count == 0 ? 0 : params.egress_count - 1)));
+// Non-default rules drop with this probability and otherwise forward to one
+// of kEgressCount egress ports, uniformly.
+constexpr double kDropFraction = 0.3;
+constexpr std::uint32_t kEgressCount = 4;
+
+Action sample_action(Rng& rng) {
+  if (rng.bernoulli(kDropFraction)) return Action::drop();
+  return Action::forward(static_cast<std::uint32_t>(rng.uniform(0, kEgressCount - 1)));
 }
 
 void assign_weights(std::vector<Rule>& rules, const RuleGenParams& params, Rng& rng) {
@@ -100,7 +104,7 @@ RuleTable generate_policy(const RuleGenParams& params) {
         const auto src = static_cast<std::uint32_t>(rng.uniform(0, 0xffffffffULL));
         match_prefix(r.match, Field::kIpSrc, src, sample_prefix_len(rng, params.p_long_prefix));
       }
-      r.action = sample_action(params, rng);
+      r.action = sample_action(rng);
       rules.push_back(std::move(r));
     }
   }
@@ -127,7 +131,7 @@ RuleTable generate_policy(const RuleGenParams& params) {
       match_exact(base, Field::kIpProto, rng.bernoulli(0.7) ? kTcp : kUdp);
       specificity += 8;
     }
-    const Action action = sample_action(params, rng);
+    const Action action = sample_action(rng);
     const auto priority = static_cast<Priority>(100 + specificity);
 
     std::vector<Ternary> expanded;

@@ -42,8 +42,8 @@ struct RuleGenParams {
   std::size_t chain_count = 32;
   std::size_t chain_depth = 4;
 
-  double drop_fraction = 0.3;  // remaining rules forward
-  std::uint32_t egress_count = 4;
+  // Rule actions draw a drop with probability kDropFraction, else a forward
+  // to one of kEgressCount ports (both in rulegen.cpp).
 
   WeightMode weight_mode = WeightMode::kFlowSpaceProportional;
   double zipf_s = 1.0;

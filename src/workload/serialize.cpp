@@ -3,9 +3,11 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "flowspace/header.hpp"
 #include "util/contract.hpp"
+#include "util/parse.hpp"
 
 namespace difane {
 
@@ -29,11 +31,11 @@ Action action_from_token(const std::string& token, std::size_t line) {
   if (token == "drop") return Action::drop();
   if (token == "ctrl") return Action::to_controller();
   const auto colon = token.find(':');
-  if (colon != std::string::npos) {
-    const std::string kind = token.substr(0, colon);
-    const auto arg = static_cast<std::uint32_t>(std::stoul(token.substr(colon + 1)));
-    if (kind == "fwd") return Action::forward(arg);
-    if (kind == "encap") return Action::encap(arg);
+  const std::string kind = token.substr(0, colon);
+  if (colon != std::string::npos && (kind == "fwd" || kind == "encap")) {
+    const auto arg = util::parse_count<std::uint32_t>(token.c_str() + colon + 1);
+    if (!arg) fail(line, "bad action argument in '" + token + "'");
+    return kind == "fwd" ? Action::forward(*arg) : Action::encap(*arg);
   }
   fail(line, "unknown action '" + token + "'");
 }
@@ -126,6 +128,7 @@ RuleTable load_policy(std::istream& is) {
   ++lineno;
   if (line != "policy v1") fail(lineno, "expected 'policy v1' header");
   std::vector<Rule> rules;
+  std::unordered_set<RuleId> ids;
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
@@ -137,6 +140,9 @@ RuleTable load_policy(std::istream& is) {
     std::string action_token;
     if (!(ls >> rule.id >> rule.priority >> action_token >> rule.weight)) {
       fail(lineno, "malformed rule line");
+    }
+    if (!ids.insert(rule.id).second) {
+      fail(lineno, "duplicate rule id " + std::to_string(rule.id));
     }
     rule.action = action_from_token(action_token, lineno);
     std::string field_token;

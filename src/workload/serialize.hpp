@@ -8,10 +8,12 @@
 //   trace v1
 //   flow <id> <start> <packets> <gap> <ingress> <header-hex-64>
 //
-// where <action> is drop | fwd:<port> | encap:<switch> | ctrl, <bits> is the
-// field's ternary pattern MSB-first over {0,1,x}, and <header-hex-64> is the
-// 256-bit packet header in hex (low word first). Loaders validate eagerly
-// and throw std::runtime_error with a line number on malformed input.
+// where <action> is drop | fwd:<port> | encap:<switch> | ctrl (<port> and
+// <switch> are 32-bit unsigned), <bits> is the field's ternary pattern
+// MSB-first over {0,1,x}, and <header-hex-64> is the 256-bit packet header in
+// hex (low word first). Rule ids within a policy are distinct. Loaders
+// validate eagerly and throw std::runtime_error with a line number on
+// malformed input.
 #pragma once
 
 #include <iosfwd>

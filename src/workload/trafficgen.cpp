@@ -21,6 +21,11 @@ const char* traffic_mode_name(TrafficMode mode) {
 
 namespace {
 
+// Tail index of the flow-length Pareto draw. Unbounded, Pareto(1, alpha) has
+// mean alpha / (alpha - 1) = 3, which finish_flow scales by.
+constexpr double kParetoAlpha = 1.5;
+constexpr double kParetoMean = kParetoAlpha / (kParetoAlpha - 1.0);
+
 // Pool memoization. Experiment sweeps (E1/E2/E9 and friends) construct a
 // TrafficGenerator per sweep point with the same policy, seed, and pool
 // parameters — only the arrival schedule differs. The pool draw sequence
@@ -67,10 +72,6 @@ struct PoolCacheEntry {
   std::uint64_t last_used = 0;
 };
 
-// A pool can be tens of MB (E1 uses 2^21 headers), so keep the cache tiny:
-// sweeps alternate at most a couple of distinct pools per process.
-constexpr std::size_t kPoolCacheSlots = 2;
-
 std::mutex g_pool_cache_mu;
 std::vector<PoolCacheEntry> g_pool_cache;
 std::uint64_t g_pool_cache_clock = 0;
@@ -87,7 +88,7 @@ const PoolCacheEntry* pool_cache_find(const PoolKey& key) {
 
 void pool_cache_insert(PoolCacheEntry entry) {
   entry.last_used = ++g_pool_cache_clock;
-  if (g_pool_cache.size() < kPoolCacheSlots) {
+  if (g_pool_cache.size() < TrafficGenerator::kPoolCacheSlots) {
     g_pool_cache.push_back(std::move(entry));
     return;
   }
@@ -175,9 +176,9 @@ void TrafficGenerator::finish_flow(FlowSpec& flow) {
   if (params_.max_packets <= 1.0) {
     flow.packets = 1;  // degenerate case: pure flow-setup workloads
   } else {
-    const double len = rng_.pareto(1.0, params_.max_packets, params_.pareto_alpha);
+    const double len = rng_.pareto(1.0, params_.max_packets, kParetoAlpha);
     // Scale bounded-Pareto output toward the requested mean.
-    const double scale = params_.mean_packets / 3.0;  // rough E[pareto(1,..,1.5)]
+    const double scale = params_.mean_packets / kParetoMean;
     flow.packets = static_cast<std::size_t>(std::max(1.0, len * scale));
   }
   flow.packet_gap = params_.packet_gap;

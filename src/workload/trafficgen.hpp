@@ -20,6 +20,8 @@ struct FlowSpec {
   std::size_t packets = 1;
   double packet_gap = 1e-3; // spacing between packets within the flow
   std::uint32_t ingress_index = 0;  // index into the scenario's ingress list
+
+  bool operator==(const FlowSpec&) const = default;
 };
 
 // Arrival-schedule families. All modes draw from the same memoized header
@@ -54,8 +56,9 @@ struct TrafficParams {
   double zipf_s = 1.0;               // popularity skew across pool entries
   double arrival_rate = 1000.0;      // flows per second (Poisson)
   double duration = 10.0;            // seconds of arrivals
-  double mean_packets = 10.0;        // flow length (bounded Pareto)
-  double pareto_alpha = 1.5;
+  // Flow length: a Pareto(1, max_packets) draw with tail index
+  // kParetoAlpha (trafficgen.cpp), scaled toward this mean.
+  double mean_packets = 10.0;
   double max_packets = 1000.0;
   double packet_gap = 1e-3;
   std::uint32_t ingress_count = 1;   // spread flows over this many ingresses
@@ -100,6 +103,12 @@ std::vector<FlowTruth> flow_ground_truth(const std::vector<FlowSpec>& flows,
 
 class TrafficGenerator {
  public:
+  // Pools are memoized process-wide by (policy, seed, pool parameters). A
+  // pool can be tens of MB (E1 uses 2^21 headers) and sweeps alternate at
+  // most a couple of distinct pools per process, so only this many stay
+  // cached, the least recently used evicted.
+  static constexpr std::size_t kPoolCacheSlots = 2;
+
   TrafficGenerator(const RuleTable& policy, TrafficParams params);
 
   // All flow arrivals in [0, duration), sorted by start time.

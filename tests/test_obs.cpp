@@ -1,17 +1,14 @@
-// Observability layer: JSON value round-trips, the versioned report schema,
-// rep merging, and the timer registry under concurrency. The exporter
-// guarantees under test: sorted keys + shortest-round-trip numbers make the
-// serialized form byte-deterministic, and the schema validator rejects any
-// structurally wrong document with a message naming the problem.
+// Observability layer: JSON value round-trips, the versioned report schema
+// and rep merging. The exporter guarantees under test: sorted keys +
+// shortest-round-trip numbers make the serialized form byte-deterministic,
+// and the schema validator rejects any structurally wrong document with a
+// message naming the problem.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
 namespace difane::obs {
@@ -193,99 +190,6 @@ TEST(Report, FileRoundTrip) {
   EXPECT_EQ(back.metrics, report.metrics);
   std::remove(path.c_str());
   EXPECT_THROW(load_json_file(path), std::runtime_error);
-}
-
-// --------------------------------------------------------------------------
-// Metrics registry: wall-clock timers only
-
-TEST(Metrics, CounterGaugeTimerBasics) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
-  MetricsRegistry registry;
-  auto* timer = registry.timer("build");
-  timer->record(0.25);
-  timer->record(0.75);
-  EXPECT_EQ(timer->count(), 2u);
-  EXPECT_DOUBLE_EQ(timer->total_seconds(), 1.0);
-
-  // Same name => same timer (the registry is the identity map).
-  EXPECT_EQ(registry.timer("build"), timer);
-  EXPECT_NE(registry.timer("other"), timer);
-
-  // ScopedTimer records exactly one call on scope exit.
-  { ScopedTimer scoped(timer); }
-  EXPECT_EQ(timer->count(), 3u);
-  EXPECT_GE(timer->total_seconds(), 1.0);
-}
-
-TEST(Metrics, SnapshotFlattensInstruments) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
-  MetricsRegistry registry;
-  registry.timer("build")->record(2.0);
-  registry.timer("idle");
-  const auto snap = registry.snapshot();
-  // A timer's call count is the registry's op count; both keys carry the
-  // timer's name, and only the seconds carry the _wall_ exemption marker.
-  EXPECT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.at("build_wall_seconds"), 2.0);
-  EXPECT_EQ(snap.at("build_count"), 1.0);
-  EXPECT_EQ(snap.at("idle_wall_seconds"), 0.0);
-  EXPECT_EQ(snap.at("idle_count"), 0.0);
-  EXPECT_TRUE(is_wall_metric("build_wall_seconds"));
-}
-
-TEST(Metrics, ResetZeroesButKeepsPointersValid) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
-  MetricsRegistry registry;
-  auto* timer = registry.timer("t");
-  timer->record(3.0);
-  registry.reset();
-  EXPECT_EQ(timer->count(), 0u);  // same pointer, zeroed in place
-  EXPECT_EQ(timer->total_seconds(), 0.0);
-  timer->record(1.0);
-  EXPECT_EQ(registry.timer("t")->count(), 1u);
-}
-
-// ctest -L unit concurrency check: hammer one registry from several threads;
-// every record must land (atomics, no torn totals), and timer lookup must be
-// safe concurrently with records.
-TEST(Metrics, RegistryIsThreadSafe) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
-  MetricsRegistry registry;
-  constexpr int kThreads = 8;
-  constexpr int kIters = 20000;
-  std::atomic<int> ready{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, &ready, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }
-      // Shared and per-thread timers, resolved inside the loop so name
-      // lookup races with records.
-      for (int i = 0; i < kIters; ++i) {
-        registry.timer("shared")->record(1.0);
-        registry.timer("t" + std::to_string(t))->record(0.5);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  constexpr auto kTotal = static_cast<std::uint64_t>(kThreads) * kIters;
-  EXPECT_EQ(registry.timer("shared")->count(), kTotal);
-  // Whole seconds sum exactly in a double, so no record may be torn or lost.
-  EXPECT_EQ(registry.timer("shared")->total_seconds(), static_cast<double>(kTotal));
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(registry.timer("t" + std::to_string(t))->count(),
-              static_cast<std::uint64_t>(kIters));
-  }
-}
-
-TEST(Metrics, GlobalRegistryIsASingleton) {
-  auto* a = MetricsRegistry::global().timer("test_obs_global_probe");
-  auto* b = MetricsRegistry::global().timer("test_obs_global_probe");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
 }
 
 }  // namespace

@@ -35,10 +35,8 @@ namespace {
 
 class ReferenceFlowTable {
  public:
-  explicit ReferenceFlowTable(
-      std::size_t cache_capacity = 1000,
-      std::size_t hw_capacity = std::numeric_limits<std::size_t>::max())
-      : cache_capacity_(cache_capacity), hw_capacity_(hw_capacity) {}
+  explicit ReferenceFlowTable(std::size_t cache_capacity = 1000)
+      : cache_capacity_(cache_capacity) {}
 
   bool install(const Rule& rule, Band band, double now, double idle_timeout = 0.0,
                double hard_timeout = 0.0, std::vector<RuleId> guards = {}) {
@@ -92,13 +90,6 @@ class ReferenceFlowTable {
         return false;
       }
       while (entries.size() >= cache_capacity_) evict_lru_cache(now);
-    } else {
-      const std::size_t other = bands_[index(Band::kAuthority)].size() +
-                                bands_[index(Band::kPartition)].size();
-      if (other >= hw_capacity_) {
-        ++stats_.install_rejected;
-        return false;
-      }
     }
     FlowEntry entry;
     entry.rule = rule;
@@ -259,7 +250,6 @@ class ReferenceFlowTable {
   }
 
   std::size_t cache_capacity_;
-  std::size_t hw_capacity_;
   std::vector<FlowEntry> bands_[kNumBands];
   FlowTableStats stats_;
   std::unordered_map<RuleId, FlowTable::RetiredCounters> retired_;
@@ -345,12 +335,9 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix,
   const RuleTable rules = proptest::gen_table(ctx.rng, tg);
   const std::size_t cache_cap = static_cast<std::size_t>(
       ctx.rng.uniform(mix.cache_cap_min, mix.cache_cap_max));
-  const std::size_t hw_cap =
-      ctx.rng.bernoulli(0.3) ? static_cast<std::size_t>(ctx.rng.uniform(2, 12))
-                             : std::numeric_limits<std::size_t>::max();
 
-  FlowTable table(cache_cap, hw_cap);
-  ReferenceFlowTable ref(cache_cap, hw_cap);
+  FlowTable table(cache_cap);
+  ReferenceFlowTable ref(cache_cap);
   double now = 0.0;
   RuleId next_id = 1000;  // microflow ids; policy rules keep their own
   std::vector<BitVec> flows;  // headers of installed microflows

@@ -162,45 +162,6 @@ DIFANE_PROPERTY(HeavyHitterSeedStableReplay, 60) {
       << ctx.case_seed;
 }
 
-// Merge keeps the sketch guarantees: the merged summary still overestimates
-// every surviving key's combined true count, and per-entry error stays under
-// N_a/k + N_b/k (both inputs share one capacity here, as the per-authority
-// trackers do). Totals add exactly.
-DIFANE_PROPERTY(HeavyHitterMergeBound, 60) {
-  const std::size_t capacity = ctx.rng.uniform(4, 64);
-  const auto stream_a = gen_stream(ctx.rng);
-  const auto stream_b = gen_stream(ctx.rng);
-  Sketch a(capacity);
-  Sketch b(capacity);
-  feed(a, stream_a);
-  feed(b, stream_b);
-  std::uint64_t n_a = 0;
-  for (const auto& wk : stream_a) n_a += wk.weight;
-  std::uint64_t n_b = 0;
-  for (const auto& wk : stream_b) n_b += wk.weight;
-
-  auto truth = exact_counts(stream_a);
-  for (const auto& [key, count] : exact_counts(stream_b)) truth[key] += count;
-
-  a.merge_from(b);
-  ASSERT_EQ(a.total(), n_a + n_b) << "seed 0x" << std::hex << ctx.case_seed;
-  ASSERT_LE(a.size(), capacity) << "seed 0x" << std::hex << ctx.case_seed;
-  const std::uint64_t ceiling =
-      (n_a + capacity - 1) / capacity + (n_b + capacity - 1) / capacity;
-  for (const auto& entry : a.entries()) {
-    const std::uint64_t true_count = truth.at(entry.key);
-    ASSERT_GE(entry.count, true_count)
-        << "merge lost weight for key " << entry.key << "; seed 0x" << std::hex
-        << ctx.case_seed;
-    ASSERT_LE(entry.count - true_count, entry.error)
-        << "merged error bound violated for key " << entry.key << "; seed 0x"
-        << std::hex << ctx.case_seed;
-    ASSERT_LE(entry.error, ceiling)
-        << "merged error above N_a/k + N_b/k for key " << entry.key
-        << "; seed 0x" << std::hex << ctx.case_seed;
-  }
-}
-
 // reset() restores the pristine state exactly: a reset-then-refed sketch is
 // indistinguishable from a fresh one — same entries, same total, same
 // min_count. (The authority trackers rely on this across crash/restart.)

@@ -109,10 +109,6 @@ TEST(Validate, RejectsEachMisWireNamingTheField) {
   params = good_params();
   params.timings.authority_service = 0.0;
   EXPECT_EQ(field_of(params), "timings.authority_service");
-
-  params = good_params();
-  params.timings.ttl_hops = 0;
-  EXPECT_EQ(field_of(params), "timings.ttl_hops");
 }
 
 // Fault-injection / reliability knobs added with the chaos subsystem: each
@@ -150,27 +146,6 @@ TEST(Validate, RejectsFaultAndReliabilityMisWires) {
   params = good_params();
   params.timings.heartbeat_interval = 0.0;
   params.timings.heartbeat_miss = 0;
-  EXPECT_NO_THROW(params.validate());
-
-  params = good_params();
-  params.reliable_ctrl = true;
-  params.timings.ctrl_rto_initial = 0.0;
-  EXPECT_EQ(field_of(params), "timings.ctrl_rto_initial");
-
-  params = good_params();
-  params.reliable_ctrl = true;
-  params.timings.ctrl_rto_backoff = 0.5;
-  EXPECT_EQ(field_of(params), "timings.ctrl_rto_backoff");
-
-  params = good_params();
-  params.reliable_ctrl = true;
-  params.timings.ctrl_rto_max = 1e-6;  // below ctrl_rto_initial
-  EXPECT_EQ(field_of(params), "timings.ctrl_rto_max");
-
-  // RTO knobs are dormant while reliable_ctrl is off.
-  params = good_params();
-  params.reliable_ctrl = false;
-  params.timings.ctrl_rto_backoff = 0.5;
   EXPECT_NO_THROW(params.validate());
 
   params = good_params();
@@ -341,10 +316,6 @@ TEST(Validate, RejectsMeasurementMisWiresNamingTheField) {
   params = good_measurement();
   params.measurement.export_horizon = 0.0;  // tick chain would never end
   EXPECT_EQ(field_of(params), "measurement.export_horizon");
-
-  params = good_measurement();
-  params.measurement.export_latency = -1e-4;
-  EXPECT_EQ(field_of(params), "measurement.export_latency");
 
   params = good_measurement();
   params.measurement.record_capacity = 0;

@@ -84,6 +84,28 @@ TEST(Serialize, PolicyRejectsMalformedInput) {
   expect_throw("policy v1\nrule 1 2 drop 0 bogus=01\n");  // bad field
   expect_throw("policy v1\nrule 1 2 drop 0 ip_proto=01\n");   // wrong width
   expect_throw("policy v1\nrule 1 2 drop 0 ip_proto=0000002q\n");  // bad char
+
+  // Action arguments parse whole and in range, and ids are distinct; each
+  // failure names its line.
+  auto expect_error = [](const std::string& text, const std::string& what) {
+    std::stringstream ss(text);
+    try {
+      load_policy(ss);
+      ADD_FAILURE() << "loaded: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), what) << text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "threw " << e.what() << " for: " << text;
+    }
+  };
+  expect_error("policy v1\nrule 1 2 fwd:abc 0\n",
+               "parse error at line 2: bad action argument in 'fwd:abc'");
+  expect_error("policy v1\nrule 1 2 fwd:7x 0\n",
+               "parse error at line 2: bad action argument in 'fwd:7x'");
+  expect_error("policy v1\nrule 1 2 fwd:4294967296 0\n",
+               "parse error at line 2: bad action argument in 'fwd:4294967296'");
+  expect_error("policy v1\nrule 1 2 drop 0\nrule 1 1 fwd:3 0\n",
+               "parse error at line 3: duplicate rule id 1");
 }
 
 TEST(Serialize, TraceRoundTrip) {

@@ -122,15 +122,6 @@ TEST(SampleSet, CdfPointsMonotone) {
   EXPECT_DOUBLE_EQ(pts.back().second, 1.0);
 }
 
-TEST(LogHistogram, BucketsAndPercentiles) {
-  LogHistogram h(1e-6, 2.0, 40);
-  for (int i = 0; i < 1000; ++i) h.add(1e-3);
-  EXPECT_EQ(h.total(), 1000u);
-  const double p50 = h.percentile(0.5);
-  EXPECT_GT(p50, 0.5e-3 / 2);
-  EXPECT_LT(p50, 4e-3);
-}
-
 TEST(RateMeter, RateOverWindow) {
   RateMeter m;
   m.record(0.0);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "flowspace/dependency.hpp"
 #include "workload/rulegen.hpp"
@@ -120,6 +122,49 @@ TEST(TrafficGen, DeterministicBySeed) {
     EXPECT_TRUE(fa[i].header == fb[i].header);
     EXPECT_DOUBLE_EQ(fa[i].start, fb[i].start);
     EXPECT_EQ(fa[i].packets, fb[i].packets);
+  }
+}
+
+// The header pool cache is process-wide state that bench::run_cells reaches
+// from worker threads. Four threads construct generators for one repeated
+// key and for more distinct keys than the cache has slots, so hits, inserts
+// and evictions race (ctest -L unit runs this under TSan). Every schedule
+// must equal the serial build of its key.
+TEST(TrafficGen, ConcurrentConstructionsMatchSerial) {
+  const auto policy = classbench_like(40, 11);
+  constexpr std::size_t kKeys = TrafficGenerator::kPoolCacheSlots + 2;
+  const auto params_for = [](std::size_t key) {
+    TrafficParams params;
+    params.seed = 500 + key;
+    params.flow_pool = 64;
+    params.duration = 0.05;
+    return params;
+  };
+  // Built in key order, each a cache miss: fresh pools.
+  std::vector<std::vector<FlowSpec>> serial;
+  for (std::size_t key = 0; key < kKeys; ++key) {
+    serial.push_back(TrafficGenerator(policy, params_for(key)).generate());
+    ASSERT_FALSE(serial.back().empty());
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kBuilds = 40;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  {
+    std::vector<std::jthread> threads;  // joined when the block ends
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kBuilds; ++i) {
+          // Every other build takes key 0; the rest cycle through all keys.
+          const std::size_t key = i % 2 == 0 ? 0 : (i / 2 + t) % kKeys;
+          TrafficGenerator gen(policy, params_for(key));
+          if (gen.generate() != serial[key]) ++mismatches[t];
+        }
+      });
+    }
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
   }
 }
 

@@ -3,8 +3,10 @@
 # self-test, then the same suite plus a short differential fuzz soak under
 # ASan+UBSan (DIFANE_SANITIZE=ON), plus a TSan pass (DIFANE_SANITIZE=thread)
 # over the unit label. A scenario runs on one thread; the unit label holds
-# the tests that start threads of their own (Metrics.RegistryIsThreadSafe),
-# so race coverage stays part of tier-1 hygiene.
+# the test that starts threads of its own
+# (TrafficGen.ConcurrentConstructionsMatchSerial, which races the traffic
+# generator's process-wide pool cache the way bench::run_cells does), so
+# race coverage stays part of tier-1 hygiene.
 #
 # The benchmark self-test (python3 perfbench/selftest.py) builds src/ in
 # perfbench's own CMake tree against the public API and makes a reduced pass
