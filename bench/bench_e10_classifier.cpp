@@ -8,7 +8,6 @@
 #include "common.hpp"
 
 #include "classifier/dtree.hpp"
-#include "classifier/linear.hpp"
 
 using namespace difane;
 using namespace difane::bench;
@@ -31,16 +30,16 @@ std::vector<BitVec> make_packets(const RuleTable& policy, std::size_t n,
   return packets;
 }
 
-// Runs classify over the packet ring until ~min_iters lookups, returns
+// Runs `lookup` over the packet ring until ~min_iters lookups, returns
 // nanoseconds per lookup. A volatile sink keeps the calls live.
-template <typename Classifier>
-double time_classify_ns(const Classifier& classifier,
-                        const std::vector<BitVec>& packets, std::size_t min_iters) {
+template <typename Lookup>
+double time_lookup_ns(const Lookup& lookup, const std::vector<BitVec>& packets,
+                      std::size_t min_iters) {
   volatile const void* sink = nullptr;
   std::size_t i = 0, iters = 0;
   const auto t0 = std::chrono::steady_clock::now();
   while (iters < min_iters) {
-    sink = classifier.classify(packets[i++ & (packets.size() - 1)]);
+    sink = lookup(packets[i++ & (packets.size() - 1)]);
     ++iters;
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -72,7 +71,6 @@ int main(int argc, char** argv) {
       const auto policy = classbench_like(size, rep.seed);
       const auto packets = make_packets(policy, 1024, 7);
 
-      LinearClassifier linear(policy);
       DTreeParams params;
       params.leaf_size = 64;  // coarse leaves: wildcard ACLs replicate badly below
 
@@ -82,8 +80,10 @@ int main(int argc, char** argv) {
       const double build_ms =
           std::chrono::duration<double, std::milli>(b1 - b0).count();
 
-      const double linear_ns = time_classify_ns(linear, packets, lookups);
-      const double dtree_ns = time_classify_ns(tree, packets, lookups);
+      const double linear_ns = time_lookup_ns(
+          [&](const BitVec& p) { return policy.match(p); }, packets, lookups);
+      const double dtree_ns = time_lookup_ns(
+          [&](const BitVec& p) { return tree.classify(p); }, packets, lookups);
 
       const std::string suffix = tag("_n", static_cast<double>(size));
       // Structure metrics are deterministic (same seed => same tree).

@@ -1,7 +1,5 @@
 #include "core/authority.hpp"
 
-#include "util/contract.hpp"
-
 namespace difane {
 
 void AuthorityNode::bind(const PartitionIndex& index, RuleId synth_id_base,
@@ -58,20 +56,6 @@ std::optional<AuthorityNode::RedirectResult> AuthorityNode::handle(
     at->result.install = bindings_[at->binding].generator.generate(packet, *at->rule);
   }
   return std::move(at->result);
-}
-
-std::vector<std::size_t> AuthorityNode::splice_costs(PartitionId partition) const {
-  for (const auto& binding : bindings_) {
-    if (binding.index->partition().id != partition) continue;
-    const auto& rules = binding.index->partition().rules;
-    std::vector<std::size_t> costs;
-    costs.reserve(rules.size());
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      costs.push_back(binding.generator.cost_of(i));
-    }
-    return costs;
-  }
-  throw contract_violation("splice_costs: partition not bound to this authority");
 }
 
 }  // namespace difane

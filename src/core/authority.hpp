@@ -63,10 +63,6 @@ class AuthorityNode {
   // binding's microflow ids, so only the data plane calls this.
   std::optional<RedirectResult> handle(const BitVec& packet);
 
-  // Number of cache-band TCAM entries the strategy charges for caching each
-  // rule of the given partition (paper-style splice cost; used by benches).
-  std::vector<std::size_t> splice_costs(PartitionId partition) const;
-
  private:
   struct Binding {
     const PartitionIndex* index;

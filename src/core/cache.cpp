@@ -160,19 +160,4 @@ CacheInstall CacheRuleGenerator::microflow_install(const BitVec& packet,
   return install;
 }
 
-std::size_t CacheRuleGenerator::cost_of(std::size_t idx) const {
-  expects(idx < partition_.rules.size(), "cost_of: bad rule index");
-  switch (strategy_) {
-    case CacheStrategy::kNone:
-      return 0;
-    case CacheStrategy::kMicroflow:
-      return 1;
-    case CacheStrategy::kDependentSet:
-      return 1 + ancestor_closure(index_.graph(), static_cast<std::uint32_t>(idx)).size();
-    case CacheStrategy::kCoverSet:
-      return 1 + index_.graph().parents[idx].size();
-  }
-  return 1;
-}
-
 }  // namespace difane

@@ -150,11 +150,6 @@ class CacheRuleGenerator {
   // partition's clipped table, priority order).
   CacheInstall generate(const BitVec& packet, std::size_t matched_idx);
 
-  CacheStrategy strategy() const { return strategy_; }
-  // TCAM entries the strategy would charge for caching each rule (the
-  // paper-style cost of splicing a chain at that rule).
-  std::size_t cost_of(std::size_t idx) const;
-
  private:
   CacheInstall microflow_install(const BitVec& packet, const Rule& matched);
 

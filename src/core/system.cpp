@@ -501,10 +501,10 @@ void Scenario::on_cache_removed(SwitchId sw, const FlowEntry& entry) {
 }
 
 // After the engine drains: final-drain every exporter, then feed the
-// collector (and the optional sink) each exporter's batches in exporter-major
-// order. The final batches bypass the export channel — there is no engine
-// time left to pay latency in — so they carry kFinal records and fresh seqs
-// but never contend with in-flight traffic.
+// collector each exporter's batches in exporter-major order. The final
+// batches bypass the export channel — there is no engine time left to pay
+// latency in — so they carry kFinal records and fresh seqs but never contend
+// with in-flight traffic.
 void Scenario::finalize_measurement() {
   if (!params_.measurement.enabled) return;
   for (const SwitchId sw : exporters_) {
@@ -528,13 +528,8 @@ void Scenario::finalize_measurement() {
         batches.push_back(std::move(batch));
       }
     }
-    for (const auto& batch : batches) {
-      collector_.on_batch(batch);
-      if (export_sink_ != nullptr) export_sink_->on_batch(batch);
-    }
+    for (const auto& batch : batches) collector_.on_batch(batch);
   }
-  collector_.on_close();
-  if (export_sink_ != nullptr) export_sink_->on_close();
   // Switch-side accounting.
   stats_.telemetry_sampled_packets = 0;
   stats_.telemetry_sampled_bytes = 0;
@@ -1102,8 +1097,6 @@ void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
   std::sort(ordered.begin(), ordered.end(), rule_before);
   for (std::size_t i = 0; i < ordered.size(); ++i) {
     FlowMod mod;
-    mod.op = FlowModOp::kAdd;
-    mod.band = Band::kCache;
     mod.rule = ordered[i];
     mod.idle_timeout = idle_timeout;
     // Every earlier (higher-priority) group member protects this one: if any
@@ -1135,8 +1128,6 @@ void Scenario::punt_to_controller(Packet pkt) {
       // (one-way latency + flow-mod apply cost, in order)...
       if (decision->cache_rule.has_value()) {
         FlowMod mod;
-        mod.op = FlowModOp::kAdd;
-        mod.band = Band::kCache;
         mod.rule = *decision->cache_rule;
         mod.idle_timeout = params_.timings.cache_idle_timeout;
         install_channels_[pkt.ingress]->send(mod);

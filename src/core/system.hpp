@@ -324,9 +324,6 @@ class Scenario {
   // Measurement mode: the controller-side collector, populated by run().
   // Its stream_dump() is the byte-identical-by-(seed, params) surface.
   const obs::FlowCollector& collector() const { return collector_; }
-  // Optional extra sink fed the same batch stream as the collector (in
-  // arrival order), then closed at the end of run(). Not owned.
-  void set_collector_sink(obs::CollectorSink* sink) { export_sink_ = sink; }
 
   // Per-switch telemetry state (nullptr with measurement off or for
   // non-exporting switches); exposed for the tests' conservation checks.
@@ -430,7 +427,6 @@ class Scenario {
   std::vector<SwitchId> exporters_;       // export order: edge, then authorities
   std::vector<std::uint64_t> export_seq_; // per-exporter batch sequence
   obs::FlowCollector collector_;
-  obs::CollectorSink* export_sink_ = nullptr;
   // Live-migration state (params_.migration.enabled only; all empty
   // otherwise, which E7's *_migration_off rows in bench/BASELINE.json pin).
   // Slots are stable for the run so in-flight ack callbacks can address

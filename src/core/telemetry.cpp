@@ -127,20 +127,16 @@ bool FlowTelemetry::idle() const {
 }
 
 void CollectorEndpoint::deliver(const Request& request, ReplyHandler on_reply) {
-  std::visit(
-      [&](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, FlowExport>) {
-          received_.push_back(msg.batch);
-          if (on_batch_) on_batch_(msg.batch);
-          if (on_reply) on_reply(FlowExportAck{msg.xid, msg.batch.seq});
-        } else {
-          // A collector applies nothing else; still ack so a misdirected
-          // request cannot wedge a reliable channel behind it.
-          if (on_reply) on_reply(BarrierReply{msg.xid});
-        }
-      },
-      request);
+  const auto* msg = std::get_if<FlowExport>(&request);
+  if (msg == nullptr) {
+    // A collector applies nothing else; still ack so a misdirected request
+    // cannot wedge a reliable channel behind it.
+    if (on_reply) on_reply(FlowModReply{false});
+    return;
+  }
+  received_.push_back(msg->batch);
+  if (on_batch_) on_batch_(msg->batch);
+  if (on_reply) on_reply(FlowExportAck{msg->batch.seq});
 }
 
 }  // namespace difane

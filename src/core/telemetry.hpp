@@ -120,7 +120,7 @@ class FlowTelemetry {
 
 // Controller-side endpoint of an export channel: the ControlEndpoint that
 // receives FlowExport requests, buffers the batches (the Scenario feeds them
-// to the CollectorSink in deterministic exporter-major order at end of run),
+// to the FlowCollector in deterministic exporter-major order at end of run),
 // fires an optional hook per batch (the heartbeat piggyback), and acks so
 // the reliable channel stops retransmitting.
 class CollectorEndpoint : public ControlEndpoint {
@@ -132,7 +132,6 @@ class CollectorEndpoint : public ControlEndpoint {
 
   void deliver(const Request& request, ReplyHandler on_reply) override;
 
-  const std::vector<obs::FlowExportBatch>& received() const { return received_; }
   std::vector<obs::FlowExportBatch> take() { return std::move(received_); }
 
  private:

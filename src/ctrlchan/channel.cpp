@@ -12,28 +12,9 @@ std::vector<double> ControlChannel::draw_deliveries() {
 
 void ControlChannel::send(Request request, ControlEndpoint::ReplyHandler on_reply) {
   ++sent_;
-  if (!reliability_.enabled && faults_ == nullptr) {
-    // Legacy exactly-once path, byte-identical to the pre-reliability
-    // implementation (the deterministic baseline is calibrated against its
-    // exact event pattern).
-    ++transmissions_;
-    engine_.after(latency_, [this, request = std::move(request),
-                             on_reply = std::move(on_reply)]() {
-      ControlEndpoint::ReplyHandler wrapped;
-      if (on_reply) {
-        wrapped = [this, on_reply](const Reply& reply) {
-          engine_.after(latency_, [on_reply, reply]() { on_reply(reply); });
-        };
-      }
-      agent_.deliver(request, std::move(wrapped));
-    });
-    return;
-  }
-
   if (!reliability_.enabled) {
-    // Unreliable wire with faults: every drawn copy is delivered and applied
-    // as-is — losses vanish, duplicates double-apply, jitter reorders. This
-    // is the mode the chaos suite uses to prove the *system* (not the
+    // Unreliable wire: every drawn copy is delivered and applied as-is. The
+    // chaos suite runs the system on it to prove the *system* (not the
     // channel) degrades gracefully.
     ++transmissions_;
     for (const double extra : draw_deliveries()) {

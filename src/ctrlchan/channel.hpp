@@ -6,9 +6,11 @@
 //
 // Two delivery modes:
 //
-//  * Legacy (default): exactly-once, fixed latency — the fairy-tale wire the
-//    deterministic benches are calibrated against. With no fault source
-//    attached this path is byte-identical to the original implementation.
+//  * Unreliable (default): every copy the fault source draws is delivered
+//    and applied as-is — losses vanish, duplicates double-apply, jitter
+//    reorders. With no fault source each request is one event at the
+//    channel latency and its reply one more: the exactly-once wire the
+//    deterministic benches are calibrated against.
 //
 //  * Reliable: sequence numbers on every request, an ack (carrying the
 //    reply) per applied request, timeout + capped exponential backoff
@@ -76,9 +78,6 @@ class ControlChannel {
   // the reply has travelled back. In reliable mode `on_reply` fires exactly
   // once (on the first ack) no matter how many copies the wire made.
   void send(Request request, ControlEndpoint::ReplyHandler on_reply = {});
-
-  double latency() const { return latency_; }
-  bool reliable() const { return reliability_.enabled; }
 
   // Sender-side counters.
   std::uint64_t sent() const { return sent_; }                // send() calls

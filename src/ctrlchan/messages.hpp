@@ -1,10 +1,10 @@
 // OpenFlow-1.0-flavored control messages. DIFANE's promise is that the
 // controller (and authority switches) manage switch state through ordinary
 // flow-table messages — no new switch hardware. This module models the
-// message vocabulary the paper relies on: flow modifications, packet
-// injection, barriers (ordering), and flow-statistics queries whose answers
-// aggregate per *policy* rule even when the rule was clipped into many
-// installed copies.
+// messages the simulator sends: cache-band FlowMod adds (authority switch ->
+// ingress, or the NOX controller's microflow install), the three
+// partition-migration messages, and telemetry export batches toward the
+// collector.
 #pragma once
 
 #include <cstdint>
@@ -17,49 +17,12 @@
 
 namespace difane {
 
-using Xid = std::uint32_t;  // transaction id echoed in replies
-
-enum class FlowModOp : std::uint8_t { kAdd = 0, kModify, kDelete };
-
+// Add (or refresh in place, by rule id) one cache-band entry.
 struct FlowMod {
-  Xid xid = 0;
-  FlowModOp op = FlowModOp::kAdd;
-  Band band = Band::kCache;
-  Rule rule;                  // for kDelete only rule.id is consulted
-  double idle_timeout = 0.0;  // cache band only
-  double hard_timeout = 0.0;
+  Rule rule;
+  double idle_timeout = 0.0;
   // Protector entries this rule depends on (see FlowEntry::guards).
   std::vector<RuleId> guards;
-};
-
-// Inject a packet at the switch as if it arrived on a port (the NOX
-// packet-out used to resume a punted packet).
-struct PacketOut {
-  Xid xid = 0;
-  BitVec header;
-  std::uint32_t bytes = 100;
-  Action action;  // the action the controller decided on
-};
-
-// Process all previously received messages before replying.
-struct BarrierRequest {
-  Xid xid = 0;
-};
-
-// Ask for counters. `origin` filters by the origin (policy) rule id;
-// kInvalidRuleId means "everything".
-struct FlowStatsRequest {
-  Xid xid = 0;
-  RuleId origin = kInvalidRuleId;
-};
-
-// One telemetry export batch travelling switch -> collector. Unlike the
-// requests above this one flows *toward* the controller, which is why the
-// channel endpoint is an abstract ControlEndpoint (below): the collector
-// side reuses the exact same reliable-delivery machinery as a switch agent.
-struct FlowExport {
-  Xid xid = 0;
-  obs::FlowExportBatch batch;
 };
 
 // ---- live partition migration ("make-before-break" re-homing) -----------
@@ -72,7 +35,6 @@ struct FlowExport {
 // make-before-break "make": the destination is fully stocked before any
 // ingress is flipped toward it).
 struct PartitionInstall {
-  Xid xid = 0;
   std::vector<Rule> rules;  // authority-band copies for one partition
 };
 
@@ -80,7 +42,6 @@ struct PartitionInstall {
 // partition at its new home. The rule id is stable per partition, so the
 // flip refreshes the existing entry in place.
 struct PartitionFlip {
-  Xid xid = 0;
   Rule rule;  // partition-band redirect (encap to the new authority)
 };
 
@@ -88,48 +49,32 @@ struct PartitionFlip {
 // authority-band rule ids. Removing an id the switch no longer holds (crash,
 // duplicate retire) is a silent no-op.
 struct PartitionRetire {
-  Xid xid = 0;
   std::vector<RuleId> rule_ids;
 };
 
-using Request =
-    std::variant<FlowMod, PacketOut, BarrierRequest, FlowStatsRequest, FlowExport,
-                 PartitionInstall, PartitionFlip, PartitionRetire>;
+// One telemetry export batch travelling switch -> collector. Unlike the
+// requests above this one flows *toward* the controller, which is why the
+// channel endpoint is an abstract ControlEndpoint (below): the collector
+// side reuses the exact same reliable-delivery machinery as a switch agent.
+struct FlowExport {
+  obs::FlowExportBatch batch;
+};
+
+using Request = std::variant<FlowMod, PartitionInstall, PartitionFlip,
+                             PartitionRetire, FlowExport>;
 
 // ---- replies -------------------------------------------------------------
 
 struct FlowModReply {
-  Xid xid = 0;
   bool ok = false;
-};
-
-struct BarrierReply {
-  Xid xid = 0;
-};
-
-// One row per distinct origin rule: counters summed over every installed
-// copy (clipped partitions copies, microflow entries, shadow rules), so the
-// controller sees exactly the per-policy-rule counters it would have seen
-// with one giant table. This is the transparency property.
-struct FlowStatsEntry {
-  RuleId origin = kInvalidRuleId;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t installed_copies = 0;
-};
-
-struct FlowStatsReply {
-  Xid xid = 0;
-  std::vector<FlowStatsEntry> entries;
 };
 
 // Acknowledges a FlowExport batch by its per-exporter sequence number.
 struct FlowExportAck {
-  Xid xid = 0;
   std::uint64_t seq = 0;
 };
 
-using Reply = std::variant<FlowModReply, BarrierReply, FlowStatsReply, FlowExportAck>;
+using Reply = std::variant<FlowModReply, FlowExportAck>;
 
 // ---- endpoint ------------------------------------------------------------
 

@@ -22,18 +22,14 @@ void SwitchAgent::deliver(const Request& request, ReplyHandler on_reply) {
   const double cost = std::visit(
       [&](const auto& msg) -> double {
         using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, FlowMod>) return kCosts.flow_mod_cost;
-        if constexpr (std::is_same_v<T, PacketOut>) return kCosts.packet_out_cost;
-        if constexpr (std::is_same_v<T, FlowStatsRequest>) return kCosts.stats_cost;
         if constexpr (std::is_same_v<T, PartitionInstall>) {
           // A bulk authority install pays per rule, like the equivalent
           // stream of FlowMods would.
           return kCosts.flow_mod_cost *
                  static_cast<double>(std::max<std::size_t>(1, msg.rules.size()));
         }
-        if constexpr (std::is_same_v<T, PartitionFlip>) return kCosts.flow_mod_cost;
-        if constexpr (std::is_same_v<T, PartitionRetire>) return kCosts.flow_mod_cost;
-        return 0.0;  // barriers only wait for the pipeline to drain
+        if constexpr (std::is_same_v<T, FlowExport>) return 0.0;
+        return kCosts.flow_mod_cost;
       },
       request);
   const double done = admit(cost);
@@ -63,50 +59,20 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
         using T = std::decay_t<decltype(msg)>;
         if constexpr (std::is_same_v<T, FlowMod>) {
           bool ok = false;
-          switch (msg.op) {
-            case FlowModOp::kAdd:
-            case FlowModOp::kModify: {
-              bool guards_ok = true;
-              if (strict_guards_ && msg.band == Band::kCache) {
-                for (const RuleId g : msg.guards) {
-                  if (switch_.table().find(g, Band::kCache) == nullptr) {
-                    guards_ok = false;
-                    break;
-                  }
-                }
-              }
-              if (!guards_ok) {
-                ++guard_rejects_;
-              } else if (install_fault_ && install_fault_()) {
-                ++install_faults_;
-              } else {
-                ok = switch_.table().install(msg.rule, msg.band, now,
-                                             msg.idle_timeout, msg.hard_timeout,
-                                             msg.guards);
-              }
-              break;
-            }
-            case FlowModOp::kDelete:
-              ok = switch_.table().remove(msg.rule.id, msg.band);
-              break;
+          const bool guards_ok =
+              !strict_guards_ ||
+              std::all_of(msg.guards.begin(), msg.guards.end(), [&](RuleId g) {
+                return switch_.table().find(g, Band::kCache) != nullptr;
+              });
+          if (!guards_ok) {
+            ++guard_rejects_;
+          } else if (install_fault_ && install_fault_()) {
+            ++install_faults_;
+          } else {
+            ok = switch_.table().install(msg.rule, Band::kCache, now,
+                                         msg.idle_timeout, 0.0, msg.guards);
           }
-          if (on_reply) on_reply(FlowModReply{msg.xid, ok});
-        } else if constexpr (std::is_same_v<T, PacketOut>) {
-          if (packet_out_) packet_out_(msg);
-          // Confirm application when asked: a reliable channel needs every
-          // request type to produce an ack-carrying reply.
-          if (on_reply) on_reply(BarrierReply{msg.xid});
-        } else if constexpr (std::is_same_v<T, BarrierRequest>) {
-          // All earlier messages were applied before this event fired (the
-          // pipeline cursor serialized them), so the barrier holds.
-          if (on_reply) on_reply(BarrierReply{msg.xid});
-        } else if constexpr (std::is_same_v<T, FlowStatsRequest>) {
-          if (on_reply) {
-            FlowStatsReply reply;
-            reply.xid = msg.xid;
-            reply.entries = collect_stats(switch_, msg.origin);
-            on_reply(reply);
-          }
+          if (on_reply) on_reply(FlowModReply{ok});
         } else if constexpr (std::is_same_v<T, PartitionInstall>) {
           // Migration "make" step. A failed switch acks ok=false without
           // touching its (cleared) table, so the migration state machine can
@@ -117,7 +83,7 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
               switch_.table().install(rule, Band::kAuthority, now);
             }
           }
-          if (on_reply) on_reply(FlowModReply{msg.xid, ok});
+          if (on_reply) on_reply(FlowModReply{ok});
         } else if constexpr (std::is_same_v<T, PartitionFlip>) {
           bool ok = !switch_.failed();
           if (ok) {
@@ -126,7 +92,7 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
             // target. Re-applying a duplicate flip is a no-op.
             switch_.table().install(msg.rule, Band::kPartition, now);
           }
-          if (on_reply) on_reply(FlowModReply{msg.xid, ok});
+          if (on_reply) on_reply(FlowModReply{ok});
         } else if constexpr (std::is_same_v<T, PartitionRetire>) {
           bool ok = !switch_.failed();
           if (ok) {
@@ -134,18 +100,18 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
               switch_.table().remove(id, Band::kAuthority);
             }
           }
-          if (on_reply) on_reply(FlowModReply{msg.xid, ok});
+          if (on_reply) on_reply(FlowModReply{ok});
         } else if constexpr (std::is_same_v<T, FlowExport>) {
           // A switch agent is not a collector; export batches terminate at a
           // CollectorEndpoint. Still ack so a misdirected batch cannot wedge
           // a reliable channel behind an unackable message.
-          if (on_reply) on_reply(FlowExportAck{msg.xid, msg.batch.seq});
+          if (on_reply) on_reply(FlowExportAck{msg.batch.seq});
         }
       },
       request);
 }
 
-std::vector<FlowStatsEntry> collect_stats(const Switch& sw, RuleId origin_filter) {
+std::vector<FlowStatsEntry> collect_stats(const Switch& sw) {
   std::map<RuleId, FlowStatsEntry> by_origin;
   for (const auto band : {Band::kCache, Band::kAuthority}) {
     for (const auto& entry : sw.table().entries(band)) {
@@ -153,7 +119,6 @@ std::vector<FlowStatsEntry> collect_stats(const Switch& sw, RuleId origin_filter
       // those hits are counted again at the authority switch's policy rule.
       if (entry.rule.action.type == ActionType::kEncap) continue;
       const RuleId origin = entry.rule.origin_or_self();
-      if (origin_filter != kInvalidRuleId && origin != origin_filter) continue;
       auto& row = by_origin[origin];
       row.origin = origin;
       row.packets += entry.packets;
@@ -163,7 +128,6 @@ std::vector<FlowStatsEntry> collect_stats(const Switch& sw, RuleId origin_filter
   }
   // Counters that left the table with evicted/expired/deleted entries.
   for (const auto& [origin, counters] : sw.table().retired()) {
-    if (origin_filter != kInvalidRuleId && origin != origin_filter) continue;
     auto& row = by_origin[origin];
     row.origin = origin;
     row.packets += counters.packets;

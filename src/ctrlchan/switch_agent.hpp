@@ -1,8 +1,7 @@
 // The switch-local control agent: receives control messages, applies them to
 // the switch's flow table in arrival order, and emits replies. Message
-// processing takes time (a real switch's flow-mod path is ~ms-scale), which
-// is what makes barriers meaningful: a BarrierReply is issued only after
-// every earlier message has been *applied*, not merely received.
+// processing takes time (a real switch's flow-mod path is ~ms-scale), so a
+// reply means the request has been *applied*, not merely received.
 //
 // Admitted requests wait in a FIFO, each with its apply time and the engine
 // number it took at delivery; only the head has an engine event. The head's
@@ -23,20 +22,15 @@
 
 namespace difane {
 
-// Per-message apply times. Every SwitchAgent uses these defaults (kCosts in
-// switch_agent.cpp); the struct lets other code read them.
+// Per-message apply time. Every SwitchAgent uses this default (kCosts in
+// switch_agent.cpp); the struct lets other code read it.
 struct SwitchAgentParams {
   double flow_mod_cost = 1e-4;   // apply time per flow-mod (typical ~0.1-1ms)
-  double stats_cost = 5e-4;      // walking the table for counters
-  double packet_out_cost = 1e-5;
 };
 
 class SwitchAgent : public ControlEndpoint {
  public:
   using ReplyHandler = ControlEndpoint::ReplyHandler;
-  // Invoked when a PacketOut is applied: the embedding system decides what
-  // "executing the action at this switch" means (forwarding lives in core/).
-  using PacketOutHandler = std::function<void(const PacketOut&)>;
 
   SwitchAgent(Engine& engine, Switch& sw) : engine_(engine), switch_(sw) {}
 
@@ -45,13 +39,9 @@ class SwitchAgent : public ControlEndpoint {
   // is emitted through `on_reply` when the request finishes applying.
   void deliver(const Request& request, ReplyHandler on_reply = {}) override;
 
-  void set_packet_out_handler(PacketOutHandler handler) {
-    packet_out_ = std::move(handler);
-  }
-
-  // Fault hook: invoked per FlowMod add/modify; returning true makes the
-  // install fail at the switch (the reply still flows, ok = false). Models a
-  // TCAM write error / partial install under the fault-injection layer.
+  // Fault hook: invoked per FlowMod; returning true makes the install fail
+  // at the switch (the reply still flows, ok = false). Models a TCAM write
+  // error / partial install under the fault-injection layer.
   using InstallFaultHook = std::function<bool()>;
   void set_install_fault_hook(InstallFaultHook hook) {
     install_fault_ = std::move(hook);
@@ -85,7 +75,6 @@ class SwitchAgent : public ControlEndpoint {
 
   Engine& engine_;
   Switch& switch_;
-  PacketOutHandler packet_out_;
   InstallFaultHook install_fault_;
   bool strict_guards_ = false;
   double next_free_ = 0.0;  // serialization of the agent's control pipeline
@@ -95,11 +84,21 @@ class SwitchAgent : public ControlEndpoint {
   std::uint64_t guard_rejects_ = 0;
 };
 
+// One row per distinct origin rule: counters summed over every installed
+// copy (clipped partitions copies, microflow entries, shadow rules), so the
+// controller sees exactly the per-policy-rule counters it would have seen
+// with one giant table. This is the transparency property.
+struct FlowStatsEntry {
+  RuleId origin = kInvalidRuleId;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t installed_copies = 0;
+};
+
 // Aggregate counters per origin rule across one switch's whole table.
 // Copies (partition clippings, shadow rules, microflow entries) fold into
 // their origin; rules with no origin report under their own id.
-std::vector<FlowStatsEntry> collect_stats(const Switch& sw,
-                                          RuleId origin_filter = kInvalidRuleId);
+std::vector<FlowStatsEntry> collect_stats(const Switch& sw);
 
 // Merge stats rows from several switches (same origin folds together).
 std::vector<FlowStatsEntry> merge_stats(

@@ -48,8 +48,8 @@ struct FaultPlan {
   double msg_jitter_prob = 0.0;  // P[a delivery picks up extra latency]
   double msg_jitter_max = 0.0;   // extra latency ~ U[0, msg_jitter_max]
 
-  // P[an applied FlowMod add/modify fails at the switch] — the partial /
-  // failed cache-install fault. The reply still flows (ok = false).
+  // P[an applied FlowMod fails at the switch] — the partial / failed
+  // cache-install fault. The reply still flows (ok = false).
   double install_fail = 0.0;
 
   std::vector<LinkFlap> link_flaps;

@@ -28,7 +28,6 @@ class Link {
   }
 
   SimTime latency() const { return latency_; }
-  double rate_bps() const { return rate_bps_; }
   std::uint64_t packets() const { return packets_; }
   std::uint64_t bytes() const { return bytes_; }
   // Queueing backlog at `now` in seconds of serialization time.

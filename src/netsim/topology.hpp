@@ -50,8 +50,6 @@ class Network {
   // cable cut would. Routes recompute lazily around it.
   void set_link_failed(SwitchId a, SwitchId b, bool down);
 
-  void invalidate_routes() { routes_valid_ = false; }
-
  private:
   void recompute_routes();
 

@@ -1,6 +1,6 @@
 #include "obs/flow_export.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 namespace difane::obs {
 
@@ -16,7 +16,7 @@ const char* export_kind_name(ExportKind kind) {
 namespace {
 
 // Headers serialize as 64 hex chars, most-significant word first, so the
-// string sorts like the 256-bit value and round-trips exactly.
+// string sorts like the 256-bit value and loses no bit.
 std::string header_to_hex(const BitVec& v) {
   static const char* digits = "0123456789abcdef";
   std::string out;
@@ -27,40 +27,6 @@ std::string header_to_hex(const BitVec& v) {
     }
   }
   return out;
-}
-
-BitVec header_from_hex(const std::string& s) {
-  if (s.size() != kHeaderWords * 16) {
-    throw std::runtime_error("flow-export: header must be " +
-                             std::to_string(kHeaderWords * 16) +
-                             " hex chars, got " + std::to_string(s.size()));
-  }
-  BitVec v;
-  std::size_t i = 0;
-  for (std::size_t w = kHeaderWords; w-- > 0;) {
-    std::uint64_t word = 0;
-    for (std::size_t d = 0; d < 16; ++d, ++i) {
-      const char c = s[i];
-      std::uint64_t nibble = 0;
-      if (c >= '0' && c <= '9') {
-        nibble = static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        nibble = static_cast<std::uint64_t>(c - 'a' + 10);
-      } else {
-        throw std::runtime_error("flow-export: bad hex char in header");
-      }
-      word = (word << 4) | nibble;
-    }
-    v.w[w] = word;
-  }
-  return v;
-}
-
-ExportKind kind_from_name(const std::string& name) {
-  if (name == "periodic") return ExportKind::kPeriodic;
-  if (name == "evict") return ExportKind::kEvict;
-  if (name == "final") return ExportKind::kFinal;
-  throw std::runtime_error("flow-export: unknown record kind '" + name + "'");
 }
 
 }  // namespace
@@ -77,18 +43,6 @@ Json FlowExportRecord::to_json() const {
   return Json(std::move(o));
 }
 
-FlowExportRecord FlowExportRecord::from_json(const Json& doc) {
-  FlowExportRecord r;
-  r.header = header_from_hex(doc.get("header").as_string());
-  r.sampled_packets = static_cast<std::uint64_t>(doc.get("packets").as_number());
-  r.sampled_bytes = static_cast<std::uint64_t>(doc.get("bytes").as_number());
-  r.first_seen = doc.get("first_seen").as_number();
-  r.last_seen = doc.get("last_seen").as_number();
-  r.rule = static_cast<std::uint64_t>(doc.get("rule").as_number());
-  r.kind = kind_from_name(doc.get("kind").as_string());
-  return r;
-}
-
 Json FlowExportBatch::to_json() const {
   Json::Object o;
   o["schema"] = Json(kFlowExportSchema);
@@ -102,27 +56,6 @@ Json FlowExportBatch::to_json() const {
   for (const auto& r : records) records_json.push_back(r.to_json());
   o["records"] = Json(std::move(records_json));
   return Json(std::move(o));
-}
-
-FlowExportBatch FlowExportBatch::from_json(const Json& doc) {
-  const std::string& schema = doc.get("schema").as_string();
-  if (schema != kFlowExportSchema) {
-    throw std::runtime_error("flow-export: schema mismatch: got '" + schema +
-                             "', want '" + kFlowExportSchema + "'");
-  }
-  FlowExportBatch b;
-  b.exporter = static_cast<std::uint32_t>(doc.get("exporter").as_number());
-  b.seq = static_cast<std::uint64_t>(doc.get("seq").as_number());
-  b.beat_seq = static_cast<std::uint64_t>(doc.get("beat_seq").as_number());
-  b.sent_at = doc.get("sent_at").as_number();
-  b.sample_prob = doc.get("sample_prob").as_number();
-  if (b.sample_prob <= 0.0 || b.sample_prob > 1.0) {
-    throw std::runtime_error("flow-export: sample_prob out of (0, 1]");
-  }
-  for (const auto& rec : doc.get("records").as_array()) {
-    b.records.push_back(FlowExportRecord::from_json(rec));
-  }
-  return b;
 }
 
 void FlowCollector::on_batch(const FlowExportBatch& batch) {
@@ -160,13 +93,6 @@ Json FlowCollector::stream_json() const {
   out.reserve(stream_.size());
   for (const auto& batch : stream_) out.push_back(batch.to_json());
   return Json(std::move(out));
-}
-
-void FlowCollector::clear() {
-  flows_.clear();
-  index_.clear();
-  stream_.clear();
-  batches_ = records_ = keepalives_ = evict_records_ = final_records_ = 0;
 }
 
 }  // namespace difane::obs

@@ -41,12 +41,6 @@ struct FlowExportRecord {
   ExportKind kind = ExportKind::kPeriodic;
 
   Json to_json() const;
-  static FlowExportRecord from_json(const Json& doc);
-  friend bool operator==(const FlowExportRecord& a, const FlowExportRecord& b) {
-    return a.header == b.header && a.sampled_packets == b.sampled_packets &&
-           a.sampled_bytes == b.sampled_bytes && a.first_seen == b.first_seen &&
-           a.last_seen == b.last_seen && a.rule == b.rule && a.kind == b.kind;
-  }
 };
 
 // One export message from one switch: a batch of records plus the liveness
@@ -63,28 +57,15 @@ struct FlowExportBatch {
 
   bool keepalive() const { return records.empty(); }
 
-  // {"schema": "difane-flow-export-v1", ...}; from_json validates the schema
-  // string and every field, throwing std::runtime_error naming the problem.
+  // {"schema": "difane-flow-export-v1", ...}
   Json to_json() const;
-  static FlowExportBatch from_json(const Json& doc);
-};
-
-// Where collected batches go. The collector machinery is a public API, not
-// bench plumbing: tests plug in MemoryCollectorSink, benches JsonCollectorSink,
-// embedders anything else.
-class CollectorSink {
- public:
-  virtual ~CollectorSink() = default;
-  virtual void on_batch(const FlowExportBatch& batch) = 0;
-  // The run is over; no further batches will arrive.
-  virtual void on_close() {}
 };
 
 // The controller-side collector: aggregates per-flow totals across every
 // exporter and keeps the canonical batch stream (arrival order) whose JSON
 // dump is the byte-identity surface. Estimates divide by the sampling
 // probability each batch declares.
-class FlowCollector : public CollectorSink {
+class FlowCollector {
  public:
   struct FlowTotals {
     std::uint64_t sampled_packets = 0;
@@ -95,7 +76,7 @@ class FlowCollector : public CollectorSink {
     double last_seen = 0.0;
   };
 
-  void on_batch(const FlowExportBatch& batch) override;
+  void on_batch(const FlowExportBatch& batch);
 
   // Aggregated totals in first-appearance order (deterministic).
   const std::vector<std::pair<BitVec, FlowTotals>>& flows() const {
@@ -114,8 +95,6 @@ class FlowCollector : public CollectorSink {
   Json stream_json() const;
   std::string stream_dump() const { return stream_json().dump(); }
 
-  void clear();
-
  private:
   std::vector<std::pair<BitVec, FlowTotals>> flows_;
   std::unordered_map<BitVec, std::size_t> index_;
@@ -125,34 +104,6 @@ class FlowCollector : public CollectorSink {
   std::uint64_t keepalives_ = 0;
   std::uint64_t evict_records_ = 0;
   std::uint64_t final_records_ = 0;
-};
-
-// Test sink: remembers every batch verbatim.
-class MemoryCollectorSink : public CollectorSink {
- public:
-  void on_batch(const FlowExportBatch& batch) override {
-    batches_.push_back(batch);
-  }
-  void on_close() override { closed_ = true; }
-  const std::vector<FlowExportBatch>& batches() const { return batches_; }
-  bool closed() const { return closed_; }
-
- private:
-  std::vector<FlowExportBatch> batches_;
-  bool closed_ = false;
-};
-
-// Bench sink: accumulates the stream as a JSON array (same deterministic
-// serialization as the MetricsReport exporters).
-class JsonCollectorSink : public CollectorSink {
- public:
-  void on_batch(const FlowExportBatch& batch) override {
-    stream_.push_back(batch.to_json());
-  }
-  Json json() const { return Json(stream_); }
-
- private:
-  Json::Array stream_;
 };
 
 }  // namespace difane::obs

@@ -58,31 +58,4 @@ std::vector<MigrationStep> plan_rebalance_wave(const PartitionPlan& plan,
   return steps;
 }
 
-std::vector<MigrationStep> diff_assignments(const PartitionPlan& before,
-                                            const PartitionPlan& after) {
-  expects(before.partitions().size() == after.partitions().size(),
-          "diff_assignments: plans must cover the same partitions");
-  std::vector<MigrationStep> steps;
-  for (std::size_t i = 0; i < before.partitions().size(); ++i) {
-    const auto& b = before.partitions()[i];
-    const auto& a = after.partitions()[i];
-    expects(b.id == a.id, "diff_assignments: partition ordering mismatch");
-    if (b.primary == a.primary) continue;
-    steps.push_back(MigrationStep{i, b.primary, a.primary, b.rules.size()});
-  }
-  return steps;
-}
-
-std::vector<std::vector<MigrationStep>> batch_waves(std::vector<MigrationStep> steps,
-                                                    std::uint32_t wave_size) {
-  expects(wave_size >= 1, "batch_waves: wave_size must be >= 1");
-  std::vector<std::vector<MigrationStep>> waves;
-  for (std::size_t at = 0; at < steps.size(); at += wave_size) {
-    const auto end = std::min(steps.size(), at + wave_size);
-    waves.emplace_back(steps.begin() + static_cast<std::ptrdiff_t>(at),
-                       steps.begin() + static_cast<std::ptrdiff_t>(end));
-  }
-  return waves;
-}
-
 }  // namespace difane

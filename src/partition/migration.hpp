@@ -35,14 +35,4 @@ struct MigrationPlannerParams {
 std::vector<MigrationStep> plan_rebalance_wave(const PartitionPlan& plan,
                                                const MigrationPlannerParams& params);
 
-// Diff two assignments of the *same* partition list (e.g. the live plan vs a
-// fresh sticky snapshot): one step per partition whose primary differs.
-// Both plans must have the same partition count and ordering.
-std::vector<MigrationStep> diff_assignments(const PartitionPlan& before,
-                                            const PartitionPlan& after);
-
-// Chunk an arbitrary step list into waves of at most `wave_size` (>= 1).
-std::vector<std::vector<MigrationStep>> batch_waves(
-    std::vector<MigrationStep> steps, std::uint32_t wave_size);
-
 }  // namespace difane

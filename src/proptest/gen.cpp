@@ -8,6 +8,19 @@ namespace difane::proptest {
 
 namespace {
 
+// Probability a rule is derived from an already-generated rule (copy its
+// pattern, then widen/narrow a few bits) instead of drawn fresh. Derived
+// rules are what creates overlap chains and shadowing.
+constexpr double kPDerive = 0.5;
+// For fresh rules: probability each of the classic 5-tuple dimensions is
+// constrained at all (src/dst IP prefix, proto, dst port).
+constexpr double kPDim = 0.6;
+// Of constrained IP dimensions, bias toward short prefixes (wide rules).
+// Higher = more wildcard bits = denser overlap.
+constexpr double kWildcardDensity = 0.4;
+constexpr double kPDropAction = 0.3;
+constexpr std::uint32_t kEgressCount = 4;
+
 // Common transport ports (the values real ACLs constrain) plus a random tail.
 std::uint16_t gen_port(Rng& rng) {
   static constexpr std::uint16_t kCommon[] = {22, 53, 80, 123, 443, 8080};
@@ -17,10 +30,10 @@ std::uint16_t gen_port(Rng& rng) {
   return static_cast<std::uint16_t>(rng.uniform(0, 0xffff));
 }
 
-std::size_t gen_prefix_len(Rng& rng, double wildcard_density) {
-  // Wide prefixes (the overlap makers) with probability wildcard_density,
+std::size_t gen_prefix_len(Rng& rng) {
+  // Wide prefixes (the overlap makers) with probability kWildcardDensity,
   // otherwise the /16../32 range real configs use.
-  if (rng.bernoulli(wildcard_density)) return rng.uniform(4, 16);
+  if (rng.bernoulli(kWildcardDensity)) return rng.uniform(4, 16);
   return rng.uniform(16, 32);
 }
 
@@ -47,27 +60,28 @@ Ternary mutate_pattern(Rng& rng, const Ternary& base) {
   return Ternary(value, care);
 }
 
-}  // namespace
-
-Ternary gen_pattern(Rng& rng, const TableGenParams& params) {
+// Random ternary pattern constraining a few 5-tuple dimensions.
+Ternary gen_pattern(Rng& rng) {
   Ternary t;
-  if (rng.bernoulli(params.p_dim)) {
+  if (rng.bernoulli(kPDim)) {
     match_prefix(t, Field::kIpSrc, rng.next_u64() & 0xffffffffu,
-                 gen_prefix_len(rng, params.wildcard_density));
+                 gen_prefix_len(rng));
   }
-  if (rng.bernoulli(params.p_dim)) {
+  if (rng.bernoulli(kPDim)) {
     match_prefix(t, Field::kIpDst, rng.next_u64() & 0xffffffffu,
-                 gen_prefix_len(rng, params.wildcard_density));
+                 gen_prefix_len(rng));
   }
-  if (rng.bernoulli(params.p_dim * 0.7)) {
+  if (rng.bernoulli(kPDim * 0.7)) {
     static constexpr std::uint8_t kProtos[] = {1, 6, 17};
     match_exact(t, Field::kIpProto, kProtos[rng.uniform(0, 2)]);
   }
-  if (rng.bernoulli(params.p_dim * 0.6)) {
+  if (rng.bernoulli(kPDim * 0.6)) {
     match_exact(t, Field::kTpDst, gen_port(rng));
   }
   return t;
 }
+
+}  // namespace
 
 RuleTable gen_table(Rng& rng, const TableGenParams& params) {
   const std::size_t n = rng.uniform(params.min_rules, params.max_rules);
@@ -81,15 +95,15 @@ RuleTable gen_table(Rng& rng, const TableGenParams& params) {
       priority -= static_cast<Priority>(rng.uniform(1, 2));
     }
     r.priority = priority;
-    if (!rules.empty() && rng.bernoulli(params.p_derive)) {
+    if (!rules.empty() && rng.bernoulli(kPDerive)) {
       r.match = mutate_pattern(rng, rules[rng.uniform(0, rules.size() - 1)].match);
     } else {
-      r.match = gen_pattern(rng, params);
+      r.match = gen_pattern(rng);
     }
-    r.action = rng.bernoulli(params.p_drop_action)
+    r.action = rng.bernoulli(kPDropAction)
                    ? Action::drop()
                    : Action::forward(static_cast<std::uint32_t>(
-                         rng.uniform(0, params.egress_count - 1)));
+                         rng.uniform(0, kEgressCount - 1)));
     r.weight = rng.uniform01() + 0.01;
     rules.push_back(std::move(r));
   }

@@ -15,31 +15,18 @@
 
 namespace difane::proptest {
 
+// The table's shape. How rules overlap and what they do are fixed constants
+// in gen.cpp.
 struct TableGenParams {
   std::size_t min_rules = 2;
   std::size_t max_rules = 48;
-  // Probability a rule is derived from an already-generated rule (copy its
-  // pattern, then widen/narrow a few bits) instead of drawn fresh. Derived
-  // rules are what creates overlap chains and shadowing.
-  double p_derive = 0.5;
-  // For fresh rules: probability each of the classic 5-tuple dimensions is
-  // constrained at all (src/dst IP prefix, proto, dst port).
-  double p_dim = 0.6;
-  // Of constrained IP dimensions, bias toward short prefixes (wide rules).
-  // Higher = more wildcard bits = denser overlap.
-  double wildcard_density = 0.4;
   // Probability two consecutive rules share a priority (tie-break coverage).
   double p_priority_tie = 0.3;
-  double p_drop_action = 0.3;
-  std::uint32_t egress_count = 4;
   // Append a lowest-priority full-wildcard forward rule so every packet
   // matches (required by the end-to-end scenarios; partition/classifier
   // oracles also exercise tables without it).
   bool add_default = true;
 };
-
-// Random ternary pattern constraining a few 5-tuple dimensions.
-Ternary gen_pattern(Rng& rng, const TableGenParams& params);
 
 // Random rule table. Ids are 0..n-1 in generation order; priorities descend
 // in bands with occasional ties; weights are uniform.

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "classifier/linear.hpp"
 #include "core/authority.hpp"
 #include "core/system.hpp"
 #include "flowspace/header.hpp"
@@ -47,10 +46,9 @@ std::vector<BitVec> probes_for(const Counterexample& cex, const RuleTable& table
 Violation check_classifier_agreement(const Counterexample& cex,
                                      const DTreeParams& params) {
   const RuleTable table = cex.table();
-  const LinearClassifier linear{table};
   const DTreeClassifier tree(table, params);
   for (std::size_t i = 0; i < cex.packets.size(); ++i) {
-    const Rule* a = linear.classify(cex.packets[i]);
+    const Rule* a = table.match(cex.packets[i]);
     const Rule* b = tree.classify(cex.packets[i]);
     const bool same = (a == nullptr && b == nullptr) ||
                       (a != nullptr && b != nullptr && a->id == b->id);

@@ -1,6 +1,7 @@
 #include "workload/serialize.hpp"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -15,6 +16,15 @@ namespace {
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw std::runtime_error("parse error at line " + std::to_string(line) + ": " + what);
+}
+
+// A number token's value (util::parse_count / parse_double: whole token, no
+// sign on counts), or a parse error naming the field.
+template <typename T>
+T number(std::optional<T> value, std::size_t line, const char* what,
+         const std::string& token) {
+  if (!value) fail(line, std::string("bad ") + what + " '" + token + "'");
+  return *value;
 }
 
 std::string action_to_token(const Action& action) {
@@ -137,10 +147,14 @@ RuleTable load_policy(std::istream& is) {
     ls >> tag;
     if (tag != "rule") fail(lineno, "expected 'rule', got '" + tag + "'");
     Rule rule;
-    std::string action_token;
-    if (!(ls >> rule.id >> rule.priority >> action_token >> rule.weight)) {
+    std::string id, action_token, weight;
+    if (!(ls >> id >> rule.priority >> action_token >> weight)) {
       fail(lineno, "malformed rule line");
     }
+    rule.id = number(util::parse_count<RuleId>(id.c_str()), lineno, "rule id", id);
+    if (rule.id == kInvalidRuleId) fail(lineno, "rule id " + id + " is reserved");
+    rule.weight = number(util::parse_double(weight.c_str()), lineno, "weight", weight);
+    if (rule.weight < 0.0) fail(lineno, "negative weight");
     if (!ids.insert(rule.id).second) {
       fail(lineno, "duplicate rule id " + std::to_string(rule.id));
     }
@@ -181,14 +195,20 @@ std::vector<FlowSpec> load_trace(std::istream& is) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
-    std::string tag, hex;
-    FlowSpec flow;
+    std::string tag, id, start, packets, gap, ingress, hex;
     ls >> tag;
     if (tag != "flow") fail(lineno, "expected 'flow', got '" + tag + "'");
-    if (!(ls >> flow.id >> flow.start >> flow.packets >> flow.packet_gap >>
-          flow.ingress_index >> hex)) {
+    if (!(ls >> id >> start >> packets >> gap >> ingress >> hex)) {
       fail(lineno, "malformed flow line");
     }
+    FlowSpec flow;
+    flow.id = number(util::parse_count<std::uint64_t>(id.c_str()), lineno, "flow id", id);
+    flow.start = number(util::parse_double(start.c_str()), lineno, "start", start);
+    flow.packets = number(util::parse_count<std::size_t>(packets.c_str()), lineno,
+                          "packets", packets);
+    flow.packet_gap = number(util::parse_double(gap.c_str()), lineno, "packet_gap", gap);
+    flow.ingress_index = number(util::parse_count<std::uint32_t>(ingress.c_str()),
+                                lineno, "ingress index", ingress);
     if (!(flow.start >= 0.0)) fail(lineno, "negative flow start");
     if (!(flow.packet_gap >= 0.0)) fail(lineno, "negative packet_gap");
     flow.header = header_from_hex(hex, lineno);

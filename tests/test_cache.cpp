@@ -189,19 +189,25 @@ TEST(Cache, CostsReflectStrategy) {
   Harness dep(chain_policy(), CacheStrategy::kDependentSet, 1000, 1);
   Harness cov(chain_policy(), CacheStrategy::kCoverSet, 1000, 1);
   Harness micro(chain_policy(), CacheStrategy::kMicroflow, 1000, 1);
-  const auto pid = dep.plan.partitions()[0].id;
-  const auto dep_costs = dep.node.splice_costs(pid);
-  const auto cov_costs = cov.node.splice_costs(pid);
-  const auto micro_costs = micro.node.splice_costs(pid);
-  ASSERT_EQ(dep_costs.size(), 4u);
-  // Table order: /32 (prio 40), /24, /16, default.
-  EXPECT_EQ(dep_costs[0], 1u);
-  EXPECT_EQ(dep_costs[1], 2u);
-  EXPECT_EQ(dep_costs[2], 3u);
-  EXPECT_EQ(dep_costs[3], 4u);
-  EXPECT_EQ(cov_costs[3], 2u);  // default + one shadow
-  for (const auto c : micro_costs) EXPECT_EQ(c, 1u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_LE(cov_costs[i], dep_costs[i]);
+  // One packet per chain level: /32 (prio 40), /24, /16, default.
+  const BitVec packets[] = {
+      PacketBuilder().ip_dst(make_ipv4(10, 1, 1, 1)).build(),
+      PacketBuilder().ip_dst(make_ipv4(10, 1, 1, 7)).build(),
+      PacketBuilder().ip_dst(make_ipv4(10, 1, 2, 1)).build(),
+      PacketBuilder().ip_dst(make_ipv4(99, 0, 0, 1)).build()};
+  // TCAM entries one cache decision installs for that level.
+  const auto cost = [](Harness& h, const BitVec& packet) {
+    const auto result = h.node.handle(packet);
+    EXPECT_TRUE(result.has_value());
+    return result ? result->install.rules.size() : 0u;
+  };
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t dep_cost = cost(dep, packets[i]);
+    EXPECT_EQ(dep_cost, i + 1) << "level " << i;  // the whole chain above it
+    EXPECT_EQ(cost(micro, packets[i]), 1u) << "level " << i;
+    EXPECT_LE(cost(cov, packets[i]), dep_cost) << "level " << i;
+  }
+  EXPECT_EQ(cost(cov, packets[3]), 2u);  // default + one shadow
 }
 
 TEST(Cache, HandleReturnsNulloptOutsideBoundPartitions) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "classifier/dtree.hpp"
-#include "classifier/linear.hpp"
 #include "workload/rulegen.hpp"
 
 namespace difane {
@@ -14,8 +13,7 @@ TEST(Linear, WildcardRuleMatches) {
   def.priority = 0;
   def.action = Action::forward(0);
   t.add(def);
-  LinearClassifier c(t);
-  const Rule* hit = c.classify(BitVec{});
+  const Rule* hit = t.match(BitVec{});
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->id, 0u);
 }
@@ -63,7 +61,6 @@ class DTreeEquivalence
 TEST_P(DTreeEquivalence, MatchesLinearReference) {
   const auto [seed, leaf_size] = GetParam();
   const auto policy = classbench_like(800, seed);
-  LinearClassifier linear(policy);
   DTreeParams params;
   params.leaf_size = leaf_size;
   DTreeClassifier tree(policy, params);
@@ -77,7 +74,7 @@ TEST_P(DTreeEquivalence, MatchesLinearReference) {
     } else {
       pkt = policy.at(rng.uniform(0, policy.size() - 1)).match.sample_point(rng);
     }
-    const Rule* a = linear.classify(pkt);
+    const Rule* a = policy.match(pkt);
     const Rule* b = tree.classify(pkt);
     ASSERT_EQ(a == nullptr, b == nullptr);
     if (a != nullptr) {

@@ -35,61 +35,27 @@ TEST(SwitchAgent, FlowModAddAppliesAndReplies) {
   Fixture f;
   std::optional<FlowModReply> reply;
   FlowMod mod;
-  mod.xid = 7;
   mod.rule = rule_of(1, 10);
   f.agent.deliver(mod, [&](const Reply& r) { reply = std::get<FlowModReply>(r); });
   f.engine.run();
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->xid, 7u);
   EXPECT_TRUE(reply->ok);
   EXPECT_EQ(f.sw.table().size(Band::kCache), 1u);
   EXPECT_EQ(f.agent.applied(), 1u);
 }
 
-TEST(SwitchAgent, FlowModDeleteRemovesEntry) {
-  Fixture f;
-  FlowMod add;
-  add.rule = rule_of(1, 10);
-  f.agent.deliver(add);
-  FlowMod del;
-  del.op = FlowModOp::kDelete;
-  del.rule.id = 1;
-  std::optional<FlowModReply> reply;
-  f.agent.deliver(del, [&](const Reply& r) { reply = std::get<FlowModReply>(r); });
-  f.engine.run();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_TRUE(reply->ok);
-  EXPECT_EQ(f.sw.table().size(Band::kCache), 0u);
-}
-
-TEST(SwitchAgent, DeleteMissingEntryRepliesNotOk) {
-  Fixture f;
-  FlowMod del;
-  del.op = FlowModOp::kDelete;
-  del.rule.id = 42;
-  std::optional<FlowModReply> reply;
-  f.agent.deliver(del, [&](const Reply& r) { reply = std::get<FlowModReply>(r); });
-  f.engine.run();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_FALSE(reply->ok);
-}
-
 TEST(SwitchAgent, MessagesApplyInOrderAndBarrierWaits) {
   Fixture f;
   std::vector<int> order;
-  FlowMod a;
-  a.rule = rule_of(1, 10);
-  FlowMod b;
-  b.rule = rule_of(2, 20);
-  f.agent.deliver(a, [&](const Reply&) { order.push_back(1); });
-  f.agent.deliver(b, [&](const Reply&) { order.push_back(2); });
-  BarrierRequest barrier{99};
-  f.agent.deliver(barrier, [&](const Reply& r) {
-    order.push_back(3);
-    EXPECT_EQ(std::get<BarrierReply>(r).xid, 99u);
-    // Both earlier flow-mods are already applied when the barrier fires.
-    EXPECT_EQ(f.sw.table().size(Band::kCache), 2u);
-  });
+  for (int k = 1; k <= 3; ++k) {
+    FlowMod mod;
+    mod.rule = rule_of(static_cast<RuleId>(k), 10 * k);
+    f.agent.deliver(mod, [&f, &order, k](const Reply&) {
+      order.push_back(k);
+      // Each reply is a barrier: every earlier flow-mod is already applied.
+      EXPECT_EQ(f.sw.table().size(Band::kCache), static_cast<std::size_t>(k));
+    });
+  }
   f.engine.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -113,14 +79,10 @@ TEST(SwitchAgent, BacklogHoldsOneEngineEvent) {
   const double cost = SwitchAgentParams{}.flow_mod_cost;
   constexpr std::uint32_t kMods = 1000;
   std::vector<std::pair<std::uint32_t, double>> replies;
-  const auto record = [&](const Reply& r) {
-    replies.emplace_back(std::get<FlowModReply>(r).xid, engine.now());
-  };
   for (std::uint32_t k = 1; k <= kMods; ++k) {
     FlowMod mod;
-    mod.xid = k;
     mod.rule = rule_of(k, 10);
-    agent.deliver(mod, record);
+    agent.deliver(mod, [&, k](const Reply&) { replies.emplace_back(k, engine.now()); });
   }
   EXPECT_EQ(engine.pending(), 1u);
   engine.run();
@@ -132,48 +94,35 @@ TEST(SwitchAgent, BacklogHoldsOneEngineEvent) {
   EXPECT_EQ(agent.applied(), kMods);
   EXPECT_EQ(sw.table().size(Band::kCache), kMods);
 
-  // Barriers delivered from inside a reply: the first while two FlowMods
-  // still wait, the second from the first's reply, with the FIFO empty.
-  // Each replies after every request delivered before it.
-  replies.clear();
+  // FlowMods delivered from inside a reply: A while two FlowMods still
+  // wait, B from A's reply, with the FIFO empty. Each replies after every
+  // request delivered before it.
   std::vector<std::string> order;
-  const auto barrier_b = [&](const Reply&) { order.push_back("B"); };
-  const auto barrier_a = [&](const Reply&) {
+  FlowMod a;
+  a.rule = rule_of(kMods + 4, 10);
+  FlowMod b;
+  b.rule = rule_of(kMods + 5, 10);
+  const auto reply_b = [&](const Reply&) { order.push_back("B"); };
+  const auto reply_a = [&](const Reply&) {
     order.push_back("A");
-    EXPECT_EQ(replies.size(), 3u);
-    agent.deliver(BarrierRequest{2}, barrier_b);
+    agent.deliver(b, reply_b);
   };
   for (std::uint32_t k = 1; k <= 3; ++k) {
     FlowMod mod;
-    mod.xid = kMods + k;
     mod.rule = rule_of(kMods + k, 10);
-    agent.deliver(mod, [&, k](const Reply& r) {
-      record(r);
+    agent.deliver(mod, [&, k](const Reply&) {
       order.push_back("F" + std::to_string(k));
-      if (k == 1) agent.deliver(BarrierRequest{1}, barrier_a);
+      if (k == 1) agent.deliver(a, reply_a);
     });
   }
   EXPECT_EQ(engine.pending(), 1u);
   const double start = engine.now();
   engine.run();
   EXPECT_EQ(order, (std::vector<std::string>{"F1", "F2", "F3", "A", "B"}));
-  EXPECT_NEAR(engine.now(), start + 3 * cost, 1e-9);
+  EXPECT_NEAR(engine.now(), start + 5 * cost, 1e-9);
   EXPECT_EQ(agent.applied(), kMods + 5);
+  EXPECT_EQ(sw.table().size(Band::kCache), kMods + 5);
   EXPECT_TRUE(engine.empty());
-}
-
-TEST(SwitchAgent, PacketOutInvokesHandler) {
-  Fixture f;
-  std::optional<PacketOut> seen;
-  f.agent.set_packet_out_handler([&](const PacketOut& po) { seen = po; });
-  PacketOut po;
-  po.xid = 5;
-  po.header = PacketBuilder().ip_proto(6).build();
-  po.action = Action::forward(2);
-  f.agent.deliver(po);
-  f.engine.run();
-  ASSERT_TRUE(seen.has_value());
-  EXPECT_TRUE(seen->action == Action::forward(2));
 }
 
 TEST(SwitchAgent, StatsAggregatePerOrigin) {
@@ -200,14 +149,9 @@ TEST(SwitchAgent, StatsAggregatePerOrigin) {
   f.sw.table().lookup(PacketBuilder().ip_proto(17).build(), 1.0, 70);
   f.sw.table().lookup(PacketBuilder().ip_proto(1).build(), 1.0, 10);  // other
 
-  std::optional<FlowStatsReply> reply;
-  f.agent.deliver(FlowStatsRequest{1, kInvalidRuleId},
-                  [&](const Reply& r) { reply = std::get<FlowStatsReply>(r); });
-  f.engine.run();
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->entries.size(), 2u);
-  const auto& origin100 = reply->entries[0].origin == 100 ? reply->entries[0]
-                                                          : reply->entries[1];
+  const auto rows = collect_stats(f.sw);
+  ASSERT_EQ(rows.size(), 2u);
+  const auto& origin100 = rows[0].origin == 100 ? rows[0] : rows[1];
   EXPECT_EQ(origin100.origin, 100u);
   EXPECT_EQ(origin100.packets, 2u);
   EXPECT_EQ(origin100.bytes, 120u);
@@ -215,16 +159,21 @@ TEST(SwitchAgent, StatsAggregatePerOrigin) {
 }
 
 TEST(SwitchAgent, StatsFilterByOrigin) {
+  // One row per origin, in origin order, so a caller picks one policy
+  // rule's counters by its id; another origin's hits never leak into it.
   Fixture f;
-  f.sw.table().install(rule_of(1, 10, Action::drop(), 100), Band::kCache, 0.0);
+  Rule tcp_rule = rule_of(1, 10, Action::drop(), 100);
+  match_exact(tcp_rule.match, Field::kIpProto, 6);
+  f.sw.table().install(tcp_rule, Band::kCache, 0.0);
   f.sw.table().install(rule_of(2, 5, Action::drop(), 200), Band::kCache, 0.0);
-  std::optional<FlowStatsReply> reply;
-  f.agent.deliver(FlowStatsRequest{1, 200},
-                  [&](const Reply& r) { reply = std::get<FlowStatsReply>(r); });
-  f.engine.run();
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->entries.size(), 1u);
-  EXPECT_EQ(reply->entries[0].origin, 200u);
+  f.sw.table().lookup(PacketBuilder().ip_proto(17).build(), 1.0, 40);  // rule 2
+  const auto rows = collect_stats(f.sw);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].origin, 100u);
+  EXPECT_EQ(rows[0].packets, 0u);
+  EXPECT_EQ(rows[1].origin, 200u);
+  EXPECT_EQ(rows[1].packets, 1u);
+  EXPECT_EQ(rows[1].bytes, 40u);
 }
 
 TEST(SwitchAgent, StatsExcludeRedirectPlumbing) {
@@ -276,14 +225,19 @@ TEST(MergeStats, FoldsAcrossSwitches) {
 
 TEST(ControlChannel, RoundTripPaysLatencyBothWays) {
   Fixture f;
-  ControlChannel channel(f.engine, f.agent, /*one_way=*/0.005);
+  constexpr double kOneWay = 0.005;
+  ControlChannel channel(f.engine, f.agent, kOneWay);
   double replied_at = -1.0;
   FlowMod mod;
   mod.rule = rule_of(1, 10);
   channel.send(mod, [&](const Reply&) { replied_at = f.engine.now(); });
   f.engine.run();
-  EXPECT_GE(replied_at, 0.010);  // two one-way trips plus apply cost
+  // Two one-way trips plus the apply cost, over three events: delivery,
+  // apply, reply.
+  EXPECT_DOUBLE_EQ(replied_at, 2 * kOneWay + SwitchAgentParams{}.flow_mod_cost);
+  EXPECT_EQ(f.engine.executed(), 3u);
   EXPECT_EQ(channel.sent(), 1u);
+  EXPECT_EQ(channel.transmissions(), 1u);
   EXPECT_EQ(f.sw.table().size(Band::kCache), 1u);
 }
 
@@ -427,21 +381,20 @@ TEST(ControlChannel, ReorderedArrivalsApplyInSendOrder) {
 
 TEST(ControlChannel, DeleteOvertakingAddStillDeletesLast) {
   Fixture f;
-  // The delete is sent after the add but arrives first. Out-of-order apply
-  // would fail the delete then land the add, leaving a ghost entry; in-order
-  // apply ends with an empty table.
+  // The retire is sent after the install but arrives first. Out-of-order
+  // apply would retire nothing then land the install, leaving a ghost
+  // entry; in-order apply ends with an empty authority band.
   ScriptedFaults faults({{5e-3}, {0.0}});
   ControlChannel channel(f.engine, f.agent, 0.001, reliable(0.05), &faults);
-  FlowMod add;
-  add.rule = rule_of(1, 10);
-  channel.send(add);
-  FlowMod del;
-  del.op = FlowModOp::kDelete;
-  del.rule.id = 1;
-  channel.send(del);
+  PartitionInstall install;
+  install.rules.push_back(rule_of(1, 10));
+  channel.send(install);
+  PartitionRetire retire;
+  retire.rule_ids.push_back(1);
+  channel.send(retire);
   f.engine.run();
   EXPECT_EQ(channel.reordered(), 1u);
-  EXPECT_EQ(f.sw.table().size(Band::kCache), 0u);
+  EXPECT_EQ(f.sw.table().size(Band::kAuthority), 0u);
 }
 
 TEST(ControlChannel, DuplicatedRequestAppliesOnce) {
@@ -473,22 +426,29 @@ TEST(ControlChannel, DuplicatedAckFiresReplyOnce) {
   EXPECT_EQ(channel.dup_acks(), 1u);
 }
 
-TEST(ControlChannel, PacketOutAcksInReliableMode) {
+TEST(ControlChannel, MisdirectedRequestsStillAck) {
+  // An export batch sent to a switch agent, or a flow-mod sent to the
+  // collector, applies nothing but must still ack, or the retransmission
+  // timer would spin forever (and run() would never drain).
   Fixture f;
-  // PacketOut has no natural reply; the agent must synthesize an ack or the
-  // retransmission timer would spin forever (and run() would never drain).
-  int outs = 0;
-  f.agent.set_packet_out_handler([&](const PacketOut&) { ++outs; });
-  ControlChannel channel(f.engine, f.agent, 0.001, reliable());
-  PacketOut po;
-  po.xid = 5;
-  po.header = PacketBuilder().ip_proto(6).build();
-  po.action = Action::forward(2);
-  channel.send(po);
+  ControlChannel to_agent(f.engine, f.agent, 0.001, reliable());
+  CollectorEndpoint collector;
+  ControlChannel to_collector(f.engine, collector, 0.001, reliable());
+  FlowExport batch;
+  batch.batch.seq = 9;
+  std::optional<Reply> agent_reply, collector_reply;
+  to_agent.send(batch, [&](const Reply& r) { agent_reply = r; });
+  FlowMod mod;
+  mod.rule = rule_of(1, 10);
+  to_collector.send(mod, [&](const Reply& r) { collector_reply = r; });
   f.engine.run();
-  EXPECT_EQ(outs, 1);
-  EXPECT_EQ(channel.acks(), 1u);
-  EXPECT_EQ(channel.retransmits(), 0u);
+  ASSERT_TRUE(agent_reply.has_value());
+  EXPECT_EQ(std::get<FlowExportAck>(*agent_reply).seq, 9u);
+  ASSERT_TRUE(collector_reply.has_value());
+  EXPECT_FALSE(std::get<FlowModReply>(*collector_reply).ok);
+  EXPECT_EQ(to_agent.retransmits() + to_collector.retransmits(), 0u);
+  EXPECT_EQ(f.sw.table().size(Band::kCache), 0u);
+  EXPECT_TRUE(collector.take().empty());
 }
 
 TEST(ControlChannel, UnreliableWireDropsSilently) {

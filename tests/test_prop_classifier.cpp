@@ -5,7 +5,6 @@
 // check that proves the harness can actually find and minimize bugs.
 #include <gtest/gtest.h>
 
-#include "classifier/linear.hpp"
 #include "proptest/oracle.hpp"
 #include "proptest/property.hpp"
 

@@ -106,6 +106,20 @@ TEST(Serialize, PolicyRejectsMalformedInput) {
                "parse error at line 2: bad action argument in 'fwd:4294967296'");
   expect_error("policy v1\nrule 1 2 drop 0\nrule 1 1 fwd:3 0\n",
                "parse error at line 3: duplicate rule id 1");
+  // Numbers parse whole and unsigned where they count: a leading minus must
+  // not wrap a rule id into kInvalidRuleId, and weights are not negative.
+  expect_error("policy v1\nrule -1 0 drop 1\n",
+               "parse error at line 2: bad rule id '-1'");
+  expect_error("policy v1\nrule 4294967295 0 drop 1\n",
+               "parse error at line 2: rule id 4294967295 is reserved");
+  expect_error("policy v1\nrule 4294967296 0 drop 1\n",
+               "parse error at line 2: bad rule id '4294967296'");
+  expect_error("policy v1\nrule 7x 0 drop 1\n",
+               "parse error at line 2: bad rule id '7x'");
+  expect_error("policy v1\nrule 1 0 drop -5\n",
+               "parse error at line 2: negative weight");
+  expect_error("policy v1\nrule 1 0 drop 0.5q\n",
+               "parse error at line 2: bad weight '0.5q'");
 }
 
 TEST(Serialize, TraceRoundTrip) {
@@ -143,6 +157,37 @@ TEST(Serialize, TraceRejectsMalformedInput) {
   const std::string header(64, '0');
   expect_throw("trace v1\nflow 0 0.0012 5 -0.001 0 " + header + "\n");
   expect_throw("trace v1\nflow 0 -0.5 5 0.001 0 " + header + "\n");
+
+  // Counts parse whole and unsigned: a leading minus must not wrap into a
+  // huge count. Each failure names its line and field.
+  auto expect_error = [](const std::string& text, const std::string& what) {
+    std::stringstream ss(text);
+    try {
+      load_trace(ss);
+      ADD_FAILURE() << "loaded: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), what) << text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "threw " << e.what() << " for: " << text;
+    }
+  };
+  const auto flow_line = [&header](const std::string& fields) {
+    return "trace v1\n# comment\nflow " + fields + " " + header + "\n";
+  };
+  expect_error(flow_line("0 0.5 -1 0.001 0"),
+               "parse error at line 3: bad packets '-1'");
+  expect_error(flow_line("-1 0.5 1 0.001 0"),
+               "parse error at line 3: bad flow id '-1'");
+  expect_error(flow_line("0 0.5 1 0.001 -1"),
+               "parse error at line 3: bad ingress index '-1'");
+  expect_error(flow_line("0 0.5 1 0.001 4294967296"),
+               "parse error at line 3: bad ingress index '4294967296'");
+  expect_error(flow_line("0 0.5s 1 0.001 0"),
+               "parse error at line 3: bad start '0.5s'");
+  expect_error(flow_line("0 0.5 1 1e-3x 0"),
+               "parse error at line 3: bad packet_gap '1e-3x'");
+  expect_error(flow_line("0 0.5 1 -0.001 0"),
+               "parse error at line 3: negative packet_gap");
 }
 
 TEST(Serialize, FileRoundTripAndMissingFile) {

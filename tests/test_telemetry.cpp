@@ -1,12 +1,13 @@
 // Telemetry data plane: flow measurement from cache rules. Covers the
-// export record schema (JSON round-trip), the FlowTelemetry sampler unit
+// export record schema (JSON form), the FlowTelemetry sampler unit
 // semantics (overflow, eviction flush, rebinding), and the end-to-end
 // scenario wiring: exact totals at p == 1, eviction-flush vs flush-off
-// fidelity, the collector sink API, keepalive batches, and the heartbeat
-// piggyback that keeps a quiet-but-alive authority from being failed over.
+// fidelity, keepalive batches, and the heartbeat piggyback that keeps a
+// quiet-but-alive authority from being failed over.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "core/system.hpp"
@@ -72,7 +73,7 @@ std::uint64_t collected_sampled_packets(const obs::FlowCollector& collector) {
 }
 
 // --------------------------------------------------------------------------
-// Schema / JSON round-trip
+// Schema / JSON form
 
 TEST(FlowExportJson, RecordRoundTrips) {
   obs::FlowExportRecord rec;
@@ -83,8 +84,24 @@ TEST(FlowExportJson, RecordRoundTrips) {
   rec.last_seen = 0.5;
   rec.rule = 17;
   rec.kind = obs::ExportKind::kEvict;
-  const auto back = obs::FlowExportRecord::from_json(rec.to_json());
-  EXPECT_EQ(back, rec);
+  const obs::Json doc = rec.to_json();
+  // The header is 64 hex digits, most-significant word first.
+  std::string hex;
+  for (std::size_t w = kHeaderWords; w-- > 0;) {
+    char word[17];
+    std::snprintf(word, sizeof(word), "%016llx",
+                  static_cast<unsigned long long>(rec.header.w[w]));
+    hex += word;
+  }
+  EXPECT_EQ(doc.get("header").as_string(), hex);
+  EXPECT_EQ(doc.get("packets").as_number(), 42.0);
+  EXPECT_EQ(doc.get("bytes").as_number(), 4200.0);
+  EXPECT_EQ(doc.get("first_seen").as_number(), 0.125);
+  EXPECT_EQ(doc.get("last_seen").as_number(), 0.5);
+  EXPECT_EQ(doc.get("rule").as_number(), 17.0);
+  EXPECT_EQ(doc.get("kind").as_string(), "evict");
+  // The text form parses back to the same document.
+  EXPECT_EQ(obs::Json::parse(doc.dump()), doc);
 }
 
 TEST(FlowExportJson, BatchRoundTripsAndValidatesSchema) {
@@ -100,20 +117,16 @@ TEST(FlowExportJson, BatchRoundTripsAndValidatesSchema) {
   rec.sampled_bytes = 700;
   batch.records.push_back(rec);
 
-  auto doc = batch.to_json();
-  const auto back = obs::FlowExportBatch::from_json(doc);
-  EXPECT_EQ(back.exporter, batch.exporter);
-  EXPECT_EQ(back.seq, batch.seq);
-  EXPECT_EQ(back.beat_seq, batch.beat_seq);
-  EXPECT_EQ(back.sample_prob, batch.sample_prob);
-  ASSERT_EQ(back.records.size(), 1u);
-  EXPECT_EQ(back.records[0], rec);
+  const obs::Json doc = batch.to_json();
   EXPECT_EQ(doc.get("schema").as_string(), obs::kFlowExportSchema);
-
-  // An unknown schema string must be rejected, not silently misparsed.
-  auto bad = batch.to_json();
-  bad["schema"] = obs::Json("difane-flow-export-v999");
-  EXPECT_THROW(obs::FlowExportBatch::from_json(bad), std::runtime_error);
+  EXPECT_EQ(doc.get("exporter").as_number(), 3.0);
+  EXPECT_EQ(doc.get("seq").as_number(), 9.0);
+  EXPECT_EQ(doc.get("beat_seq").as_number(), 4.0);
+  EXPECT_EQ(doc.get("sent_at").as_number(), 0.25);
+  EXPECT_EQ(doc.get("sample_prob").as_number(), 0.5);
+  ASSERT_EQ(doc.get("records").as_array().size(), 1u);
+  EXPECT_EQ(doc.get("records").as_array()[0], rec.to_json());
+  EXPECT_EQ(obs::Json::parse(doc.dump()), doc);
 }
 
 TEST(FlowExportJson, EmptyBatchIsAKeepalive) {
@@ -273,23 +286,6 @@ TEST(Telemetry, FlushOffDropsEvictedCountsButConserves) {
   EXPECT_EQ(collected_sampled_packets(scenario.collector()) +
                 stats.telemetry_dropped_packets,
             stats.telemetry_sampled_packets);
-}
-
-TEST(Telemetry, CollectorSinkSeesTheSameStreamThenCloses) {
-  const auto policy = small_policy();
-  const auto flows = small_traffic(policy, 35);
-  Scenario scenario(policy, measured_params());
-  obs::MemoryCollectorSink sink;
-  scenario.set_collector_sink(&sink);
-  const auto& stats = scenario.run(flows);
-
-  EXPECT_TRUE(sink.closed());
-  EXPECT_EQ(sink.batches().size(), stats.export_batches);
-  // Same batches, same order: re-feeding the sink's copy into a fresh
-  // collector reproduces the canonical stream byte-for-byte.
-  obs::FlowCollector replay;
-  for (const auto& batch : sink.batches()) replay.on_batch(batch);
-  EXPECT_EQ(replay.stream_dump(), scenario.collector().stream_dump());
 }
 
 TEST(Telemetry, SampledEstimatesTrackTruthWithinBound) {
