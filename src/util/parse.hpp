@@ -1,7 +1,8 @@
-// Strict numeric parsing for command-line flags. Each parser takes the whole
-// string or nothing — no empty input, no leading space or sign, no trailing
-// junk, no silent wrap-around — so a mistyped value is a usage error instead
-// of a quiet 0 (atoi/atof) or a truncated prefix (strtoull).
+// Strict numeric parsing for command-line flags and input files. Each parser
+// takes the whole string or nothing — no empty input, no leading space, no
+// sign on a count, no trailing junk, no silent wrap-around — so a mistyped
+// value is a usage error instead of a quiet 0 (atoi/atof) or a truncated
+// prefix (strtoull, istream >>).
 #pragma once
 
 #include <cctype>
@@ -30,6 +31,25 @@ std::optional<T> parse_count(const char* s) {
   const unsigned long long v = std::strtoull(digits, nullptr, hex ? 16 : 10);
   if (errno == ERANGE ||
       v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<T>(v);
+}
+
+// A signed decimal integer: an optional leading '-', then decimal digits
+// only, within T's range.
+template <typename T>
+std::optional<T> parse_signed(const char* s) {
+  static_assert(std::is_integral_v<T> && std::is_signed_v<T>);
+  const char* digits = s[0] == '-' ? s + 1 : s;
+  if (*digits == '\0') return std::nullopt;
+  for (const char* c = digits; *c != '\0'; ++c) {
+    if (!std::isdigit(static_cast<unsigned char>(*c))) return std::nullopt;
+  }
+  errno = 0;
+  const long long v = std::strtoll(s, nullptr, 10);
+  if (errno == ERANGE || v < std::numeric_limits<T>::min() ||
+      v > std::numeric_limits<T>::max()) {
     return std::nullopt;
   }
   return static_cast<T>(v);

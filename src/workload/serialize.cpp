@@ -18,8 +18,8 @@ namespace {
   throw std::runtime_error("parse error at line " + std::to_string(line) + ": " + what);
 }
 
-// A number token's value (util::parse_count / parse_double: whole token, no
-// sign on counts), or a parse error naming the field.
+// A number token's value (util::parse_count / parse_signed / parse_double:
+// whole token, no sign on counts), or a parse error naming the field.
 template <typename T>
 T number(std::optional<T> value, std::size_t line, const char* what,
          const std::string& token) {
@@ -147,12 +147,13 @@ RuleTable load_policy(std::istream& is) {
     ls >> tag;
     if (tag != "rule") fail(lineno, "expected 'rule', got '" + tag + "'");
     Rule rule;
-    std::string id, action_token, weight;
-    if (!(ls >> id >> rule.priority >> action_token >> weight)) {
-      fail(lineno, "malformed rule line");
-    }
+    std::string id, priority, action_token, weight;
+    if (!(ls >> id >> priority)) fail(lineno, "malformed rule line");
     rule.id = number(util::parse_count<RuleId>(id.c_str()), lineno, "rule id", id);
     if (rule.id == kInvalidRuleId) fail(lineno, "rule id " + id + " is reserved");
+    rule.priority = number(util::parse_signed<Priority>(priority.c_str()), lineno,
+                           "priority", priority);
+    if (!(ls >> action_token >> weight)) fail(lineno, "malformed rule line");
     rule.weight = number(util::parse_double(weight.c_str()), lineno, "weight", weight);
     if (rule.weight < 0.0) fail(lineno, "negative weight");
     if (!ids.insert(rule.id).second) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "util/contract.hpp"
@@ -26,15 +28,55 @@ namespace {
 constexpr double kParetoAlpha = 1.5;
 constexpr double kParetoMean = kParetoAlpha / (kParetoAlpha - 1.0);
 
-// Pool memoization. Experiment sweeps (E1/E2/E9 and friends) construct a
-// TrafficGenerator per sweep point with the same policy, seed, and pool
-// parameters — only the arrival schedule differs. The pool draw sequence
-// depends solely on (seed, flow_pool, p_rule_directed, policy matches), so
-// the pool and the RNG state left behind by build_pool() are bit-identical
-// across those constructions. Rebuilding the pool dominates sweep wall time
-// (millions of Mersenne draws per point), so we cache the last few pools and
-// the post-build RNG state; replaying from the cache is observationally
-// identical to rebuilding, including every subsequent generate() draw.
+// The pool's draw sequence. Pool entry i takes, in order: the directed coin
+// (a bernoulli(p_rule_directed) draw, only when the policy has rules), the
+// rule index of a directed entry (uniform over rules, not over rule weights:
+// flow-space-proportional weights would concentrate nearly all picks on the
+// default rule and leave specific rules unexercised; popularity skew across
+// the pool is applied separately, by Zipf over pool ranks), then
+// sample_point's noise words, one per header word. Only the entries a
+// schedule samples need headers, so walk_pool() skips every other entry's
+// noise words.
+constexpr std::uint64_t kNoiseWords = kHeaderWords;
+
+// An engine that returns one fixed draw, to evaluate a distribution on it.
+struct FixedDraw {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return Mt19937_64::min(); }
+  static constexpr result_type max() { return Mt19937_64::max(); }
+  result_type draw;
+  result_type operator()() { return draw; }
+};
+
+// The least draw for which bernoulli_distribution(p) loses, or nullopt when
+// every draw wins. With a 64-bit engine the distribution takes one draw x
+// and wins iff generate_canonical<double>(x) < p; the canonical value is
+// monotone in x, so the winning draws are exactly those below the result.
+std::optional<std::uint64_t> first_losing_draw(double p) {
+  const auto wins = [p](std::uint64_t x) {
+    FixedDraw engine{x};
+    return std::bernoulli_distribution(p)(engine);
+  };
+  if (wins(Mt19937_64::max())) return std::nullopt;
+  std::uint64_t lo = 0, hi = Mt19937_64::max();  // hi loses
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (wins(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+// Memoization of the engine state after the pool's draws. Experiment sweeps
+// (E1/E2/E9 and friends) construct a TrafficGenerator per sweep point with
+// the same policy, seed, and pool parameters — only the arrival schedule
+// differs. The pool's draw sequence depends solely on (seed, flow_pool,
+// p_rule_directed, policy matches), so the state it leaves behind is
+// bit-identical across those constructions, and replaying it from the cache
+// is observationally identical to walking the pool again.
 struct PoolKey {
   std::uint64_t seed = 0;
   std::size_t flow_pool = 0;
@@ -49,8 +91,8 @@ struct PoolKey {
   }
 };
 
-// Digest over the fields of the policy that build_pool() can observe through
-// its draws: the rule count and each rule's ternary match.
+// Digest over the fields of the policy that the pool's draws can observe:
+// the rule count and each rule's ternary match.
 std::uint64_t policy_pool_digest(const RuleTable& policy) {
   std::uint64_t h = 0x5851f42d4c957f2dULL;
   auto mix = [&h](std::uint64_t v) {
@@ -67,8 +109,7 @@ std::uint64_t policy_pool_digest(const RuleTable& policy) {
 
 struct PoolCacheEntry {
   PoolKey key;
-  std::shared_ptr<const std::vector<BitVec>> pool;
-  std::mt19937_64 rng_after;  // engine state right after build_pool()
+  Mt19937_64 after_pool;  // engine state right after the pool's draws
   std::uint64_t last_used = 0;
 };
 
@@ -129,44 +170,82 @@ TrafficGenerator::TrafficGenerator(const RuleTable& policy, TrafficParams params
               "TrafficGenerator: diurnal_amplitude must be in [0, 1)");
       break;
   }
+  if (const auto losing = first_losing_draw(params_.p_rule_directed)) {
+    directed_below_ = *losing;
+  } else {
+    directed_always_ = true;
+  }
   const PoolKey key{params_.seed, params_.flow_pool, params_.p_rule_directed,
                     policy_pool_digest(policy_), policy_.size()};
   std::lock_guard<std::mutex> lock(g_pool_cache_mu);
   if (const PoolCacheEntry* hit = pool_cache_find(key)) {
-    pool_ = hit->pool;
-    rng_.engine() = hit->rng_after;
+    rng_.engine() = hit->after_pool;
     return;
   }
-  build_pool();
-  pool_cache_insert(PoolCacheEntry{key, pool_, rng_.engine(), 0});
+  walk_pool(rng_, params_.flow_pool, {});
+  pool_cache_insert(PoolCacheEntry{key, rng_.engine(), 0});
 }
 
-void TrafficGenerator::build_pool() {
-  std::vector<BitVec> pool;
-  pool.reserve(params_.flow_pool);
-  for (std::size_t i = 0; i < params_.flow_pool; ++i) {
-    if (!policy_.empty() && rng_.bernoulli(params_.p_rule_directed)) {
-      // Uniform over rules, not over rule weights: flow-space-proportional
-      // weights would concentrate nearly all picks on the default rule and
-      // leave specific rules unexercised. Popularity skew across the pool is
-      // applied separately (Zipf over pool ranks).
-      const auto idx = rng_.uniform(0, policy_.size() - 1);
-      pool.push_back(policy_.at(idx).match.sample_point(rng_));
+std::vector<BitVec> TrafficGenerator::walk_pool(
+    Rng& rng, std::size_t end, const std::vector<std::size_t>& wanted) const {
+  std::vector<BitVec> headers;
+  headers.reserve(wanted.size());
+  auto next = wanted.begin();
+  const Ternary wildcard;
+  for (std::size_t i = 0; i < end; ++i) {
+    const Ternary* pattern = &wildcard;
+    if (!policy_.empty()) {
+      const std::uint64_t coin = rng.next_u64();
+      if (coin < directed_below_ || directed_always_) {
+        pattern = &policy_.at(rng.uniform(0, policy_.size() - 1)).match;
+      }
+    }
+    if (next != wanted.end() && *next == i) {
+      headers.push_back(pattern->sample_point(rng));
+      ++next;
     } else {
-      pool.push_back(Ternary::wildcard().sample_point(rng_));
+      rng.discard(kNoiseWords);
     }
   }
-  pool_ = std::make_shared<const std::vector<BitVec>>(std::move(pool));
+  return headers;
+}
+
+std::vector<BitVec> TrafficGenerator::pool() const {
+  std::vector<std::size_t> all(params_.flow_pool);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  Rng replay(params_.seed);
+  return walk_pool(replay, params_.flow_pool, all);
 }
 
 std::vector<FlowSpec> TrafficGenerator::generate() {
+  std::vector<FlowSpec> flows;
+  std::vector<std::size_t> ranks;  // pool rank of flows[i], for i < ranks.size()
   switch (params_.mode) {
-    case TrafficMode::kPoissonZipf: return generate_poisson_zipf();
-    case TrafficMode::kFlashCrowd: return generate_flash_crowd();
-    case TrafficMode::kMiceStorm: return generate_mice_storm();
-    case TrafficMode::kDiurnal: return generate_diurnal();
+    case TrafficMode::kPoissonZipf:
+    case TrafficMode::kMiceStorm: schedule_poisson_zipf(flows, ranks); break;
+    case TrafficMode::kFlashCrowd: schedule_flash_crowd(flows, ranks); break;
+    case TrafficMode::kDiurnal: schedule_diurnal(flows, ranks); break;
   }
-  return {};
+  draw_headers(flows, ranks);
+  if (params_.mode == TrafficMode::kMiceStorm) add_mice_storm(flows);
+  return flows;
+}
+
+// Builds the sampled ranks' headers with one replay of the pool's draws from
+// the seed, up to the largest sampled rank; the schedule's own engine is
+// untouched.
+void TrafficGenerator::draw_headers(std::vector<FlowSpec>& flows,
+                                    const std::vector<std::size_t>& ranks) const {
+  if (ranks.empty()) return;
+  std::vector<std::size_t> wanted = ranks;
+  std::sort(wanted.begin(), wanted.end());
+  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+  Rng replay(params_.seed);
+  const std::vector<BitVec> headers = walk_pool(replay, wanted.back() + 1, wanted);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    const auto at = std::lower_bound(wanted.begin(), wanted.end(), ranks[i]);
+    flows[i].header = headers[static_cast<std::size_t>(at - wanted.begin())];
+  }
 }
 
 // Flow length and ingress draws shared by every mode, in the legacy draw
@@ -186,10 +265,9 @@ void TrafficGenerator::finish_flow(FlowSpec& flow) {
       rng_.uniform(0, params_.ingress_count == 0 ? 0 : params_.ingress_count - 1));
 }
 
-std::vector<FlowSpec> TrafficGenerator::generate_poisson_zipf() {
-  std::vector<FlowSpec> flows;
-  const std::vector<BitVec>& pool = *pool_;
-  ZipfDistribution zipf(pool.size(), params_.zipf_s);
+void TrafficGenerator::schedule_poisson_zipf(std::vector<FlowSpec>& flows,
+                                             std::vector<std::size_t>& ranks) {
+  ZipfDistribution zipf(params_.flow_pool, params_.zipf_s);
   double t = 0.0;
   std::uint64_t id = 0;
   while (true) {
@@ -197,20 +275,18 @@ std::vector<FlowSpec> TrafficGenerator::generate_poisson_zipf() {
     if (t >= params_.duration) break;
     FlowSpec flow;
     flow.id = id++;
-    flow.header = pool[zipf.sample(rng_)];
+    ranks.push_back(zipf.sample(rng_));
     flow.start = t;
     finish_flow(flow);
     flows.push_back(std::move(flow));
   }
-  return flows;
 }
 
-std::vector<FlowSpec> TrafficGenerator::generate_flash_crowd() {
-  std::vector<FlowSpec> flows;
-  const std::vector<BitVec>& pool = *pool_;
-  ZipfDistribution zipf(pool.size(), params_.zipf_s);
+void TrafficGenerator::schedule_flash_crowd(std::vector<FlowSpec>& flows,
+                                            std::vector<std::size_t>& ranks) {
+  ZipfDistribution zipf(params_.flow_pool, params_.zipf_s);
   const double flash_end = params_.flash_at + params_.flash_duration;
-  const std::size_t targets = std::min(params_.flash_targets, pool.size());
+  const std::size_t targets = std::min(params_.flash_targets, params_.flow_pool);
   double t = 0.0;
   std::uint64_t id = 0;
   while (true) {
@@ -225,21 +301,20 @@ std::vector<FlowSpec> TrafficGenerator::generate_flash_crowd() {
     flow.id = id++;
     const bool in_flash = t >= params_.flash_at && t < flash_end;
     if (in_flash && rng_.bernoulli(params_.flash_target_prob)) {
-      flow.header = pool[targets <= 1 ? 0 : rng_.uniform(0, targets - 1)];
+      ranks.push_back(targets <= 1 ? 0 : rng_.uniform(0, targets - 1));
     } else {
-      flow.header = pool[zipf.sample(rng_)];
+      ranks.push_back(zipf.sample(rng_));
     }
     flow.start = t;
     finish_flow(flow);
     flows.push_back(std::move(flow));
   }
-  return flows;
 }
 
-std::vector<FlowSpec> TrafficGenerator::generate_mice_storm() {
-  // Base traffic first (its draws must match a standalone kPoissonZipf run of
-  // the same seed), then the scan overlay, then a stable merge by start time.
-  std::vector<FlowSpec> flows = generate_poisson_zipf();
+// The scan overlay goes after the kPoissonZipf base traffic, whose draws
+// must match a standalone kPoissonZipf run of the same seed, then a stable
+// merge by start time.
+void TrafficGenerator::add_mice_storm(std::vector<FlowSpec>& flows) {
   const std::size_t base_count = flows.size();
   const double storm_end =
       std::min(params_.storm_at + params_.storm_duration, params_.duration);
@@ -267,13 +342,11 @@ std::vector<FlowSpec> TrafficGenerator::generate_mice_storm() {
   for (std::size_t i = 0; i < flows.size(); ++i) {
     flows[i].id = static_cast<std::uint64_t>(i);
   }
-  return flows;
 }
 
-std::vector<FlowSpec> TrafficGenerator::generate_diurnal() {
-  std::vector<FlowSpec> flows;
-  const std::vector<BitVec>& pool = *pool_;
-  ZipfDistribution zipf(pool.size(), params_.zipf_s);
+void TrafficGenerator::schedule_diurnal(std::vector<FlowSpec>& flows,
+                                        std::vector<std::size_t>& ranks) {
+  ZipfDistribution zipf(params_.flow_pool, params_.zipf_s);
   constexpr double kTwoPi = 6.283185307179586476925287;
   // Lewis-Shedler thinning: draw at the peak rate, keep each arrival with
   // probability rate(t)/peak. Exact for any bounded rate function and keeps
@@ -295,12 +368,11 @@ std::vector<FlowSpec> TrafficGenerator::generate_diurnal() {
     // tomorrow, so long-lived cache entries go cold on the period boundary.
     const auto epoch = static_cast<std::size_t>(t / params_.diurnal_period);
     const std::size_t rank = zipf.sample(rng_);
-    flow.header = pool[(rank + epoch * params_.diurnal_rotate) % pool.size()];
+    ranks.push_back((rank + epoch * params_.diurnal_rotate) % params_.flow_pool);
     flow.start = t;
     finish_flow(flow);
     flows.push_back(std::move(flow));
   }
-  return flows;
 }
 
 std::vector<FlowTruth> flow_ground_truth(const std::vector<FlowSpec>& flows,

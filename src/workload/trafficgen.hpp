@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "flowspace/rule_table.hpp"
@@ -24,9 +23,9 @@ struct FlowSpec {
   bool operator==(const FlowSpec&) const = default;
 };
 
-// Arrival-schedule families. All modes draw from the same memoized header
-// pool and are fully deterministic in (seed, params): identical construction
-// replays a byte-identical flow list.
+// Arrival-schedule families. All modes sample the same header pool and are
+// fully deterministic in (seed, params): identical construction replays a
+// byte-identical flow list.
 //
 //  * kPoissonZipf — the legacy schedule: Poisson arrivals, Zipf popularity.
 //  * kFlashCrowd  — inside [flash_at, flash_at + flash_duration) arrivals
@@ -103,34 +102,47 @@ std::vector<FlowTruth> flow_ground_truth(const std::vector<FlowSpec>& flows,
 
 class TrafficGenerator {
  public:
-  // Pools are memoized process-wide by (policy, seed, pool parameters). A
-  // pool can be tens of MB (E1 uses 2^21 headers) and sweeps alternate at
-  // most a couple of distinct pools per process, so only this many stay
-  // cached, the least recently used evicted.
+  // The engine state left after the pool's draw sequence is memoized
+  // process-wide by (policy, seed, pool parameters), 2.5 KB per slot. Sweeps
+  // alternate at most a couple of distinct pools per process, so only this
+  // many stay cached, the least recently used evicted.
   static constexpr std::size_t kPoolCacheSlots = 2;
 
+  // No header is built here: generate() draws the pool headers its schedule
+  // samples from `policy`, which must outlive the generator and stay
+  // unchanged until the last generate() returns.
   TrafficGenerator(const RuleTable& policy, TrafficParams params);
 
-  // All flow arrivals in [0, duration), sorted by start time.
+  // All flow arrivals in [0, duration), sorted by start time. Costs a replay
+  // of the pool's draws up to the largest rank the schedule samples.
   std::vector<FlowSpec> generate();
 
-  // The distinct headers in the pool (for cache-size reasoning in benches).
-  const std::vector<BitVec>& pool() const { return *pool_; }
+  // The pool's headers by rank; only tests need them. Builds all flow_pool
+  // headers on every call.
+  std::vector<BitVec> pool() const;
 
  private:
-  void build_pool();
   void finish_flow(FlowSpec& flow);
-  std::vector<FlowSpec> generate_poisson_zipf();
-  std::vector<FlowSpec> generate_flash_crowd();
-  std::vector<FlowSpec> generate_mice_storm();
-  std::vector<FlowSpec> generate_diurnal();
+  void schedule_poisson_zipf(std::vector<FlowSpec>& flows,
+                             std::vector<std::size_t>& ranks);
+  void schedule_flash_crowd(std::vector<FlowSpec>& flows,
+                            std::vector<std::size_t>& ranks);
+  void schedule_diurnal(std::vector<FlowSpec>& flows, std::vector<std::size_t>& ranks);
+  void add_mice_storm(std::vector<FlowSpec>& flows);
+  void draw_headers(std::vector<FlowSpec>& flows,
+                    const std::vector<std::size_t>& ranks) const;
+  // Walks the pool's draw sequence on `rng` for ranks [0, end) and builds
+  // the headers of the ranks in `wanted` (ascending), in that order.
+  std::vector<BitVec> walk_pool(Rng& rng, std::size_t end,
+                                const std::vector<std::size_t>& wanted) const;
 
   const RuleTable& policy_;
   TrafficParams params_;
-  Rng rng_;
-  // Shared so identical pools (same policy + pool parameters + seed) are
-  // built once per process and reused; see the memo cache in trafficgen.cpp.
-  std::shared_ptr<const std::vector<BitVec>> pool_;
+  Rng rng_;  // after construction: the state right after the pool's draws
+  // The pool's directed coin as one compare: a draw x is directed iff
+  // x < directed_below_, or always when directed_always_.
+  std::uint64_t directed_below_ = 0;
+  bool directed_always_ = false;
 };
 
 }  // namespace difane

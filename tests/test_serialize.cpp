@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "flowspace/algebra.hpp"
@@ -120,6 +121,36 @@ TEST(Serialize, PolicyRejectsMalformedInput) {
                "parse error at line 2: negative weight");
   expect_error("policy v1\nrule 1 0 drop 0.5q\n",
                "parse error at line 2: bad weight '0.5q'");
+  // The priority is one whole signed token: a digit prefix must not load as
+  // the priority with the rest of the token read as the next field.
+  expect_error("policy v1\nrule 1 5drop 1\n",
+               "parse error at line 2: bad priority '5drop'");
+  expect_error("policy v1\nrule 1 5x drop 1\n",
+               "parse error at line 2: bad priority '5x'");
+  expect_error("policy v1\nrule 1 2147483648 drop 1\n",
+               "parse error at line 2: bad priority '2147483648'");
+}
+
+TEST(Serialize, PolicyRoundTripKeepsSignedPriorities) {
+  RuleTable t;
+  RuleId id = 1;
+  for (const Priority priority : {std::numeric_limits<Priority>::max(), Priority{7},
+                                  Priority{0}, Priority{-1},
+                                  std::numeric_limits<Priority>::min()}) {
+    Rule rule;
+    rule.id = id++;
+    rule.priority = priority;
+    rule.action = Action::forward(1);
+    t.add(rule);
+  }
+  std::stringstream ss;
+  save_policy(ss, t);
+  const auto loaded = load_policy(ss);
+  ASSERT_EQ(loaded.size(), t.size());
+  for (const auto& rule : t.rules()) {
+    ASSERT_NE(loaded.find(rule.id), nullptr);
+    EXPECT_EQ(loaded.find(rule.id)->priority, rule.priority) << "rule " << rule.id;
+  }
 }
 
 TEST(Serialize, TraceRoundTrip) {

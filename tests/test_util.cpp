@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "util/contract.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -62,6 +70,72 @@ TEST(Rng, WeightedIndexRespectsWeights) {
   EXPECT_GT(counts[2], counts[0] * 5);
 }
 
+// Mt19937_64 stands in for std::mt19937_64 under every seeded stream in the
+// repo, so its raw output, its discard() and what the standard distributions
+// make of it must all be the standard engine's.
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  constexpr std::size_t kStateWords = 312;
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1},
+                                   std::uint64_t{5489}, ~std::uint64_t{0}}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    for (std::size_t i = 0; i < 3 * kStateWords + 7; ++i) {
+      ASSERT_EQ(ours(), ref()) << "seed " << seed << " draw " << i;
+    }
+  }
+
+  // discard(n) from every offset class around a twist: n draws skipped,
+  // with n short of, at and past the end of the current state block.
+  for (const std::size_t warmup : {std::size_t{0}, std::size_t{1}, std::size_t{300},
+                                   kStateWords - 1, kStateWords}) {
+    for (const std::uint64_t n : {0ULL, 1ULL, 4ULL, 11ULL, 12ULL, 13ULL, 311ULL, 312ULL,
+                                  313ULL, 623ULL, 624ULL, 625ULL, 1000ULL}) {
+      Mt19937_64 skipped(7), drawn(7);
+      std::mt19937_64 ref(7);
+      for (std::size_t i = 0; i < warmup; ++i) {
+        skipped();
+        drawn();
+        ref();
+      }
+      skipped.discard(n);
+      ref.discard(n);
+      for (std::uint64_t i = 0; i < n; ++i) drawn();
+      EXPECT_TRUE(skipped == drawn) << "warmup " << warmup << " n " << n;
+      for (int i = 0; i < 3; ++i) {
+        const auto v = skipped();
+        ASSERT_EQ(v, drawn()) << "warmup " << warmup << " n " << n;
+        ASSERT_EQ(v, ref()) << "warmup " << warmup << " n " << n;
+      }
+    }
+  }
+
+  // The distributions the repo draws through, on both engines.
+  Mt19937_64 ours(2024);
+  std::mt19937_64 ref(2024);
+  for (int i = 0; i < 2000; ++i) {
+    for (const std::uint64_t hi : {std::uint64_t{1}, std::uint64_t{1999},
+                                   (std::uint64_t{1} << 40) + 3, ~std::uint64_t{0}}) {
+      std::uniform_int_distribution<std::uint64_t> d(0, hi);
+      ASSERT_EQ(d(ours), d(ref)) << "uniform_int hi " << hi;
+    }
+    std::bernoulli_distribution coin(0.9);
+    ASSERT_EQ(coin(ours), coin(ref));
+    std::exponential_distribution<double> gap(400000.0);
+    ASSERT_EQ(gap(ours), gap(ref));
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    ASSERT_EQ(unit(ours), unit(ref));
+    std::discrete_distribution<std::size_t> pick({1.0, 0.0, 9.0, 3.5});
+    ASSERT_EQ(pick(ours), pick(ref));
+  }
+  std::vector<int> a(1000), b(1000);
+  std::iota(a.begin(), a.end(), 0);
+  std::iota(b.begin(), b.end(), 0);
+  std::shuffle(a.begin(), a.end(), ours);
+  std::shuffle(b.begin(), b.end(), ref);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(ours(), ref());
+}
+
 TEST(Zipf, PmfSumsToOneAndIsDecreasing) {
   ZipfDistribution zipf(100, 1.0);
   double sum = 0.0;
@@ -84,6 +158,58 @@ TEST(Zipf, SkewConcentratesMassOnLowRanks) {
   }
   // With s=1.2 over 1000 ranks, the top-10 ranks carry well over a third.
   EXPECT_GT(static_cast<double>(top10) / n, 0.35);
+}
+
+// The guide table must pick exactly the rank that lower_bound over the whole
+// CDF picks, and the CDF must be the one built with two std::pow calls per
+// rank; checked at every bucket edge b/4096, at its neighbouring doubles, at
+// CDF values themselves, and at random points.
+TEST(Zipf, GuidedSampleMatchesFullSearch) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{5000},
+                              std::size_t{1} << 21}) {
+    for (const double s : {0.0, 0.8, 1.1}) {
+      const ZipfDistribution zipf(n, s);
+      std::vector<double> cdf(n);
+      double sum = 0.0;
+      for (std::size_t k = 1; k <= n; ++k) sum += 1.0 / std::pow(static_cast<double>(k), s);
+      double acc = 0.0;
+      for (std::size_t k = 1; k <= n; ++k) {
+        acc += (1.0 / std::pow(static_cast<double>(k), s)) / sum;
+        cdf[k - 1] = acc;
+      }
+      cdf.back() = 1.0;
+      std::size_t pmf_mismatches = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (zipf.pmf(k) != (k == 0 ? cdf[0] : cdf[k] - cdf[k - 1])) ++pmf_mismatches;
+      }
+      EXPECT_EQ(pmf_mismatches, 0u) << "n " << n << " s " << s;
+
+      const auto full = [&cdf](double u) {
+        return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                                        cdf.begin());
+      };
+      std::vector<double> points;
+      for (std::size_t b = 0; b < ZipfDistribution::kBuckets; ++b) {
+        const double edge = static_cast<double>(b) / ZipfDistribution::kBuckets;
+        points.push_back(edge);
+        points.push_back(std::nextafter(edge, 1.0));
+        if (b > 0) points.push_back(std::nextafter(edge, 0.0));
+      }
+      for (std::size_t k = 0; k < n; k += 1 + n / 3000) {
+        points.push_back(cdf[k]);
+        points.push_back(std::nextafter(cdf[k], 0.0));
+        points.push_back(std::nextafter(cdf[k], 1.0));
+      }
+      Rng rng(n + 17);
+      for (int i = 0; i < 5000; ++i) points.push_back(rng.uniform01());
+      std::size_t mismatches = 0;
+      for (const double u : points) {
+        if (u >= 1.0) continue;  // uniform01 never returns 1
+        if (zipf.rank_at(u) != full(u)) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n " << n << " s " << s;
+    }
+  }
 }
 
 TEST(OnlineStats, MomentsMatchKnownValues) {
@@ -138,6 +264,22 @@ TEST(TextTable, RendersAlignedRows) {
   EXPECT_NE(s.find("long_header"), std::string::npos);
   EXPECT_NE(s.find("333333"), std::string::npos);
   EXPECT_THROW(t.add_row({"only-one"}), contract_violation);
+}
+
+TEST(Parse, SignedTakesOneWholeToken) {
+  EXPECT_EQ(util::parse_signed<std::int32_t>("0"), 0);
+  EXPECT_EQ(util::parse_signed<std::int32_t>("-0"), 0);
+  EXPECT_EQ(util::parse_signed<std::int32_t>("42"), 42);
+  EXPECT_EQ(util::parse_signed<std::int32_t>("-7"), -7);
+  EXPECT_EQ(util::parse_signed<std::int32_t>("2147483647"), 2147483647);
+  EXPECT_EQ(util::parse_signed<std::int32_t>("-2147483648"), -2147483647 - 1);
+  for (const char* bad : {"", "-", "+5", " 5", "5 ", "5x", "5drop", "--5", "0x10",
+                          "1.5", "2147483648", "-2147483649",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(util::parse_signed<std::int32_t>(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(util::parse_signed<std::int8_t>("-128"), -128);
+  EXPECT_FALSE(util::parse_signed<std::int8_t>("128").has_value());
 }
 
 }  // namespace

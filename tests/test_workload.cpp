@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -125,11 +126,11 @@ TEST(TrafficGen, DeterministicBySeed) {
   }
 }
 
-// The header pool cache is process-wide state that bench::run_cells reaches
-// from worker threads. Four threads construct generators for one repeated
-// key and for more distinct keys than the cache has slots, so hits, inserts
-// and evictions race (ctest -L unit runs this under TSan). Every schedule
-// must equal the serial build of its key.
+// The cache of post-pool engine states is process-wide state that
+// bench::run_cells reaches from worker threads. Four threads construct
+// generators for one repeated key and for more distinct keys than the cache
+// has slots, so hits, inserts and evictions race (ctest -L unit runs this
+// under TSan). Every schedule must equal the serial build of its key.
 TEST(TrafficGen, ConcurrentConstructionsMatchSerial) {
   const auto policy = classbench_like(40, 11);
   constexpr std::size_t kKeys = TrafficGenerator::kPoolCacheSlots + 2;
@@ -279,6 +280,223 @@ TEST(TrafficGen, EveryModeByteIdenticalAcrossIdenticalSeedAndParams) {
       ASSERT_EQ(fa[i].ingress_index, fb[i].ingress_index)
           << traffic_mode_name(mode) << " flow " << i;
     }
+  }
+}
+
+// The generator as it was when it built every pool header up front, on
+// std::mt19937_64 and the standard distributions with a full-CDF Zipf
+// search. The lazy generator must reproduce it value for value.
+class EagerTrafficReference {
+ public:
+  EagerTrafficReference(const RuleTable& policy, const TrafficParams& params)
+      : params_(params), engine_(params.seed) {
+    for (std::size_t i = 0; i < params_.flow_pool; ++i) {
+      if (!policy.empty() &&
+          std::bernoulli_distribution(params_.p_rule_directed)(engine_)) {
+        pool_.push_back(sample_point(policy.at(uniform(0, policy.size() - 1)).match));
+      } else {
+        pool_.push_back(sample_point(Ternary::wildcard()));
+      }
+    }
+  }
+
+  const std::vector<BitVec>& pool() const { return pool_; }
+
+  std::vector<FlowSpec> generate() {
+    switch (params_.mode) {
+      case TrafficMode::kPoissonZipf: return poisson_zipf();
+      case TrafficMode::kFlashCrowd: return flash_crowd();
+      case TrafficMode::kMiceStorm: return mice_storm();
+      case TrafficMode::kDiurnal: return diurnal();
+    }
+    return {};
+  }
+
+ private:
+  BitVec sample_point(const Ternary& pattern) {
+    BitVec noise;
+    for (auto& word : noise.w) word = engine_();
+    return pattern.value() | (noise & ~pattern.care());
+  }
+  std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
+  }
+  double exponential(double rate) {
+    return std::exponential_distribution<double>(rate)(engine_);
+  }
+  bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
+  std::size_t zipf(const std::vector<double>& cdf) {
+    const double u = std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+    return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                                    cdf.begin());
+  }
+  std::vector<double> zipf_cdf() const {
+    const std::size_t n = pool_.size();
+    const double s = params_.zipf_s;
+    std::vector<double> cdf(n);
+    double sum = 0.0;
+    for (std::size_t k = 1; k <= n; ++k) sum += 1.0 / std::pow(static_cast<double>(k), s);
+    double acc = 0.0;
+    for (std::size_t k = 1; k <= n; ++k) {
+      acc += (1.0 / std::pow(static_cast<double>(k), s)) / sum;
+      cdf[k - 1] = acc;
+    }
+    cdf.back() = 1.0;
+    return cdf;
+  }
+  void finish_flow(FlowSpec& flow) {
+    if (params_.max_packets <= 1.0) {
+      flow.packets = 1;
+    } else {
+      const double u = std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+      const double ha = std::pow(1.0 / params_.max_packets, 1.5);
+      const double len = 1.0 / std::pow(1.0 - u * (1.0 - ha), 1.0 / 1.5);
+      flow.packets =
+          static_cast<std::size_t>(std::max(1.0, len * (params_.mean_packets / 3.0)));
+    }
+    flow.packet_gap = params_.packet_gap;
+    flow.ingress_index = static_cast<std::uint32_t>(
+        uniform(0, params_.ingress_count == 0 ? 0 : params_.ingress_count - 1));
+  }
+  std::vector<FlowSpec> poisson_zipf() {
+    const auto cdf = zipf_cdf();
+    std::vector<FlowSpec> flows;
+    double t = 0.0;
+    while (true) {
+      t += exponential(params_.arrival_rate);
+      if (t >= params_.duration) break;
+      FlowSpec flow;
+      flow.id = flows.size();
+      flow.header = pool_[zipf(cdf)];
+      flow.start = t;
+      finish_flow(flow);
+      flows.push_back(flow);
+    }
+    return flows;
+  }
+  std::vector<FlowSpec> flash_crowd() {
+    const auto cdf = zipf_cdf();
+    const double end = params_.flash_at + params_.flash_duration;
+    const std::size_t targets = std::min(params_.flash_targets, pool_.size());
+    std::vector<FlowSpec> flows;
+    double t = 0.0;
+    while (true) {
+      const bool accelerated = t >= params_.flash_at && t < end;
+      t += exponential(params_.arrival_rate *
+                       (accelerated ? params_.flash_rate_mult : 1.0));
+      if (t >= params_.duration) break;
+      FlowSpec flow;
+      flow.id = flows.size();
+      if (t >= params_.flash_at && t < end && bernoulli(params_.flash_target_prob)) {
+        flow.header = pool_[targets <= 1 ? 0 : uniform(0, targets - 1)];
+      } else {
+        flow.header = pool_[zipf(cdf)];
+      }
+      flow.start = t;
+      finish_flow(flow);
+      flows.push_back(flow);
+    }
+    return flows;
+  }
+  std::vector<FlowSpec> mice_storm() {
+    std::vector<FlowSpec> flows = poisson_zipf();
+    const std::size_t base = flows.size();
+    const double end = std::min(params_.storm_at + params_.storm_duration, params_.duration);
+    double t = params_.storm_at;
+    while (params_.storm_rate > 0.0) {
+      t += exponential(params_.storm_rate);
+      if (t >= end) break;
+      FlowSpec flow;
+      flow.header = sample_point(Ternary::wildcard());
+      flow.start = t;
+      flow.packets = 1;
+      flow.packet_gap = params_.packet_gap;
+      flow.ingress_index = static_cast<std::uint32_t>(
+          uniform(0, params_.ingress_count == 0 ? 0 : params_.ingress_count - 1));
+      flows.push_back(flow);
+    }
+    std::inplace_merge(flows.begin(), flows.begin() + static_cast<std::ptrdiff_t>(base),
+                       flows.end(), [](const FlowSpec& a, const FlowSpec& b) {
+                         return a.start < b.start;
+                       });
+    for (std::size_t i = 0; i < flows.size(); ++i) flows[i].id = i;
+    return flows;
+  }
+  std::vector<FlowSpec> diurnal() {
+    const auto cdf = zipf_cdf();
+    const double peak = params_.arrival_rate * (1.0 + params_.diurnal_amplitude);
+    std::vector<FlowSpec> flows;
+    double t = 0.0;
+    while (true) {
+      t += exponential(peak);
+      if (t >= params_.duration) break;
+      const double rate_now =
+          params_.arrival_rate *
+          (1.0 + params_.diurnal_amplitude *
+                     std::sin(6.283185307179586476925287 * t / params_.diurnal_period));
+      if (!bernoulli(rate_now / peak)) continue;
+      FlowSpec flow;
+      flow.id = flows.size();
+      const auto epoch = static_cast<std::size_t>(t / params_.diurnal_period);
+      const std::size_t rank = zipf(cdf);
+      flow.header = pool_[(rank + epoch * params_.diurnal_rotate) % pool_.size()];
+      flow.start = t;
+      finish_flow(flow);
+      flows.push_back(flow);
+    }
+    return flows;
+  }
+
+  TrafficParams params_;
+  std::mt19937_64 engine_;
+  std::vector<BitVec> pool_;
+};
+
+// Every mode, with no, most and all pool headers rule-directed, on an empty
+// policy, and in the setup-storm shape (uniform pool, single-packet flows):
+// generate() and pool() equal the eager reference, on a construction that
+// walks the pool and on one that takes the cached engine state.
+TEST(TrafficGen, MatchesEagerPoolReference) {
+  const auto policy = classbench_like(100, 3);
+  const RuleTable no_rules;
+  std::vector<std::pair<const RuleTable*, TrafficParams>> cases;
+  std::uint64_t seed = 1000;
+  for (const TrafficMode mode :
+       {TrafficMode::kPoissonZipf, TrafficMode::kFlashCrowd,
+        TrafficMode::kMiceStorm, TrafficMode::kDiurnal}) {
+    for (const double p : {0.0, 0.9, 1.0}) {
+      TrafficParams params = heavy_mode_params(mode);
+      params.seed = seed++;  // a fresh cache key: the first construction walks
+      params.p_rule_directed = p;
+      cases.emplace_back(&policy, params);
+    }
+  }
+  TrafficParams empty_policy = heavy_mode_params(TrafficMode::kPoissonZipf);
+  empty_policy.seed = seed++;
+  cases.emplace_back(&no_rules, empty_policy);
+  TrafficParams storm;
+  storm.seed = seed++;
+  storm.flow_pool = 1 << 16;
+  storm.zipf_s = 0.0;
+  storm.arrival_rate = 40000.0;
+  storm.duration = 0.1;
+  storm.mean_packets = 1.0;
+  storm.max_packets = 1.0;
+  storm.ingress_count = 4;
+  cases.emplace_back(&policy, storm);
+
+  for (const auto& [rules, params] : cases) {
+    const std::string label = std::string(traffic_mode_name(params.mode)) + " p=" +
+                              std::to_string(params.p_rule_directed) + " seed " +
+                              std::to_string(params.seed);
+    EagerTrafficReference reference(*rules, params);
+    const auto expected = reference.generate();
+    ASSERT_FALSE(expected.empty()) << label;
+    TrafficGenerator walked(*rules, params);
+    EXPECT_TRUE(walked.generate() == expected) << label;
+    TrafficGenerator cached(*rules, params);
+    EXPECT_TRUE(cached.generate() == expected) << label << " (cached)";
+    EXPECT_TRUE(cached.pool() == reference.pool()) << label;
   }
 }
 

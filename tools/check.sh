@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# Full verification sweep: the tier-1 build+test pass, the benchmark
-# self-test, then the same suite plus a short differential fuzz soak under
-# ASan+UBSan (DIFANE_SANITIZE=ON), plus a TSan pass (DIFANE_SANITIZE=thread)
-# over the unit label. A scenario runs on one thread; the unit label holds
-# the test that starts threads of its own
+# Full verification sweep: the tier-1 build+test pass, the baseline gate,
+# the benchmark self-test, then the same suite plus a short differential fuzz
+# soak under ASan+UBSan (DIFANE_SANITIZE=ON), plus a TSan pass
+# (DIFANE_SANITIZE=thread) over the unit label. A scenario runs on one
+# thread; the unit label holds the test that starts threads of its own
 # (TrafficGen.ConcurrentConstructionsMatchSerial, which races the traffic
-# generator's process-wide pool cache the way bench::run_cells does), so
-# race coverage stays part of tier-1 hygiene.
+# generator's process-wide cache of post-pool engine states the way
+# bench::run_cells does), so race coverage stays part of tier-1 hygiene.
+#
+# The baseline gate runs bench_all --quick and compares every deterministic
+# metric with the committed bench/BASELINE.json exactly (bench_compare with
+# no --wall-threshold: host timings are reported, not gated), so a change
+# that moves a simulated outcome fails here, not only under --perf.
 #
 # The benchmark self-test (python3 perfbench/selftest.py) builds src/ in
 # perfbench's own CMake tree against the public API and makes a reduced pass
@@ -38,13 +43,14 @@
 # 1M concurrent flows, minutes + ~10 GiB) is run manually:
 #   ./build/bench/bench_e11_scale --json BENCH_E11.json
 #
-# --perf gates the build against the committed perf baseline
-# (bench/BASELINE.json): one quick bench_all run, then bench_compare with
-# deterministic metrics exact and wall metrics allowed PERF_WALL_THRESHOLD
-# percent of drift (default 50 — generous because baselines travel across
-# hosts; tighten on a pinned CI machine). A counter that moved or a wall
-# metric past the threshold fails the script. After an intentional perf or
-# semantics change, regenerate the baseline from a clean tree with
+# --perf additionally gates wall metrics against the committed perf baseline
+# (bench/BASELINE.json): one quick bench_all run at --jobs 1, then
+# bench_compare with deterministic metrics exact and wall metrics allowed
+# PERF_WALL_THRESHOLD percent of drift (default 50 — generous because
+# baselines travel across hosts; tighten on a pinned CI machine). A counter
+# that moved or a wall metric past the threshold fails the script. After an
+# intentional perf or semantics change, regenerate the baseline from a clean
+# tree with
 #   ./build/tools/bench_all --quick --jobs 1 --out bench/BASELINE.json
 # and commit it together with the change that moved the numbers.
 set -euo pipefail
@@ -70,6 +76,11 @@ echo "== tier-1: normal build + ctest =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== baseline: bench_all --quick vs bench/BASELINE.json, deterministic keys =="
+./build/tools/bench_all --quick --jobs "$jobs" \
+  --dir build/bench-baseline-reports --out build/BENCH_trajectory_baseline.json
+./build/tools/bench_compare bench/BASELINE.json build/BENCH_trajectory_baseline.json
 
 # The chaos suite (fault injection + reliable channels + verifier gate, plus
 # the live-migration make-before-break properties) runs as part of the full

@@ -186,11 +186,13 @@ int run(const Options& opt) {
   params.cache_strategy = opt.strategy;
   Scenario scenario(policy, params);
 
+  const char* policy_source = !opt.policy_in.empty() ? opt.policy_in.c_str()
+                              : opt.campus            ? "campus"
+                                                      : "classbench";
   std::printf("difane_sim: mode=%s policy=%zu rules (%s) topology=%zu edges/%zu "
               "cores, cache=%zu, strategy=%s\n",
-              mode_name(opt.mode), policy.size(), opt.campus ? "campus" : "classbench",
-              opt.edges, params.core_switches, opt.cache,
-              cache_strategy_name(opt.strategy));
+              mode_name(opt.mode), policy.size(), policy_source, opt.edges,
+              params.core_switches, opt.cache, cache_strategy_name(opt.strategy));
   if (const auto* plan = scenario.plan()) {
     std::printf("partitioning: %zu partitions over %u authority switches, "
                 "duplication %.2fx, max %zu rules/switch\n",
@@ -218,8 +220,12 @@ int run(const Options& opt) {
     save_trace_file(opt.trace_out, flows);
     std::printf("saved trace (%zu flows) to %s\n", flows.size(), opt.trace_out.c_str());
   }
-  std::printf("traffic: %zu flows at %.0f/s for %.1fs (pool %zu, zipf %.2f)\n\n",
-              flows.size(), opt.rate, opt.duration, opt.pool, opt.zipf);
+  if (!opt.trace_in.empty()) {
+    std::printf("traffic: %zu flows from %s\n\n", flows.size(), opt.trace_in.c_str());
+  } else {
+    std::printf("traffic: %zu flows at %.0f/s for %.1fs (pool %zu, zipf %.2f)\n\n",
+                flows.size(), opt.rate, opt.duration, opt.pool, opt.zipf);
+  }
 
   if (opt.fail_at >= 0.0 && opt.mode == Mode::kDifane) {
     const SwitchId victim = scenario.difane()->authority_switches()[0];
