@@ -99,12 +99,15 @@ int main(int argc, char** argv) {
     Scenario scenario(policy, params);
     const double build_wall = wall_s(t0);
 
-    // Count what actually landed in hardware: the policy once per serving
-    // replica in the authority band, plus the per-switch partition band.
+    // Count what the switches hold: the policy once per serving replica in
+    // the authority bands (the authority switches' bindings), plus the
+    // per-switch partition band.
     std::uint64_t authority_entries = 0, partition_entries = 0;
     Network& net = scenario.net();
+    for (const SwitchId sw : scenario.difane()->authority_switches()) {
+      authority_entries += scenario.difane()->node_at(sw)->rule_count();
+    }
     for (SwitchId id = 0; id < net.switch_count(); ++id) {
-      authority_entries += net.sw(id).table().size(Band::kAuthority);
       partition_entries += net.sw(id).table().size(Band::kPartition);
     }
 

@@ -105,6 +105,11 @@ int main() {
   for (SwitchId id = 0; id < scenario.net().switch_count(); ++id) {
     std::printf("  %s\n", scenario.net().sw(id).describe().c_str());
   }
+  for (const SwitchId sw : scenario.difane()->authority_switches()) {
+    const AuthorityNode& node = *scenario.difane()->node_at(sw);
+    std::printf("  authority switch %u: %zu partitions bound, %zu authority rules\n", sw,
+                node.partition_count(), node.rule_count());
+  }
 
   // Drive a handful of flows: same flow twice (cache hit on the second),
   // a quarantined source, and a DNS lookup.

@@ -26,8 +26,9 @@ DifaneController::DifaneController(Network& net, const RuleTable& policy,
                 .build(policy, static_cast<std::uint32_t>(authority_switches_.size()))) {
   expects(!authority_switches_.empty(), "DifaneController: need authority switches");
   for (const auto sw : authority_switches_) {
-    nodes_.emplace(sw, std::make_unique<AuthorityNode>(sw, params_.cache_strategy,
-                                                       params_.max_splice_cost));
+    if (sw >= nodes_.size()) nodes_.resize(sw + 1);
+    nodes_[sw] = std::make_unique<AuthorityNode>(sw, params_.cache_strategy,
+                                                 params_.max_splice_cost);
   }
   params_.replicas = std::max<std::uint32_t>(
       1, std::min<std::uint32_t>(params_.replicas,
@@ -95,7 +96,7 @@ RuleId DifaneController::fit_synth_id_stride() const {
 
 void DifaneController::bind_partition(std::size_t index, AuthorityIndex authority) {
   const auto& partition = plan_.partitions().at(index);
-  AuthorityNode* node = nodes_.at(authority_switch(authority)).get();
+  AuthorityNode* node = node_at(authority_switch(authority));
   if (node->serves(partition.id)) return;  // idempotent under replays
   // Whole strides past the binding's shadow-id space: a binding whose
   // shadows fit one stride keeps the stride-spaced ids, and every binding
@@ -112,7 +113,7 @@ void DifaneController::bind_partition(std::size_t index, AuthorityIndex authorit
 
 void DifaneController::unbind_partition(std::size_t index, AuthorityIndex authority) {
   const auto& partition = plan_.partitions().at(index);
-  nodes_.at(authority_switch(authority))->unbind(partition.id);
+  node_at(authority_switch(authority))->unbind(partition.id);
 }
 
 void DifaneController::commit_re_home(std::size_t index, AuthorityIndex dest) {
@@ -165,91 +166,40 @@ SwitchId DifaneController::replica_for(const Partition& partition, SwitchId sw) 
 }
 
 AuthorityNode* DifaneController::node_at(SwitchId sw) {
-  const auto it = nodes_.find(sw);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  return sw < nodes_.size() ? nodes_[sw].get() : nullptr;
 }
 
 const AuthorityNode* DifaneController::node_at(SwitchId sw) const {
-  const auto it = nodes_.find(sw);
-  return it == nodes_.end() ? nullptr : it->second.get();
-}
-
-void DifaneController::install_authority_rules() {
-  // Gather each authority switch's full serving load first and hand it to
-  // the table as one bulk install: the per-rule install() path pays a
-  // vector memmove plus a position refresh per rule, which is quadratic in
-  // the table size and dominates construction at stress-tier rule counts
-  // (hours at 10M rules). install_bulk lands the same final order —
-  // rule_before is a strict total order over unique ids, so sorted-merge
-  // order equals sequential-insert order bit for bit.
-  std::vector<std::vector<const Rule*>> per_switch(authority_switches_.size());
-  for (const auto& partition : plan_.partitions()) {
-    for (const auto role : serving_set(partition)) {
-      auto& dest = per_switch[role];
-      for (const auto& rule : partition.rules.rules()) dest.push_back(&rule);
-    }
-  }
-  for (AuthorityIndex role = 0;
-       role < static_cast<AuthorityIndex>(per_switch.size()); ++role) {
-    Switch& sw = net_.sw(authority_switch(role));
-    sw.table().install_bulk(per_switch[role], Band::kAuthority,
-                            net_.engine().now());
-  }
+  return sw < nodes_.size() ? nodes_[sw].get() : nullptr;
 }
 
 void DifaneController::install_partition_rules() {
-  auto rules = plan_.make_partition_rules(kPartitionRulePriority, kPartitionRuleIdBase);
-  std::vector<Rule> resolved;
-  std::vector<const Rule*> batch;
+  const auto rules =
+      plan_.make_partition_rules(kPartitionRulePriority, kPartitionRuleIdBase);
   for (SwitchId id = 0; id < net_.switch_count(); ++id) {
     Switch& sw = net_.sw(id);
     if (sw.failed()) continue;
-    resolved.clear();
-    resolved.reserve(rules.size());
-    batch.clear();
     for (std::size_t p = 0; p < rules.size(); ++p) {
       // Per-switch replica selection: different ingresses spread their
       // redirects for the same partition across the live replicas.
       Rule rule = rules[p];
       rule.action = Action::encap(replica_for(plan_.partitions()[p], id));
-      resolved.push_back(std::move(rule));
+      // Failover and restart repoint: the same ids refresh in place.
+      sw.table().install(rule, Band::kPartition, net_.engine().now());
     }
-    for (const Rule& rule : resolved) batch.push_back(&rule);
-    // Bulk path also covers the refresh case (failover/restart repointing:
-    // same ids, refreshed in place), identically to per-rule install().
-    sw.table().install_bulk(batch, Band::kPartition, net_.engine().now());
   }
 }
 
-void DifaneController::install_all() {
-  install_authority_rules();
-  install_partition_rules();
-}
+void DifaneController::install_all() { install_partition_rules(); }
 
-std::size_t DifaneController::handle_authority_restart(SwitchId restarted) {
-  const AuthorityIndex index = index_of(restarted);
+void DifaneController::handle_authority_restart(SwitchId restarted) {
   expects(!net_.sw(restarted).failed(),
           "handle_authority_restart: switch still marked failed");
-
-  // Reinstall the authority-band rules for every partition whose serving
-  // set holds this switch. install() refreshes in place, so a partially
-  // surviving table is also handled.
-  Switch& sw = net_.sw(restarted);
-  std::size_t reinstalled = 0;
-  for (const auto& partition : plan_.partitions()) {
-    const auto serving = serving_set(partition);
-    if (std::find(serving.begin(), serving.end(), index) == serving.end()) continue;
-    for (const auto& rule : partition.rules.rules()) {
-      sw.table().install(rule, Band::kAuthority, net_.engine().now());
-      ++reinstalled;
-    }
-  }
   // Refresh partition rules everywhere: replica_for sees the switch live
   // again, and the restarted switch itself gets its partition band back.
+  // Its bindings, the authority band, survived the crash.
   install_partition_rules();
-  log_info("restart: switch ", restarted, " rejoined, ", reinstalled,
-           " authority rules reinstalled");
-  return reinstalled;
+  log_info("restart: switch ", restarted, " rejoined");
 }
 
 std::size_t DifaneController::handle_authority_failure(SwitchId failed) {

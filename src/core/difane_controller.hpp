@@ -1,13 +1,14 @@
 // The DIFANE controller. Proactive and off the packet path: it partitions
-// the policy, installs authority rules at the authority switches (primary
-// and backup), installs partition rules at every switch, and — on authority
-// failure — re-points the affected partition rules at the backups. After
-// setup, no packet ever visits the controller; that is the paper's thesis.
+// the policy, binds each partition at its authority switches (primary,
+// replicas and backup; a binding is the switch's authority band, see
+// core/authority.hpp), installs partition rules at every switch, and — on
+// authority failure — re-points the affected partition rules at the
+// backups. After setup, no packet ever visits the controller; that is the
+// paper's thesis.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/authority.hpp"
@@ -40,13 +41,15 @@ struct DifaneControllerParams {
 class DifaneController {
  public:
   // Partitions `policy` across `authority_switches` (k = list size) and
-  // remembers the bindings. Call install_all() to push rules into `net`.
+  // binds every partition at its serving set. Call install_all() to push
+  // the partition rules into `net`.
   DifaneController(Network& net, const RuleTable& policy,
                    std::vector<SwitchId> authority_switches,
                    DifaneControllerParams params);
 
-  // Install authority rules (primary + backup copies) and partition rules
-  // everywhere. Idempotent.
+  // Install the partition rules at every switch: one per partition,
+  // redirecting to a live replica. The authority rules need no install:
+  // the bindings made at construction are the authority bands. Idempotent.
   void install_all();
 
   const PartitionPlan& plan() const { return plan_; }
@@ -64,14 +67,14 @@ class DifaneController {
   // only at live replicas). Returns the number of partitions re-pointed.
   std::size_t handle_authority_failure(SwitchId failed);
 
-  // React to an authority switch rejoining after a crash: reinstall the
-  // authority rules for every partition binding it serves (a rebooted switch
-  // comes back with an empty TCAM) and refresh partition rules everywhere so
-  // replica selection sees it live again. Partitions failed over while it
-  // was down stay with their current primary — the restarted switch rejoins
-  // as a replica/backup rather than preempting. Returns the number of
-  // authority rules reinstalled at the switch.
-  std::size_t handle_authority_restart(SwitchId restarted);
+  // React to an authority switch rejoining after a crash: refresh partition
+  // rules everywhere (the restarted switch's own partition band included)
+  // so replica selection sees it live again. Its bindings outlive the crash,
+  // so its authority band resolves, and counts, from the moment it is back.
+  // Partitions failed over while it was down stay with their current
+  // primary — the restarted switch rejoins as a replica/backup rather than
+  // preempting.
+  void handle_authority_restart(SwitchId restarted);
 
   // The authority switch that ingress `sw` should redirect to for
   // `partition`: a live replica chosen by (switch, partition) hash so load
@@ -96,8 +99,9 @@ class DifaneController {
   // its tree and dependency graph are built once. Binds allocate a fresh
   // disjoint synthetic-id range of whole strides past the binding's shadow
   // ids; a bind that finds no room left fails a contract check. Unbinding a
-  // switch that does not serve the partition is a no-op. Neither touches
-  // any TCAM — the caller moves the actual rules over the control channel.
+  // switch that does not serve the partition is a no-op. A binding is the
+  // switch's copy of the partition's rules; the caller sends the install and
+  // retire messages whose apply cost the move pays.
   void bind_partition(std::size_t index, AuthorityIndex authority);
   void unbind_partition(std::size_t index, AuthorityIndex authority);
 
@@ -120,7 +124,6 @@ class DifaneController {
 
  private:
   void install_partition_rules();
-  void install_authority_rules();
   // The stride bind_partition() spaces ranges by: the configured one when
   // every initial binding fits below the largest RuleId at it, else one
   // small enough that the initial bindings take at most half the space past
@@ -134,7 +137,8 @@ class DifaneController {
   PartitionPlan plan_;
   // One per plan partition, in plan order; bindings borrow them.
   std::vector<std::unique_ptr<PartitionIndex>> indexes_;
-  std::unordered_map<SwitchId, std::unique_ptr<AuthorityNode>> nodes_;
+  // Indexed by SwitchId; null at switches that are not authorities.
+  std::vector<std::unique_ptr<AuthorityNode>> nodes_;
   RuleId synth_id_stride_ = 0;  // fit_synth_id_stride()
   RuleId next_synth_base_ = 0;  // start of the next binding's synthetic ids
 };

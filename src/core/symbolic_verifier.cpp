@@ -1,5 +1,6 @@
 #include "core/symbolic_verifier.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -143,14 +144,25 @@ SymbolicReport verify_ingress_symbolically(Network& net,
   Budget budget{params.max_regions};
   const FlowTable& table = net.sw(ingress).table();
 
-  // Effective match order at the switch: live entries of the cache,
-  // authority and partition bands. An entry expired at `now` that lazy
-  // expiry has not yet swept matches nothing.
-  std::vector<const FlowEntry*> order;
-  for (const auto band : {Band::kCache, Band::kAuthority, Band::kPartition}) {
-    for (const auto& entry : table.entries(band)) {
-      if (!entry.expired(now)) order.push_back(&entry);
+  // Effective match order at the switch: live cache entries, then the
+  // rules of its bindings if it is an authority switch (its authority band,
+  // in band order), then live partition entries. An entry expired at `now`
+  // that lazy expiry has not yet swept matches nothing.
+  std::vector<const Rule*> order;
+  for (const auto& entry : table.entries(Band::kCache)) {
+    if (!entry.expired(now)) order.push_back(&entry.rule);
+  }
+  if (const AuthorityNode* local = controller.node_at(ingress)) {
+    const std::size_t first = order.size();
+    for (const auto& partition : controller.plan().partitions()) {
+      if (!local->serves(partition.id)) continue;
+      for (const auto& rule : partition.rules.rules()) order.push_back(&rule);
     }
+    std::sort(order.begin() + static_cast<std::ptrdiff_t>(first), order.end(),
+              [](const Rule* a, const Rule* b) { return rule_before(*a, *b); });
+  }
+  for (const auto& entry : table.entries(Band::kPartition)) {
+    if (!entry.expired(now)) order.push_back(&entry.rule);
   }
   const auto failed_target = [&](const Action& action) {
     return action.type == ActionType::kEncap && net.sw(action.arg).failed();
@@ -173,22 +185,21 @@ SymbolicReport verify_ingress_symbolically(Network& net,
   };
 
   std::vector<Ternary> pending{Ternary::wildcard()};
-  for (const FlowEntry* entry : order) {
+  for (const Rule* rule : order) {
     if (pending.empty()) break;
     // Point-check exact entries without splitting the walk.
-    if (covers_used_bits(entry->rule.match)) {
-      const BitVec point = canon(entry->rule.match.value());
+    if (covers_used_bits(rule->match)) {
+      const BitVec point = canon(rule->match.value());
       const Rule* want = policy.match(point);
-      const bool terminal = entry->rule.action.type == ActionType::kForward ||
-                            entry->rule.action.type == ActionType::kDrop;
+      const bool terminal = rule->action.type == ActionType::kForward ||
+                            rule->action.type == ActionType::kDrop;
       if (terminal) {
-        if (want == nullptr || !(want->action == entry->rule.action)) {
+        if (want == nullptr || !(want->action == rule->action)) {
           report.violation = SymbolicViolation{
-              entry->rule.match, "exact entry decides " +
-                                     entry->rule.action.to_string() +
-                                     " but the policy says " +
-                                     (want ? want->action.to_string()
-                                           : std::string("<none>"))};
+              rule->match, "exact entry decides " + rule->action.to_string() +
+                               " but the policy says " +
+                               (want ? want->action.to_string()
+                                     : std::string("<none>"))};
           return report;
         }
         exact_points.insert(point);
@@ -196,11 +207,10 @@ SymbolicReport verify_ingress_symbolically(Network& net,
       }
       // Other redirecting / punting exact entries are safe to skip: the
       // authority or controller resolves them against the policy.
-      if (failed_target(entry->rule.action)) {
+      if (failed_target(rule->action)) {
         report.violation = SymbolicViolation{
-            entry->rule.match,
-            "exact entry redirects to failed switch " +
-                std::to_string(entry->rule.action.arg)};
+            rule->match, "exact entry redirects to failed switch " +
+                             std::to_string(rule->action.arg)};
         return report;
       }
       exact_points.insert(point);
@@ -212,12 +222,12 @@ SymbolicReport verify_ingress_symbolically(Network& net,
         report.exhausted = true;
         return report;
       }
-      const auto overlap = intersect(region, entry->rule.match);
+      const auto overlap = intersect(region, rule->match);
       if (!overlap.has_value()) {
         next.push_back(region);
         continue;
       }
-      const Action& action = entry->rule.action;
+      const Action& action = rule->action;
       std::optional<SymbolicViolation> violation;
       switch (action.type) {
         case ActionType::kForward:
@@ -265,7 +275,7 @@ SymbolicReport verify_ingress_symbolically(Network& net,
         report.violation = std::move(violation);
         return report;
       }
-      const auto rest = subtract(region, entry->rule.match);
+      const auto rest = subtract(region, rule->match);
       next.insert(next.end(), rest.begin(), rest.end());
     }
     pending = std::move(next);

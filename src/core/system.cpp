@@ -611,12 +611,13 @@ void Scenario::fail_over(SwitchId sw) {
 
 void Scenario::crash_authority(SwitchId sw) {
   net_.set_failed(sw, true);
-  // A crash loses the switch's installed state — it reboots with an empty
-  // TCAM. (Distinct from schedule_authority_failure, which models a
-  // fail-stop partition where the state is merely unreachable.)
+  // A crash loses the switch's flow table — it reboots with empty cache and
+  // partition bands. (Distinct from schedule_authority_failure, which models
+  // a fail-stop partition where the state is merely unreachable.) Its
+  // bindings, the authority band, stay with the controller: they resolve
+  // and count again as soon as the switch is back.
   FlowTable& table = net_.sw(sw).table();
   table.clear_band(Band::kCache);
-  table.clear_band(Band::kAuthority);
   table.clear_band(Band::kPartition);
   // The heavy-hitter summary is soft state on the switch: it reboots empty,
   // so a restarted authority re-detects its elephants from scratch (the
@@ -747,6 +748,11 @@ std::vector<FlowStatsEntry> Scenario::query_flow_stats() const {
   per_switch.reserve(net_.switch_count());
   for (SwitchId id = 0; id < net_.switch_count(); ++id) {
     per_switch.push_back(collect_stats(net_.sw(id)));
+  }
+  if (difane_ != nullptr) {
+    for (const SwitchId sw : difane_->authority_switches()) {
+      per_switch.push_back(difane_->node_at(sw)->flow_stats());
+    }
   }
   return merge_stats(per_switch);
 }
@@ -923,7 +929,13 @@ void Scenario::process(SwitchId at, Packet pkt) {
   }
   const double now = net_.engine().now();
   const FlowEntry* entry = sw.table().lookup(pkt.header, now, pkt.bytes);
-  if (entry == nullptr) {
+  const bool cached = entry != nullptr && entry->band == Band::kCache;
+  // An authority switch's bindings are its authority band, between its cache
+  // and partition bands: after a cache miss they match before the partition
+  // rule the lookup fell to (partition counters are never reported).
+  AuthorityNode* node = cached || difane_ == nullptr ? nullptr : difane_->node_at(at);
+  const Rule* local = node != nullptr ? node->match_local(pkt.header, pkt.bytes) : nullptr;
+  if (entry == nullptr && local == nullptr) {
     if (params_.mode == Mode::kNox && at == pkt.ingress) {
       punt_to_controller(pkt);
     } else {
@@ -931,35 +943,33 @@ void Scenario::process(SwitchId at, Packet pkt) {
     }
     return;
   }
+  const Rule& rule = local != nullptr ? *local : entry->rule;
   // Ingress-side cache accounting (first lookup of the packet only).
   if (at == pkt.ingress && pkt.hops == 0 && !pkt.was_redirected) {
-    if (entry->band == Band::kCache) {
+    if (cached) {
       ++stats_.ingress_cache_hits;
-    } else if (entry->band == Band::kAuthority) {
+    } else if (local != nullptr) {
       ++stats_.ingress_local_hits;
     }
   }
-  if (params_.verify_cache_hits && entry->band == Band::kCache &&
-      entry->rule.action.type != ActionType::kEncap) {
+  if (params_.verify_cache_hits && cached && rule.action.type != ActionType::kEncap) {
     const Rule* want = policy_.match(pkt.header);
-    if (want != nullptr && entry->rule.origin_or_self() != want->id) {
+    if (want != nullptr && rule.origin_or_self() != want->id) {
       ++stats_.cache_hit_mismatches;
       if (stats_.cache_hit_mismatches <= 5) {
-        log_warn("cache-hit mismatch at switch ", at, ": hit ",
-                 entry->rule.to_string(), " (origin ", entry->rule.origin_or_self(),
-                 ") want ", want->to_string());
+        log_warn("cache-hit mismatch at switch ", at, ": hit ", rule.to_string(),
+                 " (origin ", rule.origin_or_self(), ") want ", want->to_string());
       }
     }
   }
-  // Telemetry: a terminal match (the entry decides the packet's fate here —
+  // Telemetry: a terminal match (the rule decides the packet's fate here —
   // encap means the authority decides, and is sampled there instead). This
   // is the packet's only table lookup, so it is offered exactly once.
-  if (at < telemetry_.size() && telemetry_[at] != nullptr &&
-      entry->band != Band::kPartition &&
-      entry->rule.action.type != ActionType::kEncap) {
-    telemetry_[at]->sample(pkt.header, entry->rule.id, now, pkt.bytes);
+  if (at < telemetry_.size() && telemetry_[at] != nullptr && (cached || local != nullptr) &&
+      rule.action.type != ActionType::kEncap) {
+    telemetry_[at]->sample(pkt.header, rule.id, now, pkt.bytes);
   }
-  apply_action(at, pkt, entry->rule.action);
+  apply_action(at, pkt, rule.action);
 }
 
 void Scenario::handle_authority(SwitchId at, Packet pkt) {
@@ -974,10 +984,17 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
     return;
   }
   auto resolve = [this, at, pkt]() mutable {
+    // A switch that failed while the packet waited in its queue resolves
+    // nothing, and so sends no install that would pass for liveness.
+    if (net_.sw(at).failed()) {
+      dispose(pkt, false, DropReason::kSwitchFailed);
+      return;
+    }
     AuthorityNode* node = difane_->node_at(at);
     ensures(node != nullptr, "authority switch lost its control node");
     pkt.encap_target.reset();
-    auto result = node->handle(pkt.header);
+    // Credits the winning bound rule's counters (transparency).
+    auto result = node->handle(pkt.header, pkt.bytes);
     if (!result.has_value()) {
       // Misdirected (e.g. stale partition rules during failover). With live
       // migration on, a redirect that chased a partition to a switch that
@@ -1055,10 +1072,6 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
       dispose(pkt, false, DropReason::kNoRule);
       return;
     }
-    // Credit the hit to this switch's installed authority-band copy so
-    // per-policy-rule counters stay exact (transparency).
-    net_.sw(at).table().hit(result->winner->id, Band::kAuthority,
-                            net_.engine().now(), pkt.bytes);
     // Telemetry: an authority resolution is this packet's terminal match.
     if (at < telemetry_.size() && telemetry_[at] != nullptr) {
       telemetry_[at]->sample(pkt.header, result->winner->id,
@@ -1297,7 +1310,7 @@ void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
   }
   m.pending_acks = m.installs.size();
   PartitionInstall msg;
-  msg.rules = partition.rules.rules();
+  msg.rules = m.rules;
   for (const auto member : m.installs) {
     difane_->bind_partition(index, member);
     send_migration(difane_->authority_switch(member), msg,
@@ -1368,19 +1381,14 @@ void Scenario::migration_drain_done(std::size_t slot) {
 void Scenario::migration_finish(std::size_t slot) {
   LiveMigration& m = migrations_[slot];
   const Partition& partition = difane_->plan().partitions()[m.index];
-  // Retire the old-only serving members: unbind their control nodes and
-  // remove the authority-band copies over the channel (fire-and-forget; a
-  // crashed member already lost its table, and retiring an absent id is a
-  // no-op, so duplicates are harmless).
+  // Retire the old-only serving members: unbind their control nodes, which
+  // retires the copies' counters, and send each live one the retire
+  // (fire-and-forget; duplicates are harmless).
   for (const auto member : m.retires) {
     difane_->unbind_partition(m.index, member);
     const SwitchId sw = difane_->authority_switch(member);
     if (net_.sw(sw).failed()) continue;
-    PartitionRetire msg;
-    for (const auto& rule : partition.rules.rules()) {
-      msg.rule_ids.push_back(rule.id);
-    }
-    send_migration(sw, std::move(msg), {});
+    send_migration(sw, PartitionRetire{}, {});
   }
   // Cached shadow redirects that still chase the old home defeat the move
   // (and, once traffic shifts, the old home's copy is demoted to backup):
@@ -1404,17 +1412,8 @@ void Scenario::migration_rollback(std::size_t slot) {
   const Partition& partition = difane_->plan().partitions()[m.index];
   if (!m.flipped) {
     // Pre-flip abort: the plan never changed and no ingress was flipped, so
-    // rolling back is unstocking the installs. A crashed member's table is
-    // already empty; live members get the copies removed directly (the same
-    // direct-poke idiom as the failover purge).
-    for (const auto member : m.installs) {
-      difane_->unbind_partition(m.index, member);
-      Switch& sw = net_.sw(difane_->authority_switch(member));
-      if (sw.failed()) continue;
-      for (const auto& rule : partition.rules.rules()) {
-        sw.table().remove(rule.id, Band::kAuthority);
-      }
-    }
+    // rolling back is unbinding the installs.
+    for (const auto member : m.installs) difane_->unbind_partition(m.index, member);
   }
   // Post-flip abort (destination crashed after the re-home committed):
   // nothing to undo here — handle_authority_failure already failed the plan

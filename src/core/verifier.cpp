@@ -47,11 +47,20 @@ struct Walker {
              (want ? want->action.to_string() : std::string("<none>"));
     };
     const FlowEntry* entry = net.sw(ingress).table().peek(packet, params.now);
-    if (entry == nullptr) {
+    const Rule* rule = entry == nullptr ? nullptr : &entry->rule;
+    // An authority ingress's bindings, its authority band, match after its
+    // cache band and before its partition band, as in the data plane.
+    if (entry == nullptr || entry->band != Band::kCache) {
+      if (const AuthorityNode* local = controller.node_at(ingress)) {
+        const auto result = local->resolve(packet);
+        if (result.has_value() && result->winner != nullptr) rule = result->winner;
+      }
+    }
+    if (rule == nullptr) {
       *detail = "no rule matched at switch " + std::to_string(ingress);
       return VerifyOutcome::kBlackHole;
     }
-    const Action& action = entry->rule.action;
+    const Action& action = rule->action;
     switch (action.type) {
       case ActionType::kEncap: {
         const SwitchId target = action.arg;

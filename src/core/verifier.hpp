@@ -1,7 +1,8 @@
 // Installed-state verifier — a NetPlumber-lite static checker over the
 // *actual switch tables* (not the controller's intent). For sampled packets
 // at each ingress, it walks the data plane statically: cache / authority /
-// partition band semantics, encapsulation tunnels, terminal forwarding.
+// partition band semantics (an authority switch's authority band is its
+// AuthorityNode bindings), encapsulation tunnels, terminal forwarding.
 // Detects black holes (no rule anywhere), dangling redirects (to a failed
 // switch, or to one that does not own the packet), unreachable authorities,
 // and disagreement with the reference policy. It only reads: authorities

@@ -26,16 +26,20 @@ struct FlowMod {
 };
 
 // ---- live partition migration ("make-before-break" re-homing) -----------
-// These three messages are the control vocabulary of a partition move. All of
-// them are idempotent by construction — installs and flips refresh an entry
-// in place by rule id, retire of an absent id is a no-op — so the reliable
-// channel's retransmission/duplication path needs no special casing.
+// These three messages are the control vocabulary of a partition move. The
+// controller binds and unbinds the partition at the authority switches
+// itself (a binding is the switch's authority band, core/authority.hpp), so
+// the install and the retire carry no rules: they model the wire and the
+// apply time of the move, and their acks pace it. All of them are
+// idempotent — a flip refreshes an entry in place by rule id — so the
+// reliable channel's retransmission/duplication path needs no special
+// casing.
 
-// Install a partition's authority rules at the destination switch (the
+// Stock a partition's authority rules at the destination switch (the
 // make-before-break "make": the destination is fully stocked before any
-// ingress is flipped toward it).
+// ingress is flipped toward it). The apply pays one flow-mod per rule.
 struct PartitionInstall {
-  std::vector<Rule> rules;  // authority-band copies for one partition
+  std::size_t rules = 0;
 };
 
 // Flip one switch's partition-band redirect rule so new redirects chase the
@@ -45,12 +49,9 @@ struct PartitionFlip {
   Rule rule;  // partition-band redirect (encap to the new authority)
 };
 
-// Retire the source copy after the drain window: remove the listed
-// authority-band rule ids. Removing an id the switch no longer holds (crash,
-// duplicate retire) is a silent no-op.
-struct PartitionRetire {
-  std::vector<RuleId> rule_ids;
-};
+// Retire the source copy after the drain window. The apply pays one
+// flow-mod.
+struct PartitionRetire {};
 
 // One telemetry export batch travelling switch -> collector. Unlike the
 // requests above this one flows *toward* the controller, which is why the

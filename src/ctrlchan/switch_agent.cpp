@@ -26,7 +26,7 @@ void SwitchAgent::deliver(const Request& request, ReplyHandler on_reply) {
           // A bulk authority install pays per rule, like the equivalent
           // stream of FlowMods would.
           return kCosts.flow_mod_cost *
-                 static_cast<double>(std::max<std::size_t>(1, msg.rules.size()));
+                 static_cast<double>(std::max<std::size_t>(1, msg.rules));
         }
         if constexpr (std::is_same_v<T, FlowExport>) return 0.0;
         return kCosts.flow_mod_cost;
@@ -73,17 +73,6 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
                                          msg.idle_timeout, 0.0, msg.guards);
           }
           if (on_reply) on_reply(FlowModReply{ok});
-        } else if constexpr (std::is_same_v<T, PartitionInstall>) {
-          // Migration "make" step. A failed switch acks ok=false without
-          // touching its (cleared) table, so the migration state machine can
-          // abort instead of believing the destination is stocked.
-          bool ok = !switch_.failed();
-          if (ok) {
-            for (const auto& rule : msg.rules) {
-              switch_.table().install(rule, Band::kAuthority, now);
-            }
-          }
-          if (on_reply) on_reply(FlowModReply{ok});
         } else if constexpr (std::is_same_v<T, PartitionFlip>) {
           bool ok = !switch_.failed();
           if (ok) {
@@ -93,14 +82,13 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
             switch_.table().install(msg.rule, Band::kPartition, now);
           }
           if (on_reply) on_reply(FlowModReply{ok});
-        } else if constexpr (std::is_same_v<T, PartitionRetire>) {
-          bool ok = !switch_.failed();
-          if (ok) {
-            for (const RuleId id : msg.rule_ids) {
-              switch_.table().remove(id, Band::kAuthority);
-            }
-          }
-          if (on_reply) on_reply(FlowModReply{ok});
+        } else if constexpr (std::is_same_v<T, PartitionInstall> ||
+                             std::is_same_v<T, PartitionRetire>) {
+          // The binding moved with the send (core/authority.hpp); the apply
+          // is the time it takes. A failed switch acks ok=false, so the
+          // migration state machine aborts instead of believing a crashed
+          // destination is stocked.
+          if (on_reply) on_reply(FlowModReply{!switch_.failed()});
         } else if constexpr (std::is_same_v<T, FlowExport>) {
           // A switch agent is not a collector; export batches terminate at a
           // CollectorEndpoint. Still ack so a misdirected batch cannot wedge
@@ -113,18 +101,16 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
 
 std::vector<FlowStatsEntry> collect_stats(const Switch& sw) {
   std::map<RuleId, FlowStatsEntry> by_origin;
-  for (const auto band : {Band::kCache, Band::kAuthority}) {
-    for (const auto& entry : sw.table().entries(band)) {
-      // Redirect plumbing (partition band, shadow/encap rules) is excluded:
-      // those hits are counted again at the authority switch's policy rule.
-      if (entry.rule.action.type == ActionType::kEncap) continue;
-      const RuleId origin = entry.rule.origin_or_self();
-      auto& row = by_origin[origin];
-      row.origin = origin;
-      row.packets += entry.packets;
-      row.bytes += entry.bytes;
-      row.installed_copies += 1;
-    }
+  for (const auto& entry : sw.table().entries(Band::kCache)) {
+    // Redirect plumbing (partition band, shadow/encap rules) is excluded:
+    // those hits are counted again at the authority switch's policy rule.
+    if (entry.rule.action.type == ActionType::kEncap) continue;
+    const RuleId origin = entry.rule.origin_or_self();
+    auto& row = by_origin[origin];
+    row.origin = origin;
+    row.packets += entry.packets;
+    row.bytes += entry.bytes;
+    row.installed_copies += 1;
   }
   // Counters that left the table with evicted/expired/deleted entries.
   for (const auto& [origin, counters] : sw.table().retired()) {

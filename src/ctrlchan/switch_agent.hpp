@@ -85,9 +85,10 @@ class SwitchAgent : public ControlEndpoint {
 };
 
 // One row per distinct origin rule: counters summed over every installed
-// copy (clipped partitions copies, microflow entries, shadow rules), so the
-// controller sees exactly the per-policy-rule counters it would have seen
-// with one giant table. This is the transparency property.
+// copy (cache entries at the switches, clipped rules in the authority
+// switches' bindings), so the controller sees exactly the per-policy-rule
+// counters it would have seen with one giant table. This is the
+// transparency property.
 struct FlowStatsEntry {
   RuleId origin = kInvalidRuleId;
   std::uint64_t packets = 0;
@@ -95,9 +96,10 @@ struct FlowStatsEntry {
   std::uint64_t installed_copies = 0;
 };
 
-// Aggregate counters per origin rule across one switch's whole table.
-// Copies (partition clippings, shadow rules, microflow entries) fold into
-// their origin; rules with no origin report under their own id.
+// Aggregate counters per origin rule across one switch's cache band, live
+// entries and retired ones. Copies (dependent-set clippings, microflow
+// entries) fold into their origin; rules with no origin report under their
+// own id. The authority band's rows come from AuthorityNode::flow_stats.
 std::vector<FlowStatsEntry> collect_stats(const Switch& sw);
 
 // Merge stats rows from several switches (same origin folds together).

@@ -25,9 +25,10 @@ struct LinkFlap {
   double up_at = -1.0;  // < 0: stays down for the rest of the run
 };
 
-// An authority switch crashes at `at`, losing all installed flow-table state
-// (a real switch reboot comes back empty). If `restart_at` >= 0 the switch
-// rejoins then; the controller reinstalls its rules once the restart is
+// An authority switch crashes at `at`, losing its cache and partition bands
+// (a real switch reboot comes back empty); its bindings, the authority band,
+// stay with the controller. If `restart_at` >= 0 the switch rejoins then;
+// the controller reinstalls its partition rules once the restart is
 // detected. Indexed into the scenario's authority list, not by SwitchId, so
 // plans stay valid across topology sizes.
 struct AuthorityCrash {

@@ -331,69 +331,9 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
 void FlowTable::install_bulk(const std::vector<const Rule*>& rules, Band band,
                              double now) {
   expects(band != Band::kCache,
-          "install_bulk: cache-band installs need the eviction/guard logic of "
+          "install_bulk: cache-band installs need timeouts and guards; use "
           "install()");
-  BandState& bs = bands_[index(band)];
-  const std::size_t before = bs.order.size();
-  expects(std::is_sorted(bs.order.begin(), bs.order.end(),
-                         [&bs](std::uint32_t a, std::uint32_t b) {
-                           return rule_before(bs.slab[a].rule, bs.slab[b].rule);
-                         }),
-          "install_bulk: band order not rule_before-sorted (a refresh changed "
-          "an entry's priority?)");
-  for (const Rule* rule : rules) {
-    // Same-id refresh keeps its position — identical to install(). Non-cache
-    // bands have no aux indices or guard links to rekey.
-    const auto existing = bs.by_id.find(rule->id);
-    if (existing != bs.by_id.end()) {
-      FlowEntry& e = bs.slab[existing->second];
-      // A same-priority refresh keeps the band sorted; a priority change
-      // would leave this entry stale-positioned and break the sortedness
-      // precondition for the next bulk call (and the equivalence with
-      // sequential install()). No non-cache caller changes priority on a
-      // refresh — partition repoints swap the action, authority reinstalls
-      // are identical rules — so reject it outright.
-      expects(e.rule.priority == rule->priority,
-              "install_bulk: refresh must not change priority (use install())");
-      e.rule = *rule;
-      e.install_time = now;
-      e.idle_timeout = 0.0;
-      e.hard_timeout = 0.0;
-      e.last_hit = now;
-      e.guards.clear();
-      note_expiry(e);
-      ++stats_.installs;
-      continue;
-    }
-    const std::uint32_t slot = alloc_slot(bs);
-    FlowEntry& e = bs.slab[slot];
-    e.rule = *rule;
-    e.band = band;
-    e.install_time = now;
-    e.idle_timeout = 0.0;
-    e.hard_timeout = 0.0;
-    e.last_hit = now;
-    e.packets = 0;
-    e.bytes = 0;
-    e.guards.clear();
-    bs.order.push_back(slot);
-    bs.by_id.emplace(rule->id, slot);
-    note_expiry(e);
-    ++stats_.installs;
-  }
-  if (bs.order.size() != before) {
-    // One sort of the appended tail plus one merge with the (sorted) prefix
-    // lands every new entry at exactly the position sequential order_insert
-    // calls would have chosen: rule_before is a strict total order, so the
-    // merged result is the unique sorted arrangement either way.
-    const auto mid = bs.order.begin() + static_cast<std::ptrdiff_t>(before);
-    const auto by_rule = [&bs](std::uint32_t a, std::uint32_t b) {
-      return rule_before(bs.slab[a].rule, bs.slab[b].rule);
-    };
-    std::sort(mid, bs.order.end(), by_rule);
-    std::inplace_merge(bs.order.begin(), mid, bs.order.end(), by_rule);
-    renumber(bs);
-  }
+  for (const Rule* rule : rules) install(*rule, band, now);
 }
 
 void FlowTable::retire(const FlowEntry& entry) {
@@ -623,22 +563,6 @@ const FlowEntry* FlowTable::lookup(const BitVec& packet, double now, std::uint64
     }
   }
   return entry;
-}
-
-bool FlowTable::hit(RuleId id, Band band, double now, std::uint64_t bytes) {
-  BandState& bs = bands_[index(band)];
-  const auto it = bs.by_id.find(id);
-  if (it == bs.by_id.end()) return false;
-  FlowEntry& e = bs.slab[it->second];
-  ++e.packets;
-  e.bytes += bytes;
-  ++stats_.hits_per_band[index(band)];
-  if (band == Band::kCache) {
-    touch(it->second, now);
-  } else {
-    e.last_hit = now;
-  }
-  return true;
 }
 
 const FlowEntry* FlowTable::peek(const BitVec& packet, double now) const {

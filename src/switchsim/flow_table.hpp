@@ -3,7 +3,10 @@
 // priorities inside each band — exactly the layering the paper installs in
 // every switch's TCAM. Cache entries carry idle/hard timeouts and LRU-evict
 // when the cache band is full; authority and partition entries are proactive
-// and never expire.
+// and never expire. The simulator keeps an authority switch's authority band
+// in its AuthorityNode bindings (core/authority.hpp), matched after the cache
+// band and before the partition band, so its tables hold cache and partition
+// entries only; the authority band here serves tests and microbenchmarks.
 //
 // Fast-path layout: each band keeps its entries in its own stable slab, an
 // ordered index of slab slots, a RuleId hash map and one 32-bit order key
@@ -129,21 +132,10 @@ class FlowTable {
   bool install(const Rule& rule, Band band, double now, double idle_timeout = 0.0,
                double hard_timeout = 0.0, std::vector<RuleId> guards = {});
 
-  // Bulk install into a non-cache band: semantically identical to calling
-  // install(rule, band, now) for each pointed-to rule in sequence (same
-  // final match order, same stats counters, same refresh behaviour), but O((n + k) + k log k) instead of O(n * k) — new entries
-  // are appended and merged into the band order once instead of paying a
-  // vector memmove plus a full position refresh per rule. Used by the
-  // controller's initial authority/partition population, where the
-  // per-insert path is quadratic at millions of rules (the E11 stress tier).
-  //
-  // Precondition: the band order is rule_before-sorted on entry. That holds
-  // for any band populated through install()/install_bulk, because
-  // rule_before is a strict total order (priority desc, id asc), ids are
-  // unique within a band, and same-id refreshes keep their position — it
-  // could only break if a refresh changed an entry's priority, which no
-  // non-cache caller does. Timeouts are fixed at "never" (0.0) and guards
-  // empty, matching every existing non-cache install site.
+  // Install each pointed-to rule into a non-cache band, in order, as
+  // install(rule, band, now) does: no timeouts, no guards. A loop suffices:
+  // the simulator's one proactive band, the partition band, holds one rule
+  // per partition.
   void install_bulk(const std::vector<const Rule*>& rules, Band band, double now);
 
   bool remove(RuleId id, Band band);
@@ -161,11 +153,6 @@ class FlowTable {
   // reference scan, first live match in band order. lookup agrees with it
   // at any instant of a forward clock.
   const FlowEntry* peek(const BitVec& packet, double now) const;
-
-  // Credit a hit to a specific entry by id (used when the control logic
-  // resolved the match out-of-band, e.g. an authority switch handling a
-  // redirected packet against its partition). Returns false if absent.
-  bool hit(RuleId id, Band band, double now, std::uint64_t bytes = 1);
 
   std::size_t expire(double now);
 

@@ -7,8 +7,8 @@ namespace difane {
 std::string Switch::describe() const {
   std::ostringstream os;
   os << "switch " << id_ << (failed_ ? " (FAILED)" : "") << ": cache "
-     << table_.size(Band::kCache) << "/" << table_.cache_capacity() << ", authority "
-     << table_.size(Band::kAuthority) << ", partition " << table_.size(Band::kPartition);
+     << table_.size(Band::kCache) << "/" << table_.cache_capacity() << ", partition "
+     << table_.size(Band::kPartition);
   return os.str();
 }
 

@@ -6,9 +6,11 @@
 
 #include "core/authority.hpp"
 #include "core/difane_controller.hpp"
+#include "core/system.hpp"
 #include "partition/partitioner.hpp"
 #include "util/contract.hpp"
 #include "workload/rulegen.hpp"
+#include "workload/trafficgen.hpp"
 
 namespace difane {
 namespace {
@@ -389,6 +391,51 @@ TEST(Cache, ManyBindingsShrinkTheStrideInsteadOfRunningOutOfIds) {
     ASSERT_EQ(firsts[i] - firsts[i - 1], stride) << "binding " << i;
   }
   EXPECT_LE(std::uint64_t{firsts.back()} + stride, kInvalidRuleId);
+}
+
+// A binding's per-rule counters are the authority band's entry counters:
+// unbinding a partition retires them, as a switch reports a removed entry's
+// counters, so query_flow_stats loses the copies but not the traffic.
+TEST(Cache, BindingCountersSurviveUnbindInQueryFlowStats) {
+  const auto policy = classbench_like(300, 5);
+  ScenarioParams params;
+  params.mode = Mode::kDifane;
+  params.authority_count = 2;
+  params.partitioner.capacity = 100;
+  params.cache_strategy = CacheStrategy::kMicroflow;
+  Scenario scenario(policy, params);
+  TrafficParams tp;
+  tp.seed = 5;
+  tp.arrival_rate = 2000.0;
+  tp.duration = 0.5;
+  tp.ingress_count = 4;
+  scenario.run(TrafficGenerator(policy, tp).generate());
+
+  const auto before = scenario.query_flow_stats();
+  const Partition& partition = scenario.plan()->partitions().at(0);
+  AuthorityNode& node = *scenario.difane()->node_at(
+      scenario.difane()->authority_switch(partition.primary));
+  std::uint64_t resolved = 0;
+  for (const auto& row : node.flow_stats()) resolved += row.packets;
+  ASSERT_GT(resolved, 0u);
+
+  scenario.difane()->unbind_partition(0, partition.primary);
+  std::uint64_t retired = 0;
+  for (const auto& row : node.flow_stats()) {
+    if (row.installed_copies == 0) retired += row.packets;
+  }
+  EXPECT_GT(retired, 0u);
+  std::map<RuleId, std::uint64_t> copies_gone;
+  for (const auto& rule : partition.rules.rules()) ++copies_gone[rule.origin_or_self()];
+  const auto after = scenario.query_flow_stats();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].origin, before[i].origin);
+    EXPECT_EQ(after[i].packets, before[i].packets);
+    EXPECT_EQ(after[i].bytes, before[i].bytes);
+    EXPECT_EQ(after[i].installed_copies + copies_gone[after[i].origin],
+              before[i].installed_copies);
+  }
 }
 
 TEST(Cache, StrategyNames) {

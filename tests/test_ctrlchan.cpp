@@ -127,7 +127,7 @@ TEST(SwitchAgent, BacklogHoldsOneEngineEvent) {
 
 TEST(SwitchAgent, StatsAggregatePerOrigin) {
   Fixture f;
-  // Two clipped copies of policy rule 100 plus one unrelated rule.
+  // Two cached clippings of policy rule 100 plus one unrelated rule.
   Ternary tcp;
   match_exact(tcp, Field::kIpProto, 6);
   Rule copy1 = rule_of(1000, 10, Action::forward(1), /*origin=*/100);
@@ -139,10 +139,10 @@ TEST(SwitchAgent, StatsAggregatePerOrigin) {
   Rule other = rule_of(2000, 5, Action::drop(), /*origin=*/200);
   Ternary icmp;
   match_exact(icmp, Field::kIpProto, 1);
-  other.match = icmp;  // cache band outranks authority band; keep it narrow
+  other.match = icmp;
 
-  f.sw.table().install(copy1, Band::kAuthority, 0.0);
-  f.sw.table().install(copy2, Band::kAuthority, 0.0);
+  f.sw.table().install(copy1, Band::kCache, 0.0);
+  f.sw.table().install(copy2, Band::kCache, 0.0);
   f.sw.table().install(other, Band::kCache, 0.0);
 
   f.sw.table().lookup(PacketBuilder().ip_proto(6).build(), 1.0, 50);
@@ -381,20 +381,30 @@ TEST(ControlChannel, ReorderedArrivalsApplyInSendOrder) {
 
 TEST(ControlChannel, DeleteOvertakingAddStillDeletesLast) {
   Fixture f;
-  // The retire is sent after the install but arrives first. Out-of-order
-  // apply would retire nothing then land the install, leaving a ghost
-  // entry; in-order apply ends with an empty authority band.
+  // The retire is sent after the install but arrives first. In-order apply
+  // holds it until the install, which pays one flow-mod per rule, has
+  // applied; each reply leaves as its request applies.
   ScriptedFaults faults({{5e-3}, {0.0}});
   ControlChannel channel(f.engine, f.agent, 0.001, reliable(0.05), &faults);
+  const double cost = SwitchAgentParams{}.flow_mod_cost;
+  std::vector<std::pair<std::string, double>> replies;
   PartitionInstall install;
-  install.rules.push_back(rule_of(1, 10));
-  channel.send(install);
-  PartitionRetire retire;
-  retire.rule_ids.push_back(1);
-  channel.send(retire);
+  install.rules = 3;
+  channel.send(install, [&](const Reply&) {
+    replies.emplace_back("install", f.engine.now());
+  });
+  channel.send(PartitionRetire{}, [&](const Reply&) {
+    replies.emplace_back("retire", f.engine.now());
+  });
   f.engine.run();
   EXPECT_EQ(channel.reordered(), 1u);
-  EXPECT_EQ(f.sw.table().size(Band::kAuthority), 0u);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].first, "install");
+  EXPECT_EQ(replies[1].first, "retire");
+  // Arrival 0.006 s, three flow-mods, then the one-way trip back; the
+  // retire applies one flow-mod later.
+  EXPECT_NEAR(replies[0].second, 0.006 + 3 * cost + 0.001, 1e-12);
+  EXPECT_NEAR(replies[1].second, 0.006 + 4 * cost + 0.001, 1e-12);
 }
 
 TEST(ControlChannel, DuplicatedRequestAppliesOnce) {

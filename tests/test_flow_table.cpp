@@ -209,11 +209,10 @@ TEST(FlowTable, CascadeSparesUnguardedEntries) {
   EXPECT_EQ(ft.stats().cascade_evictions, 0u);
 }
 
-// install_bulk promises bit-identical observable state to a sequence of
-// install() calls: same band order, same stats counters, same refresh
-// behaviour. Drive both paths with interleaved priorities (worst case for
-// per-insert ordering), duplicate-id refreshes, and a second batch on top of
-// an existing band.
+// install_bulk leaves the observable state a sequence of install() calls
+// leaves: same band order, same stats counters, same refresh behaviour.
+// Drive both paths with interleaved priorities, duplicate-id refreshes, and
+// a second batch on top of an existing band.
 TEST(FlowTable, BulkInstallMatchesSequential) {
   std::vector<Rule> batch1, batch2;
   for (RuleId id = 0; id < 200; ++id) {
@@ -222,9 +221,8 @@ TEST(FlowTable, BulkInstallMatchesSequential) {
                                 Action::forward(static_cast<std::uint32_t>(id % 4))));
   }
   for (RuleId id = 150; id < 350; ++id) {  // ids 150..199 refresh in place
-    // Refreshes keep their priority (like a partition repoint: only the
-    // action changes) — a priority change would de-sort the band and is
-    // rejected by install_bulk's contract.
+    // Refreshes keep their priority, like a partition repoint: only the
+    // action changes.
     const Priority prio = id < 200 ? (id * 37) % 50 : (id * 13) % 50;
     batch2.push_back(proto_rule(id, prio, static_cast<std::uint8_t>(id % 5),
                                 Action::drop()));

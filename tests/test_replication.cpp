@@ -59,10 +59,15 @@ TEST(Replication, SpreadsRedirectLoadAcrossReplicas) {
   one.run(flows);
   four.run(flows);
   auto authority_hit_spread = [](Scenario& scenario) {
-    // Count redirected work per authority switch via its authority-band hits.
+    // Count redirected work per authority switch via the packets its
+    // bindings (its authority band) resolved.
     std::vector<std::uint64_t> hits;
     for (const auto sw : scenario.difane()->authority_switches()) {
-      hits.push_back(scenario.net().sw(sw).table().stats().hits_per_band[1]);
+      std::uint64_t packets = 0;
+      for (const auto& row : scenario.difane()->node_at(sw)->flow_stats()) {
+        packets += row.packets;
+      }
+      hits.push_back(packets);
     }
     std::sort(hits.begin(), hits.end());
     return hits;

@@ -45,20 +45,20 @@ TEST(SystemDifane, SetupInstallsAllRuleKinds) {
   ASSERT_NE(scenario.plan(), nullptr);
   const auto& plan = *scenario.plan();
   EXPECT_GE(plan.partitions().size(), 1u);
-  // Every switch holds one partition rule per partition.
+  // Every switch holds one partition rule per partition, and no flow table
+  // holds an authority-band entry: the bindings are the authority band.
   for (SwitchId id = 0; id < scenario.net().switch_count(); ++id) {
     EXPECT_EQ(scenario.net().sw(id).table().size(Band::kPartition),
               plan.partitions().size());
+    EXPECT_EQ(scenario.net().sw(id).table().size(Band::kAuthority), 0u);
   }
-  // Authority switches hold authority rules; edges hold none.
-  std::size_t authority_rules = 0;
-  for (SwitchId id = 0; id < scenario.net().switch_count(); ++id) {
-    authority_rules += scenario.net().sw(id).table().size(Band::kAuthority);
+  // The authority switches bind primary + backup copies; edges bind none.
+  std::size_t bound_rules = 0;
+  for (const SwitchId sw : scenario.difane()->authority_switches()) {
+    bound_rules += scenario.difane()->node_at(sw)->rule_count();
   }
-  // Primary + backup copies.
-  EXPECT_EQ(authority_rules, 2 * plan.total_rules());
-  EXPECT_EQ(scenario.net().sw(scenario.ingress_switch(0)).table().size(Band::kAuthority),
-            0u);
+  EXPECT_EQ(bound_rules, 2 * plan.total_rules());
+  EXPECT_EQ(scenario.difane()->node_at(scenario.ingress_switch(0)), nullptr);
 }
 
 TEST(SystemDifane, AllFirstPacketsReachDisposition) {
@@ -310,6 +310,45 @@ TEST(SystemDifane, RunRejectsBadFlowTimingsBeforeSchedulingAnything) {
     EXPECT_EQ(scenario.net().engine().pending(), pending);
     EXPECT_EQ(scenario.stats().tracer.injected(), 0u);
   }
+}
+
+// Redirects queued at an authority switch when it crashes die with it. A
+// crashed switch that kept resolving them sent cache installs after its
+// death, and the heartbeat monitor took each one for liveness: at a 0.4 ms
+// heartbeat it declared the still-failed switch recovered and the restart
+// handler aborted the run.
+TEST(SystemDifane, CrashedAuthorityResolvesNothingItQueued) {
+  const auto policy = classbench_like(200, 3);
+  ScenarioParams params;
+  params.mode = Mode::kDifane;
+  params.authority_count = 2;
+  params.cache_strategy = CacheStrategy::kMicroflow;
+  params.timings.authority_service = 1e-3;  // a backlog builds at each authority
+  params.timings.heartbeat_interval = 4e-4;
+  params.timings.heartbeat_miss = 2;
+  params.timings.heartbeat_horizon = 0.2;
+  AuthorityCrash crash;
+  crash.authority_index = 0;
+  crash.at = 0.05;  // no restart
+  params.faults.crashes.push_back(crash);
+  Scenario scenario(policy, params);
+  Rng rng(9);
+  std::vector<FlowSpec> flows;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    FlowSpec flow;
+    flow.id = i;
+    flow.header = policy.at(rng.uniform(0, policy.size() - 1)).match.sample_point(rng);
+    flow.start = 0.1 * static_cast<double>(i) / 4000.0;
+    flow.packets = 1;
+    flow.ingress_index = static_cast<std::uint32_t>(i % 4);
+    flows.push_back(std::move(flow));
+  }
+  const auto& stats = scenario.run(flows);
+  EXPECT_EQ(stats.failovers_detected, 1u);
+  EXPECT_EQ(stats.recoveries_detected, 0u);
+  EXPECT_EQ(stats.spurious_failovers, 0u);
+  EXPECT_GT(stats.tracer.dropped(DropReason::kSwitchFailed), 0u);
+  EXPECT_EQ(stats.tracer.in_flight(), 0);
 }
 
 TEST(SystemDifane, ZeroAuthorityCountRejected) {

@@ -2,6 +2,9 @@
 // a real walk rather than a free stop at the core.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "core/system.hpp"
 #include "core/verifier.hpp"
 #include "workload/rulegen.hpp"
@@ -74,6 +77,48 @@ TEST(LineTopology, DetourStretchExceedsTwoTier) {
   // midpoint authority: p99 stretch well above the Clos's 2.0 bound.
   EXPECT_GT(line_stats.stretch.percentile(0.99),
             clos_stats.stretch.percentile(0.99));
+}
+
+// An ingress that is also an authority switch matches its bindings after
+// its cache band and before its partition band, and each such local hit
+// counts against the bound rule as a redirect does. The values were
+// captured when the authority band was a FlowTable band holding copies of
+// the rules; they must not move.
+TEST(LineTopology, LocalHitsCountAgainstTheBindings) {
+  const auto policy = classbench_like(30, 137);
+  ScenarioParams params = line_params(6, 2);
+  params.partitioner.capacity = 10;
+  Scenario scenario(policy, params);
+  TrafficParams tp;
+  tp.seed = 137;
+  tp.flow_pool = 1u << 18;
+  tp.arrival_rate = 150.0;
+  tp.duration = 1.0;
+  tp.mean_packets = 2.0;
+  tp.packet_gap = 0.01;
+  tp.ingress_count = 6;
+  const auto& stats = scenario.run(TrafficGenerator(policy, tp).generate());
+  EXPECT_EQ(stats.tracer.injected(), 200u);
+  EXPECT_EQ(stats.tracer.delivered(), 161u);
+  EXPECT_EQ(stats.tracer.dropped(DropReason::kPolicyDrop), 39u);
+  EXPECT_EQ(stats.ingress_cache_hits, 87u);
+  EXPECT_EQ(stats.ingress_local_hits, 75u);
+  EXPECT_EQ(stats.redirects, 38u);
+  // {origin, packets, bytes, installed_copies} per policy rule.
+  const std::vector<std::array<std::uint64_t, 4>> want = {
+      {0, 1, 100, 3},    {1, 11, 1100, 6},  {2, 3, 300, 6},    {3, 3, 300, 6},
+      {4, 0, 0, 6},      {5, 10, 1000, 6},  {6, 15, 1500, 6},  {7, 3, 300, 6},
+      {8, 2, 200, 6},    {9, 1, 100, 6},    {10, 10, 1000, 6}, {11, 20, 2000, 5},
+      {12, 10, 1000, 6}, {13, 8, 800, 6},   {14, 3, 300, 6},   {15, 6, 600, 6},
+      {16, 15, 1500, 6}, {17, 7, 700, 5},   {18, 4, 400, 5},   {19, 6, 600, 6},
+      {20, 2, 200, 6},   {21, 6, 600, 5},   {22, 8, 800, 5},   {23, 2, 200, 6},
+      {24, 8, 800, 6},   {25, 1, 100, 6},   {26, 2, 200, 4},   {27, 3, 300, 5},
+      {28, 5, 500, 4},   {29, 25, 2500, 17}};
+  std::vector<std::array<std::uint64_t, 4>> got;
+  for (const auto& row : scenario.query_flow_stats()) {
+    got.push_back({row.origin, row.packets, row.bytes, row.installed_copies});
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(LineTopology, AuthorityPositionsSpacedAndDistinct) {
