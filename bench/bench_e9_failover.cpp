@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
       Scenario scenario(policy, params);
       const auto flows = setup_storm(policy, 5000.0, duration, rep.seed);
       const auto& stats = scenario.run(flows);
-      const auto verify = scenario.verify_installed(200, rep.seed);
+      const auto verify = scenario.verify_installed();
 
       const auto lost = stats.tracer.dropped(DropReason::kSwitchFailed) +
                         stats.tracer.dropped(DropReason::kUnreachable);

@@ -53,6 +53,10 @@ class DifaneController {
   void install_all();
 
   const PartitionPlan& plan() const { return plan_; }
+  // The shared index (tree and dependency graph) of plan partition `index`.
+  const PartitionIndex& partition_index(std::size_t index) const {
+    return *indexes_.at(index);
+  }
   const std::vector<SwitchId>& authority_switches() const { return authority_switches_; }
   SwitchId authority_switch(AuthorityIndex index) const {
     return authority_switches_.at(index);

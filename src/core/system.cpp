@@ -847,14 +847,9 @@ void Scenario::collect_fault_stats() {
   }
 }
 
-VerifyReport Scenario::verify_installed(std::size_t samples_per_ingress,
-                                        std::uint64_t seed) {
+VerifyReport Scenario::verify_installed(std::size_t, std::uint64_t) {
   expects(difane_ != nullptr, "verify_installed: DIFANE mode only");
-  VerifierParams vp;
-  vp.samples_per_ingress = samples_per_ingress;
-  vp.seed = seed;
-  vp.now = end_clock();
-  return verify_installed_state(net_, *difane_, policy_, topo_.edge, vp);
+  return verify_installed_state(net_, *difane_, policy_, topo_.edge, end_clock());
 }
 
 void Scenario::schedule_arrival(const FlowSpec& flow, SwitchId ingress,

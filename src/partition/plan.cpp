@@ -65,40 +65,48 @@ std::size_t PartitionPlan::max_rules_per_authority() const {
   return *std::max_element(counts.begin(), counts.end());
 }
 
-std::optional<std::string> PartitionPlan::validate(const RuleTable& policy, Rng& rng,
-                                                   std::size_t samples) const {
-  for (std::size_t s = 0; s < samples; ++s) {
-    // Alternate uniform packets with packets biased into policy rules.
-    BitVec packet;
-    if (s % 2 == 0 || policy.empty()) {
-      packet = Ternary::wildcard().sample_point(rng);
-    } else {
-      packet = policy.at(rng.uniform(0, policy.size() - 1)).match.sample_point(rng);
-    }
-    // Disjointness + completeness.
-    std::size_t owners = 0;
-    const Partition* owner = nullptr;
-    for (const auto& p : partitions_) {
-      if (p.region.matches(packet)) {
-        ++owners;
-        owner = &p;
+std::optional<std::string> PartitionPlan::validate(const RuleTable& policy) const {
+  // Tiling. Pairwise disjoint regions, 2^-care_bits of the space each, add
+  // up to at most the whole space; carrying pairs of equal-size regions
+  // upward ends at exactly one whole space iff they add up to it, that is,
+  // iff they cover it.
+  std::vector<std::size_t> by_care(kHeaderBits + 1, 0);
+  for (std::size_t i = 0; i < partitions_.size(); ++i) {
+    const Partition& p = partitions_[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      if (intersects(p.region, partitions_[j].region)) {
+        std::ostringstream os;
+        os << "partitions " << partitions_[j].id << " and " << p.id << " overlap";
+        return os.str();
       }
     }
-    if (owners != 1) {
+    ++by_care[static_cast<std::size_t>(p.region.care_bits())];
+  }
+  for (std::size_t c = kHeaderBits; c > 0; --c) by_care[c - 1] += by_care[c] / 2;
+  if (by_care[0] != 1) return "the partition regions leave headers uncovered";
+
+  // Each clipped table is the policy clipped to its region, in policy order.
+  for (const auto& p : partitions_) {
+    std::size_t next = 0;
+    for (const auto& rule : policy.rules()) {
+      const auto clipped = intersect(rule.match, p.region);
+      if (!clipped.has_value()) continue;
+      const Rule* got = next < p.rules.size() ? &p.rules.at(next) : nullptr;
+      ++next;
+      if (got != nullptr && got->match == *clipped && got->priority == rule.priority &&
+          got->action == rule.action && got->origin_or_self() == rule.origin_or_self()) {
+        continue;
+      }
       std::ostringstream os;
-      os << "packet owned by " << owners << " partitions (expected 1)";
+      os << "partition " << p.id << " rule " << next - 1 << " is "
+         << (got ? got->to_string() : "<missing>") << ", want policy rule "
+         << rule.to_string() << " clipped to the region";
       return os.str();
     }
-    // Semantic agreement inside the owner region.
-    const Rule* want = policy.match(packet);
-    const Rule* got = owner->rules.match(packet);
-    const bool same = (want == nullptr && got == nullptr) ||
-                      (want != nullptr && got != nullptr && want->action == got->action);
-    if (!same) {
+    if (next != p.rules.size()) {
       std::ostringstream os;
-      os << "partition " << owner->id << " disagrees with policy: want "
-         << (want ? want->to_string() : "<none>") << " got "
-         << (got ? got->to_string() : "<none>");
+      os << "partition " << p.id << " holds " << p.rules.size() - next
+         << " rules past the policy's clipped copies";
       return os.str();
     }
   }

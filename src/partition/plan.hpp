@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "flowspace/algebra.hpp"
 #include "flowspace/rule_table.hpp"
 
 namespace difane {
@@ -55,11 +54,13 @@ class PartitionPlan {
   std::vector<std::size_t> rules_per_authority() const;
   std::size_t max_rules_per_authority() const;
 
-  // Sampling check that regions are disjoint and complete, and that each
-  // partition's clipped table agrees with `policy` inside its region.
-  // Returns a description of the first violation, or nullopt.
-  std::optional<std::string> validate(const RuleTable& policy, Rng& rng,
-                                      std::size_t samples) const;
+  // Exact structural check, no sampling: the regions are pairwise disjoint
+  // and together cover the header space, and each partition's clipped table
+  // is [r ∩ region | r ∈ policy, r ∩ region ≠ ∅] in policy order (same
+  // match, priority, action and origin). Then every partition's winner is
+  // the policy's winner everywhere in its region. Returns a description of
+  // the first violation, or nullopt.
+  std::optional<std::string> validate(const RuleTable& policy) const;
 
   // Reassign the partitions of a failed authority to their backups.
   void fail_over(AuthorityIndex failed);

@@ -226,8 +226,7 @@ Violation check_nox_vs_difane_migrating(const Counterexample& cex,
 }
 
 Violation check_partition(const Counterexample& cex, const PartitionerParams& params,
-                          std::uint32_t authority_count, std::uint64_t sample_seed,
-                          std::size_t samples) {
+                          std::uint32_t authority_count) {
   const RuleTable policy = cex.table();
   const PartitionPlan plan = Partitioner(params).build(policy, authority_count);
   std::ostringstream os;
@@ -300,30 +299,9 @@ Violation check_partition(const Counterexample& cex, const PartitionerParams& pa
     }
   }
 
-  // Regions disjoint + complete, and the clipped tables agree with the
-  // policy packet-by-packet (winner identity, not just action).
-  for (const auto& packet : probes_for(cex, policy, sample_seed, samples)) {
-    std::size_t owners = 0;
-    const Partition* owner = nullptr;
-    for (const auto& p : plan.partitions()) {
-      if (p.region.matches(packet)) {
-        ++owners;
-        owner = &p;
-      }
-    }
-    if (owners != 1) {
-      os << "packet owned by " << owners << " partition regions (expected 1)";
-      return os.str();
-    }
-    const Rule* want = policy.match(packet);
-    const Rule* got = owner->rules.match(packet);
-    if (!same_winner(want, got)) {
-      os << "partition " << owner->id << " winner mismatch: policy "
-         << describe(want) << " vs clipped " << describe(got);
-      return os.str();
-    }
-  }
-  return std::nullopt;
+  // Regions disjoint + complete, and each clipped table is the policy
+  // clipped to its region (winner identity, not just action).
+  return plan.validate(policy);
 }
 
 Violation check_cache_vs_authority(const Counterexample& cex,
@@ -470,8 +448,7 @@ Violation check_minimize(const Counterexample& cex, std::uint64_t sample_seed,
 }
 
 Violation check_incremental(const Counterexample& cex, const PartitionerParams& params,
-                            std::uint32_t authority_count, std::uint64_t sample_seed,
-                            std::size_t samples) {
+                            std::uint32_t authority_count) {
   // First half of the rules seed the tree; the rest arrive as churn, and
   // every third insert is later removed again.
   std::vector<Rule> base(cex.rules.begin(),
@@ -503,31 +480,9 @@ Violation check_incremental(const Counterexample& cex, const PartitionerParams& 
     }
   }
 
-  const PartitionPlan incremental_plan = inc.snapshot();
-  const PartitionPlan rebuilt = Partitioner(params).build(expected, authority_count);
-  for (const auto& packet : probes_for(cex, expected, sample_seed, samples)) {
-    const Rule* want = expected.match(packet);
-    for (const auto* plan : {&incremental_plan, &rebuilt}) {
-      const char* which = plan == &incremental_plan ? "incremental" : "rebuilt";
-      std::size_t owners = 0;
-      const Partition* owner = nullptr;
-      for (const auto& p : plan->partitions()) {
-        if (p.region.matches(packet)) {
-          ++owners;
-          owner = &p;
-        }
-      }
-      if (owners != 1) {
-        os << which << " plan: packet owned by " << owners << " regions";
-        return os.str();
-      }
-      const Rule* got = owner->rules.match(packet);
-      if (!same_winner(want, got)) {
-        os << which << " plan disagrees with policy: " << describe(want) << " vs "
-           << describe(got);
-        return os.str();
-      }
-    }
+  if (const auto bad = inc.snapshot().validate(expected)) return "incremental plan: " + *bad;
+  if (const auto bad = Partitioner(params).build(expected, authority_count).validate(expected)) {
+    return "rebuilt plan: " + *bad;
   }
   return std::nullopt;
 }

@@ -65,15 +65,13 @@ Violation check_nox_vs_difane_migrating(const Counterexample& cex,
                                         const FaultPlan& difane_faults,
                                         std::uint64_t migration_seed);
 
-// (3) Partitioner post-conditions for any CutStrategy: regions disjoint and
-// complete, every policy rule reachable through some partition, per-packet
-// match agreement (winner origin + action) between the clipped tables and
-// the policy, and capacity respected except where the cut provably cannot
-// make progress (soft leaves). `sample_seed` derives extra probe packets on
-// top of cex.packets.
+// (3) Partitioner post-conditions for any CutStrategy: every policy rule
+// reachable through some partition, capacity respected except where the cut
+// provably cannot make progress (soft leaves), and the exact plan check
+// (PartitionPlan::validate: regions disjoint and complete, each clipped
+// table the policy clipped to its region).
 Violation check_partition(const Counterexample& cex, const PartitionerParams& params,
-                          std::uint32_t authority_count, std::uint64_t sample_seed,
-                          std::size_t samples);
+                          std::uint32_t authority_count);
 
 struct CacheChurnParams {
   CacheStrategy strategy = CacheStrategy::kDependentSet;
@@ -100,11 +98,10 @@ Violation check_minimize(const Counterexample& cex, std::uint64_t sample_seed,
 
 // (5b) Incremental partition maintenance equals a full rebuild: grow a
 // tree from the first half of cex.rules, insert the rest, remove every
-// third inserted rule, then compare the snapshot against Partitioner::build
-// on the same final policy, packet-by-packet.
+// third inserted rule, then check the snapshot and Partitioner::build on
+// the same final policy with the exact plan check.
 Violation check_incremental(const Counterexample& cex, const PartitionerParams& params,
-                            std::uint32_t authority_count, std::uint64_t sample_seed,
-                            std::size_t samples);
+                            std::uint32_t authority_count);
 
 // Shrink `cex` under `oracle` and format a failure report: the minimized
 // input, its violation, and the shrink effort spent.

@@ -19,8 +19,7 @@ TEST(Incremental, InitialBuildMatchesPolicySemantics) {
   IncrementalPartitioner inc(policy, small_params(), 3);
   EXPECT_GT(inc.partition_count(), 1u);
   const auto plan = inc.snapshot();
-  Rng rng(5);
-  const auto violation = plan.validate(policy, rng, 2000);
+  const auto violation = plan.validate(policy);
   EXPECT_FALSE(violation.has_value()) << *violation;
 }
 
@@ -60,7 +59,7 @@ TEST(Incremental, InsertPreservesSemantics) {
     expect.add(r);
   }
   const auto plan = inc.snapshot();
-  const auto violation = plan.validate(expect, rng, 3000);
+  const auto violation = plan.validate(expect);
   EXPECT_FALSE(violation.has_value()) << *violation;
 }
 
@@ -90,8 +89,7 @@ TEST(Incremental, RemoveUndoesInsertSemantics) {
   EXPECT_FALSE(touched.empty());
   EXPECT_FALSE(inc.policy().contains(600000));
   const auto plan = inc.snapshot();
-  Rng rng(23);
-  const auto violation = plan.validate(policy, rng, 2000);
+  const auto violation = plan.validate(policy);
   EXPECT_FALSE(violation.has_value()) << *violation;
 }
 
@@ -132,8 +130,7 @@ TEST(Incremental, MassRemovalMergesLeaves) {
   for (std::size_t i = 0; i + 20 < ids.size(); ++i) inc.remove(ids[i]);
   EXPECT_LT(inc.partition_count(), before);
   const auto plan = inc.snapshot();
-  Rng rng(43);
-  const auto violation = plan.validate(inc.policy(), rng, 1500);
+  const auto violation = plan.validate(inc.policy());
   EXPECT_FALSE(violation.has_value()) << *violation;
 }
 
@@ -164,8 +161,7 @@ TEST(Incremental, ChurnStressKeepsSemantics) {
     }
   }
   const auto plan = inc.snapshot();
-  Rng rng2(59);
-  const auto violation = plan.validate(inc.policy(), rng2, 3000);
+  const auto violation = plan.validate(inc.policy());
   EXPECT_FALSE(violation.has_value()) << *violation;
 }
 

@@ -40,8 +40,7 @@ TEST(Partitioner, SemanticsPreserved) {
   PartitionerParams params;
   params.capacity = 150;
   const auto plan = Partitioner(params).build(policy, 4);
-  Rng rng(99);
-  const auto violation = plan.validate(policy, rng, 4000);
+  const auto violation = plan.validate(policy);
   EXPECT_FALSE(violation.has_value()) << *violation;
 }
 
@@ -54,8 +53,7 @@ TEST(Partitioner, SemanticsPreservedAllStrategies) {
     params.strategy = strategy;
     params.seed = 5;
     const auto plan = Partitioner(params).build(policy, 3);
-    Rng rng(7);
-    const auto violation = plan.validate(policy, rng, 2000);
+    const auto violation = plan.validate(policy);
     EXPECT_FALSE(violation.has_value())
         << static_cast<int>(strategy) << ": " << *violation;
   }
@@ -128,6 +126,63 @@ TEST(Partitioner, BestBitBeatsRandomOnDuplication) {
   const double dup_best = Partitioner(best).build(policy, 4).duplication_factor();
   const double dup_rand = Partitioner(random).build(policy, 4).duplication_factor();
   EXPECT_LE(dup_best, dup_rand * 1.05);
+}
+
+// `plan` with `edit` applied to a copy of its partitions.
+template <typename Edit>
+PartitionPlan edited(const PartitionPlan& plan, Edit edit) {
+  std::vector<Partition> parts = plan.partitions();
+  edit(parts);
+  return PartitionPlan(std::move(parts), plan.original_rule_count(),
+                       plan.authority_count());
+}
+
+TEST(PartitionPlan, ValidateFlagsOverlappingAndMissingRegions) {
+  const auto policy = classbench_like(600, 41);
+  PartitionerParams params;
+  params.capacity = 100;
+  const auto plan = Partitioner(params).build(policy, 2);
+  ASSERT_GT(plan.partitions().size(), 2u);
+  ASSERT_FALSE(plan.validate(policy).has_value());
+
+  const auto gap = edited(plan, [](auto& parts) { parts.pop_back(); }).validate(policy);
+  ASSERT_TRUE(gap.has_value());
+  EXPECT_NE(gap->find("uncovered"), std::string::npos) << *gap;
+
+  const auto overlap = edited(plan, [](auto& parts) {
+                         parts[0].region = Ternary::wildcard();
+                       }).validate(policy);
+  ASSERT_TRUE(overlap.has_value());
+  EXPECT_NE(overlap->find("overlap"), std::string::npos) << *overlap;
+}
+
+TEST(PartitionPlan, ValidateFlagsAlteredClippedTables) {
+  const auto policy = classbench_like(600, 43);
+  PartitionerParams params;
+  params.capacity = 100;
+  const auto plan = Partitioner(params).build(policy, 2);
+  const auto with_rules = [&](auto change) {
+    return edited(plan, [&](auto& parts) {
+      std::vector<Rule> rules = parts[1].rules.rules();
+      change(rules);
+      parts[1].rules = RuleTable(std::move(rules));
+    });
+  };
+  const auto flipped = with_rules([](auto& rules) {
+                         rules[0].action = rules[0].action == Action::drop()
+                                               ? Action::forward(1)
+                                               : Action::drop();
+                       }).validate(policy);
+  ASSERT_TRUE(flipped.has_value());
+  EXPECT_NE(flipped->find("partition " + std::to_string(plan.partitions()[1].id)),
+            std::string::npos)
+      << *flipped;
+  EXPECT_TRUE(with_rules([](auto& rules) { rules.pop_back(); }).validate(policy));
+  EXPECT_TRUE(with_rules([](auto& rules) {
+                Rule extra = rules.back();
+                extra.id += 100000;
+                rules.push_back(extra);
+              }).validate(policy));
 }
 
 TEST(PartitionPlan, MakePartitionRulesEncapToPrimary) {

@@ -90,7 +90,7 @@ DIFANE_PROPERTY(FaultFreeDataPlaneConservesVerifiesAndReplays, 60) {
     auto report = stats.snapshot("data-plane");
     report.git_rev = "fixed";
     report.wall_seconds = 0.0;
-    const VerifyReport verify = scenario.verify_installed(80, ctx.case_seed);
+    const VerifyReport verify = scenario.verify_installed();
     EXPECT_TRUE(verify.clean()) << tag() << "\n" << verify.summary();
     EXPECT_GT(stats.tracer.injected(), 0u) << tag();
     EXPECT_EQ(stats.tracer.in_flight(), 0) << tag();

@@ -142,7 +142,7 @@ DIFANE_PROPERTY(ChaosVerifierCleanAfterQuiescence, 135) {
   // The installed state the packets actually see must be fully consistent
   // again: with a second authority to fail over to — and a restart path when
   // the plan revives the first — no violation is acceptable.
-  const VerifyReport report = scenario.verify_installed(120, ctx.case_seed);
+  const VerifyReport report = scenario.verify_installed();
   EXPECT_TRUE(report.clean()) << tag << "\n" << report.summary();
 }
 
@@ -185,7 +185,7 @@ TEST(Chaos, FixedSeedLossyFailoverConverges) {
   EXPECT_EQ(stats.authority_restarts, 1u);
   EXPECT_EQ(stats.tracer.in_flight(), 0);
 
-  const VerifyReport report = scenario.verify_installed(200, 1);
+  const VerifyReport report = scenario.verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 
   // The snapshot carries the fault counters (the bench pipeline and the
@@ -220,7 +220,7 @@ TEST(Chaos, LinkFlapConservesPackets) {
   EXPECT_EQ(stats.link_flaps, 1u);
   EXPECT_EQ(stats.tracer.in_flight(), 0);
 
-  const VerifyReport report = scenario.verify_installed(120, 1);
+  const VerifyReport report = scenario.verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
@@ -294,7 +294,7 @@ TEST(Chaos, ElephantRedetectedAfterCrash) {
   EXPECT_EQ(stats.tracer.injected(),
             stats.tracer.delivered() + stats.tracer.dropped());
 
-  const VerifyReport report = scenario.verify_installed(150, 1);
+  const VerifyReport report = scenario.verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
@@ -338,7 +338,7 @@ TEST(Chaos, MiceBypassConservesAllMice) {
   EXPECT_EQ(stats.tracer.injected(),
             stats.tracer.delivered() + stats.tracer.dropped());
 
-  const VerifyReport report = scenario.verify_installed(150, 1);
+  const VerifyReport report = scenario.verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
@@ -397,7 +397,7 @@ TEST(Chaos, FixedDelayCrashFailsOverWithoutHeartbeats) {
   for (const auto& partition : scenario.plan()->partitions()) {
     EXPECT_NE(partition.primary, 0u) << "partition still homed on the crashed authority";
   }
-  const VerifyReport report = scenario.verify_installed(120, 1);
+  const VerifyReport report = scenario.verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 

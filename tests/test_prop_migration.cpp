@@ -185,7 +185,7 @@ DIFANE_PROPERTY(MigrationChaosVerifierCleanAfterQuiescence, 40) {
   // The installed state packets would actually see must be fully consistent
   // — redirects point at live, stocked authorities; no partition is
   // half-moved.
-  const VerifyReport report = scenario->verify_installed(120, ctx.case_seed);
+  const VerifyReport report = scenario->verify_installed();
   EXPECT_TRUE(report.clean()) << tag << "\n" << report.summary();
 }
 
@@ -243,7 +243,7 @@ TEST(MigrationChaos, FixedSeedCleanMoveCompletes) {
   EXPECT_EQ(stats.tracer.injected(),
             stats.tracer.delivered() + stats.tracer.dropped());
 
-  const VerifyReport report = scenario->verify_installed(200, 1);
+  const VerifyReport report = scenario->verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 
   // The snapshot carries the migration counters (the bench pipeline and the
@@ -306,7 +306,7 @@ TEST(MigrationChaos, DestinationCrashMidMigrationNeverBlackHoles) {
   const auto& p0 = scenario->plan()->partitions()[0];
   EXPECT_TRUE(p0.primary != dest || p0.backup != dest);
 
-  const VerifyReport report = scenario->verify_installed(200, 1);
+  const VerifyReport report = scenario->verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
@@ -344,7 +344,7 @@ TEST(MigrationChaos, SourceCrashMidMigrationStillConserves) {
   EXPECT_EQ(stats.tracer.injected(),
             stats.tracer.delivered() + stats.tracer.dropped());
 
-  const VerifyReport report = scenario->verify_installed(200, 1);
+  const VerifyReport report = scenario->verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 

@@ -36,15 +36,13 @@ DIFANE_PROPERTY(IncrementalEqualsRebuild, 220) {
   tg.add_default = ctx.rng.bernoulli(0.8);
   Counterexample cex;
   cex.rules = proptest::gen_table(ctx.rng, tg).rules();
-  cex.packets = proptest::gen_packets(ctx.rng, cex.table(), 16);
 
   PartitionerParams pp;
   pp.capacity = ctx.rng.uniform(2, 16);
   const auto authority_count = static_cast<std::uint32_t>(ctx.rng.uniform(1, 3));
-  const std::uint64_t sample_seed = ctx.case_seed ^ 0x7777;
 
   const auto oracle = [&](const Counterexample& c) {
-    return proptest::check_incremental(c, pp, authority_count, sample_seed, 32);
+    return proptest::check_incremental(c, pp, authority_count);
   };
   if (const Violation v = oracle(cex)) {
     FAIL() << "seed 0x" << std::hex << ctx.case_seed << std::dec << " capacity "

@@ -18,7 +18,6 @@ void run_partition_case(proptest::PropertyContext& ctx, CutStrategy strategy) {
   tg.add_default = ctx.rng.bernoulli(0.8);
   Counterexample cex;
   cex.rules = proptest::gen_table(ctx.rng, tg).rules();
-  cex.packets = proptest::gen_packets(ctx.rng, cex.table(), 24);
 
   PartitionerParams pp;
   pp.capacity = ctx.rng.uniform(2, 24);
@@ -26,10 +25,9 @@ void run_partition_case(proptest::PropertyContext& ctx, CutStrategy strategy) {
   pp.strategy = strategy;
   pp.seed = ctx.case_seed;
   const auto authority_count = static_cast<std::uint32_t>(ctx.rng.uniform(1, 4));
-  const std::uint64_t sample_seed = ctx.case_seed ^ 0xabcd;
 
   const auto oracle = [&](const Counterexample& c) {
-    return proptest::check_partition(c, pp, authority_count, sample_seed, 32);
+    return proptest::check_partition(c, pp, authority_count);
   };
   if (const Violation v = oracle(cex)) {
     FAIL() << "seed 0x" << std::hex << ctx.case_seed << std::dec

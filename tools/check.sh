@@ -8,6 +8,12 @@
 # generator's process-wide cache of post-pool engine states the way
 # bench::run_cells does), so race coverage stays part of tier-1 hygiene.
 #
+# The chaos, migration and data-plane property suites end each case with
+# the exact installed-state verifier (Scenario::verify_installed: the plan
+# checked once, then every edge switch's redirects and cache entries, with
+# no sampling), so a black hole, dangling redirect or wrong action left
+# after quiescence fails them even when it covers a single header.
+#
 # The baseline gate runs bench_all --quick and compares every deterministic
 # metric with the committed bench/BASELINE.json exactly (bench_compare with
 # no --wall-threshold: host timings are reported, not gated), so a change

@@ -11,7 +11,6 @@
 #include <string>
 #include <type_traits>
 
-#include "core/symbolic_verifier.hpp"
 #include "core/system.hpp"
 #include "core/verifier.hpp"
 #include "util/parse.hpp"
@@ -40,7 +39,6 @@ struct Options {
   double mean_packets = 5.0;
   double fail_at = -1.0;  // <0: no failure
   bool verify = false;
-  bool verify_symbolic = false;
   bool campus = false;
   bool flow_stats = false;
   std::string policy_in;    // load policy from file instead of generating
@@ -65,8 +63,8 @@ struct Options {
       "  --pool N --zipf F         flow pool / popularity skew\n"
       "  --packets F               mean packets per flow (default 5)\n"
       "  --fail-at T               fail authority 0 at time T\n"
-      "  --verify                  sample-verify installed state after the run\n"
-      "  --verify-symbolic         exhaustive region-level verification\n"
+      "  --verify                  exactly verify the installed state after the\n"
+      "                            run (difane mode only); exit 1 on a violation\n"
       "  --flow-stats              print top per-policy-rule counters\n"
       "  --policy-in FILE          load policy (serialize format) from FILE\n"
       "  --policy-out FILE         save the policy to FILE\n"
@@ -144,8 +142,6 @@ Options parse(int argc, char** argv) {
       real(opt.fail_at);
     } else if (arg == "--verify") {
       opt.verify = true;
-    } else if (arg == "--verify-symbolic") {
-      opt.verify_symbolic = true;
     } else if (arg == "--policy-in") {
       opt.policy_in = value();
     } else if (arg == "--policy-out") {
@@ -162,6 +158,8 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  // NOX installs no DIFANE state to verify.
+  if (opt.verify && opt.mode != Mode::kDifane) usage(argv[0]);
   return opt;
 }
 
@@ -274,24 +272,12 @@ int run(const Options& opt) {
   }
 
   int exit_code = 0;
-  if (opt.verify && opt.mode == Mode::kDifane) {
+  if (opt.verify) {
     // At the engine's end-of-run clock, so entries that idled out during the
     // run no longer match (and cannot mask a violation behind them).
-    const auto report = scenario.verify_installed(500);
-    std::printf("\ninstalled-state verification (sampled): %s\n",
-                report.summary().c_str());
+    const auto report = scenario.verify_installed();
+    std::printf("\ninstalled-state verification: %s\n", report.summary().c_str());
     if (!report.clean()) exit_code = 1;
-  }
-  if (opt.verify_symbolic && opt.mode == Mode::kDifane) {
-    // The same end-of-run clock as the sampled check above.
-    for (std::uint32_t i = 0; i < opt.edges; ++i) {
-      const auto report =
-          verify_ingress_symbolically(scenario.net(), *scenario.difane(), policy,
-                                      scenario.ingress_switch(i), scenario.end_clock());
-      std::printf("symbolic verification, ingress %u: %s\n",
-                  scenario.ingress_switch(i), report.summary().c_str());
-      if (report.violation.has_value()) exit_code = 1;
-    }
   }
   return exit_code;
 }
