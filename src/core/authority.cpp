@@ -65,13 +65,6 @@ void AuthorityNode::credit(const Located& at, std::uint64_t bytes) {
   hits.bytes += bytes;
 }
 
-std::optional<AuthorityNode::RedirectResult> AuthorityNode::resolve(
-    const BitVec& packet) const {
-  auto at = locate(packet);
-  if (!at) return std::nullopt;
-  return std::move(at->result);
-}
-
 std::optional<AuthorityNode::RedirectResult> AuthorityNode::handle(
     const BitVec& packet, std::uint64_t bytes) {
   auto at = locate(packet);

@@ -60,20 +60,17 @@ class AuthorityNode {
     CacheInstall install;           // cache rules for the ingress switch
   };
 
-  // Resolve a redirected packet without side effects: locate the owning
-  // partition among this switch's bindings and match it through the
-  // partition's tree (built on first use). The install stays empty. Returns
-  // nullopt if no bound partition covers the packet (a misdirected packet —
-  // e.g. stale partition rules right after failover).
-  std::optional<RedirectResult> resolve(const BitVec& packet) const;
-
   // The data plane's authority-band hits; each credits the winning rule
-  // with one packet of `bytes`. A redirected packet takes handle: resolve(),
-  // the credit, then the cache install for the winner. Generating builds the
-  // partition's dependency graph on first use and advances the binding's
-  // microflow ids. A packet whose ingress is this switch (the line topology)
-  // takes match_local after its cache band misses: the winner, or nullptr
-  // when no bound rule matches; it generates no install.
+  // with one packet of `bytes`. A redirected packet takes handle: locate the
+  // owning partition among this switch's bindings and match it through the
+  // partition's tree (built on first use), credit the winner, then generate
+  // its cache install. Generating builds the partition's dependency graph on
+  // first use and advances the binding's microflow ids. handle returns
+  // nullopt if no bound partition covers the packet (a misdirected packet —
+  // e.g. stale partition rules right after failover). A packet whose ingress
+  // is this switch (the line topology) takes match_local after its cache
+  // band misses: the winner, or nullptr when no bound rule matches; it
+  // generates no install.
   std::optional<RedirectResult> handle(const BitVec& packet, std::uint64_t bytes = 1);
   const Rule* match_local(const BitVec& packet, std::uint64_t bytes);
 

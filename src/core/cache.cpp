@@ -1,5 +1,7 @@
 #include "core/cache.hpp"
 
+#include <algorithm>
+
 #include "flowspace/header.hpp"
 #include "util/contract.hpp"
 
@@ -32,6 +34,25 @@ InstallClass classify_install(const ElephantParams& params,
     return InstallClass::kBypass;
   }
   return InstallClass::kNormal;
+}
+
+std::vector<FlowMod> install_flow_mods(const CacheInstall& install,
+                                       std::size_t cache_capacity,
+                                       double idle_timeout) {
+  std::vector<FlowMod> mods;
+  if (install.rules.empty() || install.rules.size() > cache_capacity) return mods;
+  auto ordered = install.rules;
+  std::sort(ordered.begin(), ordered.end(), rule_before);
+  mods.reserve(ordered.size());
+  for (std::size_t i = 0; i < ordered.size(); ++i) {
+    FlowMod& mod = mods.emplace_back();
+    mod.rule = std::move(ordered[i]);
+    mod.idle_timeout = idle_timeout;
+    if (mod.rule.action.type != ActionType::kEncap) {
+      for (std::size_t g = 0; g < i; ++g) mod.guards.push_back(mods[g].rule.id);
+    }
+  }
+  return mods;
 }
 
 std::uint64_t shadow_id_space(const Partition& partition, CacheStrategy strategy) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "classifier/dtree.hpp"
+#include "ctrlchan/messages.hpp"
 #include "flowspace/dependency.hpp"
 #include "partition/plan.hpp"
 #include "switchsim/sw.hpp"
@@ -46,6 +47,15 @@ const char* cache_strategy_name(CacheStrategy strategy);
 struct CacheInstall {
   std::vector<Rule> rules;
 };
+
+// The FlowMods that install `install` at an ingress, in send order:
+// protectors first (rule_before order), each non-redirect member guarded by
+// every earlier member (redirects are self-safe), all with `idle_timeout`.
+// Empty when the group is empty or larger than `cache_capacity`, which it
+// would evict its own members to fit; the redirect stays correct.
+std::vector<FlowMod> install_flow_mods(const CacheInstall& install,
+                                       std::size_t cache_capacity,
+                                       double idle_timeout);
 
 // Elephant-aware install policy. The measurement literature (FDRC, the
 // elephant-detection study in PAPERS.md) shows cache benefit concentrates in

@@ -173,21 +173,20 @@ const AuthorityNode* DifaneController::node_at(SwitchId sw) const {
   return sw < nodes_.size() ? nodes_[sw].get() : nullptr;
 }
 
-void DifaneController::install_partition_rules() {
-  const auto rules =
-      plan_.make_partition_rules(kPartitionRulePriority, kPartitionRuleIdBase);
+void DifaneController::install_partition_rule(std::size_t index) {
   for (SwitchId id = 0; id < net_.switch_count(); ++id) {
     Switch& sw = net_.sw(id);
     if (sw.failed()) continue;
-    for (std::size_t p = 0; p < rules.size(); ++p) {
-      // Per-switch replica selection: different ingresses spread their
-      // redirects for the same partition across the live replicas.
-      Rule rule = rules[p];
-      rule.action = Action::encap(replica_for(plan_.partitions()[p], id));
-      // Failover and restart repoint: the same ids refresh in place.
-      sw.table().install(rule, Band::kPartition, net_.engine().now());
-    }
+    // Per-switch replica selection: different ingresses spread their
+    // redirects for the same partition across the live replicas. Failover
+    // and restart repoint: the same id refreshes in place.
+    sw.table().install(partition_redirect_rule(index, id), Band::kPartition,
+                       net_.engine().now());
   }
+}
+
+void DifaneController::install_partition_rules() {
+  for (std::size_t p = 0; p < plan_.partitions().size(); ++p) install_partition_rule(p);
 }
 
 void DifaneController::install_all() { install_partition_rules(); }

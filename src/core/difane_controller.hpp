@@ -126,6 +126,10 @@ class DifaneController {
   // plan) — the payload of a PartitionFlip.
   Rule partition_redirect_rule(std::size_t index, SwitchId for_switch) const;
 
+  // Write partition `index`'s redirect rule at every live switch, refreshing
+  // the entry in place. A migration ends with it, once its flips are acked.
+  void install_partition_rule(std::size_t index);
+
  private:
   void install_partition_rules();
   // The stride bind_partition() spaces ranges by: the configured one when

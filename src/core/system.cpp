@@ -352,11 +352,9 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
   for (SwitchId id = 0; id < net_.switch_count(); ++id) {
     agents_.push_back(
         std::make_unique<SwitchAgent>(net_.engine(), net_.sw(id)));
+    // Under faults, applies draw from the install-fault budget. A dependent
+    // whose protector was lost needs no check here: the table refuses it.
     if (injector_ != nullptr) {
-      // Under faults a protector install can be lost or fail, so dependents
-      // must be checked rather than trusted (over-redirect beats
-      // mis-forward); and applies draw from the install-fault budget.
-      agents_.back()->set_strict_guards(true);
       agents_.back()->set_install_fault_hook(
           [this]() { return injector_->fail_install(); });
     }
@@ -444,7 +442,7 @@ void Scenario::setup_measurement(const ControlChannel::Reliability& reliability)
     // pending counts bound to it close into kEvict records instead of
     // silently vanishing with the entry.
     net_.sw(sw).table().set_removal_listener(
-        [this, sw](const FlowEntry& entry, CacheRemoval) {
+        [this, sw](const FlowEntry& entry) {
           on_cache_removed(sw, entry);
         });
     if (params_.measurement.export_interval <= params_.measurement.export_horizon) {
@@ -689,8 +687,9 @@ obs::MetricsReport ScenarioStats::snapshot(const std::string& experiment) const 
   }
   report.set("setup_completions", static_cast<double>(setup_completions.total()));
   report.set("setup_rate_per_s", setup_completions.rate());
-  // Fault / robustness counters (all zero on a fault-free unreliable-channel
-  // run; emitted unconditionally so the report schema is run-independent).
+  // Fault / robustness counters (all but guard_rejects zero on a fault-free
+  // unreliable-channel run; emitted unconditionally so the report schema is
+  // run-independent).
   report.set("ctrl_transmissions", static_cast<double>(ctrl_transmissions));
   report.set("ctrl_retransmits", static_cast<double>(ctrl_retransmits));
   report.set("ctrl_acks", static_cast<double>(ctrl_acks));
@@ -827,10 +826,10 @@ void Scenario::collect_fault_stats() {
     stats_.ctrl_reordered += channel->reordered();
   }
   stats_.install_faults = 0;
+  for (const auto& agent : agents_) stats_.install_faults += agent->install_faults();
   stats_.guard_rejects = 0;
-  for (const auto& agent : agents_) {
-    stats_.install_faults += agent->install_faults();
-    stats_.guard_rejects += agent->guard_rejects();
+  for (SwitchId id = 0; id < net_.switch_count(); ++id) {
+    stats_.guard_rejects += net_.sw(id).table().stats().guard_rejects;
   }
   if (injector_ != nullptr) {
     const auto& c = injector_->counters();
@@ -1082,13 +1081,11 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
 
 void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
                              const CacheInstall& install, double idle_timeout) {
-  // A group that cannot fit would evict its own members while installing,
-  // leaving an unprotected rule behind; skip it (the flow keeps taking the
-  // redirect path, which is always correct).
-  if (install.rules.empty()) return;  // kNone: nothing to install
-  if (install.rules.size() > params_.edge_cache_capacity) return;
+  std::vector<FlowMod> mods =
+      install_flow_mods(install, params_.edge_cache_capacity, idle_timeout);
+  if (mods.empty()) return;
   ++stats_.cache_installs;
-  stats_.cache_rules_installed += install.rules.size();
+  stats_.cache_rules_installed += mods.size();
   // An install push is liveness evidence for the sending authority: tell the
   // heartbeat monitor once the message would have reached the ingress, so a
   // run of lost beats from a switch that is visibly serving traffic does not
@@ -1101,20 +1098,7 @@ void Scenario::install_cache(SwitchId ingress, SwitchId from_authority,
   }
   // Protectors first: until the lowest-priority member lands, a partially
   // installed group only over-redirects, never mis-forwards.
-  auto ordered = install.rules;
-  std::sort(ordered.begin(), ordered.end(), rule_before);
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    FlowMod mod;
-    mod.rule = ordered[i];
-    mod.idle_timeout = idle_timeout;
-    // Every earlier (higher-priority) group member protects this one: if any
-    // of them leaves the cache, this entry must leave too. Redirect entries
-    // are self-safe and guard nothing of their own.
-    if (ordered[i].action.type != ActionType::kEncap) {
-      for (std::size_t g = 0; g < i; ++g) mod.guards.push_back(ordered[g].id);
-    }
-    install_channels_[ingress]->send(mod);
-  }
+  for (FlowMod& mod : mods) install_channels_[ingress]->send(std::move(mod));
 }
 
 void Scenario::punt_to_controller(Packet pkt) {
@@ -1279,12 +1263,6 @@ void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
       m.installs.push_back(member);
     }
   }
-  for (const auto member : old_serving) {
-    if (std::find(new_serving.begin(), new_serving.end(), member) ==
-        new_serving.end()) {
-      m.retires.push_back(member);
-    }
-  }
   active_migrations_.push_back(slot);
   migrating_old_home_[partition.id] = difane_->authority_switch(m.from);
   // "Make" phase: stock every new serving-set member before any flip. The
@@ -1296,8 +1274,8 @@ void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
       std::max(stats_.migration_double_peak,
                static_cast<std::uint64_t>(migration_double_now_));
   log_info("migration: partition ", index, " authority ", m.from, " -> ",
-           m.to, " (", m.rules, " rules, ", m.installs.size(), " installs, ",
-           m.retires.size(), " retires) at t=", net_.engine().now());
+           m.to, " (", m.rules, " rules, ", m.installs.size(),
+           " installs) at t=", net_.engine().now());
   if (m.installs.empty()) {
     // Destination already stocked (it was a replica/backup): flip directly.
     migration_flip(slot);
@@ -1376,20 +1354,30 @@ void Scenario::migration_drain_done(std::size_t slot) {
 void Scenario::migration_finish(std::size_t slot) {
   LiveMigration& m = migrations_[slot];
   const Partition& partition = difane_->plan().partitions()[m.index];
-  // Retire the old-only serving members: unbind their control nodes, which
-  // retires the copies' counters, and send each live one the retire
-  // (fire-and-forget; duplicates are harmless).
-  for (const auto member : m.retires) {
-    difane_->unbind_partition(m.index, member);
-    const SwitchId sw = difane_->authority_switch(member);
-    if (net_.sw(sw).failed()) continue;
-    send_migration(sw, PartitionRetire{}, {});
+  // Retire every bound member outside the current serving set (a failover
+  // since the move started may have changed it): unbinding retires the
+  // copy's counters; a live member gets the retire (fire-and-forget), and
+  // its cached redirects within the region are purged, as a failover does.
+  const auto serving = difane_->serving_set(partition);
+  std::size_t purged = 0;
+  for (AuthorityIndex a = 0; a < difane_->authority_switches().size(); ++a) {
+    const SwitchId sw = difane_->authority_switch(a);
+    if (!difane_->node_at(sw)->serves(partition.id) ||
+        std::find(serving.begin(), serving.end(), a) != serving.end()) {
+      continue;
+    }
+    difane_->unbind_partition(m.index, a);
+    purged += difane_->purge_redirects_to(sw, partition.region);
+    if (!net_.sw(sw).failed()) send_migration(sw, PartitionRetire{}, {});
   }
   // Cached shadow redirects that still chase the old home defeat the move
   // (and, once traffic shifts, the old home's copy is demoted to backup):
   // purge them so those flows re-resolve via the flipped partition band.
-  const std::size_t purged = difane_->purge_redirects_to(
-      migrating_old_home_.at(partition.id), partition.region);
+  purged += difane_->purge_redirects_to(migrating_old_home_.at(partition.id),
+                                        partition.region);
+  // A flip delayed past a failover can have put back a target the failover
+  // had moved the partition away from; every flip is acked by now.
+  difane_->install_partition_rule(m.index);
   migration_double_now_ -=
       static_cast<std::int64_t>(m.rules * m.installs.size());
   migrating_old_home_.erase(partition.id);
@@ -1411,10 +1399,13 @@ void Scenario::migration_rollback(std::size_t slot) {
     for (const auto member : m.installs) difane_->unbind_partition(m.index, member);
   }
   // Post-flip abort (destination crashed after the re-home committed):
-  // nothing to undo here — handle_authority_failure already failed the plan
-  // over to the backup, which is the fully stocked old home, and refreshed
-  // the partition rules. The destination's binding stays, consistent with
-  // any crashed replica, so a later restart re-stocks it.
+  // handle_authority_failure already failed the plan over to the backup,
+  // which is the fully stocked old home, and refreshed the partition rules.
+  // The destination's binding stays, consistent with any crashed replica,
+  // so a later restart re-stocks it. Every flip the move sent is acked by
+  // now, and one delayed past the failover can have put the crashed
+  // destination back: rewrite the partition's redirect from the plan.
+  difane_->install_partition_rule(m.index);
   migration_double_now_ -=
       static_cast<std::int64_t>(m.rules * m.installs.size());
   migrating_old_home_.erase(partition.id);

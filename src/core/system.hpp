@@ -124,9 +124,9 @@ struct ScenarioParams {
   bool reliable_ctrl = false;
 
   // What goes wrong during the run (default: nothing). An active plan also
-  // arms strict guard checking and the install-fault hook on every switch
-  // agent. Replayable by (faults.seed, plan): rebuilding the scenario with
-  // identical params reproduces a byte-identical report.
+  // arms the install-fault hook on every switch agent. Replayable by
+  // (faults.seed, plan): rebuilding the scenario with identical params
+  // reproduces a byte-identical report.
   FaultPlan faults;
 
   // Elephant-aware install policy (DIFANE mode with an installing cache
@@ -189,8 +189,10 @@ struct ScenarioStats {
   RateMeter setup_completions;            // first-packet dispositions per second
 
   // Fault / robustness accounting, aggregated from the channels, the fault
-  // injector, and the heartbeat monitor at the end of a run. All zero on a
-  // fault-free run without reliable_ctrl.
+  // injector, the heartbeat monitor and the flow tables at the end of a run.
+  // All but guard_rejects are zero on a fault-free run without
+  // reliable_ctrl; a fault-free run refuses an install whose guard the cache
+  // evicted to make room for the group.
   std::uint64_t ctrl_transmissions = 0;   // channel transmissions incl. rexmit
   std::uint64_t ctrl_retransmits = 0;
   std::uint64_t ctrl_acks = 0;
@@ -200,7 +202,8 @@ struct ScenarioStats {
   std::uint64_t msgs_duplicated = 0;
   std::uint64_t msgs_jittered = 0;
   std::uint64_t install_faults = 0;       // FlowMod applies failed by injection
-  std::uint64_t guard_rejects = 0;        // strict-guard install rejections
+  std::uint64_t guard_rejects = 0;        // cache installs the flow tables
+                                          // refused for an absent guard
   std::uint64_t heartbeats_heard = 0;
   std::uint64_t heartbeats_missed = 0;
   std::uint64_t failovers_detected = 0;   // heartbeat failure declarations
@@ -340,7 +343,6 @@ class Scenario {
     AuthorityIndex from = 0;        // old primary
     AuthorityIndex to = 0;          // destination
     std::vector<AuthorityIndex> installs;  // new-serving-set members to stock
-    std::vector<AuthorityIndex> retires;   // old-only members to retire after
     std::size_t pending_acks = 0;   // outstanding install or flip acks
     std::size_t rules = 0;          // authority-rule copies per serving member
     bool aborted = false;           // destination crashed / refused installs

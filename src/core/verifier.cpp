@@ -239,8 +239,8 @@ class Checker {
   }
 
   // The target must be live, reachable and serve every partition the
-  // redirect overlaps: there resolve() answers from that partition's clipped
-  // table, which pass 1 proved right.
+  // redirect overlaps: there AuthorityNode::handle answers from that
+  // partition's clipped table, which pass 1 proved right.
   void check_redirect(SwitchId ingress, const Rule& rule) {
     const SwitchId target = rule.action.arg;
     const std::string what = "redirect " + std::to_string(rule.id);

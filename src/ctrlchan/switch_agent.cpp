@@ -59,14 +59,7 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
         using T = std::decay_t<decltype(msg)>;
         if constexpr (std::is_same_v<T, FlowMod>) {
           bool ok = false;
-          const bool guards_ok =
-              !strict_guards_ ||
-              std::all_of(msg.guards.begin(), msg.guards.end(), [&](RuleId g) {
-                return switch_.table().find(g, Band::kCache) != nullptr;
-              });
-          if (!guards_ok) {
-            ++guard_rejects_;
-          } else if (install_fault_ && install_fault_()) {
+          if (install_fault_ && install_fault_()) {
             ++install_faults_;
           } else {
             ok = switch_.table().install(msg.rule, Band::kCache, now,

@@ -1,7 +1,10 @@
 // The switch-local control agent: receives control messages, applies them to
 // the switch's flow table in arrival order, and emits replies. Message
 // processing takes time (a real switch's flow-mod path is ~ms-scale), so a
-// reply means the request has been *applied*, not merely received.
+// reply means the request has been *applied*, not merely received. A FlowMod
+// applies through FlowTable::install, which alone decides whether a cache
+// entry may be held (it refuses one whose guards are absent); the reply's ok
+// carries that verdict.
 //
 // Admitted requests wait in a FIFO, each with its apply time and the engine
 // number it took at delivery; only the head has an engine event. The head's
@@ -47,19 +50,8 @@ class SwitchAgent : public ControlEndpoint {
     install_fault_ = std::move(hook);
   }
 
-  // Strict guard checking: reject a cache-band add whose guard (protector)
-  // entries are not all present. With an exactly-once in-order channel the
-  // protectors-first install order makes this vacuous, but under message
-  // loss or install faults a dependent could land without its protector and
-  // steal packets it must not own. Rejecting it keeps partial group installs
-  // safe: the flow over-redirects (always correct) instead of mis-forwarding.
-  // Off by default so the fault-free baseline stays byte-identical.
-  void set_strict_guards(bool strict) { strict_guards_ = strict; }
-
-  Switch& attached_switch() { return switch_; }
   std::uint64_t applied() const { return applied_; }
   std::uint64_t install_faults() const { return install_faults_; }
-  std::uint64_t guard_rejects() const { return guard_rejects_; }
 
  private:
   struct Admitted {
@@ -76,12 +68,10 @@ class SwitchAgent : public ControlEndpoint {
   Engine& engine_;
   Switch& switch_;
   InstallFaultHook install_fault_;
-  bool strict_guards_ = false;
   double next_free_ = 0.0;  // serialization of the agent's control pipeline
   std::deque<Admitted> backlog_;  // admitted, not yet applied; head scheduled
   std::uint64_t applied_ = 0;
   std::uint64_t install_faults_ = 0;
-  std::uint64_t guard_rejects_ = 0;
 };
 
 // One row per distinct origin rule: counters summed over every installed

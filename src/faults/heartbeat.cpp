@@ -55,7 +55,9 @@ void HeartbeatMonitor::tick() {
     if (alive) {
       if (beat_arrived) ++beats_heard_;
       w.consecutive_misses = 0;
-      if (w.declared_down) {
+      // A message the switch sent before it crashed can still arrive; it
+      // proves no recovery while the switch is down.
+      if (w.declared_down && !net_.sw(w.sw).failed()) {
         w.declared_down = false;
         ++recoveries_declared_;
         if (on_recovery_) on_recovery_(w.sw, now);

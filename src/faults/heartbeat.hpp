@@ -44,11 +44,12 @@ class HeartbeatMonitor {
 
   // Liveness evidence from any control message the authority sent (a cache
   // install arriving at an ingress, an ack): treat it like a beat at the next
-  // tick. Without this, jitter larger than miss_threshold x interval can
-  // stall the beat stream long enough to declare a *spurious* failover —
-  // failing over a switch that is demonstrably alive and serving — followed
-  // by an immediate recovery, churning the partition tables twice for
-  // nothing.
+  // tick, except that it recovers no switch that is down (the message can
+  // predate the crash). Without this, jitter larger than miss_threshold x
+  // interval can stall the beat stream long enough to declare a *spurious*
+  // failover — failing over a switch that is demonstrably alive and serving
+  // — followed by an immediate recovery, churning the partition tables twice
+  // for nothing.
   void note_message_from(SwitchId sw);
 
   // Piggybacked liveness: telemetry export batches stamp the heartbeat tick

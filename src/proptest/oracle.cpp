@@ -389,22 +389,11 @@ Violation check_cache_vs_authority(const Counterexample& cex,
          << " but policy winner is " << describe(want);
       return os.str();
     }
-    // Mirror Scenario::install_cache: protectors first, each non-redirect
-    // member guarded by every higher-priority member of its group; groups
-    // that cannot fit are skipped (the redirect path stays correct).
-    if (result->install.rules.empty() ||
-        result->install.rules.size() > params.cache_capacity) {
-      continue;
-    }
-    auto ordered = result->install.rules;
-    std::sort(ordered.begin(), ordered.end(), rule_before);
-    for (std::size_t j = 0; j < ordered.size(); ++j) {
-      std::vector<RuleId> guards;
-      if (ordered[j].action.type != ActionType::kEncap) {
-        for (std::size_t g = 0; g < j; ++g) guards.push_back(ordered[g].id);
-      }
-      ingress.install(ordered[j], Band::kCache, now, params.idle_timeout, 0.0,
-                      std::move(guards));
+    // The FlowMods Scenario::install_cache sends, applied at once.
+    for (FlowMod& mod : install_flow_mods(result->install, params.cache_capacity,
+                                          params.idle_timeout)) {
+      ingress.install(mod.rule, Band::kCache, now, mod.idle_timeout, 0.0,
+                      std::move(mod.guards));
     }
   }
   return std::nullopt;

@@ -33,13 +33,20 @@ inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return s != nullptr ? std::strtoull(s, nullptr, 0) : fallback;
 }
 
+// Runs one case of a property body at a fixed seed, as a replay does: also
+// a named regression test for a seed a sweep once failed on.
+template <typename Body>
+void run_case(std::uint64_t seed, Body&& body) {
+  PropertyContext ctx{seed, 0, Rng(seed)};
+  body(ctx);
+}
+
 template <typename Body>
 void run_property(const char* name, std::size_t default_cases,
                   std::uint64_t default_seed, Body&& body) {
   if (const char* replay = std::getenv("DIFANE_PROPTEST_REPLAY")) {
     const std::uint64_t seed = std::strtoull(replay, nullptr, 0);
-    PropertyContext ctx{seed, 0, Rng(seed)};
-    body(ctx);
+    run_case(seed, body);
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "property " << name << " failed on replayed seed 0x"
                     << std::hex << seed;

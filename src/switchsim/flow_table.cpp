@@ -29,17 +29,6 @@ const char* band_name(Band band) {
   return "?";
 }
 
-const char* cache_removal_name(CacheRemoval cause) {
-  switch (cause) {
-    case CacheRemoval::kEvicted: return "evicted";
-    case CacheRemoval::kExpired: return "expired";
-    case CacheRemoval::kRemoved: return "removed";
-    case CacheRemoval::kCascaded: return "cascaded";
-    case CacheRemoval::kCleared: return "cleared";
-  }
-  return "?";
-}
-
 FlowTable::FlowTable(std::size_t cache_capacity) : cache_capacity_(cache_capacity) {}
 
 double FlowTable::next_expiry(const FlowEntry& e) {
@@ -233,20 +222,28 @@ void FlowTable::erase_entry(std::uint32_t slot, Band band) {
 bool FlowTable::install(const Rule& rule, Band band, double now, double idle_timeout,
                         double hard_timeout, std::vector<RuleId> guards) {
   BandState& bs = bands_[index(band)];
+  // A dependent without one of its protectors would steal that protector's
+  // packets, so it is held only while every guard is (the removal cascade
+  // is the other half of this rule).
+  const auto guards_present = [&bs, &guards] {
+    return std::all_of(guards.begin(), guards.end(),
+                       [&bs](RuleId g) { return bs.by_id.count(g) != 0; });
+  };
+  if (band == Band::kCache && !guards_present()) {
+    ++stats_.guard_rejects;
+    return false;
+  }
   // Group safety under heterogeneous idle timeouts (the elephant policy
   // installs the same protector rule from groups with different leashes): a
   // dependent must never be configured to outlive a guard, or the window
   // between the guard's lazy expiry and the next sweep exposes the dependent
   // as an unguarded — mis-forwarding — match. Cap the dependent's idle
   // budget at the tightest guard's remaining lifetime. With uniform
-  // timeouts (every pre-elephant configuration) guards are refreshed in the
-  // same group an instant earlier, the cap equals the requested timeout,
-  // and behaviour is byte-identical to before.
-  if (band == Band::kCache && !guards.empty() && idle_timeout != 0.0) {
+  // timeouts the group refreshes its guards an instant earlier, so the cap
+  // equals the requested timeout.
+  if (band == Band::kCache && idle_timeout != 0.0) {
     for (const RuleId g : guards) {
-      const auto git = bs.by_id.find(g);
-      if (git == bs.by_id.end()) continue;
-      const FlowEntry& ge = bs.slab[git->second];
+      const FlowEntry& ge = bs.slab[bs.by_id.find(g)->second];
       if (ge.idle_timeout <= 0.0) continue;  // guard never idles out
       const double remaining = ge.last_hit + ge.idle_timeout - now;
       if (remaining < idle_timeout) {
@@ -303,7 +300,15 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
       ++stats_.install_rejected;
       return false;
     }
-    while (bs.order.size() >= cache_capacity_) evict_lru_cache();
+    if (bs.order.size() >= cache_capacity_) {
+      while (bs.order.size() >= cache_capacity_) evict_lru_cache();
+      // The evictions cascade only to dependents already installed, so one
+      // that took a guard of this entry must refuse it here.
+      if (!guards_present()) {
+        ++stats_.guard_rejects;
+        return false;
+      }
+    }
   }
   const std::uint32_t slot = alloc_slot(bs);
   FlowEntry& e = bs.slab[slot];
@@ -361,7 +366,7 @@ void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
       if (bit == bs.by_id.end()) continue;
       const std::uint32_t slot = bit->second;
       retire(bs.slab[slot]);
-      notify_removal(bs.slab[slot], CacheRemoval::kCascaded);
+      notify_removal(bs.slab[slot]);
       erase_entry(slot, Band::kCache);
       ++stats_.cascade_evictions;
       removed_ids.push_back(id);
@@ -382,7 +387,7 @@ void FlowTable::evict_lru_cache() {
     if (bs.key[s] < bs.key[victim]) victim = s;
   }
   retire(bs.slab[victim]);
-  notify_removal(bs.slab[victim], CacheRemoval::kEvicted);
+  notify_removal(bs.slab[victim]);
   const RuleId gone = bs.slab[victim].rule.id;
   erase_entry(victim, Band::kCache);
   ++stats_.evictions;
@@ -395,7 +400,7 @@ bool FlowTable::remove(RuleId id, Band band) {
   if (it == bs.by_id.end()) return false;
   const std::uint32_t slot = it->second;
   retire(bs.slab[slot]);
-  if (band == Band::kCache) notify_removal(bs.slab[slot], CacheRemoval::kRemoved);
+  if (band == Band::kCache) notify_removal(bs.slab[slot]);
   erase_entry(slot, band);
   if (band == Band::kCache) cascade_remove_dependents({id});
   return true;
@@ -405,7 +410,7 @@ void FlowTable::clear_band(Band band) {
   BandState& bs = bands_[index(band)];
   for (const std::uint32_t slot : bs.order) {
     retire(bs.slab[slot]);
-    if (band == Band::kCache) notify_removal(bs.slab[slot], CacheRemoval::kCleared);
+    if (band == Band::kCache) notify_removal(bs.slab[slot]);
     release_slot(bs, slot);
   }
   bs.order.clear();
@@ -439,7 +444,7 @@ std::size_t FlowTable::expire(double now) {
       }
       retire(e);
       if (is_cache) {
-        notify_removal(e, CacheRemoval::kExpired);
+        notify_removal(e);
         expired_cache.push_back(e.rule.id);
         unlink_cache_aux(slot);
         unlink_guards(slot);

@@ -64,18 +64,6 @@ inline constexpr std::size_t kNumBands = 3;
 
 const char* band_name(Band band);
 
-// Why a cache entry left the table. Reported through the removal listener so
-// layers above (the telemetry flush path) can react per cause.
-enum class CacheRemoval : std::uint8_t {
-  kEvicted = 0,   // LRU victim on a full cache
-  kExpired,       // idle/hard timeout sweep
-  kRemoved,       // explicit remove() (controller delete, failover purge)
-  kCascaded,      // guard left; safety cascade took the dependent with it
-  kCleared,       // clear_band(kCache) — crash/reset wipes
-};
-
-const char* cache_removal_name(CacheRemoval cause);
-
 struct FlowEntry {
   Rule rule;
   Band band = Band::kPartition;
@@ -87,9 +75,9 @@ struct FlowEntry {
   std::uint64_t bytes = 0;
   // Ids of the higher-priority entries this cache entry needs present to be
   // safe (its install group's protectors: dependent-set ancestors or
-  // cover-set shadows). If any guard leaves the table, this entry must go
-  // too. Empty for self-sufficient entries (microflow, shadows, proactive
-  // bands).
+  // cover-set shadows). The entry is installed only while every guard is
+  // present, and leaves with the first guard that goes. Empty for
+  // self-sufficient entries (microflow, shadows, proactive bands).
   std::vector<RuleId> guards;
 
   bool expired(double now) const {
@@ -107,6 +95,7 @@ struct FlowTableStats {
   std::uint64_t expirations = 0;      // timeout removals
   std::uint64_t cascade_evictions = 0;  // dependents removed for safety
   std::uint64_t install_rejected = 0; // cache installs into a zero-capacity cache
+  std::uint64_t guard_rejects = 0;    // cache installs refused: a guard absent
   std::uint64_t memo_hits = 0;        // lookups answered by the header memo
 };
 
@@ -126,9 +115,12 @@ class FlowTable {
 
   // Install an entry. Cache-band installs LRU-evict on overflow and replace
   // an existing entry with the same rule id (refreshing its timeouts and
-  // guards); they fail (returning false) only when the cache capacity is 0.
-  // `guards` lists the protector entry ids this entry depends on (see
-  // FlowEntry::guards).
+  // guards). `guards` lists the protector entry ids this entry depends on
+  // (see FlowEntry::guards). A cache install fails (returns false) when the
+  // cache capacity is 0 or a guard is not a cache entry. The guard check
+  // runs before room is made, changing nothing, and again after, since an
+  // eviction that took a guard cascades only to installed dependents; that
+  // refusal keeps the evictions.
   bool install(const Rule& rule, Band band, double now, double idle_timeout = 0.0,
                double hard_timeout = 0.0, std::vector<RuleId> guards = {});
 
@@ -216,12 +208,12 @@ class FlowTable {
   const FlowTableStats& stats() const { return stats_; }
 
   // Observes every cache-band entry leaving the table. Fired once per entry,
-  // with the entry still fully intact (rule, counters, guards) and the cause
-  // of its removal, immediately before the slot is recycled. The listener
-  // runs mid-removal and MUST NOT mutate this table; buffer and act later.
-  // The telemetry layer hangs its eviction-flush semantics off this hook —
-  // an evicted elephant's pending counts are exported instead of vanishing.
-  using RemovalListener = std::function<void(const FlowEntry&, CacheRemoval)>;
+  // with the entry still fully intact (rule, counters, guards), immediately
+  // before the slot is recycled. The listener runs mid-removal and MUST NOT
+  // mutate this table; buffer and act later. The telemetry layer hangs its
+  // eviction-flush semantics off this hook — an evicted elephant's pending
+  // counts are exported instead of vanishing.
+  using RemovalListener = std::function<void(const FlowEntry&)>;
   void set_removal_listener(RemovalListener listener) {
     removal_listener_ = std::move(listener);
   }
@@ -318,8 +310,8 @@ class FlowTable {
   // Remove a (already retired) entry from every index of its band.
   void erase_entry(std::uint32_t slot, Band band);
 
-  void notify_removal(const FlowEntry& entry, CacheRemoval cause) {
-    if (removal_listener_) removal_listener_(entry, cause);
+  void notify_removal(const FlowEntry& entry) {
+    if (removal_listener_) removal_listener_(entry);
   }
 
   // The reference scan: first live match in cache (exact fast path +
@@ -339,9 +331,7 @@ class FlowTable {
   // protector it would steal packets — and must leave too, recursively.
   // Re-caching on the next miss restores the full group. Without this,
   // cache churn silently breaks the semantics wildcard caching promises.
-  // Keyed by rule id (not by resolved entry), so a dependent installed
-  // before — or surviving beyond — its protector binds to whichever entry
-  // currently carries that id, exactly as the id-based scan did.
+  // Keyed by rule id, so a guard refreshed in place keeps its dependents.
   void cascade_remove_dependents(std::vector<RuleId> removed_ids);
 
   std::size_t cache_capacity_;

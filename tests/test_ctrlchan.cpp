@@ -575,6 +575,30 @@ TEST(HeartbeatMonitor, MessageEvidenceTriggersRecoveryOfDeclaredDownSwitch) {
   EXPECT_EQ(monitor.spurious_failovers(), 1u);
 }
 
+TEST(HeartbeatMonitor, StaleMessageRecoversNoFailedSwitch) {
+  HeartbeatFixture f;
+  FaultInjector injector(lose_all_beats());
+  HeartbeatParams hp;
+  hp.interval = 0.01;
+  hp.miss_threshold = 2;
+  hp.horizon = 0.07;
+  auto monitor = f.monitor(hp, &injector);
+  int recoveries = 0;
+  monitor.on_recovery([&](SwitchId, double) { ++recoveries; });
+  monitor.start();
+  // Declared down spuriously at t=0.02, then really failed at 0.05; a
+  // message it sent before failing is heard at 0.055. It still resets the
+  // miss count, but the switch is down, so the next tick recovers nothing.
+  f.net.engine().at(0.05, [&f]() { f.net.set_failed(f.watched, true); });
+  f.net.engine().at(0.055, [&monitor, &f]() {
+    monitor.note_message_from(f.watched);
+  });
+  f.net.engine().run();
+  EXPECT_EQ(monitor.failures_declared(), 1u);
+  EXPECT_EQ(recoveries, 0);
+  EXPECT_EQ(monitor.recoveries_declared(), 0u);
+}
+
 TEST(HeartbeatMonitor, GenuineFailureIsNotCountedSpurious) {
   HeartbeatFixture f;
   HeartbeatParams hp;

@@ -187,6 +187,47 @@ TEST(FlowTable, ExpiryCascadesToGuardedDependents) {
   EXPECT_EQ(ft.find(2, Band::kCache), nullptr);  // cascaded away with it
 }
 
+TEST(FlowTable, RefusesAnInstallWhoseGuardIsAbsent) {
+  // On a full cache, an entry naming a guard that is not a cache entry is
+  // refused before any room is made, fresh or as a refresh of a held entry,
+  // and the table is left as it was.
+  FlowTable ft(2);
+  ft.install(proto_rule(1, 100, 6, Action::drop()), Band::kCache, 0.0);
+  ft.install(proto_rule(2, 50, 17, Action::forward(1)), Band::kCache, 0.0);
+  EXPECT_FALSE(ft.install(rule_of(3, 10, Action::forward(0)), Band::kCache, 1.0,
+                          0.0, 0.0, /*guards=*/{9}));
+  EXPECT_FALSE(ft.install(proto_rule(2, 50, 17, Action::forward(2)), Band::kCache,
+                          1.0, 0.0, 0.0, /*guards=*/{9}));
+  EXPECT_NE(ft.find(1, Band::kCache), nullptr);
+  const FlowEntry* kept = ft.find(2, Band::kCache);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_TRUE(kept->rule.action == Action::forward(1));
+  EXPECT_EQ(kept->install_time, 0.0);
+  EXPECT_TRUE(kept->guards.empty());
+  EXPECT_EQ(ft.find(3, Band::kCache), nullptr);
+  EXPECT_EQ(ft.stats().evictions, 0u);
+  EXPECT_EQ(ft.stats().installs, 2u);
+  EXPECT_EQ(ft.stats().guard_rejects, 2u);
+}
+
+TEST(FlowTable, RefusesAnInstallWhoseRoomTookItsGuard) {
+  // Protector 1 is the LRU entry of a full cache, so making room for its
+  // dependent evicts it. That eviction cascades only to the dependents
+  // already installed, so the table must refuse the dependent after making
+  // room, or it would forward the TCP packets the protector drops.
+  FlowTable ft(2);
+  ft.install(proto_rule(1, 100, 6, Action::drop()), Band::kCache, 0.0);
+  ft.install(proto_rule(2, 50, 17, Action::drop()), Band::kCache, 1.0);
+  EXPECT_FALSE(ft.install(rule_of(3, 10, Action::forward(0)), Band::kCache, 2.0,
+                          0.0, 0.0, /*guards=*/{1}));
+  EXPECT_EQ(ft.find(1, Band::kCache), nullptr);
+  EXPECT_EQ(ft.find(3, Band::kCache), nullptr);
+  EXPECT_NE(ft.find(2, Band::kCache), nullptr);
+  EXPECT_EQ(ft.peek(PacketBuilder().ip_proto(6).build(), 2.0), nullptr);
+  EXPECT_EQ(ft.stats().evictions, 1u);
+  EXPECT_EQ(ft.stats().guard_rejects, 1u);
+}
+
 TEST(FlowTable, CascadeIsTransitive) {
   FlowTable ft(10);
   ft.install(proto_rule(1, 100, 6, Action::drop()), Band::kCache, 0.0);

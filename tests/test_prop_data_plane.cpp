@@ -102,5 +102,15 @@ DIFANE_PROPERTY(FaultFreeDataPlaneConservesVerifiesAndReplays, 60) {
   EXPECT_EQ(run_once(), run_once()) << tag() << ": replay not byte-identical";
 }
 
+// One authority, dependent-set groups of 28 and 29 rules on a reliable wire
+// with no faults: the install of clipped rule 203 evicted its own parent
+// 184, and 211 landed after its parent 177 had left, so ingress 4 forwarded
+// what both parents drop. The flow table now refuses an entry whose guards
+// are absent, before and after making its room.
+TEST(DataPlaneRegression, GroupInstallKeepsEveryRuleWithItsParents) {
+  proptest::run_case(0xea938481ed7283c9ULL,
+                     FaultFreeDataPlaneConservesVerifiesAndReplays_PropertyBody);
+}
+
 }  // namespace
 }  // namespace difane

@@ -161,6 +161,16 @@ DIFANE_PROPERTY(ChaosReplayByteIdentical, 20) {
                            << " " << c.params.faults.to_string();
 }
 
+// Named regression, one case of the property above at a fixed seed: a
+// spurious failover of switch 0, then its real crash at 0.054 s; a message
+// it sent before the crash, heard after, made the heartbeat monitor declare
+// it recovered while it was down, and the restart handler threw. The
+// monitor now recovers no switch that is still down.
+TEST(ChaosRegression, StaleMessageRecoversNoFailedSwitch) {
+  proptest::run_case(0x37348c1cbeee2343ULL,
+                     ChaosVerifierCleanAfterQuiescence_PropertyBody);
+}
+
 // Deterministic anchor: one pinned (seed, plan) that provably exercises the
 // whole machinery — losses happen, retransmissions recover them, heartbeats
 // detect the crash and the restart — and still converges. The probabilistic

@@ -2,12 +2,13 @@
 // byte-identical to the eager reference implementation it replaced — same
 // winners, same band contents in the same order, same counters/stats/retired
 // accounting — under randomized op sequences mixing installs (with idle/hard
-// timeouts and guard lists, including phantom guard ids), lookups, peeks,
-// removals, sweeps, and band clears. Microflows take both
-// the 253-bit exact_pattern shape the simulator installs and a 256-bit shape
-// that also pins the spare bits, at priorities above and below the policy
-// rules', and lookups revisit them with fresh spare-bit noise, so the exact
-// hash competes with wildcard entries on band order. Runs of ops share one
+// timeouts and guard lists, including phantom guard ids; both tables refuse
+// an install whose guards are absent before or after making room), lookups,
+// peeks, removals, sweeps, and band clears. Microflows take both the 253-bit
+// exact_pattern shape the simulator installs and a 256-bit shape that also
+// pins the spare bits, at priorities above and below the policy rules', and
+// lookups revisit them with fresh spare-bit noise, so the exact hash
+// competes with wildcard entries on band order. Runs of ops share one
 // instant (ties at the LRU head), and one mix steps the clock back.
 // Three mixes shape the sequences toward the three overhauled mechanisms:
 // general traffic, timeout streaming (lazy-expiry watermark), and
@@ -17,7 +18,8 @@
 //
 // The reference below is the pre-overhaul implementation kept verbatim
 // (vector bands, full sweep per lookup, linear id scans, O(cache x guards)
-// guard refresh); only the class name changed.
+// guard refresh), with the class name changed and the guard rule added: the
+// two presence checks in install, counted in guard_rejects.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +43,18 @@ class ReferenceFlowTable {
   bool install(const Rule& rule, Band band, double now, double idle_timeout = 0.0,
                double hard_timeout = 0.0, std::vector<RuleId> guards = {}) {
     auto& entries = bands_[index(band)];
+    // The guard rule: every guard must be a cache entry, checked before the
+    // install makes room and again after (an eviction may take a guard).
+    const auto guards_present = [&] {
+      return std::all_of(guards.begin(), guards.end(), [&](RuleId g) {
+        return std::any_of(entries.begin(), entries.end(),
+                           [g](const FlowEntry& e) { return e.rule.id == g; });
+      });
+    };
+    if (band == Band::kCache && !guards_present()) {
+      ++stats_.guard_rejects;
+      return false;
+    }
     // Group safety (the spec the real table implements): a dependent's idle
     // budget is capped at the tightest guard's remaining lifetime, and a
     // refresh never shortens an entry that other live entries depend on —
@@ -90,6 +104,10 @@ class ReferenceFlowTable {
         return false;
       }
       while (entries.size() >= cache_capacity_) evict_lru_cache(now);
+      if (!guards_present()) {
+        ++stats_.guard_rejects;
+        return false;
+      }
     }
     FlowEntry entry;
     entry.rule = rule;
@@ -284,6 +302,7 @@ std::string diff_tables(const FlowTable& t, const ReferenceFlowTable& r) {
   if (ts.expirations != rs.expirations) os << " expirations";
   if (ts.cascade_evictions != rs.cascade_evictions) os << " cascade_evictions";
   if (ts.install_rejected != rs.install_rejected) os << " install_rejected";
+  if (ts.guard_rejects != rs.guard_rejects) os << " guard_rejects";
   if (t.retired().size() != r.retired().size()) {
     os << " retired size";
   } else {
@@ -377,8 +396,9 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix,
       std::vector<RuleId> guards;
       if (band == Band::kCache && ctx.rng.bernoulli(mix.p_guards)) {
         // Guard ids drawn from the same small space, so some point at live
-        // entries, some at ids installed later (phantom guards), some at
-        // ids that never exist.
+        // entries, some at ids installed only later and some at ids that
+        // never exist (phantom guards, which make both tables refuse the
+        // install).
         const std::size_t n = ctx.rng.uniform(1, 3);
         for (std::size_t g = 0; g < n; ++g) {
           guards.push_back(1000 + static_cast<RuleId>(ctx.rng.uniform(0, 45)));
@@ -471,8 +491,8 @@ DIFANE_PROPERTY(FlowTableExpiryMatchesEagerReference, 120) {
   drive(ctx, mix);
 }
 
-// Churn mix: tiny cache plus dense guard lists, so LRU eviction and the
-// safety cascade (including phantom guard ids that bind late) dominate.
+// Churn mix: tiny cache plus dense guard lists, so LRU eviction, the
+// safety cascade and the guard rule's refusals dominate.
 DIFANE_PROPERTY(FlowTableLruCascadeMatchesEagerReference, 120) {
   MixParams mix;
   mix.p_guards = 0.8;

@@ -23,6 +23,8 @@
 #include "core/system.hpp"
 #include "proptest/gen.hpp"
 #include "proptest/property.hpp"
+#include "workload/rulegen.hpp"
+#include "workload/trafficgen.hpp"
 
 namespace difane {
 namespace {
@@ -203,6 +205,47 @@ DIFANE_PROPERTY(MigrationChaosReplayByteIdentical, 15) {
   EXPECT_EQ(first, second) << case_tag(ctx.case_seed, c);
 }
 
+// Named regressions, each one case of the property above at a fixed seed.
+//
+// The re-home of partition 0 from authority 0 to 2 started with switch 1 as
+// its backup; authority 0 crashed and the failover made switch 1 the
+// primary, then the flip made it the backup. The move's end still retired
+// switch 1, which it had listed at the start, and a later spurious failover
+// pointed ingresses 3 and 4 at it. The end of a move now retires the bound
+// members outside the current serving set.
+TEST(MigrationRegression, FinishRetiresOnlyWhatTheCurrentPlanDropped) {
+  proptest::run_case(0x409940c7004588a9ULL,
+                     MigrationChaosVerifierCleanAfterQuiescence_PropertyBody);
+}
+
+// The move of partition 2 to authority 0 committed and sent its flips;
+// authority 0 crashed and the failover re-pointed the partition everywhere,
+// then ingress 2's flip, delayed by loss, put switch 0 back. The end of a
+// move, here its post-flip abort, now rewrites the partition's redirect
+// from the plan once every flip is acked.
+TEST(MigrationRegression, LateFlipDoesNotOutliveTheMove) {
+  proptest::run_case(0xb6a875d61642de4cULL,
+                     MigrationChaosVerifierCleanAfterQuiescence_PropertyBody);
+}
+
+// Clean before the fixes above and must stay so: partition 3 moves to
+// authority 1 and then, after authority 1 has crashed but before its
+// failover, on to authority 2. The second move's end retires switch 0, the
+// backup the first move left, and rewrites the redirect while the old home
+// is down.
+TEST(MigrationRegression, SecondMoveWhileOldHomeIsDownStaysClean) {
+  proptest::run_case(0x66e279e7b6e54accULL,
+                     MigrationChaosVerifierCleanAfterQuiescence_PropertyBody);
+}
+
+// A message heard from a crashed authority after its spurious failover made
+// the heartbeat monitor declare it recovered while it was down, and the
+// restart handler threw; the monitor now recovers no switch that is down.
+TEST(MigrationRegression, StaleMessageRecoversNoFailedSwitch) {
+  proptest::run_case(0x3681360113a5017ULL,
+                     MigrationChaosVerifierCleanAfterQuiescence_PropertyBody);
+}
+
 // Deterministic anchor 1: a fault-free move provably completes — rules land
 // at the destination, the plan re-homes, redirects flip, the drain passes,
 // the source-side copy retires — and the verifier stays clean.
@@ -345,6 +388,82 @@ TEST(MigrationChaos, SourceCrashMidMigrationStillConserves) {
             stats.tracer.delivered() + stats.tracer.dropped());
 
   const VerifyReport report = scenario->verify_installed();
+  EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+// Deterministic anchor 4, fault-free: with two replicas per partition the
+// ingresses spread their redirects over both, so each replica leaves
+// cover-set shadows that redirect to itself. Moving partition 0 to the third
+// authority retires its second replica, whose shadows must not outlive the
+// binding: the end of the move purges the cached redirects to each member it
+// retires, as a failover does for a failed switch.
+TEST(MigrationChaos, RetiredReplicaLeavesNoCachedRedirects) {
+  RuleGenParams rg;
+  rg.num_rules = 200;
+  rg.seed = 7;
+  const RuleTable policy = generate_policy(rg);
+  TrafficParams tp;
+  tp.seed = 11;
+  tp.flow_pool = 300;
+  tp.arrival_rate = 4000.0;
+  tp.duration = 0.1;
+  tp.mean_packets = 2.0;
+  tp.packet_gap = 0.005;
+  tp.ingress_count = 4;
+  const auto flows = TrafficGenerator(policy, tp).generate();
+
+  ScenarioParams p;
+  p.edge_switches = 4;
+  p.core_switches = 3;
+  p.authority_count = 3;
+  p.authority_replicas = 2;
+  p.partitioner.capacity = 60;
+  p.cache_strategy = CacheStrategy::kCoverSet;
+  p.reliable_ctrl = true;
+  p.migration.enabled = true;
+  Scenario scenario(policy, p);
+  const Partition& p0 = scenario.plan()->partitions()[0];
+  const SwitchId retired =
+      scenario.difane()->authority_switch((p0.primary + 1) % 3);
+  // After the arrivals, so the caches hold both replicas' shadows.
+  scenario.request_rehome(0, (p0.primary + 2) % 3, 0.2);
+  const auto& stats = scenario.run(flows);
+
+  EXPECT_EQ(stats.migrations_completed, 1u);
+  EXPECT_FALSE(scenario.difane()->node_at(retired)->serves(p0.id));
+  const VerifyReport report = scenario.verify_installed();
+  EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+// Deterministic anchor 5, no loss: the move of partition 0 to its second
+// replica needs no install, so it flips at once, spreading the flips over
+// both replicas, the old home included. The old home fails 10us later and is
+// detected 50us after that, while every flip is still on the wire: the
+// failover points partition 0 at the destination everywhere, then the flips
+// that name the failed switch land on top. The move still completes (its
+// destination is live), and its end rewrites the partition's redirect from
+// the plan.
+TEST(MigrationChaos, LateFlipDoesNotOutliveACompletedMove) {
+  RuleGenParams rg;
+  rg.num_rules = 100;
+  rg.seed = 3;
+  ScenarioParams p;
+  p.edge_switches = 4;
+  p.core_switches = 2;
+  p.authority_count = 2;
+  p.authority_replicas = 2;
+  p.timings.failover_detect = 5e-5;
+  p.reliable_ctrl = true;
+  p.migration.enabled = true;
+  Scenario scenario(generate_policy(rg), p);
+  const Partition& p0 = scenario.plan()->partitions()[0];
+  const SwitchId old_home = scenario.difane()->authority_switch(p0.primary);
+  scenario.request_rehome(0, (p0.primary + 1) % 2, 0.01);
+  scenario.schedule_authority_failure(0.01 + 1e-5, old_home);
+  const auto& stats = scenario.run({});
+
+  EXPECT_EQ(stats.migrations_completed, 1u);
+  const VerifyReport report = scenario.verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
