@@ -227,9 +227,7 @@ int main(int argc, char** argv) {
       auto params = difane_params(3, CacheStrategy::kMicroflow, /*cache=*/512);
       params.timings.cache_idle_timeout = 0.035;
       params.reliable_ctrl = true;  // both cells: isolate the migration cost
-      params.migration.enabled = on;
-      params.migration.wave_size = 2;
-      params.migration.drain_timeout = 0.01;
+      params.migration = on;
       Scenario scenario(churn_policy, params);
       if (on) {
         // Re-home a spread of partitions to the authority that is neither

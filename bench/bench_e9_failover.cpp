@@ -33,10 +33,11 @@ int main(int argc, char** argv) {
       // the authority switch is exercised through the failure.
       auto params = difane_params(2, CacheStrategy::kMicroflow);
       params.timings.failover_detect = detect;
+      AuthorityCrash crash;  // authority 0, never restarted
+      crash.at = fail_at;
+      params.faults.crashes.push_back(crash);
       Scenario scenario(policy, params);
       const auto flows = setup_storm(policy, 5000.0, duration, rep.seed);
-      const SwitchId victim = scenario.difane()->authority_switches()[0];
-      scenario.schedule_authority_failure(fail_at, victim);
       const auto& stats = scenario.run(flows);
       const auto lost = stats.tracer.dropped(DropReason::kSwitchFailed) +
                         stats.tracer.dropped(DropReason::kUnreachable);

@@ -24,6 +24,10 @@ int main() {
   // authority switches throughout.
   params.cache_strategy = CacheStrategy::kMicroflow;
   params.timings.failover_detect = 0.1;
+  // Authority 0 crashes at t=2.0s and stays down.
+  AuthorityCrash crash;
+  crash.at = 2.0;
+  params.faults.crashes.push_back(crash);
   Scenario scenario(policy, params);
 
   const auto authorities = scenario.difane()->authority_switches();
@@ -53,7 +57,6 @@ int main() {
   TrafficGenerator gen(policy, tp);
   const auto flows = gen.generate();
 
-  scenario.schedule_authority_failure(2.0, authorities[0]);
   const auto& stats = scenario.run(flows);
 
   const auto lost = stats.tracer.dropped(DropReason::kSwitchFailed) +

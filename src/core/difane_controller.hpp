@@ -92,8 +92,8 @@ class DifaneController {
 
   // The serving set (primary + ring successors + backup-if-absent) of a
   // partition under the plan's *current* assignment, or under a hypothetical
-  // (primary, backup) pair — the migration planner uses the latter to
-  // compute the post-move serving set before committing the re-home.
+  // (primary, backup) pair — a live migration uses the latter to compute the
+  // post-move serving set before committing the re-home.
   std::vector<AuthorityIndex> serving_set(const Partition& partition) const;
   std::vector<AuthorityIndex> serving_set(AuthorityIndex primary,
                                           AuthorityIndex backup) const;

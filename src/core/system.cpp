@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "partition/migration.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
 
@@ -20,6 +19,9 @@ constexpr std::uint32_t kTtlHops = 64;
 constexpr double kExportLatency = 2e-4;
 // NOX mode: switch <-> controller latency, each direction.
 constexpr double kNoxOneWayLatency = 5e-3;
+// Live migration: seconds between "every switch flipped" and retiring the
+// source copy, the window in-flight redirects get to land at the old home.
+constexpr double kMigrationDrain = 0.01;
 
 }  // namespace
 
@@ -216,50 +218,21 @@ void validate_reliability(const ScenarioParams& p) {
 }
 
 void validate_migration(const ScenarioParams& p) {
-  const auto& m = p.migration;
-  if (!m.enabled) {
-    // Dormant knobs are not validated: a default-constructed MigrationParams
-    // with migration off must never reject (strict no-op contract).
-    return;
-  }
+  if (!p.migration) return;
   if (p.mode != Mode::kDifane) {
-    throw ConfigError("migration.enabled",
+    throw ConfigError("migration",
                       "live partition migration re-homes DIFANE authority "
                       "state; NOX mode has no partitions to move");
   }
   if (p.authority_count < 2) {
-    throw ConfigError("migration.enabled",
+    throw ConfigError("migration",
                       "migration needs somewhere to move to: "
                       "authority_count must be >= 2");
   }
   if (!p.reliable_ctrl) {
-    throw ConfigError("migration.enabled",
+    throw ConfigError("migration",
                       "make-before-break rides install/flip/retire acks; "
                       "migration requires reliable_ctrl");
-  }
-  if (m.wave_size == 0) {
-    throw ConfigError("migration.wave_size",
-                      "a zero-size migration wave can move nothing");
-  }
-  if (m.drain_timeout <= 0.0) {
-    throw ConfigError("migration.drain_timeout",
-                      "the drain window must be > 0 or in-flight redirects "
-                      "race the source retirement");
-  }
-  if (m.check_interval < 0.0) {
-    throw ConfigError("migration.check_interval",
-                      "rebalance interval cannot be negative");
-  }
-  if (m.check_interval > 0.0 && m.horizon <= 0.0) {
-    throw ConfigError("migration.horizon",
-                      "the rebalance loop needs a positive horizon or its "
-                      "tick chain never ends (set it at or past the end of "
-                      "injected traffic)");
-  }
-  if (m.imbalance_threshold < 1.0) {
-    throw ConfigError("migration.imbalance_threshold",
-                      "threshold below 1 makes every balanced assignment "
-                      "look overloaded; use >= 1");
   }
 }
 
@@ -382,13 +355,6 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
   // and its export channels want the injector, both built above.
   setup_measurement(reliability);
   schedule_faults();
-  // Live-migration rebalance loop: a tick chain (mirrors the measurement
-  // tick chain). Explicit request_rehome() works without it.
-  if (params_.migration.enabled && params_.migration.check_interval > 0.0 &&
-      params_.migration.check_interval <= params_.migration.horizon) {
-    net_.engine().at(params_.migration.check_interval,
-                     [this]() { migration_tick(); });
-  }
 }
 
 // Build the telemetry data plane: one FlowTelemetry + export channel per
@@ -600,20 +566,23 @@ void Scenario::schedule_faults() {
 }
 
 void Scenario::fail_over(SwitchId sw) {
-  // A migration whose destination just died must abort before the failover
-  // re-points partitions (the rollback leans on the old copy the migration
-  // had not yet retired).
-  migration_on_crash(sw);
+  // A move whose destination just died must abort before the failover
+  // re-points partitions (the rollback leans on the old copy the move had
+  // not yet retired): pre-flip the pending install acks come back refused
+  // and the rollback unstocks; post-flip the failover below falls back to
+  // the old home (= plan backup). A *source* crash needs nothing special:
+  // the failover handles the old home like any other failed authority.
+  if (migration_.has_value() && difane_->authority_switch(migration_->to) == sw) {
+    migration_->aborted = true;
+  }
   difane_->handle_authority_failure(sw);
 }
 
 void Scenario::crash_authority(SwitchId sw) {
   net_.set_failed(sw, true);
   // A crash loses the switch's flow table — it reboots with empty cache and
-  // partition bands. (Distinct from schedule_authority_failure, which models
-  // a fail-stop partition where the state is merely unreachable.) Its
-  // bindings, the authority band, stay with the controller: they resolve
-  // and count again as soon as the switch is back.
+  // partition bands. Its bindings, the authority band, stay with the
+  // controller: they resolve and count again as soon as the switch is back.
   FlowTable& table = net_.sw(sw).table();
   table.clear_band(Band::kCache);
   table.clear_band(Band::kPartition);
@@ -995,7 +964,7 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
       // retired it re-encaps to the current owner instead of dropping — the
       // "zero lost packets attributable to migration" contract; the TTL
       // bounds the chase. With migration off the packet is dropped.
-      if (params_.migration.enabled) {
+      if (params_.migration) {
         const Partition& partition = difane_->plan().find(pkt.header);
         const SwitchId owner = difane_->replica_for(partition, at);
         if (owner != at && !net_.sw(owner).failed()) {
@@ -1009,11 +978,9 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
     // A redirect landing at the *old* home of an in-flight migration is the
     // drain traffic make-before-break exists for; count it (the old copy
     // still resolves correctly — that is the point).
-    if (!migrating_old_home_.empty()) {
-      const auto mig = migrating_old_home_.find(result->partition);
-      if (mig != migrating_old_home_.end() && mig->second == at) {
-        ++stats_.migration_inflight_redirects;
-      }
+    if (migration_.has_value() && at == difane_->authority_switch(migration_->from) &&
+        result->partition == difane_->plan().partitions()[migration_->index].id) {
+      ++stats_.migration_inflight_redirects;
     }
     // Elephant-aware install policy: feed this miss into the authority's
     // heavy-hitter summary, then classify on the *guaranteed* (lower-bound)
@@ -1216,13 +1183,13 @@ void Scenario::forward_hop(SwitchId at, SwitchId toward, Packet pkt) {
 }
 
 // ---- live partition migration --------------------------------------------
-// Make-before-break over the reliable control channel. The control messages
-// ride the per-switch channels, so installs and flips pay latency, loss, and
-// retransmission like any other control traffic.
+// Make-before-break over the reliable control channel, one move at a time.
+// The control messages ride the per-switch channels, so installs and flips
+// pay latency, loss, and retransmission like any other control traffic.
 
 void Scenario::request_rehome(std::size_t partition_index, AuthorityIndex dest,
                               SimTime when) {
-  expects(params_.migration.enabled, "request_rehome: enable params.migration");
+  expects(params_.migration, "request_rehome: enable params.migration");
   expects(difane_ != nullptr, "request_rehome: DIFANE mode only");
   expects(partition_index < difane_->plan().partitions().size(),
           "request_rehome: no such partition");
@@ -1236,10 +1203,7 @@ void Scenario::request_rehome(std::size_t partition_index, AuthorityIndex dest,
 void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
   const Partition& partition = difane_->plan().partitions().at(index);
   if (partition.primary == dest) return;  // already home
-  // One move per partition at a time, at most wave_size concurrent moves;
-  // excess requests queue FIFO and drain as slots free up.
-  if (migrating_old_home_.count(partition.id) != 0 ||
-      active_migrations_.size() >= params_.migration.wave_size) {
+  if (migration_.has_value()) {  // one move at a time; the rest wait FIFO
     migration_queue_.emplace_back(index, dest);
     return;
   }
@@ -1250,9 +1214,7 @@ void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
   }
   const auto old_serving = difane_->serving_set(partition);
   const auto new_serving = difane_->serving_set(dest, partition.primary);
-  const std::size_t slot = migrations_.size();
-  migrations_.emplace_back();
-  LiveMigration& m = migrations_.back();
+  LiveMigration& m = migration_.emplace();
   m.index = index;
   m.from = partition.primary;
   m.to = dest;
@@ -1263,22 +1225,18 @@ void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
       m.installs.push_back(member);
     }
   }
-  active_migrations_.push_back(slot);
-  migrating_old_home_[partition.id] = difane_->authority_switch(m.from);
   // "Make" phase: stock every new serving-set member before any flip. The
   // extra copies are the double-occupancy cost make-before-break pays.
-  stats_.migration_rules_moved += m.rules * m.installs.size();
-  migration_double_now_ +=
-      static_cast<std::int64_t>(m.rules * m.installs.size());
+  const std::size_t extra = m.rules * m.installs.size();
+  stats_.migration_rules_moved += extra;
   stats_.migration_double_peak =
-      std::max(stats_.migration_double_peak,
-               static_cast<std::uint64_t>(migration_double_now_));
+      std::max<std::uint64_t>(stats_.migration_double_peak, extra);
   log_info("migration: partition ", index, " authority ", m.from, " -> ",
            m.to, " (", m.rules, " rules, ", m.installs.size(),
            " installs) at t=", net_.engine().now());
   if (m.installs.empty()) {
     // Destination already stocked (it was a replica/backup): flip directly.
-    migration_flip(slot);
+    migration_flip();
     return;
   }
   m.pending_acks = m.installs.size();
@@ -1287,26 +1245,26 @@ void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
   for (const auto member : m.installs) {
     difane_->bind_partition(index, member);
     send_migration(difane_->authority_switch(member), msg,
-                   [this, slot](bool ok) { migration_install_acked(slot, ok); });
+                   [this](bool ok) { migration_install_acked(ok); });
   }
 }
 
-void Scenario::migration_install_acked(std::size_t slot, bool ok) {
-  LiveMigration& m = migrations_[slot];
+void Scenario::migration_install_acked(bool ok) {
+  LiveMigration& m = *migration_;
   if (!ok) m.aborted = true;  // destination crashed or refused the stock
   expects(m.pending_acks > 0, "migration: spurious install ack");
   if (--m.pending_acks > 0) return;
   if (m.aborted) {
-    migration_rollback(slot);
+    migration_rollback();
   } else {
-    migration_flip(slot);
+    migration_flip();
   }
 }
 
-void Scenario::migration_flip(std::size_t slot) {
-  LiveMigration& m = migrations_[slot];
+void Scenario::migration_flip() {
+  LiveMigration& m = *migration_;
   if (m.aborted) {  // destination died between the last ack and this event
-    migration_rollback(slot);
+    migration_rollback();
     return;
   }
   // "Break" phase: commit the re-home first (primary = dest, backup = old
@@ -1323,36 +1281,35 @@ void Scenario::migration_flip(std::size_t slot) {
   for (const SwitchId sw : targets) {
     PartitionFlip msg;
     msg.rule = difane_->partition_redirect_rule(m.index, sw);
-    send_migration(sw, std::move(msg),
-                   [this, slot](bool ok) { migration_flip_acked(slot, ok); });
+    send_migration(sw, std::move(msg), [this](bool) { migration_flip_acked(); });
   }
-  if (targets.empty()) migration_flip_acked(slot, true);  // degenerate
+  if (targets.empty()) migration_flip_acked();  // degenerate
 }
 
-void Scenario::migration_flip_acked(std::size_t slot, bool /*ok*/) {
+void Scenario::migration_flip_acked() {
   // A refused flip (the switch crashed while the message was in flight) is
   // deliberately not an abort: its stale partition rule still points at the
   // old home — which remains bound — and the restart path reinstalls fresh
   // partition rules anyway. Over-redirecting is safe; mis-forwarding never
   // happens.
-  LiveMigration& m = migrations_[slot];
+  LiveMigration& m = *migration_;
   if (m.pending_acks > 0 && --m.pending_acks > 0) return;
   // Every live switch now redirects to the new home; give in-flight
   // redirects a drain window before retiring the source copy.
-  net_.engine().at(net_.engine().now() + params_.migration.drain_timeout,
-                   [this, slot]() { migration_drain_done(slot); });
+  net_.engine().at(net_.engine().now() + kMigrationDrain,
+                   [this]() { migration_drain_done(); });
 }
 
-void Scenario::migration_drain_done(std::size_t slot) {
-  if (migrations_[slot].aborted) {
-    migration_rollback(slot);
+void Scenario::migration_drain_done() {
+  if (migration_->aborted) {
+    migration_rollback();
   } else {
-    migration_finish(slot);
+    migration_finish();
   }
 }
 
-void Scenario::migration_finish(std::size_t slot) {
-  LiveMigration& m = migrations_[slot];
+void Scenario::migration_finish() {
+  const LiveMigration& m = *migration_;
   const Partition& partition = difane_->plan().partitions()[m.index];
   // Retire every bound member outside the current serving set (a failover
   // since the move started may have changed it): unbinding retires the
@@ -1373,26 +1330,19 @@ void Scenario::migration_finish(std::size_t slot) {
   // Cached shadow redirects that still chase the old home defeat the move
   // (and, once traffic shifts, the old home's copy is demoted to backup):
   // purge them so those flows re-resolve via the flipped partition band.
-  purged += difane_->purge_redirects_to(migrating_old_home_.at(partition.id),
+  purged += difane_->purge_redirects_to(difane_->authority_switch(m.from),
                                         partition.region);
   // A flip delayed past a failover can have put back a target the failover
   // had moved the partition away from; every flip is acked by now.
   difane_->install_partition_rule(m.index);
-  migration_double_now_ -=
-      static_cast<std::int64_t>(m.rules * m.installs.size());
-  migrating_old_home_.erase(partition.id);
   ++stats_.migrations_completed;
-  active_migrations_.erase(std::remove(active_migrations_.begin(),
-                                       active_migrations_.end(), slot),
-                           active_migrations_.end());
   log_info("migration: partition ", m.index, " completed at authority ", m.to,
            ", purged ", purged, " stale redirects, t=", net_.engine().now());
-  pump_migration_queue();
+  end_migration();
 }
 
-void Scenario::migration_rollback(std::size_t slot) {
-  LiveMigration& m = migrations_[slot];
-  const Partition& partition = difane_->plan().partitions()[m.index];
+void Scenario::migration_rollback() {
+  const LiveMigration& m = *migration_;
   if (!m.flipped) {
     // Pre-flip abort: the plan never changed and no ingress was flipped, so
     // rolling back is unbinding the installs.
@@ -1406,56 +1356,20 @@ void Scenario::migration_rollback(std::size_t slot) {
   // now, and one delayed past the failover can have put the crashed
   // destination back: rewrite the partition's redirect from the plan.
   difane_->install_partition_rule(m.index);
-  migration_double_now_ -=
-      static_cast<std::int64_t>(m.rules * m.installs.size());
-  migrating_old_home_.erase(partition.id);
   ++stats_.migrations_aborted;
-  active_migrations_.erase(std::remove(active_migrations_.begin(),
-                                       active_migrations_.end(), slot),
-                           active_migrations_.end());
   log_info("migration: partition ", m.index, " aborted (",
            m.flipped ? "post" : "pre", "-flip) at t=", net_.engine().now());
-  pump_migration_queue();
+  end_migration();
 }
 
-void Scenario::migration_on_crash(SwitchId sw) {
-  if (!params_.migration.enabled || active_migrations_.empty()) return;
-  for (const std::size_t slot : active_migrations_) {
-    LiveMigration& m = migrations_[slot];
-    // A destination crash aborts the move: pre-flip the pending install acks
-    // come back refused and the rollback unstocks; post-flip the failover
-    // running right after this falls back to the old home (= plan backup).
-    // A *source* crash needs nothing special — the destination copy is the
-    // one the machinery is building, and failover handles the old home like
-    // any other failed authority.
-    if (difane_->authority_switch(m.to) == sw) m.aborted = true;
-  }
-}
-
-void Scenario::migration_tick() {
-  MigrationPlannerParams planner;
-  planner.wave_size = params_.migration.wave_size;
-  planner.imbalance_threshold = params_.migration.imbalance_threshold;
-  const auto steps = plan_rebalance_wave(difane_->plan(), planner);
-  for (const auto& step : steps) {
-    start_migration(step.partition_index, step.to);
-  }
-  const double next = net_.engine().now() + params_.migration.check_interval;
-  if (next <= params_.migration.horizon) {
-    net_.engine().at(next, [this]() { migration_tick(); });
-  }
-}
-
-void Scenario::pump_migration_queue() {
-  if (migration_queue_.empty()) return;
-  std::vector<std::pair<std::size_t, AuthorityIndex>> queued;
-  queued.swap(migration_queue_);
-  for (const auto& [index, dest] : queued) {
-    if (active_migrations_.size() < params_.migration.wave_size) {
-      start_migration(index, dest);  // may re-queue if the partition is busy
-    } else {
-      migration_queue_.emplace_back(index, dest);
-    }
+void Scenario::end_migration() {
+  migration_.reset();
+  // A queued request may find its partition already home or its destination
+  // failed, and start no move; the next one then gets its turn.
+  while (!migration_.has_value() && !migration_queue_.empty()) {
+    const auto [index, dest] = migration_queue_.front();
+    migration_queue_.pop_front();
+    start_migration(index, dest);
   }
 }
 
@@ -1472,21 +1386,6 @@ void Scenario::send_migration(SwitchId sw, Request request,
     };
   }
   install_channels_[sw]->send(std::move(request), std::move(on_reply));
-}
-
-void Scenario::schedule_authority_failure(SimTime when, SwitchId authority) {
-  expects(difane_ != nullptr, "schedule_authority_failure: DIFANE mode only");
-  net_.engine().at(when, [this, authority]() {
-    net_.set_failed(authority, true);
-    log_info("authority switch ", authority, " failed at t=", net_.engine().now());
-  });
-  // With heartbeat detection on, the monitor notices the silence itself;
-  // otherwise the controller reacts failover_detect later (E9's detect_ms
-  // rows in bench/BASELINE.json pin this path).
-  if (params_.timings.heartbeat_interval <= 0.0) {
-    net_.engine().at(when + params_.timings.failover_detect,
-                     [this, authority]() { fail_over(authority); });
-  }
 }
 
 }  // namespace difane

@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -48,8 +50,9 @@ struct Timings {
   double cache_install_latency = 2e-4;   // authority -> ingress install push
   double cache_idle_timeout = 10.0;      // cache-band idle timeout
   // Fixed-delay failure detection: the controller re-points partitions this
-  // long after a scheduled failure. Used only while heartbeat detection is
-  // off (heartbeat_interval == 0), which is the default.
+  // long after an authority crash (FaultPlan::crashes). Used only while
+  // heartbeat detection is off (heartbeat_interval == 0), which is the
+  // default.
   double failover_detect = 0.2;
 
   // Heartbeat-based failure detection (DIFANE mode). interval > 0 switches
@@ -64,32 +67,6 @@ struct Timings {
   double heartbeat_interval = 0.0;
   std::uint32_t heartbeat_miss = 3;
   double heartbeat_horizon = 0.0;
-};
-
-// Live partition migration (DIFANE mode, reliable control channel only).
-// When enabled, the controller can re-home partitions to new authority
-// switches mid-run with make-before-break semantics: install the authority
-// rules at the destination first, flip every switch's partition redirect,
-// wait out a drain window for in-flight redirects, then retire the source
-// copy and purge stale cached redirects. Migrations are driven explicitly
-// (Scenario::request_rehome) or by a periodic rebalance loop
-// (check_interval > 0) that moves partitions off overloaded authorities in
-// bounded waves. Strict no-op when disabled: no events, no Rng draws, no
-// stats deltas.
-struct MigrationParams {
-  bool enabled = false;
-  // Max partitions in flight at once; further requests queue FIFO.
-  std::uint32_t wave_size = 4;
-  // Seconds between "every switch flipped" and retiring the source copy —
-  // the window in-flight redirects get to land at the old home.
-  double drain_timeout = 0.01;
-  // Rebalance loop period; 0 disables the loop (explicit re-homes only).
-  double check_interval = 0.0;
-  // Rebalance loop stops scheduling ticks at this sim time (required > 0
-  // when check_interval > 0, so the engine's queue drains).
-  double horizon = 0.0;
-  // Rebalance trigger: heaviest authority load / mean load above this.
-  double imbalance_threshold = 1.5;
 };
 
 struct ScenarioParams {
@@ -144,9 +121,15 @@ struct ScenarioParams {
   // traffic doubles as liveness evidence. See core/telemetry.hpp.
   MeasurementParams measurement;
 
-  // Live partition migration (DIFANE + reliable_ctrl only; validate()
-  // rejects other combinations). See MigrationParams.
-  MigrationParams migration;
+  // Live partition migration (DIFANE mode, authority_count >= 2 and
+  // reliable_ctrl only; validate() rejects other combinations). When on,
+  // Scenario::request_rehome moves a partition to another authority switch
+  // mid-run, make-before-break: install the authority rules at the
+  // destination first, flip every switch's partition redirect, wait out a
+  // 10 ms drain window for in-flight redirects, then retire the source copy
+  // and purge stale cached redirects. Strict no-op when off: no events, no
+  // Rng draws, no stats deltas.
+  bool migration = false;
 
   // When >= 0, ScenarioStats::cache_entries_final is sampled at this sim
   // time (an event scheduled by run()) instead of at the end of the
@@ -278,16 +261,12 @@ class Scenario {
   // id.
   const ScenarioStats& run(const std::vector<FlowSpec>& flows);
 
-  // Schedule an authority switch failure at sim time `when` (DIFANE mode).
-  // With heartbeat detection off, the controller re-points partitions
-  // `failover_detect` later; with it on, the monitor detects the silence.
-  void schedule_authority_failure(SimTime when, SwitchId authority);
-
   // Request a live re-home of partition `partition_index` to authority
-  // `dest` at sim time `when` (requires params.migration.enabled). The move
-  // runs make-before-break over the control channel; if more than
-  // migration.wave_size moves are in flight, the request queues FIFO.
-  // Re-homing a partition to its current primary is a no-op.
+  // `dest` at sim time `when` (requires params.migration). The move runs
+  // make-before-break over the control channel. One move runs at a time: a
+  // request that arrives while a move runs waits in a FIFO queue and starts
+  // when that move ends. Re-homing a partition to its current primary is a
+  // no-op.
   void request_rehome(std::size_t partition_index, AuthorityIndex dest,
                       SimTime when);
 
@@ -351,15 +330,14 @@ class Scenario {
                                     // the installs, post-flip rides failover)
   };
   void start_migration(std::size_t index, AuthorityIndex dest);
-  void migration_install_acked(std::size_t slot, bool ok);
-  void migration_flip(std::size_t slot);
-  void migration_flip_acked(std::size_t slot, bool ok);
-  void migration_drain_done(std::size_t slot);
-  void migration_finish(std::size_t slot);
-  void migration_rollback(std::size_t slot);
-  void migration_on_crash(SwitchId sw);   // called before failover handling
-  void migration_tick();                  // periodic rebalance loop
-  void pump_migration_queue();
+  void migration_install_acked(bool ok);
+  void migration_flip();
+  void migration_flip_acked();
+  void migration_drain_done();
+  void migration_finish();
+  void migration_rollback();
+  // The move has ended: clear it and start the next queued request.
+  void end_migration();
   void send_migration(SwitchId sw, Request request,
                       std::function<void(bool)> on_ack);
 
@@ -429,18 +407,13 @@ class Scenario {
   std::vector<SwitchId> exporters_;       // export order: edge, then authorities
   std::vector<std::uint64_t> export_seq_; // per-exporter batch sequence
   obs::FlowCollector collector_;
-  // Live-migration state (params_.migration.enabled only; all empty
-  // otherwise, which E7's *_migration_off rows in bench/BASELINE.json pin).
-  // Slots are stable for the run so in-flight ack callbacks can address
-  // their migration by index.
-  std::vector<LiveMigration> migrations_;
-  std::vector<std::size_t> active_migrations_;           // slots in flight
-  std::vector<std::pair<std::size_t, AuthorityIndex>> migration_queue_;
-  // PartitionId -> old home switch while a migration is in flight; read on
-  // the authority-resolution path (cheap empty() check first) to count
-  // in-flight redirects that landed at the old home.
-  std::unordered_map<PartitionId, SwitchId> migrating_old_home_;
-  std::int64_t migration_double_now_ = 0;   // live extra authority-rule copies
+  // Live-migration state (params_.migration only; empty otherwise, which
+  // E7's *_migration_off rows in bench/BASELINE.json pin). The move in
+  // flight, read on the authority-resolution path to count in-flight
+  // redirects that landed at its old home; every ack of a move arrives
+  // before it ends, so the callbacks address it without an id.
+  std::optional<LiveMigration> migration_;
+  std::deque<std::pair<std::size_t, AuthorityIndex>> migration_queue_;  // FIFO
   ScenarioStats stats_;
   // Flows not yet started, per ingress SwitchId (during run() only).
   struct FlowStart {

@@ -98,9 +98,7 @@ Violation nox_vs_difane_impl(const Counterexample& cex, const TopoGen& topo,
     params.core_switches =
         std::max<std::size_t>(params.core_switches, params.authority_count);
     params.reliable_ctrl = true;  // migration's transport
-    params.migration.enabled = true;
-    params.migration.wave_size = 2;
-    params.migration.drain_timeout = 0.004;
+    params.migration = true;
   }
   Scenario difane(policy, params);
   if (migration_seed != nullptr) {
@@ -124,7 +122,7 @@ Violation nox_vs_difane_impl(const Counterexample& cex, const TopoGen& topo,
   params.mode = Mode::kNox;
   params.reliable_ctrl = false;
   params.faults = FaultPlan{};
-  params.migration = MigrationParams{};  // NOX has no partitions to move
+  params.migration = false;  // NOX has no partitions to move
   Scenario nox(policy, params);
   const auto& ns = nox.run(flows);
 

@@ -8,8 +8,9 @@
 //  * Conservation: every injected packet is delivered or drop-counted
 //    exactly once — a migration may re-route a packet (old home, new home,
 //    re-encap chase) but never lose one.
-//  * Accounting: every migration that starts ends, as completed or aborted;
-//    double-occupancy returns to zero (peak >= per-move cost while moving).
+//  * Accounting: every migration that starts ends, as completed or aborted,
+//    and one that stocks a destination records its extra copies in the
+//    double-occupancy peak.
 //  * Convergence: after quiescence the installed-state verifier finds zero
 //    black holes, dangling redirects, or wrong actions — mid-flight
 //    moves either finished or rolled back to a consistent state.
@@ -47,7 +48,7 @@ struct MigrationCase {
 // channels, heartbeat failure detection, >= 10% message loss, an authority
 // crash mid-trace (uniform over the authorities, so it hits migration
 // destinations and sources alike), and 1..3 re-home requests overlapping the
-// fault window. Half the cases also run the periodic rebalance tick.
+// fault window; a request that arrives while a move runs waits for it.
 MigrationCase gen_migration_case(Rng& rng, std::uint64_t case_seed) {
   MigrationCase c;
 
@@ -96,14 +97,13 @@ MigrationCase gen_migration_case(Rng& rng, std::uint64_t case_seed) {
   p.timings.heartbeat_miss = 2 + static_cast<std::uint32_t>(rng.uniform(0, 1));
   p.timings.heartbeat_horizon = 1.0;
 
-  p.migration.enabled = true;
-  p.migration.wave_size = 1 + static_cast<std::uint32_t>(rng.uniform(0, 2));
-  p.migration.drain_timeout = 0.002 + rng.uniform01() * 0.01;
-  if (rng.bernoulli(0.5)) {
-    p.migration.check_interval = 0.03;
-    p.migration.horizon = 0.15;
-    p.migration.imbalance_threshold = 1.0 + rng.uniform01();
-  }
+  p.migration = true;
+  // Three draws whose values nothing reads, kept so that the case seeds
+  // recorded in CHANGES.md and in the named regressions below replay the
+  // inputs they were recorded with.
+  static_cast<void>(rng.uniform(0, 2));
+  static_cast<void>(rng.uniform01());
+  if (rng.bernoulli(0.5)) static_cast<void>(rng.uniform01());
 
   const std::uint64_t moves = 1 + rng.uniform(0, 2);
   for (std::uint64_t i = 0; i < moves; ++i) {
@@ -131,9 +131,8 @@ std::unique_ptr<Scenario> make_scenario(const MigrationCase& c) {
 std::string case_tag(std::uint64_t case_seed, const MigrationCase& c) {
   std::ostringstream os;
   os << "seed 0x" << std::hex << case_seed << std::dec << " authorities "
-     << c.params.authority_count << " wave " << c.params.migration.wave_size
-     << " drain " << c.params.migration.drain_timeout << " rehomes "
-     << c.rehomes.size() << " " << c.params.faults.to_string();
+     << c.params.authority_count << " rehomes " << c.rehomes.size() << " "
+     << c.params.faults.to_string();
   return os.str();
 }
 
@@ -152,9 +151,8 @@ DIFANE_PROPERTY(MigrationChaosConservation, 40) {
   EXPECT_EQ(stats.tracer.injected(),
             stats.tracer.delivered() + stats.tracer.dropped());
   // Migration accounting: everything that started ended, one way or the
-  // other, and the double-occupancy transient closed back to zero (peak is
-  // recorded; the final value lives only in the (private) live counter, whose
-  // return to zero is implied by started == completed + aborted).
+  // other, and a move that stocked a destination recorded its extra copies
+  // in the double-occupancy peak.
   EXPECT_EQ(stats.migrations_started,
             stats.migrations_completed + stats.migrations_aborted)
       << case_tag(ctx.case_seed, c);
@@ -207,27 +205,6 @@ DIFANE_PROPERTY(MigrationChaosReplayByteIdentical, 15) {
 
 // Named regressions, each one case of the property above at a fixed seed.
 //
-// The re-home of partition 0 from authority 0 to 2 started with switch 1 as
-// its backup; authority 0 crashed and the failover made switch 1 the
-// primary, then the flip made it the backup. The move's end still retired
-// switch 1, which it had listed at the start, and a later spurious failover
-// pointed ingresses 3 and 4 at it. The end of a move now retires the bound
-// members outside the current serving set.
-TEST(MigrationRegression, FinishRetiresOnlyWhatTheCurrentPlanDropped) {
-  proptest::run_case(0x409940c7004588a9ULL,
-                     MigrationChaosVerifierCleanAfterQuiescence_PropertyBody);
-}
-
-// The move of partition 2 to authority 0 committed and sent its flips;
-// authority 0 crashed and the failover re-pointed the partition everywhere,
-// then ingress 2's flip, delayed by loss, put switch 0 back. The end of a
-// move, here its post-flip abort, now rewrites the partition's redirect
-// from the plan once every flip is acked.
-TEST(MigrationRegression, LateFlipDoesNotOutliveTheMove) {
-  proptest::run_case(0xb6a875d61642de4cULL,
-                     MigrationChaosVerifierCleanAfterQuiescence_PropertyBody);
-}
-
 // Clean before the fixes above and must stay so: partition 3 moves to
 // authority 1 and then, after authority 1 has crashed but before its
 // failover, on to authority 2. The second move's end retires switch 0, the
@@ -254,7 +231,6 @@ TEST(MigrationChaos, FixedSeedCleanMoveCompletes) {
   MigrationCase c = gen_migration_case(rng, 0x319a7e1u);
   c.params.faults = FaultPlan{};           // clean wire, no crash
   c.params.timings.heartbeat_interval = 0.0;
-  c.params.migration.check_interval = 0.0;  // explicit re-homes only
   // Three authorities: with two, every destination is already the stocked
   // backup (serving sets coincide), so nothing would actually move.
   c.params.authority_count = 3;
@@ -308,8 +284,6 @@ TEST(MigrationChaos, DestinationCrashMidMigrationNeverBlackHoles) {
   MigrationCase c = gen_migration_case(rng, 0xdeadc4a5u);
   c.params.authority_count = 2;
   c.params.faults.msg_loss = 0.2;  // forces retransmits inside the window
-  c.params.migration.check_interval = 0.0;
-  c.params.migration.drain_timeout = 0.01;
   c.rehomes.clear();
 
   // Learn partition 0's primary from the deterministic plan, then aim the
@@ -359,8 +333,6 @@ TEST(MigrationChaos, SourceCrashMidMigrationStillConserves) {
   Rng rng(0x50a1ceu);
   MigrationCase c = gen_migration_case(rng, 0x50a1ceu);
   c.params.authority_count = 2;
-  c.params.migration.check_interval = 0.0;
-  c.params.migration.drain_timeout = 0.01;
   c.rehomes.clear();
 
   const AuthorityIndex p0_primary =
@@ -420,7 +392,7 @@ TEST(MigrationChaos, RetiredReplicaLeavesNoCachedRedirects) {
   p.partitioner.capacity = 60;
   p.cache_strategy = CacheStrategy::kCoverSet;
   p.reliable_ctrl = true;
-  p.migration.enabled = true;
+  p.migration = true;
   Scenario scenario(policy, p);
   const Partition& p0 = scenario.plan()->partitions()[0];
   const SwitchId retired =
@@ -435,34 +407,139 @@ TEST(MigrationChaos, RetiredReplicaLeavesNoCachedRedirects) {
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
-// Deterministic anchor 5, no loss: the move of partition 0 to its second
+// Two authorities, each partition on both as replicas, no loss, and
+// failover 50us after a crash: the move of partition 0 to its second
 // replica needs no install, so it flips at once, spreading the flips over
-// both replicas, the old home included. The old home fails 10us later and is
-// detected 50us after that, while every flip is still on the wire: the
-// failover points partition 0 at the destination everywhere, then the flips
-// that name the failed switch land on top. The move still completes (its
-// destination is live), and its end rewrites the partition's redirect from
-// the plan.
-TEST(MigrationChaos, LateFlipDoesNotOutliveACompletedMove) {
+// both replicas. `crashed` fails 10us after the move starts and is detected
+// 50us after that, while every flip is still on the wire: the failover
+// points partition 0 away from it everywhere, then the flips that name it
+// land on top. The end of the move, whichever way it ends, rewrites the
+// partition's redirect from the plan.
+struct LateFlipCase {
+  RuleTable policy;
+  ScenarioParams params;
+  AuthorityIndex primary = 0;  // partition 0's primary
+};
+
+LateFlipCase late_flip_case() {
   RuleGenParams rg;
   rg.num_rules = 100;
   rg.seed = 3;
-  ScenarioParams p;
+  LateFlipCase c;
+  c.policy = generate_policy(rg);
+  ScenarioParams& p = c.params;
   p.edge_switches = 4;
   p.core_switches = 2;
   p.authority_count = 2;
   p.authority_replicas = 2;
   p.timings.failover_detect = 5e-5;
   p.reliable_ctrl = true;
-  p.migration.enabled = true;
-  Scenario scenario(generate_policy(rg), p);
-  const Partition& p0 = scenario.plan()->partitions()[0];
-  const SwitchId old_home = scenario.difane()->authority_switch(p0.primary);
-  scenario.request_rehome(0, (p0.primary + 1) % 2, 0.01);
-  scenario.schedule_authority_failure(0.01 + 1e-5, old_home);
+  p.migration = true;
+  c.primary = Scenario(c.policy, p).plan()->partitions()[0].primary;
+  return c;
+}
+
+const ScenarioStats& run_late_flip(Scenario& scenario, const LateFlipCase& c) {
+  scenario.request_rehome(0, (c.primary + 1) % 2, 0.01);
+  return scenario.run({});
+}
+
+// The old home crashes: the move's destination is live, so it completes.
+TEST(MigrationChaos, LateFlipDoesNotOutliveACompletedMove) {
+  LateFlipCase c = late_flip_case();
+  c.params.faults.crashes.push_back({c.primary, 0.01 + 1e-5, -1.0});
+  Scenario scenario(c.policy, c.params);
+  const auto& stats = run_late_flip(scenario, c);
+
+  EXPECT_EQ(stats.migrations_completed, 1u);
+  const VerifyReport report = scenario.verify_installed();
+  EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+// The destination crashes after the re-home committed: the move aborts
+// post-flip and rolls back onto the old home.
+TEST(MigrationChaos, LateFlipDoesNotOutliveAnAbortedMove) {
+  LateFlipCase c = late_flip_case();
+  const AuthorityIndex dest = (c.primary + 1) % 2;
+  c.params.faults.crashes.push_back({dest, 0.01 + 1e-5, -1.0});
+  Scenario scenario(c.policy, c.params);
+  const auto& stats = run_late_flip(scenario, c);
+
+  EXPECT_EQ(stats.migrations_aborted, 1u);
+  EXPECT_EQ(scenario.plan()->partitions()[0].primary, c.primary);
+  const VerifyReport report = scenario.verify_installed();
+  EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+// Three authorities, failover 50us after a crash. Partition 0 moves to the
+// authority that is neither its primary nor its backup, and the old home
+// crashes 10us later. The failover makes the backup the primary while the
+// destination is being stocked, so the flip commits the destination as
+// primary with that backup, not the crashed old home, as its backup. The
+// end of the move retires by the serving set of the plan as it ends: the
+// crashed old home goes, the backup stays bound.
+TEST(MigrationChaos, FailoverDuringMoveKeepsTheNewBackupBound) {
+  RuleGenParams rg;
+  rg.num_rules = 200;
+  rg.seed = 7;
+  const RuleTable policy = generate_policy(rg);
+  ScenarioParams p;
+  p.edge_switches = 4;
+  p.core_switches = 3;
+  p.authority_count = 3;
+  p.partitioner.capacity = 60;
+  p.timings.failover_detect = 5e-5;
+  p.reliable_ctrl = true;
+  p.migration = true;
+  const Partition before = Scenario(policy, p).plan()->partitions()[0];
+  const AuthorityIndex dest = (before.primary + 2) % 3;
+  ASSERT_NE(dest, before.backup);
+  p.faults.crashes.push_back({before.primary, 0.01 + 1e-5, -1.0});
+  Scenario scenario(policy, p);
+  scenario.request_rehome(0, dest, 0.01);
   const auto& stats = scenario.run({});
 
   EXPECT_EQ(stats.migrations_completed, 1u);
+  const Partition& after = scenario.plan()->partitions()[0];
+  EXPECT_EQ(after.primary, dest);
+  EXPECT_EQ(after.backup, before.backup);
+  EXPECT_TRUE(scenario.difane()
+                  ->node_at(scenario.difane()->authority_switch(before.backup))
+                  ->serves(after.id));
+  const VerifyReport report = scenario.verify_installed();
+  EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+// One move at a time: two requests at the same instant run one after the
+// other, so make-before-break never holds two partitions' extra copies at
+// once. The double-occupancy peak is the larger single move, not the sum.
+TEST(MigrationChaos, QueuedRehomeWaitsForTheMoveInFlight) {
+  RuleGenParams rg;
+  rg.num_rules = 200;
+  rg.seed = 7;
+  const RuleTable policy = generate_policy(rg);
+  ScenarioParams p;
+  p.edge_switches = 4;
+  p.core_switches = 3;
+  p.authority_count = 3;
+  p.partitioner.capacity = 60;
+  p.reliable_ctrl = true;
+  p.migration = true;
+  Scenario scenario(policy, p);
+  const auto& parts = scenario.plan()->partitions();
+  ASSERT_GE(parts.size(), 2u);
+  // Each to the authority that holds neither its primary nor its backup
+  // copy, so both moves install their rules there.
+  std::uint64_t largest = 0;
+  for (std::size_t i = 0; i < 2; ++i) {
+    scenario.request_rehome(i, (parts[i].primary + 2) % 3, 0.01);
+    largest = std::max<std::uint64_t>(largest, parts[i].rules.rules().size());
+  }
+  const auto& stats = scenario.run({});
+
+  EXPECT_EQ(stats.migrations_started, 2u);
+  EXPECT_EQ(stats.migrations_completed, 2u);
+  EXPECT_EQ(stats.migration_double_peak, largest);
   const VerifyReport report = scenario.verify_installed();
   EXPECT_TRUE(report.clean()) << report.summary();
 }

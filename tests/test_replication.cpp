@@ -121,10 +121,11 @@ TEST(Replication, FailoverWithReplicasKeepsServing) {
   const auto policy = classbench_like(300, 113);
   auto params = replicated_params(2);
   params.timings.failover_detect = 0.05;
+  AuthorityCrash crash;  // authority 0, never restarted
+  crash.at = 0.5;
+  params.faults.crashes.push_back(crash);
   Scenario scenario(policy, params);
   const auto flows = storm(policy, 2000.0, 1.0, 113);
-  scenario.schedule_authority_failure(0.5,
-                                      scenario.difane()->authority_switches()[0]);
   const auto& stats = scenario.run(flows);
   const double completion = static_cast<double>(stats.setup_completions.total()) /
                             static_cast<double>(flows.size());

@@ -331,10 +331,9 @@ TEST(Validate, RejectsMeasurementMisWiresNamingTheField) {
   EXPECT_NO_THROW(params.validate());
 }
 
-// Live-migration knobs (make-before-break partition re-homing): nonsensical
-// values must be rejected with the offending field named, and every knob is
-// dormant while migration.enabled is false (strict no-op contract — the
-// migration-off configuration must validate exactly as it did pre-migration).
+// Live migration (make-before-break partition re-homing) has one setting,
+// the on/off switch; turning it on where a move cannot run must be rejected
+// with the field named.
 TEST(Validate, RejectsMigrationMisWiresNamingTheField) {
   const auto field_of = [](ScenarioParams params) -> std::string {
     try {
@@ -347,12 +346,7 @@ TEST(Validate, RejectsMigrationMisWiresNamingTheField) {
   const auto good_migration = [] {
     ScenarioParams params = good_params();
     params.reliable_ctrl = true;
-    params.migration.enabled = true;
-    params.migration.wave_size = 2;
-    params.migration.drain_timeout = 0.005;
-    params.migration.check_interval = 0.05;
-    params.migration.horizon = 0.5;
-    params.migration.imbalance_threshold = 1.3;
+    params.migration = true;
     return params;
   };
 
@@ -363,63 +357,18 @@ TEST(Validate, RejectsMigrationMisWiresNamingTheField) {
   params.mode = Mode::kNox;
   params.authority_count = 0;  // NOX-legal; migration must still reject
   params.partitioner.capacity = 0;
-  EXPECT_EQ(field_of(params), "migration.enabled");
+  EXPECT_EQ(field_of(params), "migration");
 
   // ...and somewhere to move to.
   params = good_migration();
   params.authority_count = 1;
   params.core_switches = 1;
-  EXPECT_EQ(field_of(params), "migration.enabled");
+  EXPECT_EQ(field_of(params), "migration");
 
   // ...and install/flip/retire acks, i.e. the reliable control channel.
   params = good_migration();
   params.reliable_ctrl = false;
-  EXPECT_EQ(field_of(params), "migration.enabled");
-
-  params = good_migration();
-  params.migration.wave_size = 0;
-  EXPECT_EQ(field_of(params), "migration.wave_size");
-
-  params = good_migration();
-  params.migration.drain_timeout = 0.0;
-  EXPECT_EQ(field_of(params), "migration.drain_timeout");
-
-  params = good_migration();
-  params.migration.drain_timeout = -0.01;
-  EXPECT_EQ(field_of(params), "migration.drain_timeout");
-
-  params = good_migration();
-  params.migration.check_interval = -0.05;
-  EXPECT_EQ(field_of(params), "migration.check_interval");
-
-  // An enabled rebalance loop needs a positive horizon to terminate...
-  params = good_migration();
-  params.migration.check_interval = 0.05;
-  params.migration.horizon = 0.0;
-  EXPECT_EQ(field_of(params), "migration.horizon");
-
-  // ...but the loop itself is optional: check_interval == 0 means
-  // explicit-rehome-only, and the horizon is then dormant.
-  params = good_migration();
-  params.migration.check_interval = 0.0;
-  params.migration.horizon = -1.0;
-  EXPECT_NO_THROW(params.validate());
-
-  params = good_migration();
-  params.migration.imbalance_threshold = 0.8;  // every assignment "overloaded"
-  EXPECT_EQ(field_of(params), "migration.imbalance_threshold");
-
-  // Every knob is dormant while migration is off — garbage values must pass,
-  // so that a migration-off scenario validates byte-for-byte as before.
-  params = good_migration();
-  params.migration.enabled = false;
-  params.reliable_ctrl = false;
-  params.migration.wave_size = 0;
-  params.migration.drain_timeout = -1.0;
-  params.migration.check_interval = -1.0;
-  params.migration.horizon = -1.0;
-  params.migration.imbalance_threshold = 0.0;
-  EXPECT_NO_THROW(params.validate());
+  EXPECT_EQ(field_of(params), "migration");
 }
 
 // Execution knobs: burst survives only as a field that must stay 0 (the
@@ -492,7 +441,7 @@ TEST(ScenarioThreads, ValidateRejectsMisWires) {
   expect_serial_only(params, "measurement");
 
   params = with_threads(4);
-  params.migration.enabled = true;
+  params.migration = true;
   params.reliable_ctrl = true;
   expect_serial_only(params, "migration");
 }

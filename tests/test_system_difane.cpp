@@ -172,6 +172,9 @@ TEST(SystemDifane, AuthorityFailureLosesOnlyDetectionWindowTraffic) {
   // keeping the authority switches on the packet path throughout the run.
   auto params = difane_params(2, CacheStrategy::kMicroflow);
   params.timings.failover_detect = 0.05;
+  AuthorityCrash crash;  // authority 0, never restarted
+  crash.at = 0.5;
+  params.faults.crashes.push_back(crash);
   Scenario scenario(policy, params);
   TrafficParams tp;
   tp.seed = 29;
@@ -183,8 +186,6 @@ TEST(SystemDifane, AuthorityFailureLosesOnlyDetectionWindowTraffic) {
   tp.max_packets = 1.0;
   tp.ingress_count = 4;
   TrafficGenerator gen(policy, tp);
-  const SwitchId victim = scenario.difane()->authority_switches()[0];
-  scenario.schedule_authority_failure(0.5, victim);
   const auto& stats = scenario.run(gen.generate());
   // Some packets died during the detection window — either at the failed
   // switch or because routing toward it had no path.

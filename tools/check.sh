@@ -15,11 +15,12 @@
 # after quiescence fails them even when it covers a single header. Beside
 # their sweeps they run named regression cases (DataPlaneRegression.*,
 # ChaosRegression.*, MigrationRegression.*: one property body at a seed a
-# long soak once failed on), which the sanitized stage's property and chaos
-# labels cover too. A longer soak of the chaos suites (more
-# DIFANE_PROPTEST_CASES, other DIFANE_PROPTEST_SEED values) still fails on
-# one known defect, a late cover-set shadow to a failed authority
-# (ROADMAP's next correctness item).
+# long soak once failed on) and, in the migration suite, deterministic
+# MigrationChaos.* cases that pin each end-of-move fix with fault-plan
+# crashes; the sanitized stage's property and chaos labels cover them too.
+# A longer soak of the chaos suites (more DIFANE_PROPTEST_CASES, other
+# DIFANE_PROPTEST_SEED values) still fails on one known defect, a late
+# cover-set shadow to a failed authority (ROADMAP's next correctness item).
 #
 # The baseline gate runs bench_all --quick and compares every deterministic
 # metric with the committed bench/BASELINE.json exactly (bench_compare with

@@ -62,7 +62,7 @@ struct Options {
       "  --rate F --duration F     traffic (default 5000 flows/s, 2 s)\n"
       "  --pool N --zipf F         flow pool / popularity skew\n"
       "  --packets F               mean packets per flow (default 5)\n"
-      "  --fail-at T               fail authority 0 at time T\n"
+      "  --fail-at T               crash authority 0 at time T (difane mode only)\n"
       "  --verify                  exactly verify the installed state after the\n"
       "                            run (difane mode only); exit 1 on a violation\n"
       "  --flow-stats              print top per-policy-rule counters\n"
@@ -158,8 +158,10 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  // NOX installs no DIFANE state to verify.
-  if (opt.verify && opt.mode != Mode::kDifane) usage(argv[0]);
+  // NOX installs no DIFANE state to verify and has no authority to fail.
+  if ((opt.verify || opt.fail_at >= 0.0) && opt.mode != Mode::kDifane) {
+    usage(argv[0]);
+  }
   return opt;
 }
 
@@ -182,6 +184,11 @@ int run(const Options& opt) {
   params.edge_cache_capacity = opt.cache;
   params.partitioner.capacity = opt.capacity;
   params.cache_strategy = opt.strategy;
+  if (opt.fail_at >= 0.0) {
+    AuthorityCrash crash;  // authority 0, never restarted
+    crash.at = opt.fail_at;
+    params.faults.crashes.push_back(crash);
+  }
   Scenario scenario(policy, params);
 
   const char* policy_source = !opt.policy_in.empty() ? opt.policy_in.c_str()
@@ -225,11 +232,9 @@ int run(const Options& opt) {
                 flows.size(), opt.rate, opt.duration, opt.pool, opt.zipf);
   }
 
-  if (opt.fail_at >= 0.0 && opt.mode == Mode::kDifane) {
-    const SwitchId victim = scenario.difane()->authority_switches()[0];
-    scenario.schedule_authority_failure(opt.fail_at, victim);
-    std::printf("scheduled failure of authority switch %u at t=%.2fs\n\n", victim,
-                opt.fail_at);
+  if (opt.fail_at >= 0.0) {
+    std::printf("scheduled failure of authority switch %u at t=%.2fs\n\n",
+                scenario.difane()->authority_switch(0), opt.fail_at);
   }
 
   const auto& stats = scenario.run(flows);
