@@ -1,6 +1,5 @@
 #include "flowspace/header.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace difane {
@@ -71,17 +70,7 @@ void match_exact(Ternary& t, Field f, std::uint64_t value) {
   t.set_exact(spec.offset, spec.width, value);
 }
 
-Ternary exact_pattern(const BitVec& packet) {
-  Ternary t;
-  std::size_t at = 0;
-  const std::size_t used = header_bits_used();
-  while (at < used) {
-    const std::size_t chunk = std::min<std::size_t>(64, used - at);
-    t.set_exact(at, chunk, packet.get_bits(at, chunk));
-    at += chunk;
-  }
-  return t;
-}
+Ternary exact_pattern(const BitVec& packet) { return Ternary(packet, used_bits_mask()); }
 
 void match_prefix(Ternary& t, Field f, std::uint64_t value, std::size_t plen) {
   const auto& spec = field_spec(f);

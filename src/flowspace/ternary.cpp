@@ -9,21 +9,20 @@ void Ternary::set_exact(std::size_t offset, std::size_t width, std::uint64_t val
     expects(value < (1ULL << width), "Ternary: value wider than field");
   }
   value_.set_bits(offset, width, value);
-  for (std::size_t i = 0; i < width; ++i) care_.set(offset + i, true);
+  care_.set_bits(offset, width, ~std::uint64_t{0});
 }
 
 void Ternary::set_prefix(std::size_t offset, std::size_t width, std::uint64_t value,
                          std::size_t prefix_len) {
+  expects(width >= 1 && width <= 64 && offset + width <= kHeaderBits,
+          "Ternary: bad field bounds");
   expects(prefix_len <= width, "Ternary: prefix longer than field");
   if (prefix_len == 0) return;
   // CIDR semantics: the prefix constrains the *most significant* bits of the
-  // field. Field bit (width-1) is its MSB, stored at offset + width - 1.
-  for (std::size_t i = 0; i < prefix_len; ++i) {
-    const std::size_t field_bit = width - 1 - i;
-    const bool bit = (value >> field_bit) & 1ULL;
-    value_.set(offset + field_bit, bit);
-    care_.set(offset + field_bit, true);
-  }
+  // field, its top prefix_len bits, stored from offset + width - prefix_len.
+  const std::size_t low = width - prefix_len;
+  value_.set_bits(offset + low, prefix_len, value >> low);
+  care_.set_bits(offset + low, prefix_len, ~std::uint64_t{0});
 }
 
 BitVec Ternary::sample_point(Rng& rng) const {

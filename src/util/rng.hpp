@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "util/contract.hpp"
@@ -73,9 +74,11 @@ class Mt19937_64 {
 
   void twist() {
     for (std::size_t k = 0; k < kN - kM; ++k) x_[k] = twisted(x_[k], x_[k + 1], x_[k + kM]);
-    for (std::size_t k = kN - kM; k < kN - 1; ++k) {
+    // Both loops run an even count, so GCC's -O2 vectorizer takes them.
+    for (std::size_t k = kN - kM; k < kN - 2; ++k) {
       x_[k] = twisted(x_[k], x_[k + 1], x_[k + kM - kN]);
     }
+    x_[kN - 2] = twisted(x_[kN - 2], x_[kN - 1], x_[kM - 2]);
     x_[kN - 1] = twisted(x_[kN - 1], x_[0], x_[kM - 1]);
     p_ = 0;
   }
@@ -131,49 +134,63 @@ class Rng {
   Mt19937_64 engine_;
 };
 
-// Zipf sampler over ranks 1..n with exponent s: P(k) proportional to k^-s.
-// Precomputes the CDF once; sampling is a binary search inside one bucket of
-// a guide table over [0, 1). Internet flow popularity is approximately
-// Zipfian, which is the property the DIFANE cache experiments depend on.
-class ZipfDistribution {
+// The Zipf CDF over ranks 1..n with exponent s, in rank order, computed on
+// the fly. Rank k's weight is 1.0 / pow(k, s); the constructor sums every
+// weight in rank order, and next() recomputes each weight with the same
+// expression and adds weight / sum, so it returns the doubles a stored CDF
+// holds, the last forced to 1.0 against rounding. At s = 0 every weight is
+// exactly 1.0 (pow(x, 0) is 1), so no pow is called: the sum is n and each
+// step is 1.0 / n.
+class ZipfCdf {
  public:
-  static constexpr std::size_t kBuckets = 4096;
-
-  ZipfDistribution(std::size_t n, double s) : cdf_(n), guide_(kBuckets + 1) {
+  ZipfCdf(std::size_t n, double s) : n_(n), s_(s) {
     expects(n > 0, "zipf: n must be positive");
-    // Each rank's weight k^-s, computed once; the CDF overwrites it in place.
-    double sum = 0.0;
-    for (std::size_t k = 1; k <= n; ++k) {
-      cdf_[k - 1] = 1.0 / std::pow(static_cast<double>(k), s);
-      sum += cdf_[k - 1];
+    expects(std::isfinite(s), "zipf: skew must be finite");
+    if (s == 0.0 && n <= (std::size_t{1} << 53)) {
+      sum_ = static_cast<double>(n);  // every partial sum of ones is exact
+    } else {
+      for (std::size_t k = 1; k <= n; ++k) sum_ += weight(k);
     }
-    double acc = 0.0;
-    for (double& p : cdf_) {
-      acc += p / sum;
-      p = acc;
-    }
-    cdf_.back() = 1.0;  // guard against rounding
-    // guide_[b] is the first rank whose CDF is at or above b / kBuckets; the
-    // scan ends because the last CDF entry is 1.0.
-    std::size_t rank = 0;
-    for (std::size_t b = 0; b <= kBuckets; ++b) {
-      const double edge = static_cast<double>(b) / kBuckets;
-      while (cdf_[rank] < edge) ++rank;
-      guide_[b] = rank;
-    }
+    unit_ = 1.0 / sum_;
   }
 
-  // Returns a rank in [0, n).
-  std::size_t sample(Rng& rng) const { return rank_at(rng.uniform01()); }
+  // The CDF at the next rank, starting from rank 0; 1.0 from the last on.
+  double next() {
+    if (++rank_ >= n_) return 1.0;
+    acc_ += s_ == 0.0 ? unit_ : weight(rank_) / sum_;
+    return acc_;
+  }
 
-  // The first rank whose CDF is at or above u, for u in [0, 1): what
-  // lower_bound over the whole CDF returns, found inside u's bucket.
-  std::size_t rank_at(double u) const {
-    const auto b = static_cast<std::size_t>(u * kBuckets);
-    const auto it = std::lower_bound(cdf_.begin() + static_cast<std::ptrdiff_t>(guide_[b]),
-                                     cdf_.begin() + static_cast<std::ptrdiff_t>(guide_[b + 1]),
-                                     u);
-    return static_cast<std::size_t>(it - cdf_.begin());
+ private:
+  double weight(std::size_t k) const {
+    return s_ == 0.0 ? 1.0 : 1.0 / std::pow(static_cast<double>(k), s_);
+  }
+
+  std::size_t n_;
+  double s_;
+  double sum_ = 0.0;
+  double unit_ = 0.0;  // weight / sum at s = 0
+  double acc_ = 0.0;
+  std::size_t rank_ = 0;  // ranks next() has returned
+};
+
+// Zipf sampler over ranks 1..n with exponent s: P(k) proportional to k^-s.
+// Stores the CDF (ZipfCdf's values); sampling is a binary search over it.
+// Internet flow popularity is approximately Zipfian, which is the property
+// the DIFANE cache experiments depend on. A large n with few draws is cheaper
+// through zipf_ranks, which stores no CDF.
+class ZipfDistribution {
+ public:
+  ZipfDistribution(std::size_t n, double s) : cdf_(n) {
+    ZipfCdf cdf(n, s);
+    for (double& p : cdf_) p = cdf.next();
+  }
+
+  // Returns a rank in [0, n): the first whose CDF is at or above a
+  // uniform01() draw.
+  std::size_t sample(Rng& rng) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), rng.uniform01()) - cdf_.begin());
   }
 
   std::size_t size() const { return cdf_.size(); }
@@ -186,7 +203,34 @@ class ZipfDistribution {
 
  private:
   std::vector<double> cdf_;
-  std::vector<std::size_t> guide_;
 };
+
+// Resolves Zipf draws without storing the CDF. `draws` holds a uniform01()
+// draw and a caller's tag each; they are sorted by draw, then resolved in one
+// ZipfCdf sweep that stops at the largest draw's rank. Returns (rank, tag) in
+// that order, so ascending by rank, where rank is what
+// ZipfDistribution(n, s).sample() returns for the draw. Costs one pass over
+// all n weights (none at s = 0) plus one up to that rank.
+inline std::vector<std::pair<std::size_t, std::size_t>> zipf_ranks(
+    std::size_t n, double s, std::vector<std::pair<double, std::size_t>> draws) {
+  for (const auto& draw : draws) {
+    expects(draw.first >= 0.0 && draw.first < 1.0, "zipf: draw outside [0, 1)");
+  }
+  std::sort(draws.begin(), draws.end());
+  std::vector<std::pair<std::size_t, std::size_t>> ranked(draws.size());
+  if (draws.empty()) return ranked;
+  ZipfCdf cdf(n, s);
+  std::size_t rank = 0;
+  double at = cdf.next();
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    // Ends by the last rank: its CDF is 1.0, above every draw.
+    while (at < draws[i].first) {
+      at = cdf.next();
+      ++rank;
+    }
+    ranked[i] = {rank, draws[i].second};
+  }
+  return ranked;
+}
 
 }  // namespace difane

@@ -1,6 +1,7 @@
 #include "workload/trafficgen.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <mutex>
 #include <numeric>
@@ -35,8 +36,8 @@ constexpr double kParetoMean = kParetoAlpha / (kParetoAlpha - 1.0);
 // default rule and leave specific rules unexercised; popularity skew across
 // the pool is applied separately, by Zipf over pool ranks), then
 // sample_point's noise words, one per header word. Only the entries a
-// schedule samples need headers, so walk_pool() skips every other entry's
-// noise words.
+// schedule samples need headers, so the constructor's walk skips every
+// entry's noise words and the replay skips every other entry.
 constexpr std::uint64_t kNoiseWords = kHeaderWords;
 
 // An engine that returns one fixed draw, to evaluate a distribution on it.
@@ -46,6 +47,20 @@ struct FixedDraw {
   static constexpr result_type max() { return Mt19937_64::max(); }
   result_type draw;
   result_type operator()() { return draw; }
+};
+
+// Forwards an engine's draws and counts them: a rule-index draw usually takes
+// one, and more when uniform_int_distribution rejects one.
+struct CountingEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return Mt19937_64::min(); }
+  static constexpr result_type max() { return Mt19937_64::max(); }
+  Mt19937_64& engine;
+  std::uint64_t calls = 0;
+  result_type operator()() {
+    ++calls;
+    return engine();
+  }
 };
 
 // The least draw for which bernoulli_distribution(p) loses, or nullopt when
@@ -70,12 +85,12 @@ std::optional<std::uint64_t> first_losing_draw(double p) {
   return lo;
 }
 
-// Memoization of the engine state after the pool's draws. Experiment sweeps
-// (E1/E2/E9 and friends) construct a TrafficGenerator per sweep point with
-// the same policy, seed, and pool parameters — only the arrival schedule
-// differs. The pool's draw sequence depends solely on (seed, flow_pool,
-// p_rule_directed, policy matches), so the state it leaves behind is
-// bit-identical across those constructions, and replaying it from the cache
+// Memoization of the pool's walk. Experiment sweeps (E1/E2/E9 and friends)
+// construct a TrafficGenerator per sweep point with the same policy, seed,
+// and pool parameters — only the arrival schedule differs. The pool's draw
+// sequence depends solely on (seed, flow_pool, p_rule_directed, policy
+// matches), so the engine state and pool map it leaves behind are
+// bit-identical across those constructions, and taking them from the cache
 // is observationally identical to walking the pool again.
 struct PoolKey {
   std::uint64_t seed = 0;
@@ -110,6 +125,7 @@ std::uint64_t policy_pool_digest(const RuleTable& policy) {
 struct PoolCacheEntry {
   PoolKey key;
   Mt19937_64 after_pool;  // engine state right after the pool's draws
+  std::shared_ptr<const PoolMap> map;
   std::uint64_t last_used = 0;
 };
 
@@ -141,11 +157,75 @@ void pool_cache_insert(PoolCacheEntry entry) {
 
 }  // namespace
 
+struct PoolMap {
+  // Bit i is set iff entry i drew a rule index; empty for an empty policy,
+  // whose entries draw neither a coin nor a rule index.
+  std::vector<std::uint64_t> drew_rule;
+  // (entry, engine calls) of each rule-index draw that took more than one
+  // call, ascending by entry. uniform_int_distribution rejects a draw with
+  // probability below (policy size) / 2^64, so this is almost always empty.
+  std::vector<std::pair<std::size_t, std::uint64_t>> long_draws;
+
+  bool drew(std::size_t entry) const { return (drew_rule[entry / 64] >> (entry % 64)) & 1; }
+
+  // Engine calls taken by the rule-index draws of entries [from, to).
+  std::uint64_t rule_calls(std::size_t from, std::size_t to) const {
+    if (drew_rule.empty() || from >= to) return 0;
+    std::size_t word = from / 64;
+    const std::size_t last = (to - 1) / 64;
+    std::uint64_t bits = drew_rule[word] & (~std::uint64_t{0} << (from % 64));
+    std::uint64_t calls = 0;
+    while (word < last) {
+      calls += static_cast<std::uint64_t>(std::popcount(bits));
+      bits = drew_rule[++word];
+    }
+    calls += static_cast<std::uint64_t>(
+        std::popcount(bits & (~std::uint64_t{0} >> (63 - (to - 1) % 64))));
+    auto it = std::lower_bound(long_draws.begin(), long_draws.end(),
+                               std::pair<std::size_t, std::uint64_t>{from, 0});
+    for (; it != long_draws.end() && it->first < to; ++it) calls += it->second - 1;
+    return calls;
+  }
+};
+
+namespace {
+
+// Walks the pool's draws on `rng`, leaving it right after them: evaluates
+// every entry's directed coin and counts each rule-index draw's engine calls,
+// but skips every noise word, so no header is built.
+std::shared_ptr<const PoolMap> walk_pool(const RuleTable& policy,
+                                         const TrafficParams& params, Rng& rng) {
+  auto map = std::make_shared<PoolMap>();
+  if (policy.empty()) {
+    rng.discard(params.flow_pool * kNoiseWords);
+    return map;
+  }
+  map->drew_rule.assign((params.flow_pool + 63) / 64, 0);
+  // The directed coin as one compare: a draw x is directed iff x is below
+  // the least losing draw, or always when no draw loses.
+  const std::optional<std::uint64_t> losing = first_losing_draw(params.p_rule_directed);
+  const std::uint64_t directed_below = losing.value_or(0);
+  const bool directed_always = !losing;
+  for (std::size_t i = 0; i < params.flow_pool; ++i) {
+    if (rng.next_u64() < directed_below || directed_always) {
+      CountingEngine counted{rng.engine()};
+      std::uniform_int_distribution<std::uint64_t>(0, policy.size() - 1)(counted);
+      map->drew_rule[i / 64] |= std::uint64_t{1} << (i % 64);
+      if (counted.calls != 1) map->long_draws.emplace_back(i, counted.calls);
+    }
+    rng.discard(kNoiseWords);
+  }
+  return map;
+}
+
+}  // namespace
+
 TrafficGenerator::TrafficGenerator(const RuleTable& policy, TrafficParams params)
     : policy_(policy), params_(params), rng_(params.seed) {
   expects(params_.flow_pool >= 1, "TrafficGenerator: empty flow pool");
   expects(params_.arrival_rate > 0.0 && params_.duration > 0.0,
           "TrafficGenerator: bad rate/duration");
+  expects(std::isfinite(params_.zipf_s), "TrafficGenerator: zipf_s must be finite");
   switch (params_.mode) {
     case TrafficMode::kPoissonZipf:
       break;
@@ -170,82 +250,100 @@ TrafficGenerator::TrafficGenerator(const RuleTable& policy, TrafficParams params
               "TrafficGenerator: diurnal_amplitude must be in [0, 1)");
       break;
   }
-  if (const auto losing = first_losing_draw(params_.p_rule_directed)) {
-    directed_below_ = *losing;
-  } else {
-    directed_always_ = true;
-  }
   const PoolKey key{params_.seed, params_.flow_pool, params_.p_rule_directed,
                     policy_pool_digest(policy_), policy_.size()};
   std::lock_guard<std::mutex> lock(g_pool_cache_mu);
   if (const PoolCacheEntry* hit = pool_cache_find(key)) {
     rng_.engine() = hit->after_pool;
+    map_ = hit->map;
     return;
   }
-  walk_pool(rng_, params_.flow_pool, {});
-  pool_cache_insert(PoolCacheEntry{key, rng_.engine(), 0});
+  map_ = walk_pool(policy_, params_, rng_);
+  pool_cache_insert(PoolCacheEntry{key, rng_.engine(), map_, 0});
 }
 
-std::vector<BitVec> TrafficGenerator::walk_pool(
-    Rng& rng, std::size_t end, const std::vector<std::size_t>& wanted) const {
-  std::vector<BitVec> headers;
-  headers.reserve(wanted.size());
-  auto next = wanted.begin();
+// Entry r's draws start (r - e) * (coin + noise words) plus the rule-index
+// calls of entries [e, r) after entry e's, so the replay discards straight
+// from one wanted entry to the next, past its coin, and draws only its rule
+// index and noise words. discard() twists the skipped words but never
+// tempers them.
+template <typename Emit>
+void TrafficGenerator::replay(const std::vector<std::size_t>& wanted, Emit&& emit) const {
+  Rng rng(params_.seed);
+  const std::uint64_t coin_words = policy_.empty() ? 0 : 1;
   const Ternary wildcard;
-  for (std::size_t i = 0; i < end; ++i) {
+  std::size_t entry = 0;  // the engine stands at this entry's first draw
+  for (const std::size_t rank : wanted) {
+    rng.discard((rank - entry) * (coin_words + kNoiseWords) +
+                map_->rule_calls(entry, rank) + coin_words);
     const Ternary* pattern = &wildcard;
-    if (!policy_.empty()) {
-      const std::uint64_t coin = rng.next_u64();
-      if (coin < directed_below_ || directed_always_) {
-        pattern = &policy_.at(rng.uniform(0, policy_.size() - 1)).match;
-      }
+    if (coin_words != 0 && map_->drew(rank)) {
+      pattern = &policy_.at(rng.uniform(0, policy_.size() - 1)).match;
     }
-    if (next != wanted.end() && *next == i) {
-      headers.push_back(pattern->sample_point(rng));
-      ++next;
-    } else {
-      rng.discard(kNoiseWords);
-    }
+    emit(rank, pattern->sample_point(rng));
+    entry = rank + 1;
   }
-  return headers;
 }
 
 std::vector<BitVec> TrafficGenerator::pool() const {
   std::vector<std::size_t> all(params_.flow_pool);
   std::iota(all.begin(), all.end(), std::size_t{0});
-  Rng replay(params_.seed);
-  return walk_pool(replay, params_.flow_pool, all);
+  std::vector<BitVec> headers;
+  headers.reserve(all.size());
+  replay(all, [&headers](std::size_t, const BitVec& header) { headers.push_back(header); });
+  return headers;
 }
 
 std::vector<FlowSpec> TrafficGenerator::generate() {
   std::vector<FlowSpec> flows;
-  std::vector<std::size_t> ranks;  // pool rank of flows[i], for i < ranks.size()
+  // (uniform01() draw, flow) for each flow ranked by Zipf, and (rank, flow)
+  // for each flow the schedule ranked directly.
+  std::vector<std::pair<double, std::size_t>> zipf_draws;
+  std::vector<std::pair<std::size_t, std::size_t>> picked;
   switch (params_.mode) {
     case TrafficMode::kPoissonZipf:
-    case TrafficMode::kMiceStorm: schedule_poisson_zipf(flows, ranks); break;
-    case TrafficMode::kFlashCrowd: schedule_flash_crowd(flows, ranks); break;
-    case TrafficMode::kDiurnal: schedule_diurnal(flows, ranks); break;
+    case TrafficMode::kMiceStorm: schedule_poisson_zipf(flows, zipf_draws); break;
+    case TrafficMode::kFlashCrowd: schedule_flash_crowd(flows, zipf_draws, picked); break;
+    case TrafficMode::kDiurnal: schedule_diurnal(flows, zipf_draws); break;
   }
-  draw_headers(flows, ranks);
+  // (rank, flow), ascending by rank until a rotation or a direct pick
+  // reorders it.
+  std::vector<std::pair<std::size_t, std::size_t>> by_rank =
+      zipf_ranks(params_.flow_pool, params_.zipf_s, std::move(zipf_draws));
+  if (params_.mode == TrafficMode::kDiurnal) {
+    for (auto& [rank, flow] : by_rank) {
+      // Rotate who is popular each period: rank r today is rank r+rotate
+      // tomorrow, so long-lived cache entries go cold on the period boundary.
+      const auto epoch = static_cast<std::size_t>(flows[flow].start / params_.diurnal_period);
+      rank = (rank + epoch * params_.diurnal_rotate) % params_.flow_pool;
+    }
+  }
+  by_rank.insert(by_rank.end(), picked.begin(), picked.end());
+  const auto rank_less = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (!std::is_sorted(by_rank.begin(), by_rank.end(), rank_less)) {
+    std::sort(by_rank.begin(), by_rank.end(), rank_less);
+  }
+  draw_headers(flows, by_rank);
   if (params_.mode == TrafficMode::kMiceStorm) add_mice_storm(flows);
   return flows;
 }
 
 // Builds the sampled ranks' headers with one replay of the pool's draws from
-// the seed, up to the largest sampled rank; the schedule's own engine is
-// untouched.
-void TrafficGenerator::draw_headers(std::vector<FlowSpec>& flows,
-                                    const std::vector<std::size_t>& ranks) const {
-  if (ranks.empty()) return;
-  std::vector<std::size_t> wanted = ranks;
-  std::sort(wanted.begin(), wanted.end());
-  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
-  Rng replay(params_.seed);
-  const std::vector<BitVec> headers = walk_pool(replay, wanted.back() + 1, wanted);
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    const auto at = std::lower_bound(wanted.begin(), wanted.end(), ranks[i]);
-    flows[i].header = headers[static_cast<std::size_t>(at - wanted.begin())];
+// the seed; the schedule's own engine is untouched. The flows of one rank
+// share the header built once.
+void TrafficGenerator::draw_headers(
+    std::vector<FlowSpec>& flows,
+    const std::vector<std::pair<std::size_t, std::size_t>>& by_rank) const {
+  std::vector<std::size_t> wanted;
+  for (const auto& [rank, flow] : by_rank) {
+    if (wanted.empty() || wanted.back() != rank) wanted.push_back(rank);
   }
+  auto next = by_rank.begin();
+  replay(wanted, [&](std::size_t rank, const BitVec& header) {
+    for (; next != by_rank.end() && next->first == rank; ++next) {
+      flows[next->second].header = header;
+    }
+  });
 }
 
 // Flow length and ingress draws shared by every mode, in the legacy draw
@@ -265,9 +363,8 @@ void TrafficGenerator::finish_flow(FlowSpec& flow) {
       rng_.uniform(0, params_.ingress_count == 0 ? 0 : params_.ingress_count - 1));
 }
 
-void TrafficGenerator::schedule_poisson_zipf(std::vector<FlowSpec>& flows,
-                                             std::vector<std::size_t>& ranks) {
-  ZipfDistribution zipf(params_.flow_pool, params_.zipf_s);
+void TrafficGenerator::schedule_poisson_zipf(
+    std::vector<FlowSpec>& flows, std::vector<std::pair<double, std::size_t>>& zipf_draws) {
   double t = 0.0;
   std::uint64_t id = 0;
   while (true) {
@@ -275,16 +372,16 @@ void TrafficGenerator::schedule_poisson_zipf(std::vector<FlowSpec>& flows,
     if (t >= params_.duration) break;
     FlowSpec flow;
     flow.id = id++;
-    ranks.push_back(zipf.sample(rng_));
+    zipf_draws.emplace_back(rng_.uniform01(), flows.size());
     flow.start = t;
     finish_flow(flow);
     flows.push_back(std::move(flow));
   }
 }
 
-void TrafficGenerator::schedule_flash_crowd(std::vector<FlowSpec>& flows,
-                                            std::vector<std::size_t>& ranks) {
-  ZipfDistribution zipf(params_.flow_pool, params_.zipf_s);
+void TrafficGenerator::schedule_flash_crowd(
+    std::vector<FlowSpec>& flows, std::vector<std::pair<double, std::size_t>>& zipf_draws,
+    std::vector<std::pair<std::size_t, std::size_t>>& picked) {
   const double flash_end = params_.flash_at + params_.flash_duration;
   const std::size_t targets = std::min(params_.flash_targets, params_.flow_pool);
   double t = 0.0;
@@ -301,9 +398,9 @@ void TrafficGenerator::schedule_flash_crowd(std::vector<FlowSpec>& flows,
     flow.id = id++;
     const bool in_flash = t >= params_.flash_at && t < flash_end;
     if (in_flash && rng_.bernoulli(params_.flash_target_prob)) {
-      ranks.push_back(targets <= 1 ? 0 : rng_.uniform(0, targets - 1));
+      picked.emplace_back(targets <= 1 ? 0 : rng_.uniform(0, targets - 1), flows.size());
     } else {
-      ranks.push_back(zipf.sample(rng_));
+      zipf_draws.emplace_back(rng_.uniform01(), flows.size());
     }
     flow.start = t;
     finish_flow(flow);
@@ -344,9 +441,8 @@ void TrafficGenerator::add_mice_storm(std::vector<FlowSpec>& flows) {
   }
 }
 
-void TrafficGenerator::schedule_diurnal(std::vector<FlowSpec>& flows,
-                                        std::vector<std::size_t>& ranks) {
-  ZipfDistribution zipf(params_.flow_pool, params_.zipf_s);
+void TrafficGenerator::schedule_diurnal(
+    std::vector<FlowSpec>& flows, std::vector<std::pair<double, std::size_t>>& zipf_draws) {
   constexpr double kTwoPi = 6.283185307179586476925287;
   // Lewis-Shedler thinning: draw at the peak rate, keep each arrival with
   // probability rate(t)/peak. Exact for any bounded rate function and keeps
@@ -364,11 +460,7 @@ void TrafficGenerator::schedule_diurnal(std::vector<FlowSpec>& flows,
     if (!rng_.bernoulli(rate_now / peak)) continue;
     FlowSpec flow;
     flow.id = id++;
-    // Rotate who is popular each period: rank r today is rank r+rotate
-    // tomorrow, so long-lived cache entries go cold on the period boundary.
-    const auto epoch = static_cast<std::size_t>(t / params_.diurnal_period);
-    const std::size_t rank = zipf.sample(rng_);
-    ranks.push_back((rank + epoch * params_.diurnal_rotate) % params_.flow_pool);
+    zipf_draws.emplace_back(rng_.uniform01(), flows.size());  // rotated once resolved
     flow.start = t;
     finish_flow(flow);
     flows.push_back(std::move(flow));

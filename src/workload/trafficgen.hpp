@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "flowspace/rule_table.hpp"
@@ -100,49 +102,64 @@ struct FlowTruth {
 std::vector<FlowTruth> flow_ground_truth(const std::vector<FlowSpec>& flows,
                                          std::uint64_t bytes_per_packet = 100);
 
+// Where each pool entry's draws start in the seed's engine stream: which
+// entries drew a rule index, and how many engine calls each such draw took.
+// Built by the constructor's one walk over the pool; generate() and pool()
+// read it to skip straight to the entries they build.
+struct PoolMap;
+
 class TrafficGenerator {
  public:
-  // The engine state left after the pool's draw sequence is memoized
-  // process-wide by (policy, seed, pool parameters), 2.5 KB per slot. Sweeps
-  // alternate at most a couple of distinct pools per process, so only this
-  // many stay cached, the least recently used evicted.
+  // The engine state left after the pool's draws (2.5 KB) and the pool's map
+  // (flow_pool / 8 bytes, none for an empty policy) are memoized process-wide
+  // by (policy, seed, pool parameters). Sweeps alternate at most a couple of
+  // distinct pools per process, so only this many stay cached, the least
+  // recently used evicted; a generator keeps its own reference to the map,
+  // so it outlives its slot.
   static constexpr std::size_t kPoolCacheSlots = 2;
 
-  // No header is built here: generate() draws the pool headers its schedule
-  // samples from `policy`, which must outlive the generator and stay
-  // unchanged until the last generate() returns.
+  // Walks the pool's draws once (skipped on a cache hit), evaluating each
+  // entry's directed coin but building no header: generate() draws the pool
+  // headers its schedule samples from `policy`, which must outlive the
+  // generator and stay unchanged until the last generate() returns.
   TrafficGenerator(const RuleTable& policy, TrafficParams params);
 
-  // All flow arrivals in [0, duration), sorted by start time. Costs a replay
-  // of the pool's draws up to the largest rank the schedule samples.
+  // All flow arrivals in [0, duration), sorted by start time. Stores no
+  // Zipf CDF: the schedule keeps each flow's uniform draw and resolves all
+  // of them in one sorted sweep of the CDF. The sampled headers are then
+  // built by one replay from the seed that skips, through the pool map, to
+  // each sampled entry and draws only its rule index and noise words.
   std::vector<FlowSpec> generate();
 
   // The pool's headers by rank; only tests need them. Builds all flow_pool
-  // headers on every call.
+  // headers on every call, with generate()'s replay.
   std::vector<BitVec> pool() const;
 
  private:
   void finish_flow(FlowSpec& flow);
+  // Each schedule fills `flows` (no headers yet) and, per flow, either its
+  // (uniform01() draw, flow index) for the Zipf resolve, or its (rank, flow
+  // index) when it picks the rank directly.
   void schedule_poisson_zipf(std::vector<FlowSpec>& flows,
-                             std::vector<std::size_t>& ranks);
+                             std::vector<std::pair<double, std::size_t>>& zipf_draws);
   void schedule_flash_crowd(std::vector<FlowSpec>& flows,
-                            std::vector<std::size_t>& ranks);
-  void schedule_diurnal(std::vector<FlowSpec>& flows, std::vector<std::size_t>& ranks);
+                            std::vector<std::pair<double, std::size_t>>& zipf_draws,
+                            std::vector<std::pair<std::size_t, std::size_t>>& picked);
+  void schedule_diurnal(std::vector<FlowSpec>& flows,
+                        std::vector<std::pair<double, std::size_t>>& zipf_draws);
   void add_mice_storm(std::vector<FlowSpec>& flows);
+  // Sets each flow's header from its (rank, flow index), ascending by rank.
   void draw_headers(std::vector<FlowSpec>& flows,
-                    const std::vector<std::size_t>& ranks) const;
-  // Walks the pool's draw sequence on `rng` for ranks [0, end) and builds
-  // the headers of the ranks in `wanted` (ascending), in that order.
-  std::vector<BitVec> walk_pool(Rng& rng, std::size_t end,
-                                const std::vector<std::size_t>& wanted) const;
+                    const std::vector<std::pair<std::size_t, std::size_t>>& by_rank) const;
+  // Replays the pool's draws from the seed and calls emit(rank, header) for
+  // each rank of `wanted` (ascending, distinct), in that order.
+  template <typename Emit>
+  void replay(const std::vector<std::size_t>& wanted, Emit&& emit) const;
 
   const RuleTable& policy_;
   TrafficParams params_;
   Rng rng_;  // after construction: the state right after the pool's draws
-  // The pool's directed coin as one compare: a draw x is directed iff
-  // x < directed_below_, or always when directed_always_.
-  std::uint64_t directed_below_ = 0;
-  bool directed_always_ = false;
+  std::shared_ptr<const PoolMap> map_;
 };
 
 }  // namespace difane

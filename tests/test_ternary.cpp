@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "flowspace/header.hpp"
 #include "flowspace/ternary.hpp"
 #include "util/rng.hpp"
 
@@ -83,6 +84,54 @@ TEST(Ternary, SetPrefixConstrainsMsbs) {
   EXPECT_TRUE(t.matches(pkt));
   pkt.set_bits(0, 8, 0b10101111);
   EXPECT_FALSE(t.matches(pkt));
+}
+
+// set_prefix, set_exact and exact_pattern write whole words; they must set
+// the same value and care bits as writing one bit at a time, and leave every
+// other bit of the pattern as it was.
+TEST(Ternary, WordWiseBuildersMatchBitwiseReference) {
+  Rng rng(41);
+  const auto random_bits = [&rng] {
+    BitVec v;
+    for (auto& word : v.w) word = rng.next_u64();
+    return v;
+  };
+  // Field bit i of `value` into header bit offset + i, for i in [from, width).
+  const auto bitwise = [](const Ternary& base, std::size_t offset, std::size_t width,
+                          std::uint64_t value, std::size_t from) {
+    BitVec v = base.value(), c = base.care();
+    for (std::size_t i = from; i < width; ++i) {
+      v.set(offset + i, (value >> i) & 1);
+      c.set(offset + i, true);
+    }
+    return Ternary(v, c);
+  };
+  for (const auto& spec : all_fields()) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const Ternary base(random_bits(), random_bits());
+      const std::uint64_t raw = rng.next_u64();
+      for (std::size_t plen = 0; plen <= spec.width; ++plen) {
+        Ternary t = base;
+        t.set_prefix(spec.offset, spec.width, raw, plen);
+        ASSERT_TRUE(t == bitwise(base, spec.offset, spec.width, raw, spec.width - plen))
+            << spec.name << " prefix " << plen;
+      }
+      const std::uint64_t value =
+          spec.width == 64 ? raw : raw & ((std::uint64_t{1} << spec.width) - 1);
+      Ternary t = base;
+      t.set_exact(spec.offset, spec.width, value);
+      ASSERT_TRUE(t == bitwise(base, spec.offset, spec.width, value, 0)) << spec.name;
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const BitVec packet = random_bits();
+    BitVec v, c;
+    for (std::size_t b = 0; b < header_bits_used(); ++b) {
+      v.set(b, packet.get(b));
+      c.set(b, true);
+    }
+    ASSERT_TRUE(exact_pattern(packet) == Ternary(v, c));
+  }
 }
 
 TEST(Ternary, SubtractDisjointReturnsOriginal) {

@@ -160,15 +160,14 @@ TEST(Zipf, SkewConcentratesMassOnLowRanks) {
   EXPECT_GT(static_cast<double>(top10) / n, 0.35);
 }
 
-// The guide table must pick exactly the rank that lower_bound over the whole
-// CDF picks, and the CDF must be the one built with two std::pow calls per
-// rank; checked at every bucket edge b/4096, at its neighbouring doubles, at
-// CDF values themselves, and at random points.
-TEST(Zipf, GuidedSampleMatchesFullSearch) {
+// zipf_ranks must pick exactly the rank that lower_bound over the whole CDF
+// picks, and the CDF behind pmf must be the one built with two std::pow
+// calls per rank; checked at every b/4096, at sampled CDF values and both
+// neighbouring doubles, on repeated draws, and at random points.
+TEST(Zipf, StreamedRanksMatchFullSearch) {
   for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{5000},
                               std::size_t{1} << 21}) {
     for (const double s : {0.0, 0.8, 1.1}) {
-      const ZipfDistribution zipf(n, s);
       std::vector<double> cdf(n);
       double sum = 0.0;
       for (std::size_t k = 1; k <= n; ++k) sum += 1.0 / std::pow(static_cast<double>(k), s);
@@ -178,19 +177,16 @@ TEST(Zipf, GuidedSampleMatchesFullSearch) {
         cdf[k - 1] = acc;
       }
       cdf.back() = 1.0;
+      const ZipfDistribution zipf(n, s);
       std::size_t pmf_mismatches = 0;
       for (std::size_t k = 0; k < n; ++k) {
         if (zipf.pmf(k) != (k == 0 ? cdf[0] : cdf[k] - cdf[k - 1])) ++pmf_mismatches;
       }
       EXPECT_EQ(pmf_mismatches, 0u) << "n " << n << " s " << s;
 
-      const auto full = [&cdf](double u) {
-        return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
-                                        cdf.begin());
-      };
       std::vector<double> points;
-      for (std::size_t b = 0; b < ZipfDistribution::kBuckets; ++b) {
-        const double edge = static_cast<double>(b) / ZipfDistribution::kBuckets;
+      for (std::size_t b = 0; b < 4096; ++b) {
+        const double edge = static_cast<double>(b) / 4096;
         points.push_back(edge);
         points.push_back(std::nextafter(edge, 1.0));
         if (b > 0) points.push_back(std::nextafter(edge, 0.0));
@@ -202,12 +198,29 @@ TEST(Zipf, GuidedSampleMatchesFullSearch) {
       }
       Rng rng(n + 17);
       for (int i = 0; i < 5000; ++i) points.push_back(rng.uniform01());
-      std::size_t mismatches = 0;
-      for (const double u : points) {
-        if (u >= 1.0) continue;  // uniform01 never returns 1
-        if (zipf.rank_at(u) != full(u)) ++mismatches;
+      std::erase_if(points, [](double u) { return u >= 1.0; });  // uniform01 never returns 1
+      const std::size_t distinct = points.size();
+      for (std::size_t i = 0; i < distinct; i += 7) points.push_back(points[i]);  // repeats
+
+      std::vector<std::pair<double, std::size_t>> draws;
+      for (std::size_t i = 0; i < points.size(); ++i) draws.emplace_back(points[i], i);
+      const auto ranked = zipf_ranks(n, s, draws);
+      ASSERT_EQ(ranked.size(), points.size());
+      std::vector<bool> seen(points.size(), false);
+      std::size_t mismatches = 0, descents = 0;
+      for (std::size_t j = 0; j < ranked.size(); ++j) {
+        const auto [rank, tag] = ranked[j];
+        ASSERT_LT(tag, points.size());
+        seen[tag] = true;
+        const auto full = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), points[tag]) - cdf.begin());
+        if (rank != full) ++mismatches;
+        if (j > 0 && ranked[j - 1].first > rank) ++descents;
       }
       EXPECT_EQ(mismatches, 0u) << "n " << n << " s " << s;
+      EXPECT_EQ(descents, 0u) << "n " << n << " s " << s;
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+                static_cast<std::ptrdiff_t>(points.size()));
     }
   }
 }

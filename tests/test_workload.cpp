@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -126,18 +127,19 @@ TEST(TrafficGen, DeterministicBySeed) {
   }
 }
 
-// The cache of post-pool engine states is process-wide state that
-// bench::run_cells reaches from worker threads. Four threads construct
+// The cache of post-pool engine states and pool maps is process-wide state
+// that bench::run_cells reaches from worker threads. Four threads construct
 // generators for one repeated key and for more distinct keys than the cache
-// has slots, so hits, inserts and evictions race (ctest -L unit runs this
-// under TSan). Every schedule must equal the serial build of its key.
+// has slots, so hits, inserts and evictions race with replays that read
+// multi-word pool maps (ctest -L unit runs this under TSan). Every schedule
+// must equal the serial build of its key.
 TEST(TrafficGen, ConcurrentConstructionsMatchSerial) {
   const auto policy = classbench_like(40, 11);
   constexpr std::size_t kKeys = TrafficGenerator::kPoolCacheSlots + 2;
   const auto params_for = [](std::size_t key) {
     TrafficParams params;
     params.seed = 500 + key;
-    params.flow_pool = 64;
+    params.flow_pool = 200;  // a multi-word pool map
     params.duration = 0.05;
     return params;
   };
@@ -166,6 +168,40 @@ TEST(TrafficGen, ConcurrentConstructionsMatchSerial) {
   }
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
+
+// A generator keeps its own reference to the pool map, so evicting the
+// cache slot it was built from changes nothing it generates.
+TEST(TrafficGen, GenerateAfterItsPoolSlotIsEvicted) {
+  const auto policy = classbench_like(40, 11);
+  TrafficParams params;
+  params.seed = 700;
+  params.flow_pool = 200;
+  params.duration = 0.05;
+  const auto serial = TrafficGenerator(policy, params).generate();
+  ASSERT_FALSE(serial.empty());
+  TrafficGenerator from_hit(policy, params);
+  for (std::size_t i = 1; i <= TrafficGenerator::kPoolCacheSlots; ++i) {
+    TrafficParams other = params;
+    other.seed = params.seed + i;
+    TrafficGenerator evicting(policy, other);
+  }
+  EXPECT_TRUE(from_hit.generate() == serial);
+}
+
+// A NaN or infinite skew would send every flow to one header; the
+// generator and the stored CDF refuse it.
+TEST(TrafficGen, RejectsNonFiniteZipfSkew) {
+  const auto policy = classbench_like(40, 11);
+  for (const double s : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    TrafficParams params;
+    params.flow_pool = 1000;
+    params.zipf_s = s;
+    EXPECT_THROW(TrafficGenerator(policy, params), contract_violation) << s;
+    EXPECT_THROW(ZipfDistribution(1000, s), contract_violation) << s;
   }
 }
 
@@ -455,7 +491,11 @@ class EagerTrafficReference {
 // Every mode, with no, most and all pool headers rule-directed, on an empty
 // policy, and in the setup-storm shape (uniform pool, single-packet flows):
 // generate() and pool() equal the eager reference, on a construction that
-// walks the pool and on one that takes the cached engine state.
+// walks the pool and on one that takes the cached engine state and pool map.
+// The storm shape also runs on an empty policy (four draws per entry, no
+// map), at p = 1, on a 2^20-entry pool, and on a 64k+1-entry pool whose
+// first and last ranks are sampled (the map's edge words); diurnal rotates
+// past the pool's end over several periods.
 TEST(TrafficGen, MatchesEagerPoolReference) {
   const auto policy = classbench_like(100, 3);
   const RuleTable no_rules;
@@ -484,6 +524,26 @@ TEST(TrafficGen, MatchesEagerPoolReference) {
   storm.max_packets = 1.0;
   storm.ingress_count = 4;
   cases.emplace_back(&policy, storm);
+  storm.seed = seed++;
+  cases.emplace_back(&no_rules, storm);
+  storm.seed = seed++;
+  storm.p_rule_directed = 1.0;
+  cases.emplace_back(&policy, storm);
+  storm.seed = seed++;
+  storm.p_rule_directed = 0.9;
+  storm.flow_pool = 1 << 20;
+  cases.emplace_back(&policy, storm);
+  TrafficParams edges = storm;
+  edges.seed = seed++;
+  edges.flow_pool = 64 * 3 + 1;
+  edges.arrival_rate = 40000.0;
+  edges.duration = 0.1;  // ~4,000 flows over 193 ranks: every rank sampled
+  cases.emplace_back(&policy, edges);
+  TrafficParams rotating = heavy_mode_params(TrafficMode::kDiurnal);
+  rotating.seed = seed++;
+  rotating.diurnal_period = 0.1;
+  rotating.diurnal_rotate = rotating.flow_pool - 3;
+  cases.emplace_back(&policy, rotating);
 
   for (const auto& [rules, params] : cases) {
     const std::string label = std::string(traffic_mode_name(params.mode)) + " p=" +
@@ -492,6 +552,14 @@ TEST(TrafficGen, MatchesEagerPoolReference) {
     EagerTrafficReference reference(*rules, params);
     const auto expected = reference.generate();
     ASSERT_FALSE(expected.empty()) << label;
+    if (params.seed == edges.seed) {
+      const auto sampled = [&expected](const BitVec& header) {
+        return std::any_of(expected.begin(), expected.end(),
+                           [&header](const FlowSpec& f) { return f.header == header; });
+      };
+      EXPECT_TRUE(sampled(reference.pool().front())) << label;
+      EXPECT_TRUE(sampled(reference.pool().back())) << label;
+    }
     TrafficGenerator walked(*rules, params);
     EXPECT_TRUE(walked.generate() == expected) << label;
     TrafficGenerator cached(*rules, params);

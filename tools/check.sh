@@ -5,8 +5,9 @@
 # (DIFANE_SANITIZE=thread) over the unit label. A scenario runs on one
 # thread; the unit label holds the test that starts threads of its own
 # (TrafficGen.ConcurrentConstructionsMatchSerial, which races the traffic
-# generator's process-wide cache of post-pool engine states the way
-# bench::run_cells does), so race coverage stays part of tier-1 hygiene.
+# generator's process-wide cache of post-pool engine states and pool maps
+# the way bench::run_cells does, while replays read maps whose slots other
+# threads evict), so race coverage stays part of tier-1 hygiene.
 #
 # The chaos, migration and data-plane property suites end each case with
 # the exact installed-state verifier (Scenario::verify_installed: the plan
